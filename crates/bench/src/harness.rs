@@ -5,12 +5,12 @@
 //! [`SchedulerSpec`] values (parsed from CLI strings by the registry, never
 //! string-matched here) and instantiated per cell with [`registry::build`].
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use ses_core::{registry, ScheduleOutcome, SchedulerSpec};
 use ses_datagen::pipeline::build_instance;
 use ses_datagen::sweep::SweepCell;
 use ses_ebsn::EbsnDataset;
+use std::sync::{Mutex, PoisonError};
 
 /// Harness settings shared by all cells of a sweep.
 #[derive(Debug, Clone)]
@@ -110,17 +110,23 @@ pub fn run_sweep(
                 let results = &results;
                 scope.spawn(move || {
                     let rows = run_cell(dataset, cell, cfg);
-                    results.lock().push((i, rows));
+                    results
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((i, rows));
                 });
             }
         });
     } else {
         for (i, cell) in cells.iter().enumerate() {
             let rows = run_cell(dataset, cell, cfg);
-            results.lock().push((i, rows));
+            results
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((i, rows));
         }
     }
-    let mut indexed = results.into_inner();
+    let mut indexed = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     indexed.sort_by_key(|(i, _)| *i);
     indexed.into_iter().flat_map(|(_, rows)| rows).collect()
 }

@@ -203,32 +203,37 @@ pub fn solve(args: &ParsedArgs) -> Result<(), String> {
     // output — no dataset needed, no rebuild), or build the paper's
     // instance from a dataset. Only the dataset path knows which dataset
     // event each candidate came from, so the preview's source column is
-    // optional.
-    let (instance, candidate_source) = match args.options.get("instance") {
-        Some(path) => {
-            let inst = ses_core::store::open_path(std::path::Path::new(path))
-                .map_err(|e| format!("open {path}: {e}"))?;
-            (inst, None)
-        }
-        None => {
-            let dataset = load(args)?;
-            let cfg = PaperConfig {
-                k,
-                t_factor,
-                seed,
-                sigma: if args.has_flag("checkins") {
-                    SigmaMode::FromCheckins
-                } else {
-                    SigmaMode::Uniform
-                },
-                ..PaperConfig::default()
-            };
-            let built = build_instance(&dataset, &cfg).map_err(|e| e.to_string())?;
-            (built.instance, Some(built.candidate_source))
+    // optional. With `--trace`, the load is a `load` span beside (not
+    // inside) the `solve` span, so the timeline accounts for both.
+    let trace = args.has_flag("trace").then(ses_obs::TraceId::generate);
+    let (instance, candidate_source) = {
+        let _scope = trace.map(ses_obs::trace_scope);
+        let _span = ses_obs::span(ses_obs::Stage::Load);
+        match args.options.get("instance") {
+            Some(path) => {
+                let inst = ses_core::store::open_path(std::path::Path::new(path))
+                    .map_err(|e| format!("open {path}: {e}"))?;
+                (inst, None)
+            }
+            None => {
+                let dataset = load(args)?;
+                let cfg = PaperConfig {
+                    k,
+                    t_factor,
+                    seed,
+                    sigma: if args.has_flag("checkins") {
+                        SigmaMode::FromCheckins
+                    } else {
+                        SigmaMode::Uniform
+                    },
+                    ..PaperConfig::default()
+                };
+                let built = build_instance(&dataset, &cfg).map_err(|e| e.to_string())?;
+                (built.instance, Some(built.candidate_source))
+            }
         }
     };
     let service = SchedulerService::new();
-    let trace = args.has_flag("trace").then(ses_obs::TraceId::generate);
     let response = {
         let _scope = trace.map(ses_obs::trace_scope);
         service

@@ -189,6 +189,55 @@ fn solve_format_json_and_schedule_alias() {
 }
 
 #[test]
+fn solve_trace_shows_load_beside_solve() {
+    let dataset = temp_path("trace_load.json");
+    let dataset_str = dataset.to_str().unwrap();
+    commands::generate(&argv(&[
+        "generate",
+        "--members",
+        "120",
+        "--events",
+        "80",
+        "--out",
+        dataset_str,
+    ]))
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(["solve", "--dataset", dataset_str, "--k", "5"])
+        .args(["--format", "json", "--trace"])
+        .output()
+        .expect("ses runs");
+    assert!(out.status.success());
+    let timeline = String::from_utf8(out.stderr).unwrap();
+    // Each line reads "<start> ms  <indent><stage> <duration> ms …".
+    let span = |stage: &str| {
+        timeline
+            .lines()
+            .find_map(|line| {
+                let parts: Vec<&str> = line.split_whitespace().collect();
+                (parts.get(2) == Some(&stage)).then(|| {
+                    let start: f64 = parts[0].parse().unwrap();
+                    let dur: f64 = parts[3].parse().unwrap();
+                    (line.find(stage).unwrap(), start, dur)
+                })
+            })
+            .unwrap_or_else(|| panic!("no {stage} span in:\n{timeline}"))
+    };
+    let (load_col, load_start, load_dur) = span("load");
+    let (solve_col, solve_start, _) = span("solve");
+    assert_eq!(
+        load_col, solve_col,
+        "load nests at solve's depth:\n{timeline}"
+    );
+    // Both ends are printed rounded to the microsecond.
+    assert!(
+        load_start + load_dur <= solve_start + 0.002,
+        "load ends before solve starts:\n{timeline}"
+    );
+    std::fs::remove_file(dataset).ok();
+}
+
+#[test]
 fn simulate_format_json_runs() {
     commands::simulate(&argv(&[
         "simulate",

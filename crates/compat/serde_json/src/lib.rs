@@ -4,6 +4,10 @@
 //! Floats are written with Rust's shortest-round-trip formatting, so every
 //! finite `f64` survives a write/parse cycle bit-for-bit; `u64`/`i64` are
 //! written as integer literals and never go through `f64`.
+//!
+//! Decoding is a single linear pass: string contents are copied run by run
+//! between escapes, and raw control bytes inside strings are rejected with
+//! [`ErrorKind::ControlCharacter`], as RFC 8259 §7 requires.
 
 #![warn(missing_docs)]
 
@@ -12,17 +16,51 @@ use std::io::{Read, Write};
 
 /// Encode/decode error.
 #[derive(Debug)]
-pub struct Error(String);
+pub struct Error {
+    msg: String,
+    kind: ErrorKind,
+}
+
+/// The class of an [`Error`], for callers that branch on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ErrorKind {
+    /// A raw control byte (below `0x20`) inside a string. RFC 8259 §7
+    /// requires those to be escaped.
+    ControlCharacter {
+        /// The offending byte.
+        byte: u8,
+        /// Its byte offset in the input.
+        offset: usize,
+    },
+    /// Any other syntax, data or I/O error; the message says which.
+    Other,
+}
 
 impl Error {
     fn new(msg: impl Into<String>) -> Self {
-        Self(msg.into())
+        Self {
+            msg: msg.into(),
+            kind: ErrorKind::Other,
+        }
+    }
+
+    fn control_character(byte: u8, offset: usize) -> Self {
+        Self {
+            msg: format!("unescaped control character {byte:#04x} in string at byte {offset}"),
+            kind: ErrorKind::ControlCharacter { byte, offset },
+        }
+    }
+
+    /// The class of this error.
+    pub fn kind(&self) -> ErrorKind {
+        self.kind
     }
 }
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.msg)
     }
 }
 
@@ -30,13 +68,13 @@ impl std::error::Error for Error {}
 
 impl From<serde::Error> for Error {
     fn from(e: serde::Error) -> Self {
-        Self(e.to_string())
+        Self::new(e.to_string())
     }
 }
 
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
-        Self(e.to_string())
+        Self::new(e.to_string())
     }
 }
 
@@ -359,12 +397,22 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input came from &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::new("bad utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both are ASCII, so the run ends on a char boundary and
+                    // each input byte is scanned and validated exactly once.
+                    let start = self.pos;
+                    let rest = &self.bytes[start..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    self.pos += len;
+                    if let Some(&b) = rest.get(len).filter(|&&b| b < 0x20) {
+                        return Err(Error::control_character(b, self.pos));
+                    }
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| Error::new(format!("bad utf-8 at byte {start}")))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -476,6 +524,77 @@ mod tests {
         assert!(from_str::<String>(r#""\ud834\u0041""#).is_err());
         assert!(from_str::<String>(r#""\ud834A""#).is_err());
         assert!(from_str::<String>(r#""\ud834""#).is_err());
+    }
+
+    #[test]
+    fn surrogate_errors_survive_preceding_runs() {
+        for (text, msg) in [
+            (r#""é✓\ud834A""#, "lone leading surrogate"),
+            (r#""ab\ud834\u0041""#, "invalid low surrogate"),
+            (r#""😀\ud834\x""#, "lone leading surrogate"),
+        ] {
+            let err = from_str::<String>(text).unwrap_err();
+            assert_eq!(err.to_string(), msg, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn runs_split_cleanly_around_escapes() {
+        // Multi-byte UTF-8 directly before and after every escape.
+        let s = "é\n✓\"😀x";
+        assert_eq!(from_str::<String>(r#""é\n✓\"😀x""#).unwrap(), s);
+        assert_eq!(from_str::<String>(&to_string(s).unwrap()).unwrap(), s);
+        assert_eq!(from_str::<String>(r#""\u00e9é\\""#).unwrap(), "éé\\");
+        assert_eq!(from_str::<String>(r#""""#).unwrap(), "");
+    }
+
+    #[test]
+    fn runs_ending_at_eof_are_unterminated() {
+        for text in ["\"abc", "\"é✓😀", "\"ab\\n", "\""] {
+            let err = from_str::<String>(text).unwrap_err();
+            assert_eq!(err.to_string(), "unterminated string", "{text:?}");
+            assert_eq!(err.kind(), ErrorKind::Other);
+        }
+    }
+
+    #[test]
+    fn non_ascii_object_keys() {
+        let v = parse(r#"{"ключ":1,"键\t":2,"😀":{"é":[]}}"#).unwrap();
+        let Value::Object(fields) = v else {
+            panic!("expected an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["ключ", "键\t", "😀"]);
+    }
+
+    #[test]
+    fn raw_control_bytes_in_strings_are_rejected() {
+        for (text, byte, offset) in [
+            ("\"a\nb\"", b'\n', 2),
+            ("\"\u{0}\"", 0, 1),
+            ("[\"é\\n\t\"]", b'\t', 6),
+            ("{\"k\u{1f}\":1}", 0x1f, 3),
+        ] {
+            let err = from_str::<serde::Value>(text).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                ErrorKind::ControlCharacter { byte, offset },
+                "{text:?}"
+            );
+            assert!(err.to_string().contains(&format!("at byte {offset}")));
+        }
+        // Escaped forms of the same bytes, and whitespace between tokens,
+        // are fine.
+        assert_eq!(
+            from_str::<String>(r#""a\nb\u0000\u001f""#).unwrap(),
+            "a\nb\u{0}\u{1f}"
+        );
+        assert_eq!(from_str::<Vec<u8>>("[\n1,\t2\r]").unwrap(), [1, 2]);
+        // DEL and C1 controls are not JSON control characters.
+        assert_eq!(
+            from_str::<String>("\"\u{7f}\u{85}\"").unwrap(),
+            "\u{7f}\u{85}"
+        );
     }
 
     #[test]

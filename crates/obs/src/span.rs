@@ -60,10 +60,13 @@ pub enum Stage {
     /// Replaying one session's snapshot + WAL tail at boot or migration
     /// (`aux_a` = events replayed).
     Recover = 12,
+    /// Loading a problem before an offline solve: dataset decode plus
+    /// instance build, or a `.sesstore` open. A sibling of [`Stage::Solve`].
+    Load = 13,
 }
 
 /// All stages, in pipeline order.
-pub const STAGES: [Stage; 13] = [
+pub const STAGES: [Stage; 14] = [
     Stage::Request,
     Stage::Parse,
     Stage::Queue,
@@ -77,6 +80,7 @@ pub const STAGES: [Stage; 13] = [
     Stage::Respond,
     Stage::Wal,
     Stage::Recover,
+    Stage::Load,
 ];
 
 impl Stage {
@@ -96,6 +100,7 @@ impl Stage {
             Stage::Respond => "respond",
             Stage::Wal => "wal",
             Stage::Recover => "recover",
+            Stage::Load => "load",
         }
     }
 
