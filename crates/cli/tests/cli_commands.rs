@@ -188,6 +188,73 @@ fn solve_format_json_and_schedule_alias() {
     std::fs::remove_file(out).ok();
 }
 
+/// The first `stage` span of a `--trace` timeline, whose lines read
+/// "<start> ms  <indent><stage> <duration> ms … [aux=a/b]": its column,
+/// start and duration (ms), and its aux words.
+fn timeline_span(timeline: &str, stage: &str) -> (usize, f64, f64, Option<(u64, u64)>) {
+    timeline
+        .lines()
+        .find_map(|line| {
+            let parts: Vec<&str> = line.split_whitespace().collect();
+            (parts.get(2) == Some(&stage)).then(|| {
+                let start: f64 = parts[0].parse().unwrap();
+                let dur: f64 = parts[3].parse().unwrap();
+                let aux = parts.iter().find_map(|p| {
+                    let (a, b) = p.strip_prefix("aux=")?.split_once('/')?;
+                    Some((a.parse().unwrap(), b.parse().unwrap()))
+                });
+                (line.find(stage).unwrap(), start, dur, aux)
+            })
+        })
+        .unwrap_or_else(|| panic!("no {stage} span in:\n{timeline}"))
+}
+
+#[test]
+fn solve_trace_nests_build_inside_solve() {
+    let store = temp_path("trace_build.sesstore");
+    let store_str = store.to_str().unwrap();
+    commands::pack(&argv(&[
+        "pack",
+        "--users",
+        "3000",
+        "--events",
+        "40",
+        "--intervals",
+        "12",
+        "--out",
+        store_str,
+    ]))
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(["solve", "--instance", store_str, "--k", "5"])
+        .args(["--format", "json", "--trace"])
+        .output()
+        .expect("ses runs");
+    assert!(out.status.success());
+    let timeline = String::from_utf8(out.stderr).unwrap();
+    let (solve_col, solve_start, solve_dur, _) = timeline_span(&timeline, "solve");
+    let (build_col, build_start, build_dur, aux) = timeline_span(&timeline, "build");
+    let (_, sweep_start, _, _) = timeline_span(&timeline, "sweep");
+    assert!(
+        build_col > solve_col,
+        "build nests inside solve:\n{timeline}"
+    );
+    // Ends are printed rounded to the microsecond.
+    assert!(
+        build_start + 0.002 >= solve_start
+            && build_start + build_dur <= solve_start + solve_dur + 0.002,
+        "build lies within solve:\n{timeline}"
+    );
+    assert!(
+        build_start + build_dur <= sweep_start + 0.002,
+        "build precedes sweep:\n{timeline}"
+    );
+    // Sparse activity leaves columns partial, so the engine resolves runs.
+    let (entries, slots) = aux.expect("build span carries aux counts");
+    assert!(entries > 0 && slots > 0, "{timeline}");
+    std::fs::remove_file(store).ok();
+}
+
 #[test]
 fn solve_trace_shows_load_beside_solve() {
     let dataset = temp_path("trace_load.json");
@@ -209,22 +276,8 @@ fn solve_trace_shows_load_beside_solve() {
         .expect("ses runs");
     assert!(out.status.success());
     let timeline = String::from_utf8(out.stderr).unwrap();
-    // Each line reads "<start> ms  <indent><stage> <duration> ms …".
-    let span = |stage: &str| {
-        timeline
-            .lines()
-            .find_map(|line| {
-                let parts: Vec<&str> = line.split_whitespace().collect();
-                (parts.get(2) == Some(&stage)).then(|| {
-                    let start: f64 = parts[0].parse().unwrap();
-                    let dur: f64 = parts[3].parse().unwrap();
-                    (line.find(stage).unwrap(), start, dur)
-                })
-            })
-            .unwrap_or_else(|| panic!("no {stage} span in:\n{timeline}"))
-    };
-    let (load_col, load_start, load_dur) = span("load");
-    let (solve_col, solve_start, _) = span("solve");
+    let (load_col, load_start, load_dur, _) = timeline_span(&timeline, "load");
+    let (solve_col, solve_start, _, _) = timeline_span(&timeline, "solve");
     assert_eq!(
         load_col, solve_col,
         "load nests at solve's depth:\n{timeline}"

@@ -134,7 +134,7 @@ pub trait Scheduler {
 /// overhead, and a hostile `threads: 1_000_000` request must not translate
 /// into a million `scope.spawn` calls; generous headroom over the core
 /// count is kept so oversubscription can still be benchmarked deliberately.
-fn clamp_threads(threads: usize) -> usize {
+pub(crate) fn clamp_threads(threads: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     threads.clamp(1, (4 * cores).max(16))
 }

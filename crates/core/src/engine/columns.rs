@@ -15,10 +15,17 @@
 //! Columns are built from the activity model in two
 //! [`ActivityModel::for_each_active`] passes — count, prefix-sum, scatter —
 //! without ever materializing a dense `|U| × |T|` intermediate, which is what
-//! lets million-user instances construct in `O(nnz)`.
+//! lets million-user instances construct in `O(nnz)`. The scatter pass also
+//! emits a build-time [`RankSlots`] index (each rank's partial-column slots),
+//! from which the runs are resolved in time proportional to the entries they
+//! hold.
 
 use crate::activity::ActivityModel;
+use crate::algorithms::clamp_threads;
 use crate::ids::UserId;
+
+/// Ranks per block of the postings sweep ([`for_each_posting`]).
+const RANK_BLOCK: usize = 1 << 14;
 
 /// The per-interval blocked columns: CSR offsets plus parallel value arrays.
 ///
@@ -45,13 +52,40 @@ pub(crate) struct IntervalColumns {
     pub(crate) mcount: Vec<u32>,
 }
 
+/// Rank-major view of the *partial* columns: for each rank, its
+/// `(t, column-local slot)` pairs in ascending `t`. Full columns are left
+/// out — there the rank is the local slot. A construction-time temporary:
+/// the engine drops it once runs and competing mass are resolved, so it
+/// never shows up in the memory accounting.
+pub(crate) struct RankSlots {
+    /// `starts[r]..starts[r+1]` is rank `r`'s range of `pairs`.
+    starts: Vec<usize>,
+    /// `(t, local slot)` pairs, rank-major.
+    pairs: Vec<(u32, u32)>,
+}
+
+impl RankSlots {
+    /// Rank `rank`'s partial-column slots, ascending `t`.
+    #[inline]
+    fn of(&self, rank: u32) -> &[(u32, u32)] {
+        let r = rank as usize;
+        &self.pairs[self.starts[r]..self.starts[r + 1]]
+    }
+}
+
 impl IntervalColumns {
-    /// Builds the columns for `users` (in rank order) over `nt` intervals.
+    /// Builds the columns for `users` (in rank order) over `nt` intervals,
+    /// plus the rank-major [`RankSlots`] index of their partial columns.
     ///
     /// Two enumeration passes: count per interval, prefix-sum into offsets,
     /// then cursor-scatter ranks and `σ` values. Iterating users in rank
-    /// order makes each column's ranks ascending without a sort.
-    pub(crate) fn build(activity: &dyn ActivityModel, users: &[UserId], nt: usize) -> Self {
+    /// order makes each column's ranks ascending without a sort, and makes
+    /// the slot index's CSR offsets plain push positions.
+    pub(crate) fn build(
+        activity: &dyn ActivityModel,
+        users: &[UserId],
+        nt: usize,
+    ) -> (Self, RankSlots) {
         let stride = users.len();
         let mut counts = vec![0usize; nt];
         for &u in users {
@@ -65,8 +99,13 @@ impl IntervalColumns {
             offsets.push(acc);
         }
         let nnz = acc;
+        let partial_nnz: usize = counts.iter().filter(|&&c| c != stride).sum();
+        let full: Vec<bool> = counts.iter().map(|&c| c == stride).collect();
         let mut ranks = vec![0u32; nnz];
         let mut sigma = vec![0.0f64; nnz];
+        let mut starts = Vec::with_capacity(stride + 1);
+        let mut pairs = Vec::with_capacity(partial_nnz);
+        starts.push(0);
         let mut cursor = counts; // reuse: rewritten to running write positions
         cursor.copy_from_slice(&offsets[..nt]);
         for (r, &u) in users.iter().enumerate() {
@@ -83,13 +122,17 @@ impl IntervalColumns {
                 ranks[slot] = r as u32;
                 sigma[slot] = s;
                 cursor[ti] = slot + 1;
+                if !full[ti] {
+                    pairs.push((ti as u32, (slot - offsets[ti]) as u32));
+                }
             });
+            starts.push(pairs.len());
         }
         debug_assert!(
             cursor.iter().eq(offsets[1..].iter()),
             "for_each_active must enumerate identically across passes"
         );
-        Self {
+        let cols = Self {
             stride,
             offsets,
             ranks,
@@ -97,7 +140,8 @@ impl IntervalColumns {
             m: vec![0.0; nnz],
             sigma,
             mcount: vec![0; nnz],
-        }
+        };
+        (cols, RankSlots { starts, pairs })
     }
 
     /// Number of slots in interval `t`'s column.
@@ -156,18 +200,35 @@ impl IntervalColumns {
 pub(crate) struct ResolvedRuns {
     /// Number of candidate events (row width of `offsets`).
     ne: usize,
-    /// `offsets[t·ne + e]..offsets[t·ne + e + 1]` is the run of `(e, t)`.
-    /// Empty when every column is full (the all-dense fast path).
+    /// `offsets[t·ne + e]..offsets[t·ne + e + 1]` is the run of `(e, t)`,
+    /// so one interval's runs are contiguous, as the interval-major sweep
+    /// reads them. Empty when every column is full (the all-dense fast path).
     offsets: Vec<usize>,
     /// Column-local `(slot, µ)` pairs.
     entries: Vec<(u32, f64)>,
 }
 
 impl ResolvedRuns {
-    /// Resolves every event's postings against every partial column. One
-    /// reusable rank→local scatter map bounds the pass at
-    /// `O(nnz + Σ_partial t Σ_e |postings(e)|)`.
-    pub(crate) fn build(cols: &IntervalColumns, resolved: &[Box<[(u32, f64)]>]) -> Self {
+    /// Resolves every event's postings against every partial column in
+    /// `O(Σ_e |postings(e)| + entries)` on up to `workers` threads, clamped
+    /// like every other `threads` knob. The clamp reads the core count (a
+    /// few filesystem lookups), so it runs only once a partial column is
+    /// found: all-full engines, built per request when serving, skip it.
+    ///
+    /// Each posting is expanded through its rank's [`RankSlots`] list, so no
+    /// work is spent on `(posting, t)` pairs without a slot. Two passes over
+    /// the postings: count every run's length, prefix-sum the counts into
+    /// interval-major offsets, then scatter each posting into its runs.
+    /// Both passes cut the events into contiguous blocks of roughly equal
+    /// work, one per worker (the first on the calling thread, so one worker
+    /// spawns nothing). Every run is written by exactly one worker, in
+    /// posting order, so any worker count yields the same bytes.
+    pub(crate) fn build(
+        cols: &IntervalColumns,
+        slots: &RankSlots,
+        resolved: &[Box<[(u32, f64)]>],
+        workers: usize,
+    ) -> Self {
         let ne = resolved.len();
         let nt = cols.offsets.len() - 1;
         if (0..nt).all(|t| cols.is_full(t)) {
@@ -177,36 +238,59 @@ impl ResolvedRuns {
                 entries: Vec::new(),
             };
         }
-        const ABSENT: u32 = u32::MAX;
-        let mut local_of = vec![ABSENT; cols.stride];
+        let parts = clamp_threads(workers).min(ne.max(1));
+
+        // Pass 1: run lengths, event-major (`counts[e·nt + t]`) so each
+        // block of events owns one contiguous chunk. Blocks balance postings.
+        let mut counts = vec![0usize; ne * nt];
+        let bounds = cut(parts, ne, |e| resolved[e].len());
+        on_workers(split_blocks(&mut counts, &bounds, nt), |(lo, chunk)| {
+            let events = &resolved[lo..lo + chunk.len() / nt];
+            for_each_posting(events, cols.stride, |i, r, _| {
+                for &(t, _) in slots.of(r) {
+                    chunk[i * nt + t as usize] += 1;
+                }
+            });
+        });
         let mut offsets = Vec::with_capacity(ne * nt + 1);
+        let mut total = 0usize;
         offsets.push(0);
-        let mut entries = Vec::new();
         for t in 0..nt {
-            let full = cols.is_full(t);
-            let col = &cols.ranks[cols.offsets[t]..cols.offsets[t + 1]];
-            if !full {
-                for (j, &r) in col.iter().enumerate() {
-                    local_of[r as usize] = j as u32;
-                }
-            }
-            for postings in resolved {
-                if !full {
-                    for &(r, mu) in postings.iter() {
-                        let local = local_of[r as usize];
-                        if local != ABSENT {
-                            entries.push((local, mu));
-                        }
-                    }
-                }
-                offsets.push(entries.len());
-            }
-            if !full {
-                for &r in col {
-                    local_of[r as usize] = ABSENT;
-                }
+            for e in 0..ne {
+                total += counts[e * nt + t];
+                offsets.push(total);
             }
         }
+
+        // Pass 2: cut the exact-size entry array into its runs (in row
+        // order), regroup them event-major, and let each block of events
+        // fill its own runs front to back. Blocks balance entries.
+        let mut entries = vec![(0u32, 0.0f64); total];
+        let mut runs: Vec<&mut [(u32, f64)]> = std::iter::repeat_with(Default::default)
+            .take(ne * nt)
+            .collect();
+        let mut rest = &mut entries[..];
+        for t in 0..nt {
+            for e in 0..ne {
+                let (run, tail) = std::mem::take(&mut rest).split_at_mut(counts[e * nt + t]);
+                runs[e * nt + t] = run;
+                rest = tail;
+            }
+        }
+        let bounds = cut(parts, ne, |e| counts[e * nt..(e + 1) * nt].iter().sum());
+        on_workers(split_blocks(&mut runs, &bounds, nt), |(lo, chunk)| {
+            let events = &resolved[lo..lo + chunk.len() / nt];
+            for_each_posting(events, cols.stride, |i, r, mu| {
+                for &(t, local) in slots.of(r) {
+                    let run = &mut chunk[i * nt + t as usize];
+                    let (head, tail) = std::mem::take(run)
+                        .split_first_mut()
+                        .expect("pass 1 counted this entry");
+                    *head = (local, mu);
+                    *run = tail;
+                }
+            });
+        });
         Self {
             ne,
             offsets,
@@ -235,11 +319,95 @@ impl ResolvedRuns {
         &self.entries[self.offsets[row]..self.offsets[row + 1]]
     }
 
+    /// Number of resolved `(slot, µ)` entries across all runs.
+    #[inline]
+    pub(crate) fn entries(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Bytes resident in the run arrays.
     pub(crate) fn resident_bytes(&self) -> u64 {
         (self.entries.len() * size_of::<(u32, f64)>() + self.offsets.len() * size_of::<usize>())
             as u64
     }
+}
+
+/// Calls `visit(i, rank, µ)` for every posting of `events[i]`, each
+/// event's postings in order, sweeping the ranks in blocks of
+/// [`RANK_BLOCK`] across all events. Posting lists are rank-ascending, so
+/// each block's slot lists are read from memory once and then stay cached
+/// while every event visits them (an out-of-order posting would merely wait
+/// for a later block: the order within an event never changes).
+fn for_each_posting(
+    events: &[Box<[(u32, f64)]>],
+    stride: usize,
+    mut visit: impl FnMut(usize, u32, f64),
+) {
+    let mut next = vec![0usize; events.len()];
+    let mut end = 0usize;
+    while end < stride {
+        end = (end + RANK_BLOCK).min(stride);
+        for (i, (postings, next)) in events.iter().zip(next.iter_mut()).enumerate() {
+            // The last block takes every remaining posting.
+            while let Some(&(r, mu)) = postings.get(*next) {
+                if (r as usize) >= end && end < stride {
+                    break;
+                }
+                visit(i, r, mu);
+                *next += 1;
+            }
+        }
+    }
+}
+
+/// Cuts events `0..ne` into `parts` contiguous blocks of roughly equal total
+/// `weight`, returned as `parts + 1` ascending bounds: each block starts at
+/// the first event whose prefix weight reaches its share.
+fn cut(parts: usize, ne: usize, weight: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut prefix = Vec::with_capacity(ne);
+    let mut total = 0usize;
+    for e in 0..ne {
+        prefix.push(total);
+        total += weight(e);
+    }
+    let mut bounds: Vec<usize> = (0..parts)
+        .map(|k| prefix.partition_point(|&p| p * parts < total * k))
+        .collect();
+    bounds.push(ne);
+    bounds
+}
+
+/// Splits `items` (`width` per event) into one disjoint chunk per block of
+/// `bounds`, each tagged with its first event.
+fn split_blocks<'a, T>(
+    mut items: &'a mut [T],
+    bounds: &[usize],
+    width: usize,
+) -> Vec<(usize, &'a mut [T])> {
+    bounds
+        .windows(2)
+        .map(|w| {
+            let (chunk, tail) = std::mem::take(&mut items).split_at_mut((w[1] - w[0]) * width);
+            items = tail;
+            (w[0], chunk)
+        })
+        .collect()
+}
+
+/// Runs `work` on every block: the first on the calling thread, the rest on
+/// scoped threads.
+fn on_workers<T: Send>(blocks: Vec<T>, work: impl Fn(T) + Sync) {
+    let mut blocks = blocks.into_iter();
+    let first = blocks.next();
+    std::thread::scope(|scope| {
+        let work = &work;
+        for block in blocks {
+            scope.spawn(move || work(block));
+        }
+        if let Some(block) = first {
+            work(block);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -255,7 +423,7 @@ mod tests {
     #[test]
     fn constant_activity_builds_full_columns() {
         let act = ConstantActivity::new(5, 3, 0.7).unwrap();
-        let cols = IntervalColumns::build(&act, &users(5), 3);
+        let (cols, _) = IntervalColumns::build(&act, &users(5), 3);
         assert_eq!(cols.nnz(), 15);
         for t in 0..3 {
             assert!(cols.is_full(t));
@@ -273,7 +441,7 @@ mod tests {
         // everywhere.
         let act =
             DenseActivity::from_rows(vec![vec![0.5, 0.5], vec![0.0, 0.9], vec![0.0, 0.0]]).unwrap();
-        let cols = IntervalColumns::build(&act, &users(3), 2);
+        let (cols, _) = IntervalColumns::build(&act, &users(3), 2);
         assert_eq!(cols.nnz(), 3);
         assert_eq!(cols.len(0), 1);
         assert_eq!(cols.len(1), 2);
@@ -289,7 +457,7 @@ mod tests {
     #[test]
     fn columns_are_rank_sorted_even_for_masked_windows() {
         let act = MaskedActivity::sparse(40, 16, 5, 7);
-        let cols = IntervalColumns::build(&act, &users(40), 16);
+        let (cols, _) = IntervalColumns::build(&act, &users(40), 16);
         assert_eq!(cols.nnz(), 40 * 5);
         for t in 0..16 {
             let col = &cols.ranks[cols.offsets[t]..cols.offsets[t + 1]];
@@ -313,12 +481,12 @@ mod tests {
     #[test]
     fn runs_share_postings_on_full_columns_and_localize_on_partial() {
         let act = DenseActivity::from_rows(vec![vec![0.5, 0.5], vec![0.0, 0.9]]).unwrap();
-        let cols = IntervalColumns::build(&act, &users(2), 2);
+        let (cols, slots) = IntervalColumns::build(&act, &users(2), 2);
         let resolved: Vec<Box<[(u32, f64)]>> = vec![
             vec![(0, 0.3), (1, 0.4)].into_boxed_slice(),
             vec![(1, 0.8)].into_boxed_slice(),
         ];
-        let runs = ResolvedRuns::build(&cols, &resolved);
+        let runs = ResolvedRuns::build(&cols, &slots, &resolved, 1);
         // t0 is partial (only user 0): event 0's run keeps only rank 0 at
         // local slot 0; event 1's run is empty.
         assert_eq!(runs.run(&resolved, 0, 0, cols.is_full(0)), &[(0, 0.3)]);
@@ -332,9 +500,9 @@ mod tests {
     #[test]
     fn all_full_instances_store_no_run_entries() {
         let act = ConstantActivity::new(3, 4, 1.0).unwrap();
-        let cols = IntervalColumns::build(&act, &users(3), 4);
+        let (cols, slots) = IntervalColumns::build(&act, &users(3), 4);
         let resolved: Vec<Box<[(u32, f64)]>> = vec![vec![(0, 0.5), (2, 0.5)].into_boxed_slice()];
-        let runs = ResolvedRuns::build(&cols, &resolved);
+        let runs = ResolvedRuns::build(&cols, &slots, &resolved, 1);
         assert_eq!(runs.resident_bytes(), 0);
         assert_eq!(
             runs.run(&resolved, 0, 3, cols.is_full(3)).as_ptr(),
@@ -345,15 +513,166 @@ mod tests {
     #[test]
     fn empty_shapes_build() {
         let act = ConstantActivity::new(0, 0, 1.0).unwrap();
-        let cols = IntervalColumns::build(&act, &[], 0);
+        let (cols, slots) = IntervalColumns::build(&act, &[], 0);
         assert_eq!(cols.nnz(), 0);
-        let runs = ResolvedRuns::build(&cols, &[]);
+        let runs = ResolvedRuns::build(&cols, &slots, &[], 1);
         assert_eq!(runs.resident_bytes(), 0);
         // Empty interval columns on a non-empty universe.
         let act = DenseActivity::from_rows(vec![vec![0.0, 1.0]]).unwrap();
-        let cols = IntervalColumns::build(&act, &users(1), 2);
+        let (cols, _) = IntervalColumns::build(&act, &users(1), 2);
         assert_eq!(cols.len(0), 0);
         assert_eq!(cols.len(1), 1);
         assert!(cols.slot_of(0, 0).is_none());
+    }
+
+    /// The per-interval resolver the rank-major build replaced: one
+    /// rank→local scatter map per partial column, every posting list
+    /// rescanned once per partial interval.
+    fn reference_runs(
+        cols: &IntervalColumns,
+        resolved: &[Box<[(u32, f64)]>],
+    ) -> (Vec<usize>, Vec<(u32, f64)>) {
+        let nt = cols.offsets.len() - 1;
+        if (0..nt).all(|t| cols.is_full(t)) {
+            return (Vec::new(), Vec::new());
+        }
+        const ABSENT: u32 = u32::MAX;
+        let mut local_of = vec![ABSENT; cols.stride];
+        let mut offsets = vec![0];
+        let mut entries = Vec::new();
+        for t in 0..nt {
+            let full = cols.is_full(t);
+            let col = &cols.ranks[cols.offsets[t]..cols.offsets[t + 1]];
+            if !full {
+                for (j, &r) in col.iter().enumerate() {
+                    local_of[r as usize] = j as u32;
+                }
+            }
+            for postings in resolved {
+                if !full {
+                    for &(r, mu) in postings.iter() {
+                        let local = local_of[r as usize];
+                        if local != ABSENT {
+                            entries.push((local, mu));
+                        }
+                    }
+                }
+                offsets.push(entries.len());
+            }
+            if !full {
+                for &r in col {
+                    local_of[r as usize] = ABSENT;
+                }
+            }
+        }
+        (offsets, entries)
+    }
+
+    fn bits(entries: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        entries.iter().map(|&(s, mu)| (s, mu.to_bits())).collect()
+    }
+
+    /// Deterministic postings over ranks `0..nu`: event `e` skips every
+    /// rank with `(7r + 3e) % 5 == 0`, and event `empty` (if any) has none.
+    fn postings(nu: u32, ne: u32, empty: Option<u32>) -> Vec<Box<[(u32, f64)]>> {
+        (0..ne)
+            .map(|e| {
+                (0..nu)
+                    .filter(|&r| Some(e) != empty && (7 * r + 3 * e) % 5 != 0)
+                    .map(|r| (r, 0.01 + f64::from((31 * r + 17 * e) % 97) / 101.0))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The rank-major build matches the reference resolver bit for bit at
+    /// every worker count (7 exceeds the event count).
+    fn assert_matches_reference(act: &dyn ActivityModel, nu: u32, resolved: &[Box<[(u32, f64)]>]) {
+        let nt = act.num_intervals();
+        let (cols, slots) = IntervalColumns::build(act, &users(nu), nt);
+        let (offsets, entries) = reference_runs(&cols, resolved);
+        for workers in [1, 2, 3, 7] {
+            let runs = ResolvedRuns::build(&cols, &slots, resolved, workers);
+            assert_eq!(runs.offsets, offsets, "{workers} workers: offsets");
+            assert_eq!(
+                bits(&runs.entries),
+                bits(&entries),
+                "{workers} workers: entries"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_match_reference_on_masked_columns() {
+        let act = MaskedActivity::sparse(60, 12, 4, 3);
+        assert_matches_reference(&act, 60, &postings(60, 5, None));
+    }
+
+    #[test]
+    fn runs_match_reference_on_dense_columns_with_zeros() {
+        // Rank 3 has no active interval at all; t2 is all zeros.
+        let rows: Vec<Vec<f64>> = (0..9u32)
+            .map(|r| {
+                (0..4u32)
+                    .map(|t| {
+                        if r == 3 || t == 2 || (r + t) % 3 == 0 {
+                            0.0
+                        } else {
+                            0.2 + f64::from(r) / 20.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let act = DenseActivity::from_rows(rows).unwrap();
+        assert_matches_reference(&act, 9, &postings(9, 4, Some(1)));
+    }
+
+    #[test]
+    fn runs_match_reference_on_constant_columns() {
+        let act = ConstantActivity::new(8, 5, 0.6).unwrap();
+        let resolved = postings(8, 3, None);
+        assert_matches_reference(&act, 8, &resolved);
+        let (cols, slots) = IntervalColumns::build(&act, &users(8), 5);
+        assert_eq!(
+            ResolvedRuns::build(&cols, &slots, &resolved, 1).entries(),
+            0
+        );
+    }
+
+    #[test]
+    fn runs_match_reference_on_mixed_full_and_partial_columns() {
+        // t0 and t3 are full; t1 holds even ranks; t2 only rank 5.
+        let rows: Vec<Vec<f64>> = (0..10u32)
+            .map(|r| {
+                let t1 = if r % 2 == 0 { 0.5 } else { 0.0 };
+                let t2 = if r == 5 { 0.9 } else { 0.0 };
+                vec![0.3, t1, t2, 1.0]
+            })
+            .collect();
+        let act = DenseActivity::from_rows(rows).unwrap();
+        assert_matches_reference(&act, 10, &postings(10, 6, Some(0)));
+        assert_matches_reference(&act, 10, &postings(10, 2, None));
+        assert_matches_reference(&act, 10, &[]);
+    }
+
+    #[test]
+    fn runs_match_reference_across_rank_blocks() {
+        // Three rank blocks; the last event lists its postings descending,
+        // so the block sweep must still emit them in posting order.
+        let nu = 2 * RANK_BLOCK as u32 + 100;
+        let act = MaskedActivity::sparse(nu as usize, 10, 3, 11);
+        let mut resolved: Vec<Box<[(u32, f64)]>> = (0..4u32)
+            .map(|e| {
+                (0..nu)
+                    .filter(|&r| (r + e) % (e + 2) == 0)
+                    .map(|r| (r, f64::from(r % 89 + 1) / 90.0))
+                    .collect()
+            })
+            .collect();
+        let mut descending = resolved[1].to_vec();
+        descending.reverse();
+        resolved.push(descending.into_boxed_slice());
+        assert_matches_reference(&act, nu, &resolved);
     }
 }

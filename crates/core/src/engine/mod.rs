@@ -237,12 +237,21 @@ impl AttendanceEngine {
     /// the union of the candidate posting lists, pre-resolves every
     /// candidate event's postings to `(rank, µ)` pairs, builds the blocked
     /// `σ`-columns and per-interval runs, and accumulates the competing
-    /// masses `B_t` — `O(nnz + |T| + Σ_h |postings(h)|)` plus the run
-    /// resolution over partial columns, never a dense `|T|·stride` pass.
+    /// masses `B_t` — `O(nnz + |T| + Σ_h |postings(h)|)` plus one write per
+    /// run entry, never a dense `|T|·stride` pass. Records a
+    /// [`ses_obs::Stage::Build`] span.
     ///
     /// Takes `&Arc` and clones the handle internally — callers keep their
     /// own handle and pay one refcount bump, never a deep copy.
     pub fn new(inst: &Arc<SesInstance>) -> Self {
+        Self::with_threads(inst, 1)
+    }
+
+    /// [`Self::new`], resolving the posting runs on up to `threads` scoped
+    /// threads (clamped like every other `threads` knob). The engine is
+    /// identical for every thread count.
+    pub fn with_threads(inst: &Arc<SesInstance>, threads: usize) -> Self {
+        let mut span = ses_obs::span(ses_obs::Stage::Build);
         // ses-analyze: allow(wall-clock-in-core): build timing is reported in EngineMemoryStats, never branched on or digested
         let build_start = std::time::Instant::now();
         let nt = inst.num_intervals();
@@ -280,8 +289,9 @@ impl AttendanceEngine {
             })
             .collect();
 
-        // Blocked σ-columns: only `σ(u,t) > 0` slots are resident.
-        let mut cols = IntervalColumns::build(inst.activity(), &users, nt);
+        // Blocked σ-columns: only `σ(u,t) > 0` slots are resident. The
+        // rank-major slot index is a build-time temporary.
+        let (mut cols, slots) = IntervalColumns::build(inst.activity(), &users, nt);
 
         // Competing mass. Competing-only users have no rank and σ = 0 slots
         // have no storage — both are skipped, and both are provably never
@@ -298,7 +308,8 @@ impl AttendanceEngine {
             }
         }
 
-        let runs = ResolvedRuns::build(&cols, &resolved);
+        let runs = ResolvedRuns::build(&cols, &slots, &resolved, threads);
+        span.set_aux(runs.entries() as u64, cols.nnz() as u64);
         let memory = EngineMemoryStats {
             column_slots: cols.nnz() as u64,
             dense_slots: nt as u64 * cols.stride as u64,
@@ -862,7 +873,7 @@ pub fn evaluate_schedule(inst: &SesInstance, schedule: &Schedule) -> Evaluation 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::{ConstantActivity, DenseActivity};
+    use crate::activity::{ConstantActivity, DenseActivity, MaskedActivity};
     use crate::ids::LocationId;
     use crate::interest::InterestBuilder;
     use crate::model::{uniform_grid, CandidateEvent, Organizer};
@@ -1411,6 +1422,54 @@ mod tests {
             sum.resident_column_bytes,
             m.resident_column_bytes + dm.resident_column_bytes
         );
+    }
+
+    #[test]
+    fn with_threads_builds_the_same_engine_on_partial_columns() {
+        // Every column is partial (each user is active in 3 of 8
+        // intervals), so the runs are resolved and split across workers.
+        let (nu, ne, nt) = (300usize, 7usize, 8usize);
+        let mut interest = InterestBuilder::new(nu, ne, 0);
+        for u in 0..nu as u32 {
+            for ev in 0..ne as u32 {
+                if (u * 7 + ev * 3) % 4 != 0 {
+                    let mu = 0.05 + f64::from((u * 13 + ev * 29) % 89) / 100.0;
+                    interest.set(UserId::new(u), e(ev), mu).unwrap();
+                }
+            }
+        }
+        let sparse = SesInstance::builder()
+            .organizer(Organizer::new(100.0))
+            .intervals(uniform_grid(nt, 10))
+            .events(
+                (0..ne as u32)
+                    .map(|ev| CandidateEvent::new(e(ev), LocationId::new(ev), 1.0))
+                    .collect(),
+            )
+            .interest(interest.build_sparse().unwrap())
+            .activity(MaskedActivity::sparse(nu, nt, 3, 5))
+            .build_shared()
+            .unwrap();
+        let mut serial = AttendanceEngine::new(&sparse);
+        assert!(serial.memory_stats().run_bytes > 0);
+        for threads in [2, 3, 16] {
+            let mut par = AttendanceEngine::with_threads(&sparse, threads);
+            let (sm, pm) = (serial.memory_stats(), par.memory_stats());
+            assert_eq!(pm.column_slots, sm.column_slots);
+            assert_eq!(pm.resident_column_bytes, sm.resident_column_bytes);
+            assert_eq!(pm.run_bytes, sm.run_bytes);
+            for ev in 0..ne as u32 {
+                let a: Vec<u64> = serial
+                    .score_all(e(ev))
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                let b: Vec<u64> = par.score_all(e(ev)).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(a, b, "{threads} threads, event {ev}");
+            }
+            assert_eq!(par.counters(), serial.counters());
+            serial.reset_counters();
+        }
     }
 
     #[test]

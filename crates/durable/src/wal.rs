@@ -40,6 +40,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Magic bytes opening every WAL segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"SESWALOG";
@@ -76,8 +77,9 @@ pub fn record_kind_name(kind: u8) -> &'static str {
 pub enum FsyncPolicy {
     /// `fdatasync` after every record: an acknowledged event is never lost.
     PerRecord,
-    /// `fdatasync` at most once per `millis`: bounded loss window, near
-    /// fsync-free throughput.
+    /// `fdatasync` at most once per `millis`, and no later than `millis`
+    /// after an unsynced append even if the shard then goes idle: bounded
+    /// loss window, near fsync-free throughput.
     Interval {
         /// Maximum milliseconds between syncs.
         millis: u64,
@@ -939,6 +941,37 @@ impl ShardWal {
             self.fsync()?;
         }
         Ok(())
+    }
+
+    /// How long until the pending appends are due for their interval sync:
+    /// `Some(remaining)` only under [`FsyncPolicy::Interval`] with unsynced
+    /// appends (zero once overdue), `None` otherwise. The shard loop waits
+    /// at most this long for its next message, so an idle shard still
+    /// syncs its acknowledged tail within the interval.
+    pub fn sync_due_in(&self) -> Option<Duration> {
+        match self.cfg.fsync {
+            FsyncPolicy::Interval { millis } if self.dirty_since_sync => {
+                let since = ses_obs::now_ns().saturating_sub(self.last_sync_ns);
+                let interval = millis.saturating_mul(1_000_000);
+                Some(Duration::from_nanos(interval.saturating_sub(since)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Syncs the pending appends if their interval sync is due (see
+    /// [`Self::sync_due_in`]); a no-op otherwise. A failed sync is retried
+    /// one interval later rather than immediately, so a failing disk
+    /// cannot spin the shard loop.
+    pub fn flush_if_due(&mut self) -> Result<(), WalError> {
+        if self.sync_due_in() != Some(Duration::ZERO) {
+            return Ok(());
+        }
+        let synced = self.fsync();
+        if synced.is_err() {
+            self.last_sync_ns = ses_obs::now_ns();
+        }
+        synced
     }
 
     /// The session's mirrored journal, if it is live on this shard.

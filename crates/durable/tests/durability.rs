@@ -98,6 +98,48 @@ fn wal_config(dir: &std::path::Path) -> WalConfig {
     }
 }
 
+/// `sync_due_in` reports a deadline only for unsynced appends under
+/// `interval:N`, and `flush_if_due` syncs exactly when it has passed.
+#[test]
+fn interval_sync_comes_due_without_another_append() {
+    use std::time::Duration;
+    let scratch = Scratch::new("interval-due");
+    let open_with = |tag: &str, fsync| {
+        let cfg = WalConfig {
+            fsync,
+            ..wal_config(&scratch.path().join(tag))
+        };
+        ShardWal::open(cfg).expect("fresh open").0
+    };
+
+    // Nothing pending: no deadline under any policy.
+    let long = FsyncPolicy::Interval { millis: 60_000 };
+    for fsync in [long, FsyncPolicy::PerRecord, FsyncPolicy::Off] {
+        let mut wal = open_with(&fsync.label(), fsync);
+        assert_eq!(wal.sync_due_in(), None);
+        wal.append_open(&open_request("s")).unwrap();
+        if fsync == long {
+            // Pending, but not due for another minute.
+            let wait = wal.sync_due_in().expect("unsynced append has a deadline");
+            assert!(wait > Duration::ZERO && wait <= Duration::from_secs(60));
+            wal.flush_if_due().unwrap();
+            assert_eq!(wal.stats().fsyncs, 0, "not due yet");
+        } else {
+            assert_eq!(wal.sync_due_in(), None, "{} never waits", fsync.label());
+        }
+    }
+
+    // A short interval comes due while idle; one flush clears it.
+    let mut wal = open_with("short", FsyncPolicy::Interval { millis: 20 });
+    wal.append_open(&open_request("s")).unwrap();
+    std::thread::sleep(Duration::from_millis(30));
+    wal.flush_if_due().unwrap();
+    assert_eq!(wal.stats().fsyncs, 1, "synced by the append or the flush");
+    assert_eq!(wal.sync_due_in(), None);
+    wal.flush_if_due().unwrap();
+    assert_eq!(wal.stats().fsyncs, 1, "nothing left to sync");
+}
+
 /// Appends opens/events/closes and reopens the directory: the recovered
 /// log must list exactly the live sessions with their full event history,
 /// and the journal mirror must agree with what recovery scans from disk.

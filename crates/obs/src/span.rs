@@ -63,10 +63,15 @@ pub enum Stage {
     /// Loading a problem before an offline solve: dataset decode plus
     /// instance build, or a `.sesstore` open. A sibling of [`Stage::Solve`].
     Load = 13,
+    /// Building one attendance engine: slot index, σ-columns, competing
+    /// mass and posting runs (`aux_a` = run entries, `aux_b` = column
+    /// slots). Nested inside [`Stage::Solve`] for offline solves.
+    Build = 14,
 }
 
-/// All stages, in pipeline order.
-pub const STAGES: [Stage; 14] = [
+/// All stages, indexed by discriminant (pipeline order, with later
+/// additions appended).
+pub const STAGES: [Stage; 15] = [
     Stage::Request,
     Stage::Parse,
     Stage::Queue,
@@ -81,6 +86,7 @@ pub const STAGES: [Stage; 14] = [
     Stage::Wal,
     Stage::Recover,
     Stage::Load,
+    Stage::Build,
 ];
 
 impl Stage {
@@ -101,6 +107,7 @@ impl Stage {
             Stage::Wal => "wal",
             Stage::Recover => "recover",
             Stage::Load => "load",
+            Stage::Build => "build",
         }
     }
 

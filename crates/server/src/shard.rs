@@ -340,7 +340,8 @@ fn handle_install(
 /// name (or a broken packed file) is rejected before any session state is
 /// touched. A WAL-backed shard replays its recovered log through the
 /// service before taking its first request, and writes `recovery.json`
-/// into its WAL directory.
+/// into its WAL directory. Under `--fsync interval:N` the loop also syncs
+/// an unsynced WAL tail once it is due, even when no message arrives.
 pub(crate) fn run_shard(
     registry: Arc<InstanceRegistry>,
     rx: mpsc::Receiver<ShardMsg>,
@@ -375,7 +376,32 @@ pub(crate) fn run_shard(
         );
         wal
     });
-    while let Ok(msg) = rx.recv() {
+    loop {
+        // Under `--fsync interval:N` an unsynced tail bounds the wait, so an
+        // idle shard still syncs it on time; otherwise block until the next
+        // message.
+        let msg = match wal.as_ref().and_then(ShardWal::sync_due_in) {
+            Some(wait) if !wait.is_zero() => match rx.recv_timeout(wait) {
+                Ok(msg) => msg,
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            },
+            Some(_) => {
+                if let Some(Err(e)) = wal.as_mut().map(ShardWal::flush_if_due) {
+                    ses_obs::log(
+                        ses_obs::Level::Warn,
+                        "shard",
+                        "interval WAL flush failed",
+                        &[("shard", shard.into()), ("error", e.to_string().into())],
+                    );
+                }
+                continue;
+            }
+            None => match rx.recv() {
+                Ok(msg) => msg,
+                Err(_) => break,
+            },
+        };
         // Attribute everything below — including engine-internal spans on
         // this thread — to the originating request's trace.
         let _scope = ses_obs::TraceId::from_raw(msg.trace).map(ses_obs::trace_scope);

@@ -180,6 +180,47 @@ fn metrics_and_loadgen_surface_the_wal_section() {
     handle.shutdown();
 }
 
+/// Under `--fsync interval:N` an idle shard must still sync its
+/// acknowledged tail: the shard waits at most until the sync is due. The
+/// interval is long enough that the open and the event (sent right after
+/// boot) do not sync on their own, so only the idle-shard flush can make
+/// `fsyncs` move.
+#[test]
+fn interval_fsync_syncs_an_idle_shard() {
+    let scratch = Scratch::new("interval-idle");
+    let handle = serve(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 1,
+        io_threads: 1,
+        users: 60,
+        events: 16,
+        intervals: 8,
+        seed: 7,
+        wal_dir: Some(scratch.0.clone()),
+        fsync: FsyncPolicy::Interval { millis: 250 },
+        ..ServerConfig::default()
+    })
+    .expect("bind durable test server");
+    let mut client = client_of(&handle);
+    post_ok(&mut client, "/sessions/idle/open", &open_body("idle", 4));
+    post_ok(&mut client, "/sessions/idle/event", &event_bodies(1)[0]);
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    let fsyncs = loop {
+        let (status, body) = client.get("/metrics").unwrap();
+        assert_eq!(status, 200);
+        let report: MetricsReport = serde_json::from_str(&body).unwrap();
+        let wal = report.wal.expect("durable server reports a wal section");
+        assert_eq!(wal.policy, "interval:250");
+        if wal.fsyncs >= 1 || std::time::Instant::now() >= deadline {
+            break wal.fsyncs;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(fsyncs >= 1, "idle shard never synced its tail");
+    handle.shutdown();
+}
+
 #[test]
 fn rebalance_moves_a_live_session_and_preserves_its_answers() {
     let scratch = Scratch::new("rebalance");
