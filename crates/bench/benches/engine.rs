@@ -1,47 +1,34 @@
 //! Engine micro-benchmarks (ablations A2 and A5):
 //! * score evaluation (Eq. 4) throughput via the inverted index;
-//! * dense vs sparse interest backends;
 //! * assign/unassign round-trip cost.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ses_core::interest::{InterestBuilder, SparseInterest};
+use ses_core::interest::{Interest, InterestBuilder};
 use ses_core::model::uniform_grid;
 use ses_core::testkit::{random_instance, TestInstanceConfig};
 use ses_core::{
-    AttendanceEngine, CandidateEvent, CompetingEvent, CompetingEventId, ConstantActivity,
-    DenseInterest, EventId, IntervalId, LocationId, Organizer, SesInstance, UserId,
+    Activity, AttendanceEngine, CandidateEvent, CompetingEvent, CompetingEventId, EventId,
+    IntervalId, LocationId, Organizer, SesInstance, UserId,
 };
 
-fn build_interest(users: usize, events: usize, density: f64) -> (SparseInterest, DenseInterest) {
+fn build_interest(users: usize, events: usize, density: f64) -> Interest {
     let mut rng = StdRng::seed_from_u64(99);
-    let mut sparse_b = InterestBuilder::new(users, events, 1);
-    let mut dense_b = InterestBuilder::new(users, events, 1);
+    let mut b = InterestBuilder::new(users, events, 1);
     for u in 0..users {
         for e in 0..events {
             if rng.gen_bool(density) {
                 let v = rng.gen_range(0.05..1.0);
-                sparse_b
-                    .set(UserId::new(u as u32), EventId::new(e as u32), v)
-                    .unwrap();
-                dense_b
-                    .set(UserId::new(u as u32), EventId::new(e as u32), v)
+                b.set(UserId::new(u as u32), EventId::new(e as u32), v)
                     .unwrap();
             }
         }
     }
-    (
-        sparse_b.build_sparse().unwrap(),
-        dense_b.build_dense().unwrap(),
-    )
+    b.build().unwrap()
 }
 
-fn instance_with(
-    interest: impl ses_core::InterestModel + 'static,
-    users: usize,
-    events: usize,
-) -> std::sync::Arc<SesInstance> {
+fn instance_with(interest: Interest, users: usize, events: usize) -> std::sync::Arc<SesInstance> {
     SesInstance::builder()
         .organizer(Organizer::new(1e9))
         .intervals(uniform_grid(8, 100))
@@ -57,34 +44,26 @@ fn instance_with(
             IntervalId::new(0),
         )])
         .interest(interest)
-        .activity(ConstantActivity::new(users, 8, 0.7).unwrap())
+        .activity(Activity::constant(users, 8, 0.7).unwrap())
         .build_shared()
         .unwrap()
 }
 
-fn bench_score_backends(c: &mut Criterion) {
-    // A2: the same interest data behind the sparse and the dense backend;
-    // the engine only ever walks posting lists, so the backends should be
-    // close — this bench verifies that claim.
+fn bench_score(c: &mut Criterion) {
+    // A2: one score per event at a fixed interval; the engine walks only
+    // each event's posting list.
     let (users, events) = (2000usize, 64usize);
-    let (sparse, dense) = build_interest(users, events, 0.3);
-    let sparse_inst = instance_with(sparse, users, events);
-    let dense_inst = instance_with(dense, users, events);
-    let mut group = c.benchmark_group("score_backend");
-    group.sample_size(20);
-    for (name, inst) in [("sparse", &sparse_inst), ("dense", &dense_inst)] {
-        group.bench_with_input(BenchmarkId::new(name, "64ev"), inst, |b, inst| {
-            let mut engine = AttendanceEngine::new(inst);
-            b.iter(|| {
-                let mut acc = 0.0;
-                for e in 0..inst.num_events() {
-                    acc += engine.score(EventId::new(e as u32), IntervalId::new(0));
-                }
-                acc
-            })
-        });
-    }
-    group.finish();
+    let inst = instance_with(build_interest(users, events, 0.3), users, events);
+    c.bench_function("score_64ev", |b| {
+        let mut engine = AttendanceEngine::new(&inst);
+        b.iter(|| {
+            let mut acc = 0.0;
+            for e in 0..inst.num_events() {
+                acc += engine.score(EventId::new(e as u32), IntervalId::new(0));
+            }
+            acc
+        })
+    });
 }
 
 fn bench_assign_unassign(c: &mut Criterion) {
@@ -157,7 +136,7 @@ fn bench_initial_scoring(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_score_backends,
+    bench_score,
     bench_assign_unassign,
     bench_initial_scoring
 );

@@ -5,9 +5,9 @@
 //!
 //! Layout under measurement: per-interval `FxHashMap<UserId, f64>` tables
 //! for both the competing mass `B_t` and the scheduled mass `M_t`, with the
-//! activity probability `σ(u,t)` fetched through the `ActivityModel` vtable
-//! on every posting visit — two hash probes and one virtual call per posting,
-//! exactly the access pattern `ses_core::engine` replaced with flat columns.
+//! activity probability `σ(u,t)` looked up on every posting visit — two hash
+//! probes and one σ lookup per posting, the access pattern
+//! `ses_core::engine` replaced with flat columns.
 //!
 //! Only what the greedy solve needs is reproduced (scoring, assignment
 //! bookkeeping, feasibility tracking); the selection logic is the same
@@ -103,7 +103,7 @@ impl<'a> HashMapEngine<'a> {
             let m = mt.get(&u).copied().unwrap_or(0.0);
             let before = luce_ratio(m, b + m);
             let after = luce_ratio(m + mu, b + m + mu);
-            sum += activity.activity(u, interval) * (after - before);
+            sum += activity.sigma(u, interval) * (after - before);
         }
         sum
     }

@@ -2,58 +2,32 @@
 //!
 //! `σ(u,t)` is the probability that user `u` engages in *some* social
 //! activity during interval `t`, estimated from past behaviour (e.g.
-//! check-ins). Backends:
+//! check-ins). [`Activity`] stores σ as a by-user CSR of the strictly
+//! positive entries: for each user, the active intervals in ascending order
+//! and their σ values. A `σ = 0` entry is never stored — the engine's
+//! per-interval columns (DESIGN.md §11) hold exactly the stored pairs, and
+//! the instance store (DESIGN.md §12) persists exactly these arrays.
 //!
-//! * [`DenseActivity`] — explicit `|U| × |T|` matrix;
-//! * [`SlotActivity`] — per-user weekly-slot profile shared by all intervals
-//!   that fall into the same slot (what check-in estimation produces);
-//! * [`ConstantActivity`] — a single value, for analytical tests;
-//! * [`HashedActivity`] — procedural `U[0,1)` values derived from a seed, so
-//!   paper-scale populations need no `|U| × |T|` storage (the paper draws
-//!   σ from a uniform distribution);
-//! * [`MaskedActivity`] — procedural *sparse* σ: each user is active only in
-//!   a small window of intervals and `σ = 0` everywhere else (the
-//!   companion attendance-maximization regime: many users, few active per
-//!   interval). This is the model that makes the engine's blocked columns
-//!   (DESIGN.md §11) pay at million-user scale.
+//! Every way σ is produced is a constructor that materialises the CSR:
+//!
+//! * [`Activity::from_rows`] — an explicit `|U| × |T|` matrix;
+//! * [`Activity::from_slots`] — a per-user weekly-slot profile shared by all
+//!   intervals that fall into the same slot (what check-in estimation
+//!   produces);
+//! * [`Activity::constant`] — a single value, for analytical tests;
+//! * [`Activity::hashed`] — `U[0,1)` values derived from a seed (the paper
+//!   draws σ from a uniform distribution);
+//! * [`Activity::masked`] — sparse σ: each user is active only in a small
+//!   window of intervals (the companion attendance-maximization regime:
+//!   many users, few active per interval). It enumerates each window, so
+//!   it costs `O(nnz)`, never `O(|U| · |T|)`.
 
 use crate::ids::{IntervalId, UserId};
 use crate::util::fxhash::FxHasher;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hasher;
 
-/// Read access to the activity probability.
-pub trait ActivityModel: Send + Sync {
-    /// Number of users `|U|`.
-    fn num_users(&self) -> usize;
-    /// Number of intervals `|T|`.
-    fn num_intervals(&self) -> usize;
-    /// The probability `σ(u, t) ∈ [0,1]`.
-    fn activity(&self, user: UserId, interval: IntervalId) -> f64;
-
-    /// Calls `visit(t, σ(u,t))` for every interval with `σ(u,t) > 0`, in
-    /// ascending interval order, each interval at most once, with values
-    /// bit-identical to [`Self::activity`]. The engine builds its blocked
-    /// per-interval columns through this enumeration (and debug-asserts the
-    /// contract), so a model that violates it corrupts the slot index.
-    ///
-    /// The default probes every interval in `O(|T|)` virtual calls; sparse
-    /// models (e.g. [`MaskedActivity`]) override it in `O(active)` so
-    /// million-user engines build without ever materializing a dense
-    /// `|U| × |T|` pass.
-    fn for_each_active(&self, user: UserId, visit: &mut dyn FnMut(IntervalId, f64)) {
-        for t in 0..self.num_intervals() {
-            let interval = IntervalId::new(t as u32);
-            let sigma = self.activity(user, interval);
-            if sigma > 0.0 {
-                visit(interval, sigma);
-            }
-        }
-    }
-}
-
-/// Errors raised while building an activity model.
+/// Errors raised while building an [`Activity`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ActivityError {
     /// A probability outside `[0,1]` (or NaN).
@@ -96,90 +70,127 @@ fn check_prob(value: f64) -> Result<(), ActivityError> {
     }
 }
 
-/// Explicit row-major `|U| × |T|` matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DenseActivity {
-    num_users: usize,
+/// Checks `lo ≤ hi` within `[0,1]` for the seeded generators.
+fn check_range(lo: f64, hi: f64) -> Result<(), ActivityError> {
+    check_prob(lo)?;
+    check_prob(hi)?;
+    if lo > hi {
+        return Err(ActivityError::ValueOutOfRange { value: lo });
+    }
+    Ok(())
+}
+
+/// The deterministic `[lo, hi)` value of `(seed, user, interval)`.
+fn hashed_value(seed: u64, user: u32, interval: u32, lo: f64, hi: f64) -> f64 {
+    let mut h = FxHasher::default();
+    h.write_u64(seed);
+    h.write_u32(user);
+    h.write_u32(interval);
+    // Map the top 53 bits to [0,1).
+    let unit = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
+    lo + unit * (hi - lo)
+}
+
+/// σ as a by-user CSR of its strictly positive entries.
+///
+/// `offsets[u]..offsets[u+1]` is user `u`'s range of the parallel
+/// `intervals`/`sigmas` columns. Every constructor establishes, and the
+/// engine relies on: intervals strictly ascending within a row and below
+/// `|T|`, and every stored σ in `(0, 1]`.
+#[derive(Debug, Clone)]
+pub struct Activity {
     num_intervals: usize,
-    /// `values[u * num_intervals + t]`
-    values: Vec<f64>,
+    /// Row boundaries, `len == |U| + 1`, starting at 0.
+    offsets: Vec<u64>,
+    /// Active interval ids, row-major.
+    intervals: Vec<u32>,
+    /// `σ(u, t) > 0` for each entry of `intervals`.
+    sigmas: Vec<f64>,
 }
 
-impl DenseActivity {
-    /// Builds from a flat row-major vector (`values[u * num_intervals + t]`).
-    pub fn from_flat(
-        num_users: usize,
-        num_intervals: usize,
-        values: Vec<f64>,
-    ) -> Result<Self, ActivityError> {
-        if values.len() != num_users * num_intervals {
-            return Err(ActivityError::ShapeMismatch {
-                expected: num_users * num_intervals,
-                actual: values.len(),
-            });
-        }
-        for &v in &values {
-            check_prob(v)?;
-        }
-        Ok(Self {
-            num_users,
+impl Activity {
+    /// An empty CSR with room for `nnz` entries; rows are appended with
+    /// [`Self::push`] and closed with [`Self::end_row`].
+    fn with_capacity(num_users: usize, num_intervals: usize, nnz: usize) -> Self {
+        let mut offsets = Vec::with_capacity(num_users + 1);
+        offsets.push(0);
+        Self {
             num_intervals,
-            values,
-        })
-    }
-
-    /// Builds from per-user rows.
-    pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self, ActivityError> {
-        let num_users = rows.len();
-        let num_intervals = rows.first().map_or(0, Vec::len);
-        let mut values = Vec::with_capacity(num_users * num_intervals);
-        for row in &rows {
-            if row.len() != num_intervals {
-                return Err(ActivityError::ShapeMismatch {
-                    expected: num_intervals,
-                    actual: row.len(),
-                });
-            }
-            values.extend_from_slice(row);
+            offsets,
+            intervals: Vec::with_capacity(nnz),
+            sigmas: Vec::with_capacity(nnz),
         }
-        Self::from_flat(num_users, num_intervals, values)
-    }
-}
-
-impl ActivityModel for DenseActivity {
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn num_intervals(&self) -> usize {
-        self.num_intervals
     }
 
     #[inline]
-    fn activity(&self, user: UserId, interval: IntervalId) -> f64 {
-        self.values[user.index() * self.num_intervals + interval.index()]
+    fn push(&mut self, interval: usize, sigma: f64) {
+        self.intervals.push(interval as u32);
+        self.sigmas.push(sigma);
     }
-}
 
-/// Per-user profile over a small number of recurring slots (e.g. 21 slots =
-/// 7 days × {morning, afternoon, evening}); each interval maps to one slot.
-///
-/// This is the shape produced by estimating σ from check-in histories: a
-/// user's Friday-evening propensity applies to *every* Friday-evening
-/// interval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SlotActivity {
-    num_users: usize,
-    num_slots: usize,
-    /// `profile[u * num_slots + s]`
-    profile: Vec<f64>,
-    /// `slot_of[t]` — which slot interval `t` belongs to.
-    slot_of: Vec<u16>,
-}
+    #[inline]
+    fn end_row(&mut self) {
+        self.offsets.push(self.intervals.len() as u64);
+    }
 
-impl SlotActivity {
-    /// Builds from per-user slot profiles and the interval→slot mapping.
-    pub fn new(
+    /// Materialises `σ(u, t) = value(u, t)` over every `(u, t)` in
+    /// ascending order, validating each value and dropping zeros.
+    fn from_fn(
+        num_users: usize,
+        num_intervals: usize,
+        mut value: impl FnMut(usize, usize) -> f64,
+    ) -> Result<Self, ActivityError> {
+        let mut out = Self::with_capacity(num_users, num_intervals, num_users * num_intervals);
+        for u in 0..num_users {
+            for t in 0..num_intervals {
+                let sigma = value(u, t);
+                check_prob(sigma)?;
+                if sigma > 0.0 {
+                    out.push(t, sigma);
+                }
+            }
+            out.end_row();
+        }
+        Ok(out)
+    }
+
+    /// Adopts a by-user CSR whose invariants the caller has already
+    /// checked (the instance store validates them while verifying the
+    /// transpose).
+    pub(crate) fn from_checked_csr(
+        num_intervals: usize,
+        offsets: Vec<u64>,
+        intervals: Vec<u32>,
+        sigmas: Vec<f64>,
+    ) -> Self {
+        Self {
+            num_intervals,
+            offsets,
+            intervals,
+            sigmas,
+        }
+    }
+
+    /// Builds from per-user rows over every interval.
+    pub fn from_rows(rows: Vec<Vec<f64>>) -> Result<Self, ActivityError> {
+        let num_intervals = rows.first().map_or(0, Vec::len);
+        if let Some(row) = rows.iter().find(|row| row.len() != num_intervals) {
+            return Err(ActivityError::ShapeMismatch {
+                expected: num_intervals,
+                actual: row.len(),
+            });
+        }
+        Self::from_fn(rows.len(), num_intervals, |u, t| rows[u][t])
+    }
+
+    /// Builds from per-user profiles over `num_slots` recurring slots (e.g.
+    /// 21 slots = 7 days × {morning, afternoon, evening}) and the
+    /// interval→slot mapping: `σ(u, t) = profile[u · num_slots + slot_of[t]]`.
+    ///
+    /// This is the shape produced by estimating σ from check-in histories: a
+    /// user's Friday-evening propensity applies to *every* Friday-evening
+    /// interval.
+    pub fn from_slots(
         num_slots: usize,
         profile: Vec<f64>,
         slot_of: Vec<u16>,
@@ -193,179 +204,72 @@ impl SlotActivity {
         for &v in &profile {
             check_prob(v)?;
         }
-        for &s in &slot_of {
-            if s as usize >= num_slots {
-                return Err(ActivityError::ShapeMismatch {
-                    expected: num_slots,
-                    actual: s as usize,
-                });
-            }
+        if let Some(&s) = slot_of.iter().find(|&&s| s as usize >= num_slots) {
+            return Err(ActivityError::ShapeMismatch {
+                expected: num_slots,
+                actual: s as usize,
+            });
         }
-        Ok(Self {
-            num_users: profile.len() / num_slots,
-            num_slots,
-            profile,
-            slot_of,
+        Self::from_fn(profile.len() / num_slots, slot_of.len(), |u, t| {
+            profile[u * num_slots + slot_of[t] as usize]
         })
     }
 
-    /// Number of recurring slots.
-    pub fn num_slots(&self) -> usize {
-        self.num_slots
-    }
-}
-
-impl ActivityModel for SlotActivity {
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn num_intervals(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    #[inline]
-    fn activity(&self, user: UserId, interval: IntervalId) -> f64 {
-        let slot = self.slot_of[interval.index()] as usize;
-        self.profile[user.index() * self.num_slots + slot]
-    }
-}
-
-/// A single probability shared by all users and intervals. Useful for
-/// analytical tests (Theorem 1 uses "the same σ for each user and interval").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ConstantActivity {
-    num_users: usize,
-    num_intervals: usize,
-    value: f64,
-}
-
-impl ConstantActivity {
-    /// Builds a constant-σ model.
-    pub fn new(num_users: usize, num_intervals: usize, value: f64) -> Result<Self, ActivityError> {
+    /// A single probability shared by all users and intervals. Useful for
+    /// analytical tests (Theorem 1 uses "the same σ for each user and
+    /// interval").
+    pub fn constant(
+        num_users: usize,
+        num_intervals: usize,
+        value: f64,
+    ) -> Result<Self, ActivityError> {
         check_prob(value)?;
-        Ok(Self {
-            num_users,
-            num_intervals,
-            value,
-        })
-    }
-}
-
-impl ActivityModel for ConstantActivity {
-    fn num_users(&self) -> usize {
-        self.num_users
+        Self::from_fn(num_users, num_intervals, |_, _| value)
     }
 
-    fn num_intervals(&self) -> usize {
-        self.num_intervals
+    /// Seeded uniform σ over `[0,1)`: `σ(u,t)` is a deterministic hash of
+    /// `(seed, u, t)`, reproducing the paper's "σ defined using a Uniform
+    /// distribution" at any scale.
+    pub fn hashed(num_users: usize, num_intervals: usize, seed: u64) -> Self {
+        Self::hashed_with_range(num_users, num_intervals, seed, 0.0, 1.0).expect("[0,1) is valid")
     }
 
-    #[inline]
-    fn activity(&self, _user: UserId, _interval: IntervalId) -> f64 {
-        self.value
-    }
-}
-
-/// Procedural uniform σ: `σ(u,t)` is a deterministic hash of
-/// `(seed, u, t)` mapped to `[lo, hi) ⊆ [0,1]`.
-///
-/// This reproduces the paper's "σ defined using a Uniform distribution" at
-/// any population scale with zero storage, and is reproducible by seed.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct HashedActivity {
-    num_users: usize,
-    num_intervals: usize,
-    seed: u64,
-    lo: f64,
-    hi: f64,
-}
-
-impl HashedActivity {
-    /// Uniform over `[0,1)`.
-    pub fn standard(num_users: usize, num_intervals: usize, seed: u64) -> Self {
-        Self::with_range(num_users, num_intervals, seed, 0.0, 1.0).expect("[0,1) is valid")
-    }
-
-    /// Uniform over `[lo, hi) ⊆ [0,1]`.
-    pub fn with_range(
+    /// Seeded uniform σ over `[lo, hi) ⊆ [0,1]`.
+    pub fn hashed_with_range(
         num_users: usize,
         num_intervals: usize,
         seed: u64,
         lo: f64,
         hi: f64,
     ) -> Result<Self, ActivityError> {
-        check_prob(lo)?;
-        check_prob(hi)?;
-        if lo > hi {
-            return Err(ActivityError::ValueOutOfRange { value: lo });
-        }
-        Ok(Self {
-            num_users,
-            num_intervals,
-            seed,
-            lo,
-            hi,
+        check_range(lo, hi)?;
+        Self::from_fn(num_users, num_intervals, |u, t| {
+            hashed_value(seed, u as u32, t as u32, lo, hi)
         })
     }
-}
 
-impl ActivityModel for HashedActivity {
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn num_intervals(&self) -> usize {
-        self.num_intervals
-    }
-
-    #[inline]
-    fn activity(&self, user: UserId, interval: IntervalId) -> f64 {
-        let mut h = FxHasher::default();
-        h.write_u64(self.seed);
-        h.write_u32(user.raw());
-        h.write_u32(interval.raw());
-        // Map the top 53 bits to [0,1).
-        let unit = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
-        self.lo + unit * (self.hi - self.lo)
-    }
-}
-
-/// Procedural *sparse* σ: each user is active only inside a contiguous
-/// (possibly wrapping) window of `active_per_user` intervals, with hashed
-/// values in `[lo, hi) ⊆ (0,1]` there and exactly `0.0` everywhere else.
-///
-/// The window start is a deterministic hash of `(seed, u)`, so a population
-/// of millions of users spreads roughly evenly over the horizon with zero
-/// storage. With `active_per_user ≪ |T|`, per-interval engine columns hold
-/// `≈ |U| · active_per_user / |T|` slots instead of `|U|`, which is the
-/// regime the blocked layout (DESIGN.md §11) is built for.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct MaskedActivity {
-    num_users: usize,
-    num_intervals: usize,
-    active_per_user: usize,
-    seed: u64,
-    lo: f64,
-    hi: f64,
-}
-
-impl MaskedActivity {
-    /// Hashed values over `[0.1, 1.0)` inside each user's window.
-    pub fn sparse(
+    /// Sparse σ with hashed values over `[0.1, 1.0)` inside each user's
+    /// window of `active_per_user` intervals; see [`Self::masked_with_range`].
+    pub fn masked(
         num_users: usize,
         num_intervals: usize,
         active_per_user: usize,
         seed: u64,
     ) -> Self {
-        Self::with_range(num_users, num_intervals, active_per_user, seed, 0.1, 1.0)
+        Self::masked_with_range(num_users, num_intervals, active_per_user, seed, 0.1, 1.0)
             .expect("[0.1,1.0) is valid")
     }
 
-    /// Hashed values over `[lo, hi)` inside each user's window; `lo` must be
-    /// strictly positive so every in-window slot has `σ > 0` (the engine's
-    /// column-membership predicate).
-    pub fn with_range(
+    /// Sparse σ: each user is active only inside a contiguous (possibly
+    /// wrapping) window of `active_per_user` intervals (clamped to `|T|`),
+    /// with hashed values in `[lo, hi)` there and `σ = 0` everywhere else.
+    /// `lo` must be strictly positive so every in-window entry is stored.
+    ///
+    /// The window start is a deterministic hash of `(seed, u)`, so millions
+    /// of users spread roughly evenly over the horizon. With
+    /// `active_per_user ≪ |T|`, per-interval engine columns hold
+    /// `≈ |U| · active_per_user / |T|` slots instead of `|U|`.
+    pub fn masked_with_range(
         num_users: usize,
         num_intervals: usize,
         active_per_user: usize,
@@ -373,94 +277,70 @@ impl MaskedActivity {
         lo: f64,
         hi: f64,
     ) -> Result<Self, ActivityError> {
-        check_prob(lo)?;
-        check_prob(hi)?;
-        if lo > hi || lo <= 0.0 {
+        check_range(lo, hi)?;
+        if lo <= 0.0 {
             return Err(ActivityError::ValueOutOfRange { value: lo });
         }
-        Ok(Self {
-            num_users,
-            num_intervals,
-            active_per_user,
-            seed,
-            lo,
-            hi,
-        })
+        let nt = num_intervals;
+        let width = active_per_user.min(nt);
+        let mut out = Self::with_capacity(num_users, nt, num_users * width);
+        for u in 0..num_users as u32 {
+            if width > 0 {
+                let mut h = FxHasher::default();
+                h.write_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+                h.write_u32(u);
+                let start = (h.finish() % nt as u64) as usize;
+                let end = start + width;
+                // Ascending interval order: the wrapped tail `[0, end-nt)`
+                // precedes the head `[start, nt)`.
+                for t in (0..end.saturating_sub(nt)).chain(start..end.min(nt)) {
+                    out.push(t, hashed_value(seed, u, t as u32, lo, hi));
+                }
+            }
+            out.end_row();
+        }
+        Ok(out)
     }
 
-    /// Window width actually in effect (clamped to the horizon).
-    fn window(&self) -> usize {
-        self.active_per_user.min(self.num_intervals)
+    /// Number of users `|U|`.
+    #[inline]
+    pub fn num_users(&self) -> usize {
+        self.offsets.len() - 1
     }
 
-    /// First interval of `user`'s active window.
-    fn window_start(&self, user: UserId) -> usize {
-        let mut h = FxHasher::default();
-        h.write_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
-        h.write_u32(user.raw());
-        (h.finish() % self.num_intervals.max(1) as u64) as usize
-    }
-
-    fn value(&self, user: UserId, interval: IntervalId) -> f64 {
-        let mut h = FxHasher::default();
-        h.write_u64(self.seed);
-        h.write_u32(user.raw());
-        h.write_u32(interval.raw());
-        let unit = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
-        self.lo + unit * (self.hi - self.lo)
-    }
-}
-
-impl ActivityModel for MaskedActivity {
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn num_intervals(&self) -> usize {
+    /// Number of intervals `|T|`.
+    #[inline]
+    pub fn num_intervals(&self) -> usize {
         self.num_intervals
     }
 
+    /// User `user`'s active intervals (strictly ascending) and their
+    /// `σ > 0` values. Panics if `user ≥ |U|`.
     #[inline]
-    fn activity(&self, user: UserId, interval: IntervalId) -> f64 {
-        let nt = self.num_intervals;
-        let a = self.window();
-        if a == 0 || nt == 0 {
-            return 0.0;
-        }
-        let start = self.window_start(user);
-        let offset = (interval.index() + nt - start) % nt;
-        if offset < a {
-            self.value(user, interval)
-        } else {
-            0.0
+    pub fn row(&self, user: UserId) -> (&[u32], &[f64]) {
+        let lo = self.offsets[user.index()] as usize;
+        let hi = self.offsets[user.index() + 1] as usize;
+        (&self.intervals[lo..hi], &self.sigmas[lo..hi])
+    }
+
+    /// The probability `σ(u, t) ∈ [0,1]`: a binary search of `u`'s row.
+    pub fn sigma(&self, user: UserId, interval: IntervalId) -> f64 {
+        let (intervals, sigmas) = self.row(user);
+        match intervals.binary_search(&interval.raw()) {
+            Ok(i) => sigmas[i],
+            Err(_) => 0.0,
         }
     }
 
-    fn for_each_active(&self, user: UserId, visit: &mut dyn FnMut(IntervalId, f64)) {
-        let nt = self.num_intervals;
-        let a = self.window();
-        if a == 0 || nt == 0 {
-            return;
-        }
-        let start = self.window_start(user);
-        let end = start + a;
-        // Ascending interval order: the wrapped tail `[0, end-nt)` precedes
-        // the head `[start, nt)`.
-        if end > nt {
-            for t in 0..end - nt {
-                let interval = IntervalId::new(t as u32);
-                visit(interval, self.value(user, interval));
-            }
-            for t in start..nt {
-                let interval = IntervalId::new(t as u32);
-                visit(interval, self.value(user, interval));
-            }
-        } else {
-            for t in start..end {
-                let interval = IntervalId::new(t as u32);
-                visit(interval, self.value(user, interval));
-            }
-        }
+    /// Total stored `(user, interval)` pairs, i.e. entries with `σ > 0`.
+    #[inline]
+    pub fn nnz(&self) -> usize {
+        self.intervals.len()
+    }
+
+    /// The CSR columns: row offsets, interval ids and σ values.
+    pub(crate) fn columns(&self) -> (&[u64], &[u32], &[f64]) {
+        (&self.offsets, &self.intervals, &self.sigmas)
     }
 }
 
@@ -468,85 +348,89 @@ impl ActivityModel for MaskedActivity {
 mod tests {
     use super::*;
 
+    fn sigma(a: &Activity, u: u32, t: u32) -> f64 {
+        a.sigma(UserId::new(u), IntervalId::new(t))
+    }
+
     #[test]
     fn dense_from_rows_and_lookup() {
-        let a = DenseActivity::from_rows(vec![vec![0.1, 0.2], vec![0.3, 0.4]]).unwrap();
+        let a = Activity::from_rows(vec![vec![0.1, 0.2], vec![0.3, 0.4]]).unwrap();
         assert_eq!(a.num_users(), 2);
         assert_eq!(a.num_intervals(), 2);
-        assert_eq!(a.activity(UserId::new(1), IntervalId::new(0)), 0.3);
+        assert_eq!(sigma(&a, 1, 0), 0.3);
     }
 
     #[test]
     fn dense_rejects_bad_shape_and_values() {
         assert!(matches!(
-            DenseActivity::from_flat(2, 2, vec![0.0; 3]).unwrap_err(),
-            ActivityError::ShapeMismatch { .. }
-        ));
-        assert!(matches!(
-            DenseActivity::from_rows(vec![vec![0.5], vec![1.5]]).unwrap_err(),
+            Activity::from_rows(vec![vec![0.5], vec![1.5]]).unwrap_err(),
             ActivityError::ValueOutOfRange { .. }
         ));
         assert!(matches!(
-            DenseActivity::from_rows(vec![vec![0.5, 0.1], vec![0.5]]).unwrap_err(),
+            Activity::from_rows(vec![vec![0.5, 0.1], vec![0.5]]).unwrap_err(),
             ActivityError::ShapeMismatch { .. }
+        ));
+        // NaN is out of range too.
+        assert!(matches!(
+            Activity::from_rows(vec![vec![0.0, 0.0], vec![0.0, f64::NAN]]).unwrap_err(),
+            ActivityError::ValueOutOfRange { .. }
         ));
     }
 
     #[test]
     fn slot_activity_maps_intervals_to_slots() {
         // 2 users × 3 slots; 4 intervals alternating slots 0,1,2,0.
-        let a = SlotActivity::new(3, vec![0.1, 0.2, 0.3, 0.9, 0.8, 0.7], vec![0, 1, 2, 0]).unwrap();
+        let a =
+            Activity::from_slots(3, vec![0.1, 0.2, 0.3, 0.9, 0.8, 0.7], vec![0, 1, 2, 0]).unwrap();
         assert_eq!(a.num_users(), 2);
         assert_eq!(a.num_intervals(), 4);
-        assert_eq!(a.activity(UserId::new(0), IntervalId::new(3)), 0.1);
-        assert_eq!(a.activity(UserId::new(1), IntervalId::new(2)), 0.7);
+        assert_eq!(sigma(&a, 0, 3), 0.1);
+        assert_eq!(sigma(&a, 1, 2), 0.7);
     }
 
     #[test]
     fn slot_activity_rejects_bad_slot_index() {
-        let err = SlotActivity::new(2, vec![0.1, 0.2], vec![0, 5]).unwrap_err();
+        let err = Activity::from_slots(2, vec![0.1, 0.2], vec![0, 5]).unwrap_err();
         assert!(matches!(err, ActivityError::ShapeMismatch { .. }));
     }
 
     #[test]
     fn constant_is_constant() {
-        let a = ConstantActivity::new(10, 10, 0.6).unwrap();
-        assert_eq!(a.activity(UserId::new(3), IntervalId::new(9)), 0.6);
-        assert!(ConstantActivity::new(1, 1, -0.1).is_err());
+        let a = Activity::constant(10, 10, 0.6).unwrap();
+        assert_eq!(sigma(&a, 3, 9), 0.6);
+        assert_eq!(a.nnz(), 100);
+        assert!(Activity::constant(1, 1, -0.1).is_err());
+        assert_eq!(Activity::constant(4, 4, 0.0).unwrap().nnz(), 0);
     }
 
     #[test]
     fn hashed_is_deterministic_and_in_range() {
-        let a = HashedActivity::standard(100, 50, 42);
-        let v1 = a.activity(UserId::new(7), IntervalId::new(13));
-        let v2 = a.activity(UserId::new(7), IntervalId::new(13));
-        assert_eq!(v1, v2);
+        let a = Activity::hashed(100, 50, 42);
+        assert_eq!(
+            sigma(&a, 7, 13),
+            sigma(&Activity::hashed(100, 50, 42), 7, 13)
+        );
         for u in 0..100u32 {
             for t in 0..50u32 {
-                let v = a.activity(UserId::new(u), IntervalId::new(t));
-                assert!((0.0..1.0).contains(&v));
+                assert!((0.0..1.0).contains(&sigma(&a, u, t)));
             }
         }
     }
 
     #[test]
     fn hashed_seed_changes_values() {
-        let a = HashedActivity::standard(10, 10, 1);
-        let b = HashedActivity::standard(10, 10, 2);
-        let differs = (0..10u32).any(|u| {
-            a.activity(UserId::new(u), IntervalId::new(0))
-                != b.activity(UserId::new(u), IntervalId::new(0))
-        });
-        assert!(differs);
+        let a = Activity::hashed(10, 10, 1);
+        let b = Activity::hashed(10, 10, 2);
+        assert!((0..10u32).any(|u| sigma(&a, u, 0) != sigma(&b, u, 0)));
     }
 
     #[test]
     fn hashed_mean_is_near_half() {
-        let a = HashedActivity::standard(200, 200, 7);
+        let a = Activity::hashed(200, 200, 7);
         let mut sum = 0.0;
         for u in 0..200u32 {
             for t in 0..200u32 {
-                sum += a.activity(UserId::new(u), IntervalId::new(t));
+                sum += sigma(&a, u, t);
             }
         }
         let mean = sum / (200.0 * 200.0);
@@ -555,73 +439,81 @@ mod tests {
 
     #[test]
     fn hashed_range_is_respected() {
-        let a = HashedActivity::with_range(50, 50, 3, 0.2, 0.4).unwrap();
+        let a = Activity::hashed_with_range(50, 50, 3, 0.2, 0.4).unwrap();
         for u in 0..50u32 {
-            let v = a.activity(UserId::new(u), IntervalId::new(u));
-            assert!((0.2..0.4).contains(&v));
+            assert!((0.2..0.4).contains(&sigma(&a, u, u)));
         }
-        assert!(HashedActivity::with_range(1, 1, 0, 0.9, 0.1).is_err());
+        assert!(Activity::hashed_with_range(1, 1, 0, 0.9, 0.1).is_err());
     }
 
     #[test]
     fn masked_window_has_exactly_active_per_user_slots() {
-        let a = MaskedActivity::sparse(40, 24, 5, 11);
+        let a = Activity::masked(40, 24, 5, 11);
         for u in 0..40u32 {
-            let user = UserId::new(u);
-            let active = (0..24u32)
-                .filter(|&t| a.activity(user, IntervalId::new(t)) > 0.0)
-                .count();
+            let active = (0..24u32).filter(|&t| sigma(&a, u, t) > 0.0).count();
             assert_eq!(active, 5, "user {u}");
+            assert_eq!(a.row(UserId::new(u)).0.len(), 5, "user {u}");
+        }
+    }
+
+    /// Per-(u, t) reference for the masked window: the probe the window
+    /// enumeration replaces.
+    fn masked_probe(nt: usize, width: usize, seed: u64, u: u32, t: u32) -> f64 {
+        let a = width.min(nt);
+        let mut h = FxHasher::default();
+        h.write_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        h.write_u32(u);
+        let start = (h.finish() % nt as u64) as usize;
+        if a > 0 && (t as usize + nt - start) % nt < a {
+            hashed_value(seed, u, t, 0.1, 1.0)
+        } else {
+            0.0
         }
     }
 
     #[test]
-    fn masked_for_each_active_matches_dense_probe_bitwise() {
+    fn masked_rows_match_dense_probe_bitwise() {
         // Include widths that wrap (larger than nt - start for some users)
         // and the degenerate full-horizon width.
         for width in [1usize, 3, 7, 24, 40] {
-            let a = MaskedActivity::sparse(60, 24, width, 99);
+            let a = Activity::masked(60, 24, width, 99);
             for u in 0..60u32 {
-                let user = UserId::new(u);
-                let mut enumerated = Vec::new();
-                a.for_each_active(user, &mut |t, sigma| enumerated.push((t, sigma)));
-                let probed: Vec<(IntervalId, f64)> = (0..24u32)
-                    .map(IntervalId::new)
+                let (ts, sigmas) = a.row(UserId::new(u));
+                let probed: Vec<(u32, u64)> = (0..24u32)
                     .filter_map(|t| {
-                        let sigma = a.activity(user, t);
-                        (sigma > 0.0).then_some((t, sigma))
+                        let s = masked_probe(24, width, 99, u, t);
+                        (s > 0.0).then_some((t, s.to_bits()))
                     })
                     .collect();
-                assert_eq!(enumerated.len(), probed.len());
-                for (e, p) in enumerated.iter().zip(&probed) {
-                    assert_eq!(e.0, p.0, "interval order must be ascending");
-                    assert_eq!(e.1.to_bits(), p.1.to_bits(), "values must be bit-equal");
-                }
+                let stored: Vec<(u32, u64)> = ts
+                    .iter()
+                    .zip(sigmas)
+                    .map(|(&t, s)| (t, s.to_bits()))
+                    .collect();
+                assert_eq!(stored, probed, "width {width}, user {u}");
             }
         }
     }
 
     #[test]
     fn masked_values_stay_in_range_and_reject_zero_lo() {
-        let a = MaskedActivity::sparse(30, 12, 4, 5);
+        let a = Activity::masked(30, 12, 4, 5);
         for u in 0..30u32 {
             for t in 0..12u32 {
-                let v = a.activity(UserId::new(u), IntervalId::new(t));
+                let v = sigma(&a, u, t);
                 assert!(v == 0.0 || (0.1..1.0).contains(&v));
             }
         }
-        assert!(MaskedActivity::with_range(1, 1, 1, 0, 0.0, 1.0).is_err());
+        assert!(Activity::masked_with_range(1, 1, 1, 0, 0.0, 1.0).is_err());
     }
 
     #[test]
     fn masked_degenerate_shapes_are_inert() {
-        let empty = MaskedActivity::sparse(4, 0, 3, 1);
-        let mut hits = 0;
-        empty.for_each_active(UserId::new(0), &mut |_, _| hits += 1);
-        assert_eq!(hits, 0);
-        let zero_width = MaskedActivity::sparse(4, 8, 0, 1);
-        assert_eq!(zero_width.activity(UserId::new(1), IntervalId::new(3)), 0.0);
-        zero_width.for_each_active(UserId::new(1), &mut |_, _| hits += 1);
-        assert_eq!(hits, 0);
+        let empty = Activity::masked(4, 0, 3, 1);
+        assert_eq!(empty.num_users(), 4);
+        assert_eq!(empty.nnz(), 0);
+        let zero_width = Activity::masked(4, 8, 0, 1);
+        assert_eq!(sigma(&zero_width, 1, 3), 0.0);
+        assert!(zero_width.row(UserId::new(1)).0.is_empty());
     }
 }

@@ -12,15 +12,14 @@
 //! to the dense layout (the contract `crates/core/tests/sparse_layout.rs`
 //! pins against the hash-map oracle).
 //!
-//! Columns are built from the activity model in two
-//! [`ActivityModel::for_each_active`] passes — count, prefix-sum, scatter —
-//! without ever materializing a dense `|U| × |T|` intermediate, which is what
-//! lets million-user instances construct in `O(nnz)`. The scatter pass also
-//! emits a build-time [`RankSlots`] index (each rank's partial-column slots),
-//! from which the runs are resolved in time proportional to the entries they
-//! hold.
+//! Columns are built from the by-user σ rows ([`Activity::row`]) in two
+//! passes — count, prefix-sum, scatter — without ever materializing a dense
+//! `|U| × |T|` intermediate, which is what lets million-user instances
+//! construct in `O(nnz)`. The scatter pass also emits a build-time
+//! [`RankSlots`] index (each rank's partial-column slots), from which the
+//! runs are resolved in time proportional to the entries they hold.
 
-use crate::activity::ActivityModel;
+use crate::activity::Activity;
 use crate::algorithms::clamp_threads;
 use crate::ids::UserId;
 
@@ -77,19 +76,19 @@ impl IntervalColumns {
     /// Builds the columns for `users` (in rank order) over `nt` intervals,
     /// plus the rank-major [`RankSlots`] index of their partial columns.
     ///
-    /// Two enumeration passes: count per interval, prefix-sum into offsets,
-    /// then cursor-scatter ranks and `σ` values. Iterating users in rank
-    /// order makes each column's ranks ascending without a sort, and makes
-    /// the slot index's CSR offsets plain push positions.
-    pub(crate) fn build(
-        activity: &dyn ActivityModel,
-        users: &[UserId],
-        nt: usize,
-    ) -> (Self, RankSlots) {
+    /// Two passes over the users' σ rows: count per interval, prefix-sum
+    /// into offsets, then cursor-scatter ranks and `σ` values. Iterating
+    /// users in rank order makes each column's ranks ascending without a
+    /// sort, and makes the slot index's CSR offsets plain push positions.
+    /// [`Activity`]'s row invariants (ascending in-range intervals, `σ > 0`)
+    /// are what make each rank land at most once per column.
+    pub(crate) fn build(activity: &Activity, users: &[UserId], nt: usize) -> (Self, RankSlots) {
         let stride = users.len();
         let mut counts = vec![0usize; nt];
         for &u in users {
-            activity.for_each_active(u, &mut |t, _sigma| counts[t.index()] += 1);
+            for &t in activity.row(u).0 {
+                counts[t as usize] += 1;
+            }
         }
         let mut offsets = Vec::with_capacity(nt + 1);
         let mut acc = 0usize;
@@ -109,29 +108,19 @@ impl IntervalColumns {
         let mut cursor = counts; // reuse: rewritten to running write positions
         cursor.copy_from_slice(&offsets[..nt]);
         for (r, &u) in users.iter().enumerate() {
-            let mut prev: isize = -1;
-            activity.for_each_active(u, &mut |t, s| {
-                let ti = t.index();
-                debug_assert!(
-                    (ti as isize) > prev && ti < nt,
-                    "for_each_active must visit ascending in-range intervals once"
-                );
-                debug_assert!(s > 0.0, "for_each_active must only yield σ > 0");
-                prev = ti as isize;
+            let (ts, sigmas) = activity.row(u);
+            for (&t, &s) in ts.iter().zip(sigmas) {
+                let ti = t as usize;
                 let slot = cursor[ti];
                 ranks[slot] = r as u32;
                 sigma[slot] = s;
                 cursor[ti] = slot + 1;
                 if !full[ti] {
-                    pairs.push((ti as u32, (slot - offsets[ti]) as u32));
+                    pairs.push((t, (slot - offsets[ti]) as u32));
                 }
-            });
+            }
             starts.push(pairs.len());
         }
-        debug_assert!(
-            cursor.iter().eq(offsets[1..].iter()),
-            "for_each_active must enumerate identically across passes"
-        );
         let cols = Self {
             stride,
             offsets,
@@ -413,7 +402,7 @@ fn on_workers<T: Send>(blocks: Vec<T>, work: impl Fn(T) + Sync) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::{ConstantActivity, DenseActivity, MaskedActivity};
+    use crate::activity::Activity;
     use crate::ids::IntervalId;
 
     fn users(n: u32) -> Vec<UserId> {
@@ -422,7 +411,7 @@ mod tests {
 
     #[test]
     fn constant_activity_builds_full_columns() {
-        let act = ConstantActivity::new(5, 3, 0.7).unwrap();
+        let act = Activity::constant(5, 3, 0.7).unwrap();
         let (cols, _) = IntervalColumns::build(&act, &users(5), 3);
         assert_eq!(cols.nnz(), 15);
         for t in 0..3 {
@@ -440,7 +429,7 @@ mod tests {
         // 3 users × 2 intervals; user 1 inactive at t0, user 2 inactive
         // everywhere.
         let act =
-            DenseActivity::from_rows(vec![vec![0.5, 0.5], vec![0.0, 0.9], vec![0.0, 0.0]]).unwrap();
+            Activity::from_rows(vec![vec![0.5, 0.5], vec![0.0, 0.9], vec![0.0, 0.0]]).unwrap();
         let (cols, _) = IntervalColumns::build(&act, &users(3), 2);
         assert_eq!(cols.nnz(), 3);
         assert_eq!(cols.len(0), 1);
@@ -456,7 +445,7 @@ mod tests {
 
     #[test]
     fn columns_are_rank_sorted_even_for_masked_windows() {
-        let act = MaskedActivity::sparse(40, 16, 5, 7);
+        let act = Activity::masked(40, 16, 5, 7);
         let (cols, _) = IntervalColumns::build(&act, &users(40), 16);
         assert_eq!(cols.nnz(), 40 * 5);
         for t in 0..16 {
@@ -469,7 +458,7 @@ mod tests {
         // σ snapshots match the model bitwise.
         for t in 0..16u32 {
             for r in 0..40u32 {
-                let direct = act.activity(UserId::new(r), IntervalId::new(t));
+                let direct = act.sigma(UserId::new(r), IntervalId::new(t));
                 match cols.slot_of(t as usize, r) {
                     Some(s) => assert_eq!(cols.sigma[s].to_bits(), direct.to_bits()),
                     None => assert_eq!(direct, 0.0),
@@ -480,7 +469,7 @@ mod tests {
 
     #[test]
     fn runs_share_postings_on_full_columns_and_localize_on_partial() {
-        let act = DenseActivity::from_rows(vec![vec![0.5, 0.5], vec![0.0, 0.9]]).unwrap();
+        let act = Activity::from_rows(vec![vec![0.5, 0.5], vec![0.0, 0.9]]).unwrap();
         let (cols, slots) = IntervalColumns::build(&act, &users(2), 2);
         let resolved: Vec<Box<[(u32, f64)]>> = vec![
             vec![(0, 0.3), (1, 0.4)].into_boxed_slice(),
@@ -499,7 +488,7 @@ mod tests {
 
     #[test]
     fn all_full_instances_store_no_run_entries() {
-        let act = ConstantActivity::new(3, 4, 1.0).unwrap();
+        let act = Activity::constant(3, 4, 1.0).unwrap();
         let (cols, slots) = IntervalColumns::build(&act, &users(3), 4);
         let resolved: Vec<Box<[(u32, f64)]>> = vec![vec![(0, 0.5), (2, 0.5)].into_boxed_slice()];
         let runs = ResolvedRuns::build(&cols, &slots, &resolved, 1);
@@ -512,13 +501,13 @@ mod tests {
 
     #[test]
     fn empty_shapes_build() {
-        let act = ConstantActivity::new(0, 0, 1.0).unwrap();
+        let act = Activity::constant(0, 0, 1.0).unwrap();
         let (cols, slots) = IntervalColumns::build(&act, &[], 0);
         assert_eq!(cols.nnz(), 0);
         let runs = ResolvedRuns::build(&cols, &slots, &[], 1);
         assert_eq!(runs.resident_bytes(), 0);
         // Empty interval columns on a non-empty universe.
-        let act = DenseActivity::from_rows(vec![vec![0.0, 1.0]]).unwrap();
+        let act = Activity::from_rows(vec![vec![0.0, 1.0]]).unwrap();
         let (cols, _) = IntervalColumns::build(&act, &users(1), 2);
         assert_eq!(cols.len(0), 0);
         assert_eq!(cols.len(1), 1);
@@ -587,7 +576,7 @@ mod tests {
 
     /// The rank-major build matches the reference resolver bit for bit at
     /// every worker count (7 exceeds the event count).
-    fn assert_matches_reference(act: &dyn ActivityModel, nu: u32, resolved: &[Box<[(u32, f64)]>]) {
+    fn assert_matches_reference(act: &Activity, nu: u32, resolved: &[Box<[(u32, f64)]>]) {
         let nt = act.num_intervals();
         let (cols, slots) = IntervalColumns::build(act, &users(nu), nt);
         let (offsets, entries) = reference_runs(&cols, resolved);
@@ -604,7 +593,7 @@ mod tests {
 
     #[test]
     fn runs_match_reference_on_masked_columns() {
-        let act = MaskedActivity::sparse(60, 12, 4, 3);
+        let act = Activity::masked(60, 12, 4, 3);
         assert_matches_reference(&act, 60, &postings(60, 5, None));
     }
 
@@ -624,13 +613,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        let act = DenseActivity::from_rows(rows).unwrap();
+        let act = Activity::from_rows(rows).unwrap();
         assert_matches_reference(&act, 9, &postings(9, 4, Some(1)));
     }
 
     #[test]
     fn runs_match_reference_on_constant_columns() {
-        let act = ConstantActivity::new(8, 5, 0.6).unwrap();
+        let act = Activity::constant(8, 5, 0.6).unwrap();
         let resolved = postings(8, 3, None);
         assert_matches_reference(&act, 8, &resolved);
         let (cols, slots) = IntervalColumns::build(&act, &users(8), 5);
@@ -650,7 +639,7 @@ mod tests {
                 vec![0.3, t1, t2, 1.0]
             })
             .collect();
-        let act = DenseActivity::from_rows(rows).unwrap();
+        let act = Activity::from_rows(rows).unwrap();
         assert_matches_reference(&act, 10, &postings(10, 6, Some(0)));
         assert_matches_reference(&act, 10, &postings(10, 2, None));
         assert_matches_reference(&act, 10, &[]);
@@ -661,7 +650,7 @@ mod tests {
         // Three rank blocks; the last event lists its postings descending,
         // so the block sweep must still emit them in posting order.
         let nu = 2 * RANK_BLOCK as u32 + 100;
-        let act = MaskedActivity::sparse(nu as usize, 10, 3, 11);
+        let act = Activity::masked(nu as usize, 10, 3, 11);
         let mut resolved: Vec<Box<[(u32, f64)]>> = (0..4u32)
             .map(|e| {
                 (0..nu)

@@ -33,9 +33,8 @@ pub(crate) fn posting_gain(b: f64, m: f64, mu: f64) -> f64 {
     // `denom > 0` whenever the user has any mass; the fallback covers the
     // first-mass case `D = 0` (ratio jumps 0 → µ/µ = 1) and is rare enough
     // for the branch to predict perfectly. The `µ > 0` guard there keeps a
-    // contract-violating zero-weight posting (built-in backends drop them,
-    // third-party `InterestModel`s might not) at the 0/0 := 0 convention
-    // instead of inventing a phantom unit of gain.
+    // zero-weight posting (which `Interest` never stores) at the 0/0 := 0
+    // convention instead of inventing a phantom unit of gain.
     if denom > 0.0 {
         mu * b / denom
     } else if mu > 0.0 {

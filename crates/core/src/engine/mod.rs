@@ -873,7 +873,7 @@ pub fn evaluate_schedule(inst: &SesInstance, schedule: &Schedule) -> Evaluation 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::{ConstantActivity, DenseActivity, MaskedActivity};
+    use crate::activity::Activity;
     use crate::ids::LocationId;
     use crate::interest::InterestBuilder;
     use crate::model::{uniform_grid, CandidateEvent, Organizer};
@@ -913,10 +913,9 @@ mod tests {
                 CandidateEvent::new(e(0), LocationId::new(0), 1.0),
                 CandidateEvent::new(e(1), LocationId::new(1), 1.0),
             ])
-            .interest(interest.build_sparse().unwrap())
+            .interest(interest.build().unwrap())
             .activity(
-                DenseActivity::from_rows(vec![vec![0.9, 0.0], vec![0.7, 0.6], vec![0.0, 0.8]])
-                    .unwrap(),
+                Activity::from_rows(vec![vec![0.9, 0.0], vec![0.7, 0.6], vec![0.0, 0.8]]).unwrap(),
             )
             .build_shared()
             .unwrap()
@@ -1135,8 +1134,8 @@ mod tests {
                 CandidateEvent::new(e(0), LocationId::new(0), 1.0),
                 CandidateEvent::new(e(1), LocationId::new(0), 1.0),
             ])
-            .interest(interest.build_sparse().unwrap())
-            .activity(ConstantActivity::new(1, 1, 1.0).unwrap())
+            .interest(interest.build().unwrap())
+            .activity(Activity::constant(1, 1, 1.0).unwrap())
             .build_shared()
             .unwrap();
         let mut engine = AttendanceEngine::new(&inst);
@@ -1231,8 +1230,8 @@ mod tests {
                 CompetingEventId::new(0),
                 IntervalId::new(0),
             )])
-            .interest(interest.build_sparse().unwrap())
-            .activity(ConstantActivity::new(3, 1, 1.0).unwrap())
+            .interest(interest.build().unwrap())
+            .activity(Activity::constant(3, 1, 1.0).unwrap())
             .build_shared()
             .unwrap();
         let mut engine = AttendanceEngine::new(&inst);
@@ -1446,8 +1445,8 @@ mod tests {
                     .map(|ev| CandidateEvent::new(e(ev), LocationId::new(ev), 1.0))
                     .collect(),
             )
-            .interest(interest.build_sparse().unwrap())
-            .activity(MaskedActivity::sparse(nu, nt, 3, 5))
+            .interest(interest.build().unwrap())
+            .activity(Activity::masked(nu, nt, 3, 5))
             .build_shared()
             .unwrap();
         let mut serial = AttendanceEngine::new(&sparse);
@@ -1483,8 +1482,8 @@ mod tests {
             .organizer(Organizer::new(5.0))
             .intervals(uniform_grid(2, 10))
             .events(vec![CandidateEvent::new(e(0), LocationId::new(0), 1.0)])
-            .interest(interest.build_sparse().unwrap())
-            .activity(DenseActivity::from_rows(vec![vec![0.8, 0.0], vec![0.0, 0.0]]).unwrap())
+            .interest(interest.build().unwrap())
+            .activity(Activity::from_rows(vec![vec![0.8, 0.0], vec![0.0, 0.0]]).unwrap())
             .build_shared()
             .unwrap();
         let mut engine = AttendanceEngine::new(&inst);

@@ -1,8 +1,8 @@
 //! The SES problem instance: everything an algorithm needs to schedule.
 
-use crate::activity::ActivityModel;
+use crate::activity::Activity;
 use crate::ids::{CompetingEventId, EventId, IntervalId, UserId};
-use crate::interest::InterestModel;
+use crate::interest::Interest;
 use crate::model::{CandidateEvent, CompetingEvent, Organizer, TimeInterval};
 use crate::schedule::Schedule;
 use std::fmt;
@@ -173,18 +173,16 @@ impl fmt::Display for FeasibilityViolation {
 
 impl std::error::Error for FeasibilityViolation {}
 
-/// An immutable, validated SES problem instance.
-///
-/// Shared behind [`Arc`]s for the model components so instances are cheap to
-/// hand to scoped threads in the benchmark harness.
+/// An immutable, validated SES problem instance: the entity collections
+/// plus the two per-user inputs, interest µ and activity σ.
 pub struct SesInstance {
     organizer: Organizer,
     intervals: Vec<TimeInterval>,
     events: Vec<CandidateEvent>,
     competing: Vec<CompetingEvent>,
     competing_by_interval: Vec<Vec<CompetingEventId>>,
-    interest: Arc<dyn InterestModel>,
-    activity: Arc<dyn ActivityModel>,
+    interest: Interest,
+    activity: Activity,
 }
 
 impl fmt::Debug for SesInstance {
@@ -277,26 +275,16 @@ impl SesInstance {
         self.competing.len()
     }
 
-    /// The interest model `µ`.
+    /// The interest function `µ`.
     #[inline]
-    pub fn interest(&self) -> &dyn InterestModel {
-        self.interest.as_ref()
+    pub fn interest(&self) -> &Interest {
+        &self.interest
     }
 
-    /// The activity model `σ`.
+    /// The activity probability `σ`.
     #[inline]
-    pub fn activity(&self) -> &dyn ActivityModel {
-        self.activity.as_ref()
-    }
-
-    /// Shared handle to the interest model.
-    pub fn interest_arc(&self) -> Arc<dyn InterestModel> {
-        Arc::clone(&self.interest)
-    }
-
-    /// Shared handle to the activity model.
-    pub fn activity_arc(&self) -> Arc<dyn ActivityModel> {
-        Arc::clone(&self.activity)
+    pub fn activity(&self) -> &Activity {
+        &self.activity
     }
 
     /// Convenience: `µ(u, e)` for a candidate event.
@@ -308,7 +296,7 @@ impl SesInstance {
     /// Convenience: `σ(u, t)`.
     #[inline]
     pub fn sigma(&self, u: UserId, t: IntervalId) -> f64 {
-        self.activity.activity(u, t)
+        self.activity.sigma(u, t)
     }
 
     /// An empty schedule sized for this instance.
@@ -393,8 +381,8 @@ pub struct InstanceBuilder {
     intervals: Vec<TimeInterval>,
     events: Vec<CandidateEvent>,
     competing: Vec<CompetingEvent>,
-    interest: Option<Arc<dyn InterestModel>>,
-    activity: Option<Arc<dyn ActivityModel>>,
+    interest: Option<Interest>,
+    activity: Option<Activity>,
 }
 
 impl InstanceBuilder {
@@ -422,26 +410,14 @@ impl InstanceBuilder {
         self
     }
 
-    /// Sets the interest model `µ`.
-    pub fn interest(mut self, interest: impl InterestModel + 'static) -> Self {
-        self.interest = Some(Arc::new(interest));
-        self
-    }
-
-    /// Sets the interest model from a shared handle.
-    pub fn interest_arc(mut self, interest: Arc<dyn InterestModel>) -> Self {
+    /// Sets the interest function `µ`.
+    pub fn interest(mut self, interest: Interest) -> Self {
         self.interest = Some(interest);
         self
     }
 
-    /// Sets the activity model `σ`.
-    pub fn activity(mut self, activity: impl ActivityModel + 'static) -> Self {
-        self.activity = Some(Arc::new(activity));
-        self
-    }
-
-    /// Sets the activity model from a shared handle.
-    pub fn activity_arc(mut self, activity: Arc<dyn ActivityModel>) -> Self {
+    /// Sets the activity probability `σ`.
+    pub fn activity(mut self, activity: Activity) -> Self {
         self.activity = Some(activity);
         self
     }
@@ -566,7 +542,7 @@ impl InstanceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::ConstantActivity;
+    use crate::activity::Activity;
     use crate::ids::LocationId;
     use crate::interest::InterestBuilder;
     use crate::model::uniform_grid;
@@ -593,8 +569,8 @@ mod tests {
                 CompetingEventId::new(0),
                 IntervalId::new(0),
             )])
-            .interest(interest.build_sparse().unwrap())
-            .activity(ConstantActivity::new(2, 2, 1.0).unwrap())
+            .interest(interest.build().unwrap())
+            .activity(Activity::constant(2, 2, 1.0).unwrap())
             .build()
             .unwrap()
     }
@@ -686,8 +662,8 @@ mod tests {
                 TimeInterval::new(IntervalId::new(0), 0, 10),
                 TimeInterval::new(IntervalId::new(1), 5, 15),
             ])
-            .interest(InterestBuilder::new(0, 0, 0).build_sparse().unwrap())
-            .activity(ConstantActivity::new(0, 2, 0.5).unwrap())
+            .interest(InterestBuilder::new(0, 0, 0).build().unwrap())
+            .activity(Activity::constant(0, 2, 0.5).unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(err, ValidationError::OverlappingIntervals { .. }));
@@ -698,8 +674,8 @@ mod tests {
         let err = SesInstance::builder()
             .organizer(Organizer::new(1.0))
             .intervals(vec![TimeInterval::new(IntervalId::new(3), 0, 10)])
-            .interest(InterestBuilder::new(0, 0, 0).build_sparse().unwrap())
-            .activity(ConstantActivity::new(0, 1, 0.5).unwrap())
+            .interest(InterestBuilder::new(0, 0, 0).build().unwrap())
+            .activity(Activity::constant(0, 1, 0.5).unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(err, ValidationError::NonDenseIds { .. }));
@@ -709,8 +685,8 @@ mod tests {
     fn builder_rejects_bad_budget_and_missing_parts() {
         let err = SesInstance::builder()
             .organizer(Organizer::new(0.0))
-            .interest(InterestBuilder::new(0, 0, 0).build_sparse().unwrap())
-            .activity(ConstantActivity::new(0, 0, 0.5).unwrap())
+            .interest(InterestBuilder::new(0, 0, 0).build().unwrap())
+            .activity(Activity::constant(0, 0, 0.5).unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(err, ValidationError::InvalidBudget { .. }));
@@ -727,8 +703,8 @@ mod tests {
         // Interest has 1 candidate but instance has 0 events.
         let err = SesInstance::builder()
             .organizer(Organizer::new(1.0))
-            .interest(InterestBuilder::new(1, 1, 0).build_sparse().unwrap())
-            .activity(ConstantActivity::new(1, 0, 0.5).unwrap())
+            .interest(InterestBuilder::new(1, 1, 0).build().unwrap())
+            .activity(Activity::constant(1, 0, 0.5).unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(err, ValidationError::InterestShapeMismatch { .. }));
@@ -737,8 +713,8 @@ mod tests {
         let err = SesInstance::builder()
             .organizer(Organizer::new(1.0))
             .intervals(uniform_grid(2, 10))
-            .interest(InterestBuilder::new(1, 0, 0).build_sparse().unwrap())
-            .activity(ConstantActivity::new(1, 5, 0.5).unwrap())
+            .interest(InterestBuilder::new(1, 0, 0).build().unwrap())
+            .activity(Activity::constant(1, 5, 0.5).unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(err, ValidationError::ActivityShapeMismatch { .. }));
@@ -753,8 +729,8 @@ mod tests {
                 CompetingEventId::new(0),
                 IntervalId::new(9),
             )])
-            .interest(InterestBuilder::new(0, 0, 1).build_sparse().unwrap())
-            .activity(ConstantActivity::new(0, 1, 0.5).unwrap())
+            .interest(InterestBuilder::new(0, 0, 1).build().unwrap())
+            .activity(Activity::constant(0, 1, 0.5).unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(
@@ -773,8 +749,8 @@ mod tests {
                 LocationId::new(0),
                 -1.0,
             )])
-            .interest(InterestBuilder::new(0, 1, 0).build_sparse().unwrap())
-            .activity(ConstantActivity::new(0, 1, 0.5).unwrap())
+            .interest(InterestBuilder::new(0, 1, 0).build().unwrap())
+            .activity(Activity::constant(0, 1, 0.5).unwrap())
             .build()
             .unwrap_err();
         assert!(matches!(

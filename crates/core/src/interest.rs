@@ -1,20 +1,14 @@
 //! The interest function `µ : U × (E ∪ C) → [0,1]` (paper §II, "Users").
 //!
-//! Two storage backends are provided:
-//!
-//! * [`DenseInterest`] — flat row-major matrices; right for small/medium
-//!   instances and for tests;
-//! * [`SparseInterest`] — posting lists only; right for EBSN-derived
-//!   instances where most (user, event) pairs have zero interest (tag-based
-//!   Jaccard interest is extremely sparse).
-//!
-//! Both backends expose the *inverted index* `event → [(user, µ)]`. All hot
-//! engine paths iterate posting lists: a user with `µ(u,r) = 0` contributes
-//! nothing to the score of any assignment of `r` (see `DESIGN.md` §1), so
-//! scoring an assignment costs `O(|postings(r)|)` instead of `O(|U|)`.
+//! [`Interest`] stores µ as posting lists only: per event, the users with
+//! strictly positive interest, sorted by user id. This is the *inverted
+//! index* `event → [(user, µ)]` every hot engine path iterates: a user with
+//! `µ(u,r) = 0` contributes nothing to the score of any assignment of `r`
+//! (see `DESIGN.md` §1), so scoring an assignment costs `O(|postings(r)|)`
+//! instead of `O(|U|)`. EBSN-derived interest (tag-based Jaccard) is
+//! extremely sparse, so nothing dense is ever stored.
 
 use crate::ids::{CompetingEventId, EventId, EventRef, UserId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A posting: one user with strictly positive interest in an event.
@@ -23,47 +17,7 @@ pub type Posting = (UserId, f64);
 /// Per-event posting lists (one boxed, sorted slice per event).
 type PostingLists = Vec<Box<[Posting]>>;
 
-/// Read access to the interest function and its inverted index.
-///
-/// Implementations must guarantee:
-/// * values are within `[0,1]`;
-/// * posting lists are sorted by user id and contain only positive values;
-/// * `interest` and `interested_users` agree with each other.
-pub trait InterestModel: Send + Sync {
-    /// Number of users `|U|`.
-    fn num_users(&self) -> usize;
-    /// Number of candidate events `|E|`.
-    fn num_candidates(&self) -> usize;
-    /// Number of competing events `|C|`.
-    fn num_competing(&self) -> usize;
-
-    /// The interest `µ(u, h)` of user `u` in (candidate or competing) event `h`.
-    fn interest(&self, user: UserId, event: EventRef) -> f64;
-
-    /// Users with strictly positive interest in `h`, sorted by user id.
-    fn interested_users(&self, event: EventRef) -> &[Posting];
-
-    /// Total number of non-zero entries (for diagnostics and benchmarks).
-    ///
-    /// The default walks every posting list — `O(|E| + |C|)` — and exists
-    /// for third-party implementations. The built-in backends
-    /// ([`SparseInterest`], [`DenseInterest`]) cache the count at
-    /// construction and answer in `O(1)`.
-    fn nnz(&self) -> usize {
-        let cand = (0..self.num_candidates())
-            .map(|e| self.interested_users(EventId::new(e as u32).into()).len())
-            .sum::<usize>();
-        let comp = (0..self.num_competing())
-            .map(|c| {
-                self.interested_users(CompetingEventId::new(c as u32).into())
-                    .len()
-            })
-            .sum::<usize>();
-        cand + comp
-    }
-}
-
-/// Errors raised while building an interest model.
+/// Errors raised while building an [`Interest`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum InterestError {
     /// A value outside `[0,1]` (or NaN) was supplied.
@@ -99,7 +53,7 @@ pub enum InterestError {
         num_competing: usize,
     },
     /// A posting list supplied as pre-sorted (see
-    /// [`SparseInterest::from_sorted_postings`]) was not in strictly
+    /// [`Interest::from_sorted_postings`]) was not in strictly
     /// ascending user order.
     OutOfOrder {
         /// Offending event.
@@ -139,9 +93,9 @@ impl fmt::Display for InterestError {
 
 impl std::error::Error for InterestError {}
 
-/// Incrementally accumulates `(user, event, µ)` triples and builds either
-/// backend. Zero values are accepted and silently dropped (they are the
-/// common case in EBSN data).
+/// Incrementally accumulates `(user, event, µ)` triples and builds an
+/// [`Interest`]. Zero values are accepted and silently dropped (they are
+/// the common case in EBSN data).
 #[derive(Debug, Clone)]
 pub struct InterestBuilder {
     num_users: usize,
@@ -232,13 +186,14 @@ impl InterestBuilder {
         Ok((cand, comp))
     }
 
-    /// Builds the sparse backend.
-    pub fn build_sparse(self) -> Result<SparseInterest, InterestError> {
+    /// Sorts each posting list by user id, rejects duplicate entries and
+    /// builds the [`Interest`].
+    pub fn build(self) -> Result<Interest, InterestError> {
         let (num_users, num_candidates, num_competing) =
             (self.num_users, self.num_candidates, self.num_competing);
         let (candidate_postings, competing_postings) = self.finish_postings()?;
         let nnz = count_nnz(&candidate_postings, &competing_postings);
-        Ok(SparseInterest {
+        Ok(Interest {
             num_users,
             num_candidates,
             num_competing,
@@ -247,17 +202,12 @@ impl InterestBuilder {
             nnz,
         })
     }
-
-    /// Builds the dense backend (materializes full matrices).
-    pub fn build_dense(self) -> Result<DenseInterest, InterestError> {
-        let sparse = self.build_sparse()?;
-        Ok(DenseInterest::from_sparse(&sparse))
-    }
 }
 
-/// Posting-list-only backend; `interest()` binary-searches the posting list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SparseInterest {
+/// The interest function as per-event posting lists; [`Interest::interest`]
+/// binary-searches the event's list.
+#[derive(Debug, Clone)]
+pub struct Interest {
     num_users: usize,
     num_candidates: usize,
     num_competing: usize,
@@ -273,7 +223,7 @@ fn count_nnz(candidate: &[Box<[Posting]>], competing: &[Box<[Posting]>]) -> usiz
         + competing.iter().map(|p| p.len()).sum::<usize>()
 }
 
-impl SparseInterest {
+impl Interest {
     /// Builds directly from per-event posting lists that are **already
     /// sorted by strictly ascending user id** — the cold-open path of the
     /// instance store, which persists lists in exactly that order.
@@ -335,151 +285,41 @@ impl SparseInterest {
         })
     }
 
-    fn postings(&self, event: EventRef) -> &[Posting] {
-        match event {
-            EventRef::Candidate(e) => &self.candidate_postings[e.index()],
-            EventRef::Competing(c) => &self.competing_postings[c.index()],
-        }
-    }
-}
-
-impl InterestModel for SparseInterest {
-    fn num_users(&self) -> usize {
+    /// Number of users `|U|`.
+    pub fn num_users(&self) -> usize {
         self.num_users
     }
 
-    fn num_candidates(&self) -> usize {
+    /// Number of candidate events `|E|`.
+    pub fn num_candidates(&self) -> usize {
         self.num_candidates
     }
 
-    fn num_competing(&self) -> usize {
+    /// Number of competing events `|C|`.
+    pub fn num_competing(&self) -> usize {
         self.num_competing
     }
 
-    fn interest(&self, user: UserId, event: EventRef) -> f64 {
-        let postings = self.postings(event);
+    /// The interest `µ(u, h)` of user `u` in (candidate or competing) event `h`.
+    pub fn interest(&self, user: UserId, event: EventRef) -> f64 {
+        let postings = self.interested_users(event);
         match postings.binary_search_by_key(&user, |(u, _)| *u) {
             Ok(i) => postings[i].1,
             Err(_) => 0.0,
         }
     }
 
-    fn interested_users(&self, event: EventRef) -> &[Posting] {
-        self.postings(event)
-    }
-
-    fn nnz(&self) -> usize {
-        self.nnz
-    }
-}
-
-/// Flat row-major matrix backend with materialized posting lists.
-///
-/// Lookup is `O(1)`; memory is `|U| · (|E| + |C|)` doubles, so prefer
-/// [`SparseInterest`] beyond a few thousand users.
-#[derive(Debug, Clone)]
-pub struct DenseInterest {
-    num_users: usize,
-    num_candidates: usize,
-    num_competing: usize,
-    /// `candidate[u * num_candidates + e]`
-    candidate: Vec<f64>,
-    /// `competing[u * num_competing + c]`
-    competing: Vec<f64>,
-    candidate_postings: Vec<Box<[Posting]>>,
-    competing_postings: Vec<Box<[Posting]>>,
-    /// Cached non-zero count (Σ posting lengths), fixed at construction.
-    nnz: usize,
-}
-
-impl DenseInterest {
-    /// Builds from explicit matrices: `candidate[u][e]`, `competing[u][c]`.
-    ///
-    /// Returns an error if any value is outside `[0,1]` or row lengths are
-    /// ragged.
-    pub fn from_matrices(
-        candidate: Vec<Vec<f64>>,
-        competing: Vec<Vec<f64>>,
-    ) -> Result<Self, InterestError> {
-        let num_users = candidate.len().max(competing.len());
-        let num_candidates = candidate.first().map_or(0, Vec::len);
-        let num_competing = competing.first().map_or(0, Vec::len);
-        let mut builder = InterestBuilder::new(num_users, num_candidates, num_competing);
-        for (u, row) in candidate.iter().enumerate() {
-            for (e, &v) in row.iter().enumerate() {
-                builder.set(UserId::new(u as u32), EventId::new(e as u32), v)?;
-            }
-        }
-        for (u, row) in competing.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                builder.set(UserId::new(u as u32), CompetingEventId::new(c as u32), v)?;
-            }
-        }
-        builder.build_dense()
-    }
-
-    /// Materializes a dense copy of a sparse model.
-    pub fn from_sparse(sparse: &SparseInterest) -> Self {
-        let (nu, ne, nc) = (
-            sparse.num_users,
-            sparse.num_candidates,
-            sparse.num_competing,
-        );
-        let mut candidate = vec![0.0; nu * ne];
-        let mut competing = vec![0.0; nu * nc];
-        for (e, postings) in sparse.candidate_postings.iter().enumerate() {
-            for &(u, v) in postings.iter() {
-                candidate[u.index() * ne + e] = v;
-            }
-        }
-        for (c, postings) in sparse.competing_postings.iter().enumerate() {
-            for &(u, v) in postings.iter() {
-                competing[u.index() * nc + c] = v;
-            }
-        }
-        Self {
-            num_users: nu,
-            num_candidates: ne,
-            num_competing: nc,
-            candidate,
-            competing,
-            candidate_postings: sparse.candidate_postings.clone(),
-            competing_postings: sparse.competing_postings.clone(),
-            nnz: sparse.nnz,
-        }
-    }
-}
-
-impl InterestModel for DenseInterest {
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn num_candidates(&self) -> usize {
-        self.num_candidates
-    }
-
-    fn num_competing(&self) -> usize {
-        self.num_competing
-    }
-
-    fn interest(&self, user: UserId, event: EventRef) -> f64 {
-        match event {
-            EventRef::Candidate(e) => {
-                self.candidate[user.index() * self.num_candidates + e.index()]
-            }
-            EventRef::Competing(c) => self.competing[user.index() * self.num_competing + c.index()],
-        }
-    }
-
-    fn interested_users(&self, event: EventRef) -> &[Posting] {
+    /// Users with strictly positive interest in `h`, sorted by user id.
+    #[inline]
+    pub fn interested_users(&self, event: EventRef) -> &[Posting] {
         match event {
             EventRef::Candidate(e) => &self.candidate_postings[e.index()],
             EventRef::Competing(c) => &self.competing_postings[c.index()],
         }
     }
 
-    fn nnz(&self) -> usize {
+    /// Total number of non-zero entries, counted once at construction.
+    pub fn nnz(&self) -> usize {
         self.nnz
     }
 }
@@ -502,7 +342,7 @@ mod tests {
 
     #[test]
     fn sparse_lookup_and_postings_agree() {
-        let m = small_builder().build_sparse().unwrap();
+        let m = small_builder().build().unwrap();
         assert_eq!(m.interest(UserId::new(0), EventId::new(0).into()), 0.9);
         assert_eq!(m.interest(UserId::new(1), EventId::new(0).into()), 0.0);
         assert_eq!(m.interest(UserId::new(2), EventId::new(0).into()), 0.3);
@@ -519,41 +359,49 @@ mod tests {
         assert_eq!(m.nnz(), 4);
     }
 
+    /// `small_builder`'s entries as dense `[u][e]` and `[u][c]` matrices.
+    const CANDIDATE: [[f64; 2]; 3] = [[0.9, 0.0], [0.0, 0.5], [0.3, 0.0]];
+    const COMPETING: [[f64; 1]; 3] = [[0.2], [0.0], [0.0]];
+
     #[test]
     fn dense_matches_sparse_everywhere() {
-        let sparse = small_builder().build_sparse().unwrap();
-        let dense = small_builder().build_dense().unwrap();
+        let m = small_builder().build().unwrap();
         for u in 0..3u32 {
             for e in 0..2u32 {
                 let h = EventRef::Candidate(EventId::new(e));
                 assert_eq!(
-                    dense.interest(UserId::new(u), h),
-                    sparse.interest(UserId::new(u), h)
+                    m.interest(UserId::new(u), h),
+                    CANDIDATE[u as usize][e as usize]
                 );
             }
             let h = EventRef::Competing(CompetingEventId::new(0));
-            assert_eq!(
-                dense.interest(UserId::new(u), h),
-                sparse.interest(UserId::new(u), h)
-            );
+            assert_eq!(m.interest(UserId::new(u), h), COMPETING[u as usize][0]);
         }
         assert_eq!(
-            dense.interested_users(EventId::new(1).into()),
-            sparse.interested_users(EventId::new(1).into())
+            m.interested_users(EventId::new(1).into()),
+            &[(UserId::new(1), 0.5)]
         );
     }
 
     #[test]
     fn from_matrices_roundtrip() {
-        let dense = DenseInterest::from_matrices(
-            vec![vec![0.1, 0.0], vec![0.0, 0.7]],
-            vec![vec![0.5], vec![0.0]],
-        )
-        .unwrap();
-        assert_eq!(dense.num_users(), 2);
-        assert_eq!(dense.interest(UserId::new(1), EventId::new(1).into()), 0.7);
+        // Every cell of a dense matrix goes through the builder; zeros are
+        // dropped and the rest read back unchanged.
+        let (candidate, competing) = ([[0.1, 0.0], [0.0, 0.7]], [[0.5], [0.0]]);
+        let mut b = InterestBuilder::new(2, 2, 1);
+        for (u, (row, comp)) in candidate.iter().zip(&competing).enumerate() {
+            let user = UserId::new(u as u32);
+            for (e, &v) in row.iter().enumerate() {
+                b.set(user, EventId::new(e as u32), v).unwrap();
+            }
+            b.set(user, CompetingEventId::new(0), comp[0]).unwrap();
+        }
+        let m = b.build().unwrap();
+        assert_eq!(m.num_users(), 2);
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.interest(UserId::new(1), EventId::new(1).into()), 0.7);
         assert_eq!(
-            dense.interested_users(CompetingEventId::new(0).into()),
+            m.interested_users(CompetingEventId::new(0).into()),
             &[(UserId::new(0), 0.5)]
         );
     }
@@ -574,7 +422,7 @@ mod tests {
         let mut b = InterestBuilder::new(2, 1, 0);
         b.set(UserId::new(0), EventId::new(0), 0.4).unwrap();
         b.set(UserId::new(0), EventId::new(0), 0.6).unwrap();
-        let err = b.build_sparse().unwrap_err();
+        let err = b.build().unwrap_err();
         assert!(matches!(err, InterestError::DuplicateEntry { .. }));
     }
 
@@ -607,41 +455,20 @@ mod tests {
     }
 
     #[test]
-    fn cached_nnz_matches_the_trait_default_recount() {
-        // Built-in backends answer nnz from the cache; a third-party impl
-        // that only supplies the required methods still gets the default
-        // posting-list recount, and the two must agree.
-        struct Wrapper(SparseInterest);
-        impl InterestModel for Wrapper {
-            fn num_users(&self) -> usize {
-                self.0.num_users()
-            }
-            fn num_candidates(&self) -> usize {
-                self.0.num_candidates()
-            }
-            fn num_competing(&self) -> usize {
-                self.0.num_competing()
-            }
-            fn interest(&self, user: UserId, event: EventRef) -> f64 {
-                self.0.interest(user, event)
-            }
-            fn interested_users(&self, event: EventRef) -> &[Posting] {
-                self.0.interested_users(event)
-            }
-            // No nnz override: exercises the default recount.
-        }
-        let sparse = small_builder().build_sparse().unwrap();
-        let dense = small_builder().build_dense().unwrap();
-        let recount = Wrapper(sparse.clone()).nnz();
-        assert_eq!(sparse.nnz(), recount);
-        assert_eq!(dense.nnz(), recount);
+    fn cached_nnz_matches_a_posting_recount() {
+        let m = small_builder().build().unwrap();
+        let recount = (0..2u32)
+            .map(|e| m.interested_users(EventId::new(e).into()).len())
+            .chain([m.interested_users(CompetingEventId::new(0).into()).len()])
+            .sum::<usize>();
+        assert_eq!(m.nnz(), recount);
         assert_eq!(recount, 4);
     }
 
     #[test]
     fn from_sorted_postings_matches_builder_and_rejects_bad_lists() {
-        let built = small_builder().build_sparse().unwrap();
-        let rebuilt = SparseInterest::from_sorted_postings(
+        let built = small_builder().build().unwrap();
+        let rebuilt = Interest::from_sorted_postings(
             3,
             vec![
                 vec![(UserId::new(0), 0.9), (UserId::new(2), 0.3)].into_boxed_slice(),
@@ -661,14 +488,14 @@ mod tests {
             }
         }
 
-        let unsorted = SparseInterest::from_sorted_postings(
+        let unsorted = Interest::from_sorted_postings(
             3,
             vec![vec![(UserId::new(2), 0.3), (UserId::new(0), 0.9)].into_boxed_slice()],
             vec![],
         );
         assert!(matches!(unsorted, Err(InterestError::OutOfOrder { .. })));
 
-        let duplicate = SparseInterest::from_sorted_postings(
+        let duplicate = Interest::from_sorted_postings(
             3,
             vec![vec![(UserId::new(1), 0.3), (UserId::new(1), 0.9)].into_boxed_slice()],
             vec![],
@@ -678,14 +505,14 @@ mod tests {
             Err(InterestError::DuplicateEntry { .. })
         ));
 
-        let zero = SparseInterest::from_sorted_postings(
+        let zero = Interest::from_sorted_postings(
             3,
             vec![vec![(UserId::new(1), 0.0)].into_boxed_slice()],
             vec![],
         );
         assert!(matches!(zero, Err(InterestError::ValueOutOfRange { .. })));
 
-        let oob = SparseInterest::from_sorted_postings(
+        let oob = Interest::from_sorted_postings(
             1,
             vec![vec![(UserId::new(7), 0.4)].into_boxed_slice()],
             vec![],
@@ -695,7 +522,7 @@ mod tests {
 
     #[test]
     fn empty_universe_is_fine() {
-        let m = InterestBuilder::new(0, 0, 0).build_sparse().unwrap();
+        let m = InterestBuilder::new(0, 0, 0).build().unwrap();
         assert_eq!(m.num_users(), 0);
         assert_eq!(m.nnz(), 0);
     }

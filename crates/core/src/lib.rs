@@ -11,8 +11,9 @@
 //! ## What lives where
 //!
 //! * [`model`] — intervals, candidate events, competing events, organizer;
-//! * [`interest`] / [`activity`] — the `µ(u,h)` and `σ(u,t)` inputs, with
-//!   dense, sparse, slot-based and procedural backends;
+//! * [`interest`] / [`activity`] — the `µ(u,h)` and `σ(u,t)` inputs: per-event
+//!   posting lists ([`Interest`]) and a by-user CSR of active intervals
+//!   ([`Activity`]);
 //! * [`instance`] — validated problem instances ([`SesInstance`]);
 //! * [`schedule`] — assignments and schedules;
 //! * [`engine`] — the Luce-choice attendance engine: probabilities (Eq. 1),
@@ -71,8 +72,8 @@
 //!         CandidateEvent::new(EventId::new(1), LocationId::new(1), 2.0),
 //!     ])
 //!     .competing(vec![CompetingEvent::new(CompetingEventId::new(0), IntervalId::new(0))])
-//!     .interest(interest.build_sparse().unwrap())
-//!     .activity(ConstantActivity::new(2, 2, 0.8).unwrap())
+//!     .interest(interest.build().unwrap())
+//!     .activity(Activity::constant(2, 2, 0.8).unwrap())
 //!     .build_shared() // Arc<SesInstance> — the handle engines consume
 //!     .unwrap();
 //!
@@ -101,9 +102,7 @@ pub mod store;
 pub mod testkit;
 pub mod util;
 
-pub use activity::{
-    ActivityModel, ConstantActivity, DenseActivity, HashedActivity, MaskedActivity, SlotActivity,
-};
+pub use activity::Activity;
 pub use algorithms::{
     AnnealingConfig, AnnealingScheduler, ExactScheduler, GreedyHeapScheduler, GreedyScheduler,
     LocalSearchConfig, LocalSearchScheduler, RandomScheduler, RunStats, ScheduleOutcome, Scheduler,
@@ -115,7 +114,7 @@ pub use engine::{
 pub use error::Error;
 pub use ids::{CompetingEventId, EventId, EventRef, IntervalId, LocationId, UserId};
 pub use instance::{FeasibilityViolation, InstanceBuilder, SesInstance, ValidationError};
-pub use interest::{DenseInterest, InterestBuilder, InterestModel, SparseInterest};
+pub use interest::{Interest, InterestBuilder};
 pub use metrics::{schedule_metrics, utility_upper_bound, IntervalReport, ScheduleMetrics};
 pub use model::{
     spaced_grid, uniform_grid, CandidateEvent, CompetingEvent, Organizer, TimeInterval,
@@ -123,14 +122,11 @@ pub use model::{
 pub use online::{OnlineSession, RepairReport};
 pub use registry::{SchedulerSpec, UnknownScheduler, SPEC_NAMES};
 pub use schedule::{Assignment, Schedule, ScheduleError};
-pub use store::{FoldState, StoreError, StoredActivity};
+pub use store::{FoldState, StoreError};
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::activity::{
-        ActivityModel, ConstantActivity, DenseActivity, HashedActivity, MaskedActivity,
-        SlotActivity,
-    };
+    pub use crate::activity::Activity;
     pub use crate::algorithms::{
         AnnealingScheduler, ExactScheduler, GreedyHeapScheduler, GreedyScheduler,
         LocalSearchScheduler, RandomScheduler, RunStats, ScheduleOutcome, Scheduler, SesError,
@@ -140,7 +136,7 @@ pub mod prelude {
     pub use crate::error::Error;
     pub use crate::ids::{CompetingEventId, EventId, EventRef, IntervalId, LocationId, UserId};
     pub use crate::instance::{FeasibilityViolation, InstanceBuilder, SesInstance};
-    pub use crate::interest::{DenseInterest, InterestBuilder, InterestModel, SparseInterest};
+    pub use crate::interest::{Interest, InterestBuilder};
     pub use crate::metrics::{schedule_metrics, utility_upper_bound, ScheduleMetrics};
     pub use crate::model::{
         spaced_grid, uniform_grid, CandidateEvent, CompetingEvent, Organizer, TimeInterval,

@@ -17,7 +17,7 @@
 //! instance exactly therefore solves the MKPI instance; the tests verify
 //! this end-to-end against a brute-force MKPI solver.
 
-use crate::activity::ConstantActivity;
+use crate::activity::Activity;
 use crate::ids::{CompetingEventId, EventId, IntervalId, LocationId, UserId};
 use crate::instance::SesInstance;
 use crate::interest::InterestBuilder;
@@ -190,8 +190,8 @@ pub fn mkpi_to_ses(mkpi: &MkpiInstance) -> Result<ReducedInstance, ReductionErro
         .intervals(uniform_grid(m, 1))
         .events(events)
         .competing(competing)
-        .interest(interest.build_sparse().expect("valid by construction"))
-        .activity(ConstantActivity::new(n, m, 1.0).expect("σ = 1 is valid"))
+        .interest(interest.build().expect("valid by construction"))
+        .activity(Activity::constant(n, m, 1.0).expect("σ = 1 is valid"))
         .build_shared()
         .expect("reduction output must validate");
 

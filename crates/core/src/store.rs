@@ -20,14 +20,15 @@
 //! byte fold is gone — that margin is most of what makes cold-open
 //! competitive with an in-memory rebuild.
 //! Interest is CSR by event (offsets + user column + µ-bits column);
-//! activity σ is CSR by *both* axes — the by-user copy is what
-//! [`StoredActivity`] serves the engine's `for_each_active` enumeration
-//! from, while the by-interval copy is the layout a streaming per-interval
-//! column build wants and doubles as a structural end-to-end check: the
-//! reader verifies the two are exact transposes before accepting the file.
+//! activity σ is CSR by *both* axes — the by-user copy is exactly the
+//! [`Activity`] arrays, which the reader adopts as they are decoded, while
+//! the by-interval copy is the layout a streaming per-interval column
+//! build wants and doubles as a structural end-to-end check: the reader
+//! verifies the two are exact transposes before accepting the file.
 //!
 //! The writer streams (section lengths are computed arithmetically up
-//! front, payloads never buffered whole). The reader checks magic and
+//! front, payloads never buffered whole); the only copy it builds is the
+//! flat by-interval transpose of σ. The reader checks magic and
 //! version, slurps the framed sections, and indexes them by slicing;
 //! small sections verify their checksum before decoding, while the heavy
 //! CSR columns fold the checksum *while* parsing in cache-sized windows
@@ -40,11 +41,12 @@
 //! this module). With more than one core, the interest and activity
 //! section groups decode on scoped threads.
 
-use crate::activity::ActivityModel;
+use crate::activity::Activity;
 use crate::ids::{CompetingEventId, EventId, IntervalId, LocationId, UserId};
 use crate::instance::{InstanceBuilder, SesInstance, ValidationError};
-use crate::interest::{Posting, SparseInterest};
+use crate::interest::{Interest, Posting};
 use crate::model::{CandidateEvent, CompetingEvent, Organizer, TimeInterval};
+use crate::util::fnv::{FNV_OFFSET, FNV_PRIME};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -55,9 +57,6 @@ pub const MAGIC: [u8; 8] = *b"SESSTORE";
 
 /// The format version this build writes and the only one it reads.
 pub const FORMAT_VERSION: u32 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// Total little-endian conversions for the hot decode loops. Every call
 /// site hands over an exactly-sized window (`chunks_exact`, `split_at`,
@@ -444,27 +443,54 @@ fn csr_len(rows: usize, nnz: usize) -> u64 {
     8 * (rows as u64 + 1) + nnz as u64 * (4 + 8)
 }
 
-fn write_csr<W: Write>(out: &mut W, id: u8, rows: &[Vec<(u32, f64)>]) -> Result<u64, StoreError> {
-    let nnz: usize = rows.iter().map(Vec::len).sum();
-    let len = csr_len(rows.len(), nnz);
+/// Streams one CSR section straight from its three columns.
+fn write_csr<W: Write>(
+    out: &mut W,
+    id: u8,
+    offsets: &[u64],
+    ids: &[u32],
+    values: &[f64],
+) -> Result<u64, StoreError> {
+    let len = csr_len(offsets.len() - 1, ids.len());
     let mut sink = SectionSink::begin(out, id, len)?;
-    let mut offset = 0u64;
-    sink.put_u64(0)?;
-    for row in rows {
-        offset += row.len() as u64;
+    for &offset in offsets {
         sink.put_u64(offset)?;
     }
-    for row in rows {
-        for &(id, _) in row {
-            sink.put_u32(id)?;
-        }
+    for &id in ids {
+        sink.put_u32(id)?;
     }
-    for row in rows {
-        for &(_, v) in row {
-            sink.put_f64_bits(v)?;
-        }
+    for &v in values {
+        sink.put_f64_bits(v)?;
     }
     sink.finish(len)
+}
+
+/// The by-interval transpose of σ's by-user CSR: one count pass, a prefix
+/// sum and one scatter. Users are scattered in ascending order, so each
+/// interval's row lists its users ascending.
+fn transpose(activity: &Activity) -> (Vec<u64>, Vec<u32>, Vec<f64>) {
+    let (offsets, intervals, sigmas) = activity.columns();
+    let nt = activity.num_intervals();
+    let mut t_offsets = vec![0u64; nt + 1];
+    for &t in intervals {
+        t_offsets[t as usize + 1] += 1;
+    }
+    for t in 0..nt {
+        t_offsets[t + 1] += t_offsets[t];
+    }
+    let mut cursor: Vec<usize> = t_offsets[..nt].iter().map(|&o| o as usize).collect();
+    let mut users = vec![0u32; intervals.len()];
+    let mut values = vec![0.0f64; intervals.len()];
+    for (u, row) in offsets.windows(2).enumerate() {
+        let (lo, hi) = (row[0] as usize, row[1] as usize);
+        for (&t, &sigma) in intervals[lo..hi].iter().zip(&sigmas[lo..hi]) {
+            let slot = &mut cursor[t as usize];
+            users[*slot] = u as u32;
+            values[*slot] = sigma;
+            *slot += 1;
+        }
+    }
+    (t_offsets, users, values)
 }
 
 fn write_postings_csr<W: Write>(
@@ -564,25 +590,18 @@ pub fn write_instance<W: Write>(inst: &SesInstance, mut out: W) -> Result<u64, S
         .collect();
     total += write_postings_csr(&mut out, SEC_INTEREST_COMP, &comp_lists)?;
 
-    // ACTIVITY: σ enumerated once per user through `for_each_active` (the
-    // same enumeration the engine builds columns from, so the stored set is
-    // exactly the engine's slot set), then transposed for the by-interval
-    // copy.
-    let activity = inst.activity();
-    let mut by_user: Vec<Vec<(u32, f64)>> = vec![Vec::new(); inst.num_users()];
-    for (u, row) in by_user.iter_mut().enumerate() {
-        activity.for_each_active(UserId::new(u as u32), &mut |t, sigma| {
-            row.push((t.raw(), sigma));
-        });
-    }
-    total += write_csr(&mut out, SEC_ACTIVITY_BY_USER, &by_user)?;
-    let mut by_interval: Vec<Vec<(u32, f64)>> = vec![Vec::new(); inst.num_intervals()];
-    for (u, row) in by_user.iter().enumerate() {
-        for &(t, sigma) in row {
-            by_interval[t as usize].push((u as u32, sigma));
-        }
-    }
-    total += write_csr(&mut out, SEC_ACTIVITY_BY_INTERVAL, &by_interval)?;
+    // ACTIVITY: the by-user CSR exactly as held (the same rows the engine
+    // builds columns from), then its by-interval transpose.
+    let (offsets, intervals, sigmas) = inst.activity().columns();
+    total += write_csr(&mut out, SEC_ACTIVITY_BY_USER, offsets, intervals, sigmas)?;
+    let (offsets, users, sigmas) = transpose(inst.activity());
+    total += write_csr(
+        &mut out,
+        SEC_ACTIVITY_BY_INTERVAL,
+        &offsets,
+        &users,
+        &sigmas,
+    )?;
 
     // END: an empty, checksummed terminator.
     let sink = SectionSink::begin(&mut out, SEC_END, 0)?;
@@ -924,81 +943,22 @@ fn read_postings(sec: &RawSection<'_>, rows: usize) -> Result<Vec<Box<[Posting]>
 }
 
 /// Decodes both interest sections and assembles the validated
-/// [`SparseInterest`] (ascending users, µ range re-checked there).
+/// [`Interest`] (ascending users, µ range re-checked there).
 fn decode_interest(
     cand: &RawSection<'_>,
     comp: &RawSection<'_>,
     num_users: usize,
     num_events: usize,
     num_competing: usize,
-) -> Result<SparseInterest, StoreError> {
+) -> Result<Interest, StoreError> {
     let cand_lists = read_postings(cand, num_events)?;
     let comp_lists = read_postings(comp, num_competing)?;
-    SparseInterest::from_sorted_postings(num_users, cand_lists, comp_lists).map_err(|e| {
+    Interest::from_sorted_postings(num_users, cand_lists, comp_lists).map_err(|e| {
         StoreError::Corrupt {
             section: "interest/candidate",
             detail: e.to_string(),
         }
     })
-}
-
-/// The activity model a packed file reopens into: the by-user CSR of
-/// `(interval, σ)` pairs exactly as enumerated by the source model's
-/// `for_each_active`, so the reopened engine builds bit-identical columns.
-///
-/// `activity()` binary-searches the user's row; `for_each_active` walks it
-/// in stored (ascending-interval) order.
-#[derive(Debug, Clone)]
-pub struct StoredActivity {
-    num_users: usize,
-    num_intervals: usize,
-    offsets: Vec<u64>,
-    intervals: Vec<u32>,
-    sigmas: Vec<f64>,
-}
-
-impl StoredActivity {
-    fn row(&self, user: usize) -> (&[u32], &[f64]) {
-        let lo = self.offsets[user] as usize;
-        let hi = self.offsets[user + 1] as usize;
-        (&self.intervals[lo..hi], &self.sigmas[lo..hi])
-    }
-
-    /// Total stored `(user, interval)` pairs with `σ > 0`.
-    pub fn nnz(&self) -> usize {
-        self.intervals.len()
-    }
-}
-
-impl ActivityModel for StoredActivity {
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn num_intervals(&self) -> usize {
-        self.num_intervals
-    }
-
-    fn activity(&self, user: UserId, interval: IntervalId) -> f64 {
-        if user.index() >= self.num_users {
-            return 0.0;
-        }
-        let (intervals, sigmas) = self.row(user.index());
-        match intervals.binary_search(&interval.raw()) {
-            Ok(i) => sigmas[i],
-            Err(_) => 0.0,
-        }
-    }
-
-    fn for_each_active(&self, user: UserId, visit: &mut dyn FnMut(IntervalId, f64)) {
-        if user.index() >= self.num_users {
-            return;
-        }
-        let (intervals, sigmas) = self.row(user.index());
-        for (&t, &sigma) in intervals.iter().zip(sigmas) {
-            visit(IntervalId::new(t), sigma);
-        }
-    }
 }
 
 /// Reads a packed instance from `input`: magic and version are checked
@@ -1121,7 +1081,7 @@ fn parse_sections(bytes: &[u8]) -> Result<Arc<SesInstance>, StoreError> {
     }
     src.finish()?;
 
-    // The heavy sections: interest CSRs → SparseInterest, activity by-user
+    // The heavy sections: interest CSRs → Interest, activity by-user
     // CSR (+ per-entry validation), activity by-interval CSR. They are
     // independent byte ranges, so decode them on scoped threads when the
     // payload is big enough to pay for the spawns.
@@ -1152,14 +1112,10 @@ fn parse_sections(bytes: &[u8]) -> Result<Arc<SesInstance>, StoreError> {
         )
     };
     let (interest, by_user) = (interest?, by_user?);
-
-    let activity = StoredActivity {
-        num_users,
-        num_intervals,
-        offsets: by_user.offsets,
-        intervals: by_user.ids,
-        sigmas: by_user.values,
-    };
+    // `verify_activity` checked the by-user rows: ascending in-range
+    // intervals and σ in (0, 1].
+    let activity =
+        Activity::from_checked_csr(num_intervals, by_user.offsets, by_user.ids, by_user.values);
 
     InstanceBuilder::default()
         .organizer(organizer)

@@ -6,7 +6,7 @@
 //! the EBSN substrate); they are small, structurally varied instances for
 //! exercising engine and algorithm behaviour.
 
-use crate::activity::{ConstantActivity, HashedActivity};
+use crate::activity::Activity;
 use crate::ids::{CompetingEventId, EventId, IntervalId, LocationId, UserId};
 use crate::instance::SesInstance;
 use crate::interest::InterestBuilder;
@@ -108,8 +108,8 @@ pub fn random_instance(cfg: &TestInstanceConfig) -> Arc<SesInstance> {
         .intervals(uniform_grid(cfg.num_intervals, 100))
         .events(events)
         .competing(competing)
-        .interest(interest.build_sparse().unwrap())
-        .activity(HashedActivity::standard(
+        .interest(interest.build().unwrap())
+        .activity(Activity::hashed(
             cfg.num_users,
             cfg.num_intervals,
             cfg.seed ^ 0x5eed,
@@ -189,8 +189,8 @@ pub fn single_slot_shared_location(num_events: usize) -> Arc<SesInstance> {
         .organizer(Organizer::new(100.0))
         .intervals(uniform_grid(1, 100))
         .events(events)
-        .interest(interest.build_sparse().unwrap())
-        .activity(ConstantActivity::new(num_users, 1, 1.0).unwrap())
+        .interest(interest.build().unwrap())
+        .activity(Activity::constant(num_users, 1, 1.0).unwrap())
         .build_shared()
         .unwrap()
 }
@@ -221,8 +221,8 @@ pub fn hand_instance() -> Arc<SesInstance> {
             CompetingEventId::new(0),
             IntervalId::new(0),
         )])
-        .interest(interest.build_sparse().unwrap())
-        .activity(ConstantActivity::new(2, 2, 1.0).unwrap())
+        .interest(interest.build().unwrap())
+        .activity(Activity::constant(2, 2, 1.0).unwrap())
         .build_shared()
         .unwrap()
 }

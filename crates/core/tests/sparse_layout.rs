@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use ses_core::util::float::approx_eq_tol;
 use ses_core::{
-    evaluate_schedule, AttendanceEngine, CandidateEvent, DenseActivity, EventId, InterestBuilder,
+    evaluate_schedule, Activity, AttendanceEngine, CandidateEvent, EventId, InterestBuilder,
     IntervalId, LocationId, Organizer, SesInstance, UserId,
 };
 use std::sync::Arc;
@@ -119,8 +119,8 @@ fn build(cfg: &SparseConfig) -> Arc<SesInstance> {
         .organizer(Organizer::new(100.0))
         .intervals(ses_core::uniform_grid(cfg.num_intervals, 10))
         .events(events)
-        .interest(interest.build_sparse().expect("valid"))
-        .activity(DenseActivity::from_rows(rows).expect("valid"))
+        .interest(interest.build().expect("valid"))
+        .activity(Activity::from_rows(rows).expect("valid"))
         .build_shared()
         .expect("sparse instance validates")
 }
@@ -274,8 +274,8 @@ fn degenerate_shapes_build_and_score() {
             CandidateEvent::new(EventId::new(0), LocationId::new(0), 1.0),
             CandidateEvent::new(EventId::new(1), LocationId::new(1), 1.0),
         ])
-        .interest(interest.build_sparse().unwrap())
-        .activity(DenseActivity::from_rows(vec![vec![0.9, 0.0, 0.0]; 4]).unwrap())
+        .interest(interest.build().unwrap())
+        .activity(Activity::from_rows(vec![vec![0.9, 0.0, 0.0]; 4]).unwrap())
         .build_shared()
         .unwrap();
     let mut engine = AttendanceEngine::new(&one_col);
@@ -303,8 +303,8 @@ fn degenerate_shapes_build_and_score() {
             CandidateEvent::new(EventId::new(0), LocationId::new(0), 1.0),
             CandidateEvent::new(EventId::new(1), LocationId::new(1), 1.0),
         ])
-        .interest(interest.build_sparse().unwrap())
-        .activity(DenseActivity::from_rows(vec![vec![0.8, 0.8]; 2]).unwrap())
+        .interest(interest.build().unwrap())
+        .activity(Activity::from_rows(vec![vec![0.8, 0.8]; 2]).unwrap())
         .build_shared()
         .unwrap();
     let mut engine = AttendanceEngine::new(&ghost);

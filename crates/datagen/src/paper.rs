@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// How `σ(u,t)` is produced when building instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SigmaMode {
-    /// `σ(u,t) ~ U[0,1)`, procedurally hashed (the paper's setting).
+    /// `σ(u,t) ~ U[0,1)`, hashed from the seed (the paper's setting).
     Uniform,
     /// Estimated from the dataset's check-in history per weekly slot
     /// (extension; see `ses_ebsn::activity`).

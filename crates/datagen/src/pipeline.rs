@@ -17,8 +17,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use ses_core::interest::InterestBuilder;
 use ses_core::{
-    CandidateEvent, CompetingEvent, CompetingEventId, EventId, HashedActivity, IntervalId,
-    LocationId, Organizer, SesInstance, SlotActivity, TimeInterval, UserId,
+    Activity, CandidateEvent, CompetingEvent, CompetingEventId, EventId, IntervalId, LocationId,
+    Organizer, SesInstance, TimeInterval, UserId,
 };
 use ses_ebsn::checkins::{SLOTS_PER_WEEK, TICKS_PER_DAY, TICKS_PER_HOUR};
 use ses_ebsn::{estimate_slot_activity, jaccard, EbsnDataset, EbsnEventId, SmoothingConfig};
@@ -201,7 +201,7 @@ pub fn build_instance(
             add_event(src.index(), TargetEvent::Competing(c as u32));
         }
     }
-    let interest = builder.build_sparse().expect("pipeline interest is valid");
+    let interest = builder.build().expect("pipeline interest is valid");
 
     // --- intervals and σ -------------------------------------------------
     let (intervals, slot_of) = interval_grid(num_intervals);
@@ -213,7 +213,7 @@ pub fn build_instance(
         .interest(interest);
     let instance = match cfg.sigma {
         SigmaMode::Uniform => builder
-            .activity(HashedActivity::standard(
+            .activity(Activity::hashed(
                 num_users,
                 num_intervals,
                 cfg.seed ^ 0x00ac_7171,
@@ -221,7 +221,7 @@ pub fn build_instance(
             .build_shared(),
         SigmaMode::FromCheckins => {
             let profile = estimate_slot_activity(dataset, SmoothingConfig::default());
-            let activity = SlotActivity::new(SLOTS_PER_WEEK, profile, slot_of)
+            let activity = Activity::from_slots(SLOTS_PER_WEEK, profile, slot_of)
                 .expect("profile shape is consistent by construction");
             builder.activity(activity).build_shared()
         }

@@ -19,8 +19,8 @@ use ses_core::interest::InterestBuilder;
 use ses_core::model::uniform_grid;
 use ses_core::testkit::{random_instance, TestInstanceConfig};
 use ses_core::{
-    CandidateEvent, CompetingEvent, CompetingEventId, ConstantActivity, EventId, IntervalId,
-    LocationId, Organizer, SesInstance, UserId,
+    Activity, CandidateEvent, CompetingEvent, CompetingEventId, EventId, IntervalId, LocationId,
+    Organizer, SesInstance, UserId,
 };
 use std::sync::Arc;
 
@@ -110,8 +110,8 @@ pub fn clustered(
         .intervals(uniform_grid(num_intervals, 180))
         .events(events)
         .competing(competing)
-        .interest(interest.build_sparse().expect("valid"))
-        .activity(ses_core::HashedActivity::standard(
+        .interest(interest.build().expect("valid"))
+        .activity(Activity::hashed(
             num_users,
             num_intervals,
             seed ^ 0xC1D5_72ED,
@@ -172,19 +172,19 @@ pub fn top_trap(
         .intervals(uniform_grid(num_intervals, 180))
         .events(events)
         .competing(competing)
-        .interest(interest.build_sparse().expect("valid"))
-        .activity(ConstantActivity::new(num_users, num_intervals, 1.0).expect("valid"))
+        .interest(interest.build().expect("valid"))
+        .activity(Activity::constant(num_users, num_intervals, 1.0).expect("valid"))
         .build_shared()
         .expect("top_trap instance validates")
 }
 
 /// Million-user family: `num_users` users each post `interests_per_user`
 /// distinct interests and are active (σ > 0) in a contiguous window of
-/// `active_per_user` intervals ([`ses_core::MaskedActivity`]), so both the
+/// `active_per_user` intervals ([`ses_core::Activity::masked`]), so both the
 /// interest matrix and the engine's per-interval columns are genuinely
-/// sparse. Construction is `O(U · interests_per_user)` — no per-`(u, e)` or
-/// per-`(u, t)` dense pass anywhere, which is what lets `U = 1_000_000`
-/// instances build inside the bench harness.
+/// sparse. Construction is `O(U · (interests_per_user + active_per_user))`
+/// — no per-`(u, e)` or per-`(u, t)` dense pass anywhere, which is what
+/// lets `U = 1_000_000` instances build inside the bench harness.
 ///
 /// One competing event per interval (round-robin) keeps the denominators
 /// non-trivial; each user backs exactly one of them, so competing postings
@@ -252,8 +252,8 @@ pub fn sparse_population(
         .intervals(uniform_grid(num_intervals, 180))
         .events(events)
         .competing(competing)
-        .interest(interest.build_sparse().expect("valid"))
-        .activity(ses_core::MaskedActivity::sparse(
+        .interest(interest.build().expect("valid"))
+        .activity(Activity::masked(
             num_users,
             num_intervals,
             active_per_user,

@@ -33,6 +33,7 @@
 //! [`SessionEvent`]: ses_service::SessionEvent
 
 use serde::{Deserialize, Serialize};
+use ses_core::util::Fnv1a;
 use ses_core::FoldState;
 use ses_service::{SessionEvent, SessionOpen};
 use std::collections::BTreeMap;
@@ -536,11 +537,7 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
 fn snapshot_path(dir: &Path, name: &str) -> PathBuf {
     // FNV-1a of the name: session names are arbitrary percent-decoded
     // strings, so the file name carries a stable hash instead.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+    let h = Fnv1a::hash(name.as_bytes());
     dir.join(format!("snap-{h:016x}.snap"))
 }
 

@@ -8,7 +8,7 @@
 //!
 //! optionally smoothed with Laplace pseudo-counts so that members with thin
 //! histories do not collapse to hard 0/1 probabilities. The result plugs
-//! directly into `ses_core::SlotActivity`.
+//! directly into `ses_core::Activity::from_slots`.
 
 use crate::checkins::{slot_of_tick, weeks_in_horizon, SLOTS_PER_WEEK};
 use crate::dataset::EbsnDataset;

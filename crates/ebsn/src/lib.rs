@@ -9,7 +9,7 @@
 //!   attachment memberships, evening-skewed events),
 //! * the paper's tag-based Jaccard interest methodology ([`similarity`]),
 //! * check-in based activity estimation ([`activity`]) feeding
-//!   `ses_core::SlotActivity`,
+//!   `ses_core::Activity::from_slots`,
 //! * the dataset statistics the paper cites ([`analysis`]): mean concurrent
 //!   events (their 8.1), spatio-temporal conflict rates, interest sparsity,
 //! * JSON persistence ([`dataset`]) so real Meetup exports can be adapted.
@@ -20,7 +20,6 @@
 pub mod activity;
 pub mod analysis;
 pub mod checkins;
-pub mod csv;
 pub mod dataset;
 pub mod entities;
 pub mod generator;
@@ -32,7 +31,6 @@ pub use analysis::{
     group_size_histogram, interest_stats, overlap_stats, InterestStats, OverlapStats,
 };
 pub use checkins::{slot_label, slot_of_tick, weeks_in_horizon, SLOTS_PER_WEEK};
-pub use csv::{export_csv, import_csv};
 pub use dataset::{DatasetError, EbsnDataset};
 pub use entities::{
     EbsnEvent, EbsnEventId, Group, GroupId, Member, MemberId, Rsvp, Venue, VenueId,

@@ -17,6 +17,7 @@
 
 use crate::metrics::{EngineTotals, ShardGauge};
 use serde::{Deserialize, Serialize};
+use ses_core::util::Fnv1a;
 use ses_durable::{recover_sessions, RecoveredLog, SessionJournal, ShardWal};
 use ses_service::{
     EvalRequest, InstanceRegistry, SchedulerService, ServiceError, SessionEvent, SessionOpen,
@@ -464,12 +465,7 @@ pub(crate) fn run_shard(
 /// FNV-1a over the session name — the shard routing hash. Stable across
 /// runs (no `RandomState`), so a session always lands on the same shard.
 pub(crate) fn shard_of(name: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (Fnv1a::hash(name.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! hardware.
 
 use crate::disruption::DisruptionKind;
+use ses_core::util::Fnv1a;
 
 /// What one simulation step did to the schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,30 +82,18 @@ impl Trace {
     /// driven server arm against the matching prefix of the reference
     /// simulation before resuming where it left off.
     pub fn digest_prefix(&self, steps: usize) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |byte: u8| {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        };
+        let mut h = Fnv1a::new();
         for r in &self.records[..steps.min(self.records.len())] {
-            for b in r.step.to_le_bytes() {
-                eat(b);
-            }
-            for b in r.tick.to_le_bytes() {
-                eat(b);
-            }
-            eat(r.kind.tag());
-            eat(r.applied as u8);
+            h.write(&r.step.to_le_bytes());
+            h.write(&r.tick.to_le_bytes());
+            h.write_u8(r.kind.tag());
+            h.write_u8(r.applied as u8);
             for f in [r.utility_before, r.utility_disrupted, r.utility_after] {
-                for b in f.to_bits().to_le_bytes() {
-                    eat(b);
-                }
+                h.write(&f.to_bits().to_le_bytes());
             }
-            for b in r.moves.to_le_bytes() {
-                eat(b);
-            }
+            h.write(&r.moves.to_le_bytes());
         }
-        h
+        h.finish()
     }
 }
 

@@ -54,9 +54,9 @@ fn main() {
             IntervalId::new(0),
             "Rival Party",
         )])
-        .interest(interest.build_sparse().unwrap())
+        .interest(interest.build().unwrap())
         // Everyone is free tonight with probability 0.8.
-        .activity(ConstantActivity::new(4, 2, 0.8).unwrap())
+        .activity(Activity::constant(4, 2, 0.8).unwrap())
         .build_shared()
         .expect("valid instance");
 

@@ -111,8 +111,8 @@ fn main() {
         .intervals(intervals)
         .events(events)
         .competing(competing)
-        .interest(interest.build_sparse().unwrap())
-        .activity(DenseActivity::from_rows(sigma).unwrap())
+        .interest(interest.build().unwrap())
+        .activity(Activity::from_rows(sigma).unwrap())
         .build_shared()
         .expect("valid festival instance");
 

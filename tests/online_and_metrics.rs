@@ -93,27 +93,3 @@ fn annealing_slots_into_the_pipeline() {
     assert!(sa.total_utility >= grd.total_utility - 1e-9);
     b.instance.check_schedule(&sa.schedule).unwrap();
 }
-
-#[test]
-fn csv_and_json_exports_agree() {
-    let (ds, cfg) = built();
-    let dir = std::env::temp_dir().join("ses_export_agreement");
-    let json_path = dir.join("ds.json");
-    std::fs::create_dir_all(&dir).unwrap();
-    ds.save_json(&json_path).unwrap();
-    ses_ebsn::export_csv(&ds, dir.join("csv")).unwrap();
-
-    let from_json = EbsnDataset::load_json(&json_path).unwrap();
-    let from_csv = ses_ebsn::import_csv(dir.join("csv")).unwrap();
-    assert_eq!(from_json.members, from_csv.members);
-    assert_eq!(from_json.events, from_csv.events);
-    assert_eq!(from_json.rsvps, from_csv.rsvps);
-
-    // Both round-trips drive the pipeline to identical schedules.
-    let a = build_instance(&from_json, &cfg).unwrap();
-    let c = build_instance(&from_csv, &cfg).unwrap();
-    let out_a = GreedyScheduler::new().run(&a.instance, cfg.k).unwrap();
-    let out_c = GreedyScheduler::new().run(&c.instance, cfg.k).unwrap();
-    assert_eq!(out_a.schedule, out_c.schedule);
-    std::fs::remove_dir_all(&dir).ok();
-}
