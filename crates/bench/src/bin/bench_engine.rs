@@ -179,7 +179,15 @@ struct EngineReport {
     generator: String,
     users: usize,
     seed: u64,
+    /// Scoring shards (`--threads`): the opening sweep and the selection
+    /// loop only.
     threads: usize,
+    /// Cores this run had. The engine build resolves the users-axis cells'
+    /// posting runs on one worker per core (at most one per event),
+    /// whatever `threads` says; the k-axis cells' columns are all full and
+    /// resolve no runs.
+    #[serde(default)]
+    cores: usize,
     smoke: bool,
     cells: Vec<EngineCell>,
     /// Per-algorithm speedup at each algorithm's largest k-sweep cell: GRD
@@ -840,6 +848,7 @@ fn main() -> ExitCode {
         users: args.users,
         seed: args.seed,
         threads: args.threads,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         smoke: args.smoke || args.check,
         cells,
         largest_cell_speedup,

@@ -252,6 +252,29 @@ fn solve_trace_nests_build_inside_solve() {
     // Sparse activity leaves columns partial, so the engine resolves runs.
     let (entries, slots) = aux.expect("build span carries aux counts");
     assert!(entries > 0 && slots > 0, "{timeline}");
+    // The column and run layers nest inside build, in that order, and the
+    // runs resolve on one worker per core (40 events cap nothing here).
+    let (columns_col, columns_start, columns_dur, columns_aux) =
+        timeline_span(&timeline, "columns");
+    let (runs_col, runs_start, runs_dur, runs_aux) = timeline_span(&timeline, "runs");
+    assert!(
+        columns_col > build_col && runs_col == columns_col,
+        "columns and runs nest inside build:\n{timeline}"
+    );
+    assert!(
+        build_start <= columns_start + 0.002
+            && columns_start + columns_dur <= runs_start + 0.002
+            && runs_start + runs_dur <= build_start + build_dur + 0.002,
+        "columns then runs, within build:\n{timeline}"
+    );
+    let (column_slots, partial_slots) = columns_aux.expect("columns span carries aux counts");
+    assert!(column_slots == slots && partial_slots > 0, "{timeline}");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        runs_aux,
+        Some((entries, cores.min(40) as u64)),
+        "{timeline}"
+    );
     std::fs::remove_file(store).ok();
 }
 

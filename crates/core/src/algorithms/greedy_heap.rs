@@ -112,7 +112,7 @@ impl Scheduler for GreedyHeapScheduler {
         validate_k(inst, k)?;
         // ses-analyze: allow(wall-clock-in-core): elapsed feeds SolveStats reporting only, never decisions
         let start = Instant::now();
-        let mut engine = AttendanceEngine::with_threads(inst, self.threads);
+        let mut engine = AttendanceEngine::new(inst);
         let mut pops = 0u64;
         let mut updates = 0u64;
 

@@ -1,5 +1,6 @@
-//! Blocked per-interval column storage (the sparse slot index) and the
-//! per-`(interval, event)` posting runs resolved against it.
+//! Blocked per-interval column storage (the sparse slot index), the
+//! candidate posting lists resolved to ranks, and the per-`(event,
+//! interval)` posting runs resolved against the columns.
 //!
 //! The dense layout this replaces kept `|T| · stride` slots per aggregate
 //! column. Here each interval `t` owns a compact column holding only the
@@ -17,11 +18,20 @@
 //! `|U| × |T|` intermediate, which is what lets million-user instances
 //! construct in `O(nnz)`. The scatter pass also emits a build-time
 //! [`RankSlots`] index (each rank's partial-column slots), from which the
-//! runs are resolved in time proportional to the entries they hold.
+//! runs are resolved without searching a column.
+//!
+//! Posting lists and runs share one shape: a flat CSR in
+//! structure-of-arrays form, a `u32` array (ranks, or column-local slots)
+//! beside an `f64` µ array — 12 bytes an entry, where a `(u32, f64)` pair
+//! pads to 16. Runs are laid out event-major (row `e·|T| + t`), so each
+//! block of events owns one contiguous range of both arrays while the
+//! build fills them. Whenever a column is partial the build splits across
+//! every core (at most one worker per event), whatever thread count the
+//! caller scores with.
 
 use crate::activity::Activity;
-use crate::algorithms::clamp_threads;
 use crate::ids::UserId;
+use std::ops::Range;
 
 /// Ranks per block of the postings sweep ([`for_each_posting`]).
 const RANK_BLOCK: usize = 1 << 14;
@@ -54,8 +64,8 @@ pub(crate) struct IntervalColumns {
 /// Rank-major view of the *partial* columns: for each rank, its
 /// `(t, column-local slot)` pairs in ascending `t`. Full columns are left
 /// out — there the rank is the local slot. A construction-time temporary:
-/// the engine drops it once runs and competing mass are resolved, so it
-/// never shows up in the memory accounting.
+/// the engine drops it once the runs are resolved, so it never shows up in
+/// the memory accounting.
 pub(crate) struct RankSlots {
     /// `starts[r]..starts[r+1]` is rank `r`'s range of `pairs`.
     starts: Vec<usize>,
@@ -69,6 +79,11 @@ impl RankSlots {
     fn of(&self, rank: u32) -> &[(u32, u32)] {
         let r = rank as usize;
         &self.pairs[self.starts[r]..self.starts[r + 1]]
+    }
+
+    /// Number of partial-column slots indexed.
+    pub(crate) fn partial_slots(&self) -> usize {
+        self.pairs.len()
     }
 }
 
@@ -177,65 +192,143 @@ impl IntervalColumns {
     }
 }
 
-/// Per-`(interval, event)` posting runs: each event's `(rank, µ)` posting
-/// list re-resolved to column-local `(slot, µ)` for every *partial* column.
+/// Rows of `(id, µ)` postings: one flat CSR in structure-of-arrays form.
+/// The engine keeps two — each candidate event's posting list, ids being
+/// slot-index ranks, and the [`ResolvedRuns`], ids being column-local slots.
+pub(crate) struct Postings {
+    /// `offsets[i]..offsets[i+1]` is row `i`'s range of both arrays.
+    offsets: Vec<usize>,
+    /// Rank or slot per posting.
+    ids: Vec<u32>,
+    /// µ per posting, parallel to `ids`.
+    mus: Vec<f64>,
+}
+
+impl Postings {
+    /// No rows yet, with room for `rows` rows of `entries` postings.
+    pub(crate) fn with_capacity(rows: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            ids: Vec::with_capacity(entries),
+            mus: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends the next row.
+    pub(crate) fn push(&mut self, row: impl IntoIterator<Item = (u32, f64)>) {
+        for (id, mu) in row {
+            self.ids.push(id);
+            self.mus.push(mu);
+        }
+        self.offsets.push(self.ids.len());
+    }
+
+    /// Number of rows.
+    #[inline]
+    fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Row `i`: ids and µ, in posting order.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let range = self.offsets[i]..self.offsets[i + 1];
+        (&self.ids[range.clone()], &self.mus[range])
+    }
+
+    /// Number of postings across all rows.
+    #[inline]
+    fn entries(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Bytes resident: 12 per posting plus the offsets.
+    fn resident_bytes(&self) -> u64 {
+        (self.ids.len() * size_of::<u32>()
+            + self.mus.len() * size_of::<f64>()
+            + self.offsets.len() * size_of::<usize>()) as u64
+    }
+}
+
+/// Per-`(event, interval)` posting runs: each event's postings re-resolved
+/// to column-local `(slot, µ)` for every *partial* column.
 ///
 /// Full columns need no run storage at all — there the global rank **is**
-/// the local slot, so the engine walks the shared per-event `resolved` list
+/// the local slot, so the engine walks the event's shared posting list
 /// directly (zero extra memory on dense instances, which is every instance
 /// built before the blocked layout existed). Runs preserve the posting-list
 /// order, merely skipping the inert `σ = 0` entries, so the Eq. 4 reduction
 /// visits survivors in the exact order the dense scan did.
 pub(crate) struct ResolvedRuns {
-    /// Number of candidate events (row width of `offsets`).
-    ne: usize,
-    /// `offsets[t·ne + e]..offsets[t·ne + e + 1]` is the run of `(e, t)`,
-    /// so one interval's runs are contiguous, as the interval-major sweep
-    /// reads them. Empty when every column is full (the all-dense fast path).
-    offsets: Vec<usize>,
-    /// Column-local `(slot, µ)` pairs.
-    entries: Vec<(u32, f64)>,
+    /// Number of intervals (runs per event).
+    nt: usize,
+    /// Row `e·nt + t` is the run of `(e, t)`, so one event's runs are
+    /// contiguous. No rows at all when every column is full (the all-dense
+    /// fast path).
+    runs: Postings,
 }
 
 impl ResolvedRuns {
-    /// Resolves every event's postings against every partial column in
-    /// `O(Σ_e |postings(e)| + entries)` on up to `workers` threads, clamped
-    /// like every other `threads` knob. The clamp reads the core count (a
-    /// few filesystem lookups), so it runs only once a partial column is
-    /// found: all-full engines, built per request when serving, skip it.
+    /// Resolves every event's postings against every partial column;
+    /// returns the runs and the number of workers that resolved them (`0`
+    /// when every column is full and there was nothing to resolve).
+    ///
+    /// The runs resolve on one worker per core, capped at one per event.
+    /// The core count is read only once a partial column is found:
+    /// all-full engines, built per request when serving, never read it.
+    pub(crate) fn build(
+        cols: &IntervalColumns,
+        slots: &RankSlots,
+        postings: &Postings,
+    ) -> (Self, usize) {
+        let nt = cols.offsets.len() - 1;
+        if (0..nt).all(|t| cols.is_full(t)) {
+            let runs = Postings {
+                offsets: Vec::new(),
+                ids: Vec::new(),
+                mus: Vec::new(),
+            };
+            return (Self { nt, runs }, 0);
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = cores.min(postings.rows()).max(1);
+        (Self::resolve(cols, slots, postings, workers), workers)
+    }
+
+    /// The runs in `O(Σ_e |postings(e)| + entries)` on `workers` threads
+    /// (at most one per event; the first is the calling thread, so one
+    /// worker spawns nothing).
     ///
     /// Each posting is expanded through its rank's [`RankSlots`] list, so no
     /// work is spent on `(posting, t)` pairs without a slot. Two passes over
     /// the postings: count every run's length, prefix-sum the counts into
-    /// interval-major offsets, then scatter each posting into its runs.
-    /// Both passes cut the events into contiguous blocks of roughly equal
-    /// work, one per worker (the first on the calling thread, so one worker
-    /// spawns nothing). Every run is written by exactly one worker, in
-    /// posting order, so any worker count yields the same bytes.
-    pub(crate) fn build(
+    /// the event-major offsets, then write each posting into its runs. Both
+    /// passes cut the events into contiguous blocks of roughly equal work,
+    /// one per worker; in the second each block owns one contiguous range
+    /// of the entry arrays and fills its runs through one cursor per run.
+    /// Every run is written by exactly one worker, in posting order, so any
+    /// worker count yields the same bytes.
+    fn resolve(
         cols: &IntervalColumns,
         slots: &RankSlots,
-        resolved: &[Box<[(u32, f64)]>],
+        postings: &Postings,
         workers: usize,
     ) -> Self {
-        let ne = resolved.len();
+        let ne = postings.rows();
         let nt = cols.offsets.len() - 1;
-        if (0..nt).all(|t| cols.is_full(t)) {
-            return Self {
-                ne,
-                offsets: Vec::new(),
-                entries: Vec::new(),
-            };
-        }
-        let parts = clamp_threads(workers).min(ne.max(1));
+        let parts = workers.clamp(1, ne.max(1));
+        // A block's share of `counts`: one row of `nt` per event.
+        let rows = |w: &[usize]| (w[1] - w[0]) * nt;
 
-        // Pass 1: run lengths, event-major (`counts[e·nt + t]`) so each
+        // Pass 1: run lengths, event-major (`counts[e·nt + t]`), so each
         // block of events owns one contiguous chunk. Blocks balance postings.
         let mut counts = vec![0usize; ne * nt];
-        let bounds = cut(parts, ne, |e| resolved[e].len());
-        on_workers(split_blocks(&mut counts, &bounds, nt), |(lo, chunk)| {
-            let events = &resolved[lo..lo + chunk.len() / nt];
-            for_each_posting(events, cols.stride, |i, r, _| {
+        let bounds = cut(parts, ne, |e| postings.offsets[e + 1] - postings.offsets[e]);
+        let chunks = split_by(&mut counts, bounds.windows(2).map(rows));
+        on_workers(block_ranges(&bounds).zip(chunks), |(events, chunk)| {
+            for_each_posting(postings, events, cols.stride, |i, r, _| {
                 for &(t, _) in slots.of(r) {
                     chunk[i * nt + t as usize] += 1;
                 }
@@ -244,105 +337,100 @@ impl ResolvedRuns {
         let mut offsets = Vec::with_capacity(ne * nt + 1);
         let mut total = 0usize;
         offsets.push(0);
-        for t in 0..nt {
-            for e in 0..ne {
-                total += counts[e * nt + t];
-                offsets.push(total);
-            }
+        for &c in &counts {
+            total += c;
+            offsets.push(total);
         }
 
-        // Pass 2: cut the exact-size entry array into its runs (in row
-        // order), regroup them event-major, and let each block of events
-        // fill its own runs front to back. Blocks balance entries.
-        let mut entries = vec![(0u32, 0.0f64); total];
-        let mut runs: Vec<&mut [(u32, f64)]> = std::iter::repeat_with(Default::default)
-            .take(ne * nt)
-            .collect();
-        let mut rest = &mut entries[..];
-        for t in 0..nt {
-            for e in 0..ne {
-                let (run, tail) = std::mem::take(&mut rest).split_at_mut(counts[e * nt + t]);
-                runs[e * nt + t] = run;
-                rest = tail;
+        // Pass 2: blocks balance entries. `counts` becomes each run's write
+        // cursor, relative to its block's first entry.
+        let mut run_slots = vec![0u32; total];
+        let mut mus = vec![0.0f64; total];
+        let bounds = cut(parts, ne, |e| offsets[(e + 1) * nt] - offsets[e * nt]);
+        let entries = |w: &[usize]| offsets[w[1] * nt] - offsets[w[0] * nt];
+        let blocks = block_ranges(&bounds)
+            .zip(split_by(&mut counts, bounds.windows(2).map(rows)))
+            .zip(split_by(&mut run_slots, bounds.windows(2).map(entries)))
+            .zip(split_by(&mut mus, bounds.windows(2).map(entries)));
+        on_workers(blocks, |(((events, cursor), slots_out), mus_out)| {
+            let first = events.start * nt;
+            for (c, &o) in cursor.iter_mut().zip(&offsets[first..]) {
+                *c = o - offsets[first];
             }
-        }
-        let bounds = cut(parts, ne, |e| counts[e * nt..(e + 1) * nt].iter().sum());
-        on_workers(split_blocks(&mut runs, &bounds, nt), |(lo, chunk)| {
-            let events = &resolved[lo..lo + chunk.len() / nt];
-            for_each_posting(events, cols.stride, |i, r, mu| {
+            for_each_posting(postings, events, cols.stride, |i, r, mu| {
                 for &(t, local) in slots.of(r) {
-                    let run = &mut chunk[i * nt + t as usize];
-                    let (head, tail) = std::mem::take(run)
-                        .split_first_mut()
-                        .expect("pass 1 counted this entry");
-                    *head = (local, mu);
-                    *run = tail;
+                    let c = &mut cursor[i * nt + t as usize];
+                    slots_out[*c] = local;
+                    mus_out[*c] = mu;
+                    *c += 1;
                 }
             });
         });
-        Self {
-            ne,
+        let runs = Postings {
             offsets,
-            entries,
-        }
+            ids: run_slots,
+            mus,
+        };
+        Self { nt, runs }
     }
 
-    /// The run of `(event, t)`: the shared posting list itself when the
-    /// column is full (rank ≡ local slot), otherwise the pre-resolved
-    /// `(local_slot, µ)` slice. Taking `resolved` as a parameter (rather
-    /// than reading it through the engine) keeps the returned borrow off the
-    /// engine's mutable column fields, so mutation paths can walk a run
-    /// while updating `m`/`mcount` in place.
+    /// The run of `(event, t)` as parallel slot and µ slices: the shared
+    /// posting list itself when the column is full (rank ≡ local slot),
+    /// otherwise the pre-resolved entries. Taking `postings` as a parameter
+    /// (rather than reading it through the engine) keeps the returned
+    /// borrow off the engine's mutable column fields, so mutation paths can
+    /// walk a run while updating `m`/`mcount` in place.
     #[inline]
     pub(crate) fn run<'a>(
         &'a self,
-        resolved: &'a [Box<[(u32, f64)]>],
+        postings: &'a Postings,
         event: usize,
         t: usize,
         full: bool,
-    ) -> &'a [(u32, f64)] {
+    ) -> (&'a [u32], &'a [f64]) {
         if full {
-            return &resolved[event];
+            return postings.row(event);
         }
-        let row = t * self.ne + event;
-        &self.entries[self.offsets[row]..self.offsets[row + 1]]
+        self.runs.row(event * self.nt + t)
     }
 
     /// Number of resolved `(slot, µ)` entries across all runs.
     #[inline]
     pub(crate) fn entries(&self) -> usize {
-        self.entries.len()
+        self.runs.entries()
     }
 
-    /// Bytes resident in the run arrays.
+    /// Bytes resident in the run arrays: 12 per entry plus the offsets.
     pub(crate) fn resident_bytes(&self) -> u64 {
-        (self.entries.len() * size_of::<(u32, f64)>() + self.offsets.len() * size_of::<usize>())
-            as u64
+        self.runs.resident_bytes()
     }
 }
 
-/// Calls `visit(i, rank, µ)` for every posting of `events[i]`, each
-/// event's postings in order, sweeping the ranks in blocks of
+/// Calls `visit(i, rank, µ)` for every posting of event `events.start + i`,
+/// each event's postings in order, sweeping the ranks in blocks of
 /// [`RANK_BLOCK`] across all events. Posting lists are rank-ascending, so
 /// each block's slot lists are read from memory once and then stay cached
 /// while every event visits them (an out-of-order posting would merely wait
 /// for a later block: the order within an event never changes).
 fn for_each_posting(
-    events: &[Box<[(u32, f64)]>],
+    postings: &Postings,
+    events: Range<usize>,
     stride: usize,
     mut visit: impl FnMut(usize, u32, f64),
 ) {
-    let mut next = vec![0usize; events.len()];
+    let mut next = postings.offsets[events.clone()].to_vec();
+    let stops = &postings.offsets[events.start + 1..=events.end];
     let mut end = 0usize;
     while end < stride {
         end = (end + RANK_BLOCK).min(stride);
-        for (i, (postings, next)) in events.iter().zip(next.iter_mut()).enumerate() {
+        for (i, (next, &stop)) in next.iter_mut().zip(stops).enumerate() {
             // The last block takes every remaining posting.
-            while let Some(&(r, mu)) = postings.get(*next) {
+            while *next < stop {
+                let r = postings.ids[*next];
                 if (r as usize) >= end && end < stride {
                     break;
                 }
-                visit(i, r, mu);
+                visit(i, r, postings.mus[*next]);
                 *next += 1;
             }
         }
@@ -366,26 +454,24 @@ fn cut(parts: usize, ne: usize, weight: impl Fn(usize) -> usize) -> Vec<usize> {
     bounds
 }
 
-/// Splits `items` (`width` per event) into one disjoint chunk per block of
-/// `bounds`, each tagged with its first event.
-fn split_blocks<'a, T>(
-    mut items: &'a mut [T],
-    bounds: &[usize],
-    width: usize,
-) -> Vec<(usize, &'a mut [T])> {
-    bounds
-        .windows(2)
-        .map(|w| {
-            let (chunk, tail) = std::mem::take(&mut items).split_at_mut((w[1] - w[0]) * width);
-            items = tail;
-            (w[0], chunk)
-        })
-        .collect()
+/// The event range of each block of `bounds`.
+fn block_ranges(bounds: &[usize]) -> impl Iterator<Item = Range<usize>> + '_ {
+    bounds.windows(2).map(|w| w[0]..w[1])
+}
+
+/// Splits `items` into consecutive disjoint chunks of the given lengths.
+fn split_by<T>(mut items: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (chunk, tail) = std::mem::take(&mut items).split_at_mut(len);
+        items = tail;
+        chunk
+    })
+    .collect()
 }
 
 /// Runs `work` on every block: the first on the calling thread, the rest on
 /// scoped threads.
-fn on_workers<T: Send>(blocks: Vec<T>, work: impl Fn(T) + Sync) {
+fn on_workers<T: Send>(blocks: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
     let mut blocks = blocks.into_iter();
     let first = blocks.next();
     std::thread::scope(|scope| {
@@ -407,6 +493,24 @@ mod tests {
 
     fn users(n: u32) -> Vec<UserId> {
         (0..n).map(UserId::new).collect()
+    }
+
+    impl<I: IntoIterator<Item = (u32, f64)>> FromIterator<I> for Postings {
+        fn from_iter<L: IntoIterator<Item = I>>(lists: L) -> Self {
+            let mut postings = Postings::with_capacity(0, 0);
+            for list in lists {
+                postings.push(list);
+            }
+            postings
+        }
+    }
+
+    fn bits(slots: &[u32], mus: &[f64]) -> Vec<(u32, u64)> {
+        slots
+            .iter()
+            .zip(mus)
+            .map(|(&s, mu)| (s, mu.to_bits()))
+            .collect()
     }
 
     #[test]
@@ -471,31 +575,37 @@ mod tests {
     fn runs_share_postings_on_full_columns_and_localize_on_partial() {
         let act = Activity::from_rows(vec![vec![0.5, 0.5], vec![0.0, 0.9]]).unwrap();
         let (cols, slots) = IntervalColumns::build(&act, &users(2), 2);
-        let resolved: Vec<Box<[(u32, f64)]>> = vec![
-            vec![(0, 0.3), (1, 0.4)].into_boxed_slice(),
-            vec![(1, 0.8)].into_boxed_slice(),
-        ];
-        let runs = ResolvedRuns::build(&cols, &slots, &resolved, 1);
+        let postings: Postings = [vec![(0, 0.3), (1, 0.4)], vec![(1, 0.8)]]
+            .into_iter()
+            .collect();
+        let (runs, workers) = ResolvedRuns::build(&cols, &slots, &postings);
+        assert!((1..=2).contains(&workers), "at most one worker per event");
         // t0 is partial (only user 0): event 0's run keeps only rank 0 at
         // local slot 0; event 1's run is empty.
-        assert_eq!(runs.run(&resolved, 0, 0, cols.is_full(0)), &[(0, 0.3)]);
-        assert!(runs.run(&resolved, 1, 0, cols.is_full(0)).is_empty());
+        let (s, mu) = runs.run(&postings, 0, 0, cols.is_full(0));
+        assert_eq!((s, mu), (&[0][..], &[0.3][..]));
+        assert!(runs.run(&postings, 1, 0, cols.is_full(0)).0.is_empty());
         // t1 is full: runs alias the shared posting lists.
-        let shared = runs.run(&resolved, 0, 1, cols.is_full(1));
-        assert_eq!(shared.as_ptr(), resolved[0].as_ptr());
-        assert_eq!(runs.run(&resolved, 1, 1, cols.is_full(1)), &[(1, 0.8)]);
+        let (s, mu) = runs.run(&postings, 0, 1, cols.is_full(1));
+        assert_eq!(s.as_ptr(), postings.row(0).0.as_ptr());
+        assert_eq!(mu.as_ptr(), postings.row(0).1.as_ptr());
+        let (s, mu) = runs.run(&postings, 1, 1, cols.is_full(1));
+        assert_eq!((s, mu), (&[1][..], &[0.8][..]));
+        // 12 bytes per entry (one), plus 2 × 2 + 1 offsets.
+        assert_eq!(runs.resident_bytes(), 12 + 5 * 8);
     }
 
     #[test]
     fn all_full_instances_store_no_run_entries() {
         let act = Activity::constant(3, 4, 1.0).unwrap();
         let (cols, slots) = IntervalColumns::build(&act, &users(3), 4);
-        let resolved: Vec<Box<[(u32, f64)]>> = vec![vec![(0, 0.5), (2, 0.5)].into_boxed_slice()];
-        let runs = ResolvedRuns::build(&cols, &slots, &resolved, 1);
+        let postings: Postings = [vec![(0, 0.5), (2, 0.5)]].into_iter().collect();
+        let (runs, workers) = ResolvedRuns::build(&cols, &slots, &postings);
+        assert_eq!(workers, 0, "nothing to resolve");
         assert_eq!(runs.resident_bytes(), 0);
         assert_eq!(
-            runs.run(&resolved, 0, 3, cols.is_full(3)).as_ptr(),
-            resolved[0].as_ptr()
+            runs.run(&postings, 0, 3, cols.is_full(3)).0.as_ptr(),
+            postings.row(0).0.as_ptr()
         );
     }
 
@@ -504,7 +614,8 @@ mod tests {
         let act = Activity::constant(0, 0, 1.0).unwrap();
         let (cols, slots) = IntervalColumns::build(&act, &[], 0);
         assert_eq!(cols.nnz(), 0);
-        let runs = ResolvedRuns::build(&cols, &slots, &[], 1);
+        let none = Postings::with_capacity(0, 0);
+        let (runs, _) = ResolvedRuns::build(&cols, &slots, &none);
         assert_eq!(runs.resident_bytes(), 0);
         // Empty interval columns on a non-empty universe.
         let act = Activity::from_rows(vec![vec![0.0, 1.0]]).unwrap();
@@ -515,80 +626,90 @@ mod tests {
     }
 
     /// The per-interval resolver the rank-major build replaced: one
-    /// rank→local scatter map per partial column, every posting list
-    /// rescanned once per partial interval.
-    fn reference_runs(
-        cols: &IntervalColumns,
-        resolved: &[Box<[(u32, f64)]>],
-    ) -> (Vec<usize>, Vec<(u32, f64)>) {
-        let nt = cols.offsets.len() - 1;
-        if (0..nt).all(|t| cols.is_full(t)) {
-            return (Vec::new(), Vec::new());
-        }
+    /// rank→local scatter map per column, every posting list rescanned once
+    /// per interval. Returns every run's `(slot, µ bits)`, row `e·|T| + t`
+    /// (on a full column the map is the identity, so the run is the posting
+    /// list itself).
+    fn reference_runs(cols: &IntervalColumns, postings: &Postings) -> Vec<Vec<(u32, u64)>> {
         const ABSENT: u32 = u32::MAX;
+        let nt = cols.offsets.len() - 1;
+        let ne = postings.rows();
+        let mut runs = vec![Vec::new(); ne * nt];
         let mut local_of = vec![ABSENT; cols.stride];
-        let mut offsets = vec![0];
-        let mut entries = Vec::new();
         for t in 0..nt {
-            let full = cols.is_full(t);
             let col = &cols.ranks[cols.offsets[t]..cols.offsets[t + 1]];
-            if !full {
-                for (j, &r) in col.iter().enumerate() {
-                    local_of[r as usize] = j as u32;
-                }
+            for (j, &r) in col.iter().enumerate() {
+                local_of[r as usize] = j as u32;
             }
-            for postings in resolved {
-                if !full {
-                    for &(r, mu) in postings.iter() {
-                        let local = local_of[r as usize];
-                        if local != ABSENT {
-                            entries.push((local, mu));
-                        }
-                    }
-                }
-                offsets.push(entries.len());
+            for e in 0..ne {
+                let (ranks, mus) = postings.row(e);
+                runs[e * nt + t] = ranks
+                    .iter()
+                    .zip(mus)
+                    .filter(|&(&r, _)| local_of[r as usize] != ABSENT)
+                    .map(|(&r, mu)| (local_of[r as usize], mu.to_bits()))
+                    .collect();
             }
-            if !full {
-                for &r in col {
-                    local_of[r as usize] = ABSENT;
-                }
+            for &r in col {
+                local_of[r as usize] = ABSENT;
             }
         }
-        (offsets, entries)
-    }
-
-    fn bits(entries: &[(u32, f64)]) -> Vec<(u32, u64)> {
-        entries.iter().map(|&(s, mu)| (s, mu.to_bits())).collect()
+        runs
     }
 
     /// Deterministic postings over ranks `0..nu`: event `e` skips every
     /// rank with `(7r + 3e) % 5 == 0`, and event `empty` (if any) has none.
-    fn postings(nu: u32, ne: u32, empty: Option<u32>) -> Vec<Box<[(u32, f64)]>> {
+    fn postings(nu: u32, ne: u32, empty: Option<u32>) -> Postings {
         (0..ne)
             .map(|e| {
                 (0..nu)
-                    .filter(|&r| Some(e) != empty && (7 * r + 3 * e) % 5 != 0)
-                    .map(|r| (r, 0.01 + f64::from((31 * r + 17 * e) % 97) / 101.0))
-                    .collect()
+                    .filter(move |&r| Some(e) != empty && (7 * r + 3 * e) % 5 != 0)
+                    .map(move |r| (r, 0.01 + f64::from((31 * r + 17 * e) % 97) / 101.0))
             })
             .collect()
     }
 
-    /// The rank-major build matches the reference resolver bit for bit at
-    /// every worker count (7 exceeds the event count).
-    fn assert_matches_reference(act: &Activity, nu: u32, resolved: &[Box<[(u32, f64)]>]) {
+    /// The event-major build matches the reference resolver run by run, bit
+    /// for bit, at every forced worker count (7 exceeds the event count)
+    /// and at the build's own count, and stores exactly the partial runs.
+    fn assert_matches_reference(act: &Activity, nu: u32, postings: &Postings) {
         let nt = act.num_intervals();
+        let ne = postings.rows();
         let (cols, slots) = IntervalColumns::build(act, &users(nu), nt);
-        let (offsets, entries) = reference_runs(&cols, resolved);
-        for workers in [1, 2, 3, 7] {
-            let runs = ResolvedRuns::build(&cols, &slots, resolved, workers);
-            assert_eq!(runs.offsets, offsets, "{workers} workers: offsets");
-            assert_eq!(
-                bits(&runs.entries),
-                bits(&entries),
-                "{workers} workers: entries"
-            );
+        let want = reference_runs(&cols, postings);
+        let partial: usize = (0..ne * nt)
+            .filter(|row| !cols.is_full(row % nt))
+            .map(|row| want[row].len())
+            .sum();
+        let forced = [1, 2, 3, 7].map(|w| (ResolvedRuns::resolve(&cols, &slots, postings, w), w));
+        let gated = ResolvedRuns::build(&cols, &slots, postings);
+        for (runs, workers) in forced.iter().chain([&gated]) {
+            for e in 0..ne {
+                for t in 0..nt {
+                    let (s, mu) = runs.run(postings, e, t, cols.is_full(t));
+                    assert_eq!(
+                        bits(s, mu),
+                        want[e * nt + t],
+                        "{workers} workers: ({e}, {t})"
+                    );
+                }
+            }
+            if *workers > 0 {
+                assert_eq!(runs.entries(), partial, "{workers} workers: entries");
+            }
         }
+    }
+
+    /// t0 and t3 are full; t1 holds even ranks; t2 only rank 5.
+    fn mixed_activity() -> Activity {
+        let rows: Vec<Vec<f64>> = (0..10u32)
+            .map(|r| {
+                let t1 = if r % 2 == 0 { 0.5 } else { 0.0 };
+                let t2 = if r == 5 { 0.9 } else { 0.0 };
+                vec![0.3, t1, t2, 1.0]
+            })
+            .collect();
+        Activity::from_rows(rows).unwrap()
     }
 
     #[test]
@@ -620,29 +741,18 @@ mod tests {
     #[test]
     fn runs_match_reference_on_constant_columns() {
         let act = Activity::constant(8, 5, 0.6).unwrap();
-        let resolved = postings(8, 3, None);
-        assert_matches_reference(&act, 8, &resolved);
+        let postings = postings(8, 3, None);
+        assert_matches_reference(&act, 8, &postings);
         let (cols, slots) = IntervalColumns::build(&act, &users(8), 5);
-        assert_eq!(
-            ResolvedRuns::build(&cols, &slots, &resolved, 1).entries(),
-            0
-        );
+        assert_eq!(ResolvedRuns::build(&cols, &slots, &postings).0.entries(), 0);
     }
 
     #[test]
     fn runs_match_reference_on_mixed_full_and_partial_columns() {
-        // t0 and t3 are full; t1 holds even ranks; t2 only rank 5.
-        let rows: Vec<Vec<f64>> = (0..10u32)
-            .map(|r| {
-                let t1 = if r % 2 == 0 { 0.5 } else { 0.0 };
-                let t2 = if r == 5 { 0.9 } else { 0.0 };
-                vec![0.3, t1, t2, 1.0]
-            })
-            .collect();
-        let act = Activity::from_rows(rows).unwrap();
+        let act = mixed_activity();
         assert_matches_reference(&act, 10, &postings(10, 6, Some(0)));
         assert_matches_reference(&act, 10, &postings(10, 2, None));
-        assert_matches_reference(&act, 10, &[]);
+        assert_matches_reference(&act, 10, &postings(10, 0, None));
     }
 
     #[test]
@@ -651,7 +761,7 @@ mod tests {
         // so the block sweep must still emit them in posting order.
         let nu = 2 * RANK_BLOCK as u32 + 100;
         let act = Activity::masked(nu as usize, 10, 3, 11);
-        let mut resolved: Vec<Box<[(u32, f64)]>> = (0..4u32)
+        let lists: Vec<Vec<(u32, f64)>> = (0..4u32)
             .map(|e| {
                 (0..nu)
                     .filter(|&r| (r + e) % (e + 2) == 0)
@@ -659,9 +769,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut descending = resolved[1].to_vec();
+        let mut descending = lists[1].clone();
         descending.reverse();
-        resolved.push(descending.into_boxed_slice());
-        assert_matches_reference(&act, nu, &resolved);
+        let postings: Postings = lists.into_iter().chain([descending]).collect();
+        assert_matches_reference(&act, nu, &postings);
     }
 }

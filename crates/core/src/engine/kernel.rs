@@ -1,5 +1,6 @@
 //! The Eq. 4 inner loop: one algebraically-reduced division per posting,
-//! explicitly chunked 4-wide over a contiguous `(slot, µ)` run.
+//! explicitly chunked 4-wide over a contiguous run held as two parallel
+//! slices, column-local slots and µ.
 //!
 //! This module is the repo's only `unsafe` surface inside `crates/core`
 //! (enforced by `ses-analyze`'s `kernel-unsafe-confinement` lint): the
@@ -50,24 +51,27 @@ pub(crate) fn posting_gain(b: f64, m: f64, mu: f64) -> f64 {
 const LANES: usize = 4;
 
 /// Eq. 4 over one run: `Σ σ[s] · posting_gain(B[s], M[s], µ)` for each
-/// `(s, µ)` in `run`, where `b`/`m`/`sigma` are one interval's column.
+/// slot `s` of `slots` and its µ in `mus`, where `b`/`m`/`sigma` are one
+/// interval's column.
 ///
-/// `run` slots must index inside the column — guaranteed by construction
+/// `slots` must index inside the column — guaranteed by construction
 /// ([`super::columns::ResolvedRuns::build`] emits column-local slots, and
 /// full columns are addressed by rank with `len == stride`), and
 /// debug-asserted here at every entry.
-pub(crate) fn score_run(run: &[(u32, f64)], b: &[f64], m: &[f64], sigma: &[f64]) -> f64 {
+pub(crate) fn score_run(slots: &[u32], mus: &[f64], b: &[f64], m: &[f64], sigma: &[f64]) -> f64 {
+    debug_assert_eq!(slots.len(), mus.len());
     debug_assert_eq!(b.len(), m.len());
     debug_assert_eq!(b.len(), sigma.len());
     debug_assert!(
-        run.iter().all(|&(s, _)| (s as usize) < b.len()),
+        slots.iter().all(|&s| (s as usize) < b.len()),
         "run slot outside its column"
     );
     let mut sum = 0.0;
-    let mut chunks = run.chunks_exact(LANES);
-    for chunk in &mut chunks {
+    let mut slot_chunks = slots.chunks_exact(LANES);
+    let mut mu_chunks = mus.chunks_exact(LANES);
+    for (chunk, mu_chunk) in (&mut slot_chunks).zip(&mut mu_chunks) {
         let mut gains = [0.0f64; LANES];
-        for (g, &(slot, mu)) in gains.iter_mut().zip(chunk.iter()) {
+        for ((g, &slot), &mu) in gains.iter_mut().zip(chunk).zip(mu_chunk) {
             let i = slot as usize;
             // SAFETY: `i < b.len() == m.len() == sigma.len()` — run slots
             // are column-local indices validated against the column length
@@ -86,7 +90,7 @@ pub(crate) fn score_run(run: &[(u32, f64)], b: &[f64], m: &[f64], sigma: &[f64])
             sum += g;
         }
     }
-    for &(slot, mu) in chunks.remainder() {
+    for (&slot, &mu) in slot_chunks.remainder().iter().zip(mu_chunks.remainder()) {
         let i = slot as usize;
         // SAFETY: same construction-time bound as above.
         let (bv, mv, sv) = unsafe {
@@ -106,9 +110,9 @@ mod tests {
     use super::*;
 
     /// The unchunked loop the kernel must reproduce bit-for-bit.
-    fn score_run_scalar(run: &[(u32, f64)], b: &[f64], m: &[f64], sigma: &[f64]) -> f64 {
+    fn score_run_scalar(slots: &[u32], mus: &[f64], b: &[f64], m: &[f64], sigma: &[f64]) -> f64 {
         let mut sum = 0.0;
-        for &(slot, mu) in run {
+        for (&slot, &mu) in slots.iter().zip(mus) {
             let i = slot as usize;
             sum += sigma[i] * posting_gain(b[i], m[i], mu);
         }
@@ -132,11 +136,10 @@ mod tests {
             let b: Vec<f64> = (0..len).map(|i| wiggly(i, 1)).collect();
             let m: Vec<f64> = (0..len).map(|i| wiggly(i, 2)).collect();
             let sigma: Vec<f64> = (0..len).map(|i| wiggly(i, 3).min(1.0)).collect();
-            let run: Vec<(u32, f64)> = (0..len)
-                .map(|i| (((len - 1 - i) as u32), wiggly(i, 4).min(1.0)))
-                .collect();
-            let chunked = score_run(&run, &b, &m, &sigma);
-            let scalar = score_run_scalar(&run, &b, &m, &sigma);
+            let slots: Vec<u32> = (0..len).map(|i| (len - 1 - i) as u32).collect();
+            let mus: Vec<f64> = (0..len).map(|i| wiggly(i, 4).min(1.0)).collect();
+            let chunked = score_run(&slots, &mus, &b, &m, &sigma);
+            let scalar = score_run_scalar(&slots, &mus, &b, &m, &sigma);
             assert_eq!(chunked.to_bits(), scalar.to_bits(), "len {len}");
         }
     }
@@ -161,11 +164,12 @@ mod tests {
         let b = [0.0, 0.0, 0.5, 0.0];
         let m = [0.0, 0.3, 0.8, 0.0];
         let sigma = [1.0, 1.0, 1.0, 1.0];
-        let run = [(0u32, 0.5), (1, 0.4), (2, 0.4), (3, 0.0)];
-        let got = score_run(&run, &b, &m, &sigma);
-        let want = score_run_scalar(&run, &b, &m, &sigma);
+        let slots = [0u32, 1, 2, 3];
+        let mus = [0.5, 0.4, 0.4, 0.0];
+        let got = score_run(&slots, &mus, &b, &m, &sigma);
+        let want = score_run_scalar(&slots, &mus, &b, &m, &sigma);
         assert_eq!(got.to_bits(), want.to_bits());
-        assert_eq!(score_run(&run[..1], &b, &m, &sigma), 1.0);
-        assert_eq!(score_run(&run[3..], &b, &m, &sigma), 0.0);
+        assert_eq!(score_run(&slots[..1], &mus[..1], &b, &m, &sigma), 1.0);
+        assert_eq!(score_run(&slots[3..], &mus[3..], &b, &m, &sigma), 0.0);
     }
 }

@@ -35,16 +35,17 @@
 //! million-user instances build at all (DESIGN.md §11; the original dense
 //! layout and its ablation are §2).
 //!
-//! Each candidate event's posting list is pre-resolved once into `(rank, µ)`
-//! pairs, and — for every *partially populated* column — additionally into a
-//! contiguous run of `(local_slot, µ)`, so scoring is a linear walk over the
-//! run and the column's value arrays with no rank translation in the hot
-//! loop. Full columns (every dense-era instance) skip the extra storage
-//! entirely: there the rank **is** the local slot and the shared posting
-//! list doubles as the run. The walk itself is the explicitly chunked
-//! Eq. 4 kernel in the `kernel` module, which batches the independent divisions
-//! 4-wide while preserving the scalar left-to-right f64 reduction order —
-//! sparse ≡ dense ≡ chunked, bit for bit.
+//! Each candidate event's posting list is pre-resolved once into parallel
+//! rank and µ arrays, and — for every *partially populated* column —
+//! additionally into a contiguous run of local slots beside their µ, so
+//! scoring is a linear walk over the run and the column's value arrays with
+//! no rank translation in the hot loop. Full columns (every dense-era
+//! instance) skip the extra storage entirely: there the rank **is** the
+//! local slot and the shared posting list doubles as the run. The walk
+//! itself is the explicitly chunked Eq. 4 kernel in the `kernel` module,
+//! which batches the independent divisions 4-wide while preserving the
+//! scalar left-to-right f64 reduction order — sparse ≡ dense ≡ chunked, bit
+//! for bit.
 //!
 //! On top of the per-pair [`AttendanceEngine::score`], the engine exposes a
 //! batch API — [`AttendanceEngine::score_all`] (one event against every
@@ -83,7 +84,7 @@ use crate::instance::{FeasibilityViolation, SesInstance};
 use crate::schedule::{Schedule, ScheduleError};
 use crate::util::float::luce_ratio;
 use crate::util::fxhash::FxHashMap;
-use columns::{IntervalColumns, ResolvedRuns};
+use columns::{IntervalColumns, Postings, ResolvedRuns};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -160,7 +161,7 @@ pub struct EngineMemoryStats {
     pub dense_slots: u64,
     /// Bytes in the column arrays (ranks + offsets + `B`/`M`/`σ`/count).
     pub resident_column_bytes: u64,
-    /// Bytes in the per-`(interval, event)` run arrays (zero when every
+    /// Bytes in the per-`(event, interval)` run arrays (zero when every
     /// column is full — dense-era instances pay nothing).
     pub run_bytes: u64,
     /// Wall-clock milliseconds spent building the slot index, columns and
@@ -205,11 +206,11 @@ pub struct AttendanceEngine {
     /// `rank_of[u]` — the user's dense rank in the slot index, or
     /// [`NO_RANK`] for users outside it.
     rank_of: Vec<u32>,
-    /// `resolved[e]` — event `e`'s posting list as `(rank, µ)` pairs.
-    resolved: Vec<Box<[(u32, f64)]>>,
+    /// Every candidate event's posting list as ranks and µ.
+    resolved: Postings,
     /// The blocked per-interval aggregate columns (`B`/`M`/count/`σ`).
     cols: IntervalColumns,
-    /// Per-`(interval, event)` posting runs against partial columns.
+    /// Per-`(event, interval)` posting runs against partial columns.
     runs: ResolvedRuns,
     /// Construction-time memory/build accounting (immutable thereafter).
     memory: EngineMemoryStats,
@@ -235,28 +236,24 @@ pub struct AttendanceEngine {
 impl AttendanceEngine {
     /// Creates an engine with an empty schedule. Builds the slot index from
     /// the union of the candidate posting lists, pre-resolves every
-    /// candidate event's postings to `(rank, µ)` pairs, builds the blocked
-    /// `σ`-columns and per-interval runs, and accumulates the competing
-    /// masses `B_t` — `O(nnz + |T| + Σ_h |postings(h)|)` plus one write per
-    /// run entry, never a dense `|T|·stride` pass. Records a
-    /// [`ses_obs::Stage::Build`] span.
+    /// candidate event's postings to ranks, builds the blocked `σ`-columns
+    /// and per-interval runs, and accumulates the competing masses `B_t` —
+    /// `O(nnz + |T| + Σ_h |postings(h)|)` plus one write per run entry,
+    /// never a dense `|T|·stride` pass. Partial columns' runs resolve on
+    /// every core; the engine is the same for any split. Records a
+    /// [`ses_obs::Stage::Build`] span with `columns` and `runs` children.
     ///
     /// Takes `&Arc` and clones the handle internally — callers keep their
     /// own handle and pay one refcount bump, never a deep copy.
     pub fn new(inst: &Arc<SesInstance>) -> Self {
-        Self::with_threads(inst, 1)
-    }
-
-    /// [`Self::new`], resolving the posting runs on up to `threads` scoped
-    /// threads (clamped like every other `threads` knob). The engine is
-    /// identical for every thread count.
-    pub fn with_threads(inst: &Arc<SesInstance>, threads: usize) -> Self {
         let mut span = ses_obs::span(ses_obs::Stage::Build);
         // ses-analyze: allow(wall-clock-in-core): build timing is reported in EngineMemoryStats, never branched on or digested
         let build_start = std::time::Instant::now();
         let nt = inst.num_intervals();
         let nu = inst.num_users();
+        let ne = inst.num_events();
         let interest = inst.interest();
+        let lists = |e: usize| interest.interested_users(EventId::new(e as u32).into());
 
         // Union of *candidate* posting lists → dense ranks, in user-id
         // order. Users appearing only in competing posting lists get no
@@ -264,8 +261,8 @@ impl AttendanceEngine {
         // (scores, attendances, interval utilities) provably never consults
         // their aggregates — indexing them would only inflate the columns.
         let mut in_index = vec![false; nu];
-        for e in 0..inst.num_events() {
-            for &(u, _) in interest.interested_users(EventId::new(e as u32).into()) {
+        for e in 0..ne {
+            for &(u, _) in lists(e) {
                 in_index[u.index()] = true;
             }
         }
@@ -278,19 +275,16 @@ impl AttendanceEngine {
             }
         }
 
-        // Pre-resolve candidate posting lists to (rank, µ).
-        let resolved: Vec<Box<[(u32, f64)]>> = (0..inst.num_events())
-            .map(|e| {
-                interest
-                    .interested_users(EventId::new(e as u32).into())
-                    .iter()
-                    .map(|&(u, mu)| (rank_of[u.index()], mu))
-                    .collect()
-            })
-            .collect();
+        // Pre-resolve candidate posting lists to ranks.
+        let total = (0..ne).map(|e| lists(e).len()).sum();
+        let mut resolved = Postings::with_capacity(ne, total);
+        for e in 0..ne {
+            resolved.push(lists(e).iter().map(|&(u, mu)| (rank_of[u.index()], mu)));
+        }
 
         // Blocked σ-columns: only `σ(u,t) > 0` slots are resident. The
         // rank-major slot index is a build-time temporary.
+        let mut columns_span = ses_obs::span(ses_obs::Stage::Columns);
         let (mut cols, slots) = IntervalColumns::build(inst.activity(), &users, nt);
 
         // Competing mass. Competing-only users have no rank and σ = 0 slots
@@ -307,8 +301,13 @@ impl AttendanceEngine {
                 }
             }
         }
+        columns_span.set_aux(cols.nnz() as u64, slots.partial_slots() as u64);
+        drop(columns_span);
 
-        let runs = ResolvedRuns::build(&cols, &slots, &resolved, threads);
+        let mut runs_span = ses_obs::span(ses_obs::Stage::Runs);
+        let (runs, workers) = ResolvedRuns::build(&cols, &slots, &resolved);
+        runs_span.set_aux(runs.entries() as u64, workers as u64);
+        drop(runs_span);
         span.set_aux(runs.entries() as u64, cols.nnz() as u64);
         let memory = EngineMemoryStats {
             column_slots: cols.nnz() as u64,
@@ -539,15 +538,16 @@ impl AttendanceEngine {
         let t = interval.index();
         let start = self.cols.offsets[t];
         let end = self.cols.offsets[t + 1];
-        let run = self.runs.run(
+        let (slots, mus) = self.runs.run(
             &self.resolved,
             event.index(),
             t,
             end - start == self.cols.stride,
         );
-        counters.posting_visits += run.len() as u64;
+        counters.posting_visits += slots.len() as u64;
         kernel::score_run(
-            run,
+            slots,
+            mus,
             &self.cols.b[start..end],
             &self.cols.m[start..end],
             &self.cols.sigma[start..end],
@@ -630,14 +630,14 @@ impl AttendanceEngine {
         let t = interval.index();
         let start = self.cols.offsets[t];
         let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let run = self.runs.run(&self.resolved, event.index(), t, full);
+        let (slots, mus) = self.runs.run(&self.resolved, event.index(), t, full);
         // A run that moves no mass (empty posting list, or every posting
         // aimed at a σ = 0 user) leaves the column bit-identical: validity
         // state changes but no score can, so the generation stays put
         // (validity is always re-checked fresh by consumers — only scores
         // are cached).
-        let touched = !run.is_empty();
-        for &(slot, mu) in run {
+        let touched = !slots.is_empty();
+        for (&slot, &mu) in slots.iter().zip(mus) {
             let i = start + slot as usize;
             self.cols.m[i] += mu;
             self.cols.mcount[i] += 1;
@@ -660,10 +660,10 @@ impl AttendanceEngine {
         let t = interval.index();
         let start = self.cols.offsets[t];
         let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let run = self.runs.run(&self.resolved, event.index(), t, full);
-        let touched = !run.is_empty();
+        let (slots, mus) = self.runs.run(&self.resolved, event.index(), t, full);
+        let touched = !slots.is_empty();
         let mut loss = 0.0;
-        for &(slot, mu) in run {
+        for (&slot, &mu) in slots.iter().zip(mus) {
             let i = start + slot as usize;
             let (b, m) = (self.cols.b[i], self.cols.m[i]);
             debug_assert!(
@@ -723,9 +723,9 @@ impl AttendanceEngine {
         let t = interval.index();
         let start = self.cols.offsets[t];
         let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let run = self.runs.run(&self.resolved, event.index(), t, full);
+        let (slots, mus) = self.runs.run(&self.resolved, event.index(), t, full);
         let mut sum = 0.0;
-        for &(slot, mu) in run {
+        for (&slot, &mu) in slots.iter().zip(mus) {
             let i = start + slot as usize;
             sum += self.cols.sigma[i] * luce_ratio(mu, self.cols.b[i] + self.cols.m[i]);
         }
@@ -1421,54 +1421,6 @@ mod tests {
             sum.resident_column_bytes,
             m.resident_column_bytes + dm.resident_column_bytes
         );
-    }
-
-    #[test]
-    fn with_threads_builds_the_same_engine_on_partial_columns() {
-        // Every column is partial (each user is active in 3 of 8
-        // intervals), so the runs are resolved and split across workers.
-        let (nu, ne, nt) = (300usize, 7usize, 8usize);
-        let mut interest = InterestBuilder::new(nu, ne, 0);
-        for u in 0..nu as u32 {
-            for ev in 0..ne as u32 {
-                if (u * 7 + ev * 3) % 4 != 0 {
-                    let mu = 0.05 + f64::from((u * 13 + ev * 29) % 89) / 100.0;
-                    interest.set(UserId::new(u), e(ev), mu).unwrap();
-                }
-            }
-        }
-        let sparse = SesInstance::builder()
-            .organizer(Organizer::new(100.0))
-            .intervals(uniform_grid(nt, 10))
-            .events(
-                (0..ne as u32)
-                    .map(|ev| CandidateEvent::new(e(ev), LocationId::new(ev), 1.0))
-                    .collect(),
-            )
-            .interest(interest.build().unwrap())
-            .activity(Activity::masked(nu, nt, 3, 5))
-            .build_shared()
-            .unwrap();
-        let mut serial = AttendanceEngine::new(&sparse);
-        assert!(serial.memory_stats().run_bytes > 0);
-        for threads in [2, 3, 16] {
-            let mut par = AttendanceEngine::with_threads(&sparse, threads);
-            let (sm, pm) = (serial.memory_stats(), par.memory_stats());
-            assert_eq!(pm.column_slots, sm.column_slots);
-            assert_eq!(pm.resident_column_bytes, sm.resident_column_bytes);
-            assert_eq!(pm.run_bytes, sm.run_bytes);
-            for ev in 0..ne as u32 {
-                let a: Vec<u64> = serial
-                    .score_all(e(ev))
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect();
-                let b: Vec<u64> = par.score_all(e(ev)).iter().map(|x| x.to_bits()).collect();
-                assert_eq!(a, b, "{threads} threads, event {ev}");
-            }
-            assert_eq!(par.counters(), serial.counters());
-            serial.reset_counters();
-        }
     }
 
     #[test]

@@ -67,11 +67,19 @@ pub enum Stage {
     /// mass and posting runs (`aux_a` = run entries, `aux_b` = column
     /// slots). Nested inside [`Stage::Solve`] for offline solves.
     Build = 14,
+    /// Building one engine's σ-columns and competing mass, inside
+    /// [`Stage::Build`] (`aux_a` = column slots, `aux_b` = slots in
+    /// partial columns).
+    Columns = 15,
+    /// Resolving one engine's posting runs, inside [`Stage::Build`]
+    /// (`aux_a` = run entries, `aux_b` = workers, `0` when every column
+    /// is full and nothing is resolved).
+    Runs = 16,
 }
 
 /// All stages, indexed by discriminant (pipeline order, with later
 /// additions appended).
-pub const STAGES: [Stage; 15] = [
+pub const STAGES: [Stage; 17] = [
     Stage::Request,
     Stage::Parse,
     Stage::Queue,
@@ -87,6 +95,8 @@ pub const STAGES: [Stage; 15] = [
     Stage::Recover,
     Stage::Load,
     Stage::Build,
+    Stage::Columns,
+    Stage::Runs,
 ];
 
 impl Stage {
@@ -108,6 +118,8 @@ impl Stage {
             Stage::Recover => "recover",
             Stage::Load => "load",
             Stage::Build => "build",
+            Stage::Columns => "columns",
+            Stage::Runs => "runs",
         }
     }
 
@@ -689,6 +701,19 @@ mod tests {
         assert!(text.contains("  solve"), "child span is indented");
         assert!(text.contains("evals=9"));
         assert!(format_trace(id, &[]).contains("no recorded spans"));
+    }
+
+    #[test]
+    fn stages_are_indexed_by_discriminant_with_unique_labels() {
+        assert_eq!(STAGES.len(), 17);
+        for (i, &stage) in STAGES.iter().enumerate() {
+            assert_eq!(stage as usize, i);
+            assert_eq!(Stage::from_index(i as u64), Some(stage));
+        }
+        let labels: std::collections::BTreeSet<_> = STAGES.iter().map(|s| s.label()).collect();
+        assert_eq!(labels.len(), STAGES.len());
+        assert_eq!(Stage::Columns.label(), "columns");
+        assert_eq!(Stage::Runs.label(), "runs");
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub struct LoadgenConfig {
     pub k: usize,
     /// Algorithm for solves and session opens.
     pub spec: SchedulerSpec,
-    /// Scoring threads per solve (keep at 1 under concurrent load).
+    /// Scoring threads per solve (keep at 1 under concurrent load). The
+    /// engine build does not follow it: on an instance with partial
+    /// σ-columns it resolves the posting runs on every core.
     pub threads: usize,
     /// Mix seed.
     pub seed: u64,
