@@ -7,7 +7,7 @@
 
 use crate::args::ParsedArgs;
 use serde::Serialize;
-use ses_core::{schedule_metrics, utility_upper_bound, SchedulerSpec};
+use ses_core::{schedule_metrics, SchedulerSpec};
 use ses_datagen::paper::{PaperConfig, SigmaMode};
 use ses_datagen::pipeline::build_instance;
 use ses_ebsn::{
@@ -280,7 +280,11 @@ pub fn solve(args: &ParsedArgs) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     }
     if format == Format::Text {
-        let metrics = schedule_metrics(&instance, &schedule);
+        // The report is a `report` span beside `load` and `solve`.
+        let metrics = {
+            let _scope = trace.map(ses_obs::trace_scope);
+            schedule_metrics(&instance, &schedule, k).map_err(|e| e.to_string())?
+        };
         println!(
             "metrics: reach {:.1} users, attendance/event {:.2} (min {:.2} / max {:.2}, gini {:.3}), \
              {} intervals occupied (max {} events), {:.0}% resource use",
@@ -293,7 +297,7 @@ pub fn solve(args: &ParsedArgs) -> Result<(), String> {
             metrics.max_events_per_interval,
             metrics.mean_resource_utilization * 100.0
         );
-        let ub = utility_upper_bound(&instance, k);
+        let ub = metrics.upper_bound;
         if ub > 0.0 {
             println!(
                 "certified quality: Ω is ≥ {:.1}% of any feasible schedule's utility \

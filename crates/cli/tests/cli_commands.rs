@@ -209,10 +209,10 @@ fn timeline_span(timeline: &str, stage: &str) -> (usize, f64, f64, Option<(u64, 
         .unwrap_or_else(|| panic!("no {stage} span in:\n{timeline}"))
 }
 
-#[test]
-fn solve_trace_nests_build_inside_solve() {
-    let store = temp_path("trace_build.sesstore");
-    let store_str = store.to_str().unwrap();
+/// Packs the 3000-user / 40-event / 12-interval sparse universe (partial
+/// σ-columns) the trace tests solve.
+fn pack_3k(name: &str) -> std::path::PathBuf {
+    let store = temp_path(name);
     commands::pack(&argv(&[
         "pack",
         "--users",
@@ -222,9 +222,16 @@ fn solve_trace_nests_build_inside_solve() {
         "--intervals",
         "12",
         "--out",
-        store_str,
+        store.to_str().unwrap(),
     ]))
     .unwrap();
+    store
+}
+
+#[test]
+fn solve_trace_nests_build_inside_solve() {
+    let store = pack_3k("trace_build.sesstore");
+    let store_str = store.to_str().unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
         .args(["solve", "--instance", store_str, "--k", "5"])
         .args(["--format", "json", "--trace"])
@@ -275,6 +282,58 @@ fn solve_trace_nests_build_inside_solve() {
         Some((entries, cores.min(40) as u64)),
         "{timeline}"
     );
+    std::fs::remove_file(store).ok();
+}
+
+#[test]
+fn text_report_is_a_span_beside_solve_and_prints_unchanged_lines() {
+    let store = pack_3k("trace_report.sesstore");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(["solve", "--instance", store.to_str().unwrap(), "--k", "5"])
+        .arg("--trace")
+        .output()
+        .expect("ses runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let timeline = String::from_utf8(out.stderr).unwrap();
+    // Recorded from the binary that computed the report with the hash-map
+    // oracle, a second engine and a separate bound sweep.
+    for expected in [
+        "metrics: reach 823.5 users, attendance/event 180.12 (min 177.38 / max 183.42, \
+         gini 0.007), 5 intervals occupied (max 1 events), 15% resource use",
+        "certified quality: Ω is ≥ 99.4% of any feasible schedule's utility \
+         (admissible upper bound 905.936)",
+    ] {
+        assert!(
+            stdout.lines().any(|line| line == expected),
+            "missing {expected:?} in:\n{stdout}"
+        );
+    }
+    let (solve_col, solve_start, solve_dur, _) = timeline_span(&timeline, "solve");
+    // The report's own spans follow its line; search from there.
+    let at = timeline
+        .lines()
+        .position(|line| line.split_whitespace().nth(2) == Some("report"))
+        .unwrap_or_else(|| panic!("no report span in:\n{timeline}"));
+    let tail = timeline.lines().skip(at).collect::<Vec<_>>().join("\n");
+    let (report_col, report_start, report_dur, _) = timeline_span(&tail, "report");
+    assert_eq!(
+        report_col, solve_col,
+        "report nests at solve's depth:\n{timeline}"
+    );
+    assert!(
+        solve_start + solve_dur <= report_start + 0.002,
+        "report follows solve:\n{timeline}"
+    );
+    for stage in ["build", "sweep"] {
+        let (col, start, dur, _) = timeline_span(&tail, stage);
+        assert!(
+            col > report_col
+                && report_start <= start + 0.002
+                && start + dur <= report_start + report_dur + 0.002,
+            "{stage} nests inside report:\n{timeline}"
+        );
+    }
     std::fs::remove_file(store).ok();
 }
 

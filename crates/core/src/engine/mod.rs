@@ -719,6 +719,14 @@ impl AttendanceEngine {
     /// The expected attendance `ω(e, t_e(S))` (Eq. 2) of a *scheduled* event;
     /// `None` if `e` is not scheduled.
     pub fn expected_attendance(&self, event: EventId) -> Option<f64> {
+        self.walk_attendance(event, |_, _| {})
+    }
+
+    /// Walks a *scheduled* event's run at its interval, handing every
+    /// `(column-local slot, ρ(u,e,t))` to `visit` in run order, and returns
+    /// their sum `ω(e,t)`; `None` if `e` is not scheduled. The one place the
+    /// run-side ρ expression is written.
+    fn walk_attendance(&self, event: EventId, mut visit: impl FnMut(usize, f64)) -> Option<f64> {
         let interval = self.schedule.interval_of(event)?;
         let t = interval.index();
         let start = self.cols.offsets[t];
@@ -727,9 +735,40 @@ impl AttendanceEngine {
         let mut sum = 0.0;
         for (&slot, &mu) in slots.iter().zip(mus) {
             let i = start + slot as usize;
-            sum += self.cols.sigma[i] * luce_ratio(mu, self.cols.b[i] + self.cols.m[i]);
+            let rho = self.cols.sigma[i] * luce_ratio(mu, self.cols.b[i] + self.cols.m[i]);
+            visit(slot as usize, rho);
+            sum += rho;
         }
         Some(sum)
+    }
+
+    /// Expected number of *distinct* users attending at least one scheduled
+    /// event: `Σ_u (1 − Π_t (1 − Σ_{e ∈ E_t(S)} ρ(u,e,t)))`, assuming
+    /// independence across intervals.
+    ///
+    /// Per occupied interval (ascending), ρ is summed per column slot over
+    /// [`Schedule::events_at`] in order, then folded into the slot's user as
+    /// `p_none *= (1 − p).max(0.0)`. A slot no run touches multiplies by
+    /// exactly `1.0`, and a user without a rank contributes exactly `0.0`,
+    /// so the result is bit-identical to the per-user × interval × event
+    /// probe over [`Self::attendance_probability`]. Cost: one pass over the
+    /// occupied columns and their runs.
+    pub fn expected_reach(&self) -> f64 {
+        let mut p_none = vec![1.0f64; self.cols.stride];
+        let mut p: Vec<f64> = Vec::new();
+        for interval in self.schedule.occupied_intervals() {
+            let t = interval.index();
+            let (start, end) = (self.cols.offsets[t], self.cols.offsets[t + 1]);
+            p.clear();
+            p.resize(end - start, 0.0);
+            for &e in self.schedule.events_at(interval) {
+                self.walk_attendance(e, |slot, rho| p[slot] += rho);
+            }
+            for (&r, &q) in self.cols.ranks[start..end].iter().zip(&p) {
+                p_none[r as usize] *= (1.0 - q).max(0.0);
+            }
+        }
+        p_none.iter().fold(0.0, |reach, &q| reach + (1.0 - q))
     }
 
     /// Total expected attendance of one interval: `Σ_{e ∈ E_t(S)} ω(e,t)`.
@@ -1100,6 +1139,38 @@ mod tests {
         let omega = engine.expected_attendance(e(0)).unwrap();
         assert!(approx_eq(omega, 0.8 / 1.3));
         assert!(approx_eq(engine.interval_utility(t(0)), omega));
+    }
+
+    #[test]
+    fn expected_reach_is_zero_on_an_empty_schedule() {
+        let engine = AttendanceEngine::new(&crate::testkit::medium_instance(1));
+        assert_eq!(engine.expected_reach().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn expected_reach_of_a_single_certain_attendee_is_one() {
+        // e0 at t1: only u0 is interested, no competition, σ = 1 → ρ = 1.
+        let inst = inst();
+        let mut engine = AttendanceEngine::new(&inst);
+        engine.assign(e(0), t(1)).unwrap();
+        assert_eq!(engine.expected_reach(), 1.0);
+    }
+
+    #[test]
+    fn expected_reach_is_bounded_by_population_and_utility() {
+        use crate::algorithms::{GreedyScheduler, Scheduler};
+        for (seed, k) in [(0u64, 3usize), (5, 8), (9, 12)] {
+            let inst = crate::testkit::medium_instance(seed);
+            let out = GreedyScheduler::new().run(&inst, k).unwrap();
+            let engine = AttendanceEngine::with_schedule(&inst, &out.schedule).unwrap();
+            let reach = engine.expected_reach();
+            // 1 − Π(1 − p_t) ≤ Σ p_t, so reach never exceeds Ω.
+            let cap = (inst.num_users() as f64).min(engine.total_utility());
+            assert!(
+                reach > 0.0 && reach <= cap + 1e-9,
+                "seed {seed}: {reach} > {cap}"
+            );
+        }
     }
 
     #[test]

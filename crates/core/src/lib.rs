@@ -115,7 +115,7 @@ pub use error::Error;
 pub use ids::{CompetingEventId, EventId, EventRef, IntervalId, LocationId, UserId};
 pub use instance::{FeasibilityViolation, InstanceBuilder, SesInstance, ValidationError};
 pub use interest::{Interest, InterestBuilder};
-pub use metrics::{schedule_metrics, utility_upper_bound, IntervalReport, ScheduleMetrics};
+pub use metrics::{schedule_metrics, IntervalReport, ScheduleMetrics};
 pub use model::{
     spaced_grid, uniform_grid, CandidateEvent, CompetingEvent, Organizer, TimeInterval,
 };
@@ -137,7 +137,7 @@ pub mod prelude {
     pub use crate::ids::{CompetingEventId, EventId, EventRef, IntervalId, LocationId, UserId};
     pub use crate::instance::{FeasibilityViolation, InstanceBuilder, SesInstance};
     pub use crate::interest::{Interest, InterestBuilder};
-    pub use crate::metrics::{schedule_metrics, utility_upper_bound, ScheduleMetrics};
+    pub use crate::metrics::{schedule_metrics, ScheduleMetrics};
     pub use crate::model::{
         spaced_grid, uniform_grid, CandidateEvent, CompetingEvent, Organizer, TimeInterval,
     };

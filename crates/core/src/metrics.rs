@@ -5,9 +5,10 @@
 //! of one blockbuster and nineteen empty rooms has the same Ω as twenty
 //! balanced events), and how much of the population is reached at all.
 
-use crate::engine::{evaluate_schedule, AttendanceEngine};
+use crate::algorithms::initial_scores;
+use crate::engine::AttendanceEngine;
 use crate::ids::IntervalId;
-use crate::instance::SesInstance;
+use crate::instance::{FeasibilityViolation, SesInstance};
 use crate::schedule::Schedule;
 use std::sync::Arc;
 
@@ -50,31 +51,21 @@ pub struct ScheduleMetrics {
     /// `Σ_u (1 − Π_t (1 − Σ_{e ∈ E_t} ρ(u,e,t)))`, assuming independence
     /// across intervals.
     pub expected_reach: f64,
+    /// An admissible upper bound on the optimal utility `Ω(S*)` for schedules
+    /// of size `k`: the sum of the `k` largest *solo scores* —
+    /// `max_t score(e → t | ∅)` per event.
+    ///
+    /// Per-user marginal gains diminish as intervals fill (`x ↦ x/(B+x)` is
+    /// concave — see the `engine` module), so every event's realized gain is
+    /// bounded by its empty-schedule score; summing the `k` best bounds any
+    /// feasible schedule. The bound ignores location/resource interactions,
+    /// so it is loose but cheap (`O(|E||T|·postings)`, the sweep GRD opens
+    /// with) — usable at full experiment scale where the exact solver is
+    /// hopeless. `GRD utility / upper bound` is then a *certified* quality
+    /// floor.
+    pub upper_bound: f64,
     /// Per-interval breakdown.
     pub intervals: Vec<IntervalReport>,
-}
-
-/// An admissible upper bound on the optimal utility `Ω(S*)` for schedules
-/// of size `k`: the sum of the `k` largest *solo scores* —
-/// `max_t score(e → t | ∅)` per event.
-///
-/// Per-user marginal gains diminish as intervals fill (`x ↦ x/(B+x)` is
-/// concave — see `engine.rs`), so every event's realized gain is bounded by
-/// its empty-schedule score; summing the `k` best bounds any feasible
-/// schedule. The bound ignores location/resource interactions, so it is
-/// loose but cheap (`O(|E||T|·postings)`) — usable at full experiment scale
-/// where the exact solver is hopeless. `GRD utility / upper bound` is then
-/// a *certified* quality floor.
-pub fn utility_upper_bound(inst: &Arc<SesInstance>, k: usize) -> f64 {
-    let mut engine = AttendanceEngine::new(inst);
-    let mut solos: Vec<f64> = (0..inst.num_events())
-        .map(|e| {
-            let event = crate::ids::EventId::new(e as u32);
-            engine.score_all(event).into_iter().fold(0.0f64, f64::max)
-        })
-        .collect();
-    solos.sort_unstable_by(|a, b| b.total_cmp(a));
-    solos.iter().take(k).sum()
 }
 
 /// Gini coefficient of a non-negative sample (0 for empty/all-zero input).
@@ -98,13 +89,39 @@ fn gini(values: &[f64]) -> f64 {
     (2.0 * weighted / (n as f64 * sum) - (n as f64 + 1.0) / n as f64).max(0.0)
 }
 
-/// Computes the full metrics report for a feasible schedule.
-pub fn schedule_metrics(inst: &Arc<SesInstance>, schedule: &Schedule) -> ScheduleMetrics {
-    let eval = evaluate_schedule(inst, schedule);
-    let engine = AttendanceEngine::with_schedule(inst, schedule)
-        .expect("metrics requires a feasible schedule");
+/// Computes the full metrics report for a schedule, with the certified
+/// bound for schedules of size `k`, from **one** engine: the empty engine's
+/// solo-score sweep gives [`ScheduleMetrics::upper_bound`], then the
+/// schedule is assigned into the same engine (in event-id order) and every
+/// other figure is read from it. Records a [`ses_obs::Stage::Report`] span
+/// around the engine's `build` and `sweep`.
+///
+/// Fails with the first [`FeasibilityViolation`] if `schedule` is not
+/// feasible.
+pub fn schedule_metrics(
+    inst: &Arc<SesInstance>,
+    schedule: &Schedule,
+    k: usize,
+) -> Result<ScheduleMetrics, FeasibilityViolation> {
+    let _span = ses_obs::span(ses_obs::Stage::Report);
+    let mut engine = AttendanceEngine::new(inst);
 
-    let attendances: Vec<f64> = eval.per_event.iter().map(|&(_, _, w)| w).collect();
+    let mut solos = vec![0.0f64; inst.num_events()];
+    for (event, _, score) in initial_scores(&mut engine, 1) {
+        solos[event.index()] = solos[event.index()].max(score);
+    }
+    solos.sort_unstable_by(|a, b| b.total_cmp(a));
+    let upper_bound = solos.iter().take(k).sum();
+
+    for a in schedule.iter() {
+        engine.assign(a.event, a.interval)?;
+    }
+    let schedule = engine.schedule();
+
+    let attendances: Vec<f64> = schedule
+        .iter()
+        .filter_map(|a| engine.expected_attendance(a.event))
+        .collect();
     let (mut max_a, mut min_a, mut sum_a) = (0.0f64, f64::INFINITY, 0.0f64);
     for &a in &attendances {
         max_a = max_a.max(a);
@@ -118,47 +135,23 @@ pub fn schedule_metrics(inst: &Arc<SesInstance>, schedule: &Schedule) -> Schedul
     let mut intervals = Vec::new();
     let mut max_per_interval = 0usize;
     let mut utilization_sum = 0.0;
-    for t in 0..inst.num_intervals() {
-        let interval = IntervalId::new(t as u32);
-        let events = schedule.events_at(interval);
-        if events.is_empty() {
-            continue;
-        }
-        max_per_interval = max_per_interval.max(events.len());
-        let used: f64 = events
-            .iter()
-            .map(|&e| inst.event(e).required_resources)
-            .sum();
+    for interval in schedule.occupied_intervals() {
+        let num_events = schedule.events_at(interval).len();
+        max_per_interval = max_per_interval.max(num_events);
+        let used = engine.used_resources(interval);
         utilization_sum += used / inst.budget();
         intervals.push(IntervalReport {
             interval,
-            num_events: events.len(),
+            num_events,
             num_competing: inst.competing_at(interval).len(),
             used_resources: used,
             utility: engine.interval_utility(interval),
         });
     }
 
-    // Expected reach: per user, probability of attending ≥ 1 scheduled event
-    // across intervals (independent across intervals in the model).
-    let mut reach = 0.0;
-    for u in 0..inst.num_users() {
-        let user = crate::ids::UserId::new(u as u32);
-        let mut p_none = 1.0;
-        for report in &intervals {
-            let p_attend: f64 = schedule
-                .events_at(report.interval)
-                .iter()
-                .map(|&e| engine.attendance_probability(user, e).unwrap_or(0.0))
-                .sum();
-            p_none *= (1.0 - p_attend).max(0.0);
-        }
-        reach += 1.0 - p_none;
-    }
-
     let n = attendances.len();
-    ScheduleMetrics {
-        total_utility: eval.total_utility,
+    Ok(ScheduleMetrics {
+        total_utility: sum_a,
         max_event_attendance: max_a,
         min_event_attendance: min_a,
         mean_event_attendance: if n == 0 { 0.0 } else { sum_a / n as f64 },
@@ -170,18 +163,165 @@ pub fn schedule_metrics(inst: &Arc<SesInstance>, schedule: &Schedule) -> Schedul
         } else {
             utilization_sum / intervals.len() as f64
         },
-        expected_reach: reach,
+        expected_reach: engine.expected_reach(),
+        upper_bound,
         intervals,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{GreedyScheduler, Scheduler};
-    use crate::ids::{EventId, IntervalId};
+    use crate::activity::Activity;
+    use crate::algorithms::{GreedyScheduler, RandomScheduler, Scheduler};
+    use crate::engine::evaluate_schedule;
+    use crate::ids::{EventId, IntervalId, UserId};
     use crate::testkit;
     use crate::util::float::approx_eq;
+
+    /// Reference bound: every event's solo scores from `score_all` on a
+    /// fresh engine, the `k` largest per-event maxima summed.
+    fn reference_upper_bound(inst: &Arc<SesInstance>, k: usize) -> f64 {
+        let mut engine = AttendanceEngine::new(inst);
+        let mut solos: Vec<f64> = (0..inst.num_events())
+            .map(|e| {
+                let event = EventId::new(e as u32);
+                engine.score_all(event).into_iter().fold(0.0f64, f64::max)
+            })
+            .collect();
+        solos.sort_unstable_by(|a, b| b.total_cmp(a));
+        solos.iter().take(k).sum()
+    }
+
+    /// Reference reach: the per-user × interval × event probe over
+    /// `attendance_probability`.
+    fn reference_reach(inst: &Arc<SesInstance>, schedule: &Schedule) -> f64 {
+        let engine = AttendanceEngine::with_schedule(inst, schedule).unwrap();
+        let occupied: Vec<IntervalId> = schedule.occupied_intervals().collect();
+        let mut reach = 0.0;
+        for u in 0..inst.num_users() {
+            let user = UserId::new(u as u32);
+            let mut p_none = 1.0;
+            for &interval in &occupied {
+                let p_attend: f64 = schedule
+                    .events_at(interval)
+                    .iter()
+                    .map(|&e| engine.attendance_probability(user, e).unwrap_or(0.0))
+                    .sum();
+                p_none *= (1.0 - p_attend).max(0.0);
+            }
+            reach += 1.0 - p_none;
+        }
+        reach
+    }
+
+    /// `inst` with σ masked to a window of two intervals per user, so most
+    /// columns are partial while the competing events stay in place.
+    fn partial_sigma(inst: &Arc<SesInstance>, seed: u64) -> Arc<SesInstance> {
+        SesInstance::builder()
+            .organizer(inst.organizer().clone())
+            .intervals(inst.intervals().to_vec())
+            .events(inst.events().to_vec())
+            .competing(inst.competing().to_vec())
+            .interest(inst.interest().clone())
+            .activity(Activity::masked(
+                inst.num_users(),
+                inst.num_intervals(),
+                2,
+                seed,
+            ))
+            .build_shared()
+            .unwrap()
+    }
+
+    /// `schedule` re-assigned in event-id order, the form `ses solve`
+    /// rehydrates from its response.
+    fn in_event_order(inst: &SesInstance, schedule: &Schedule) -> Schedule {
+        let mut out = inst.empty_schedule();
+        for a in schedule.iter() {
+            out.assign(a.event, a.interval).unwrap();
+        }
+        out
+    }
+
+    /// Pins the one-engine report to the references on one schedule.
+    fn check_against_references(inst: &Arc<SesInstance>, schedule: &Schedule, k: usize) {
+        let schedule = in_event_order(inst, schedule);
+        let m = schedule_metrics(inst, &schedule, k).unwrap();
+        assert_eq!(
+            m.upper_bound.to_bits(),
+            reference_upper_bound(inst, k).to_bits(),
+            "upper bound at k = {k}"
+        );
+        assert_eq!(
+            m.expected_reach.to_bits(),
+            reference_reach(inst, &schedule).to_bits(),
+            "reach at k = {k}"
+        );
+        let engine = AttendanceEngine::with_schedule(inst, &schedule).unwrap();
+        let oracle = evaluate_schedule(inst, &schedule);
+        let mut attendances = Vec::new();
+        for &(event, _, w) in &oracle.per_event {
+            let a = engine.expected_attendance(event).unwrap();
+            assert!((a - w).abs() <= 1e-12 * w.abs(), "{a} vs oracle {w}");
+            attendances.push(a);
+        }
+        let (max_a, min_a) = attendances
+            .iter()
+            .fold((0.0f64, f64::INFINITY), |(hi, lo), &a| {
+                (hi.max(a), lo.min(a))
+            });
+        assert_eq!(m.max_event_attendance.to_bits(), max_a.to_bits());
+        if !attendances.is_empty() {
+            assert_eq!(m.min_event_attendance.to_bits(), min_a.to_bits());
+        }
+        assert_eq!(m.attendance_gini.to_bits(), gini(&attendances).to_bits());
+        let total = attendances.iter().fold(0.0, |sum, &a| sum + a);
+        assert_eq!(m.total_utility.to_bits(), total.to_bits());
+    }
+
+    #[test]
+    fn report_matches_the_reference_bound_reach_and_attendances() {
+        for seed in 0..6u64 {
+            for inst in [
+                testkit::small_instance(seed),
+                testkit::medium_instance(seed),
+            ] {
+                for k in [1usize, 3, 6, 8] {
+                    let k_run = k.min(inst.num_events());
+                    let grd = GreedyScheduler::new().run(&inst, k_run).unwrap();
+                    check_against_references(&inst, &grd.schedule, k);
+                    let rand = RandomScheduler::new(seed).run(&inst, k_run).unwrap();
+                    check_against_references(&inst, &rand.schedule, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn report_matches_the_references_on_partial_columns() {
+        for seed in 0..6u64 {
+            let inst = partial_sigma(&testkit::medium_instance(seed), seed);
+            assert!(inst.activity().nnz() < inst.num_users() * inst.num_intervals());
+            assert!(inst.num_competing() > 0);
+            for k in [1usize, 3, 6, 8] {
+                let grd = GreedyScheduler::new().run(&inst, k).unwrap();
+                check_against_references(&inst, &grd.schedule, k);
+            }
+        }
+    }
+
+    #[test]
+    fn infeasible_schedule_is_an_error_not_a_panic() {
+        let inst = testkit::single_slot_shared_location(2);
+        let mut s = inst.empty_schedule();
+        s.assign(EventId::new(0), IntervalId::new(0)).unwrap();
+        s.assign(EventId::new(1), IntervalId::new(0)).unwrap();
+        assert!(matches!(
+            schedule_metrics(&inst, &s, 2),
+            Err(FeasibilityViolation::LocationConflict { .. })
+        ));
+    }
 
     #[test]
     fn gini_known_values() {
@@ -197,7 +337,7 @@ mod tests {
     #[test]
     fn metrics_on_empty_schedule() {
         let inst = testkit::medium_instance(0);
-        let m = schedule_metrics(&inst, &inst.empty_schedule());
+        let m = schedule_metrics(&inst, &inst.empty_schedule(), 0).unwrap();
         assert_eq!(m.total_utility, 0.0);
         assert_eq!(m.occupied_intervals, 0);
         assert_eq!(m.expected_reach, 0.0);
@@ -209,7 +349,7 @@ mod tests {
     fn metrics_match_engine_quantities() {
         let inst = testkit::medium_instance(3);
         let out = GreedyScheduler::new().run(&inst, 6).unwrap();
-        let m = schedule_metrics(&inst, &out.schedule);
+        let m = schedule_metrics(&inst, &out.schedule, 6).unwrap();
         assert!(approx_eq(m.total_utility, out.total_utility));
         let interval_sum: f64 = m.intervals.iter().map(|r| r.utility).sum();
         assert!(approx_eq(interval_sum, m.total_utility));
@@ -224,7 +364,7 @@ mod tests {
     fn reach_is_bounded_by_population_and_utility() {
         let inst = testkit::medium_instance(5);
         let out = GreedyScheduler::new().run(&inst, 8).unwrap();
-        let m = schedule_metrics(&inst, &out.schedule);
+        let m = schedule_metrics(&inst, &out.schedule, 8).unwrap();
         assert!(m.expected_reach <= inst.num_users() as f64 + 1e-9);
         // Reach counts each user at most once; Ω can count a user once per
         // interval, so reach ≤ Ω always… only when intervals are disjoint
@@ -237,7 +377,7 @@ mod tests {
     fn per_interval_reports_are_consistent() {
         let inst = testkit::medium_instance(7);
         let out = GreedyScheduler::new().run(&inst, 6).unwrap();
-        let m = schedule_metrics(&inst, &out.schedule);
+        let m = schedule_metrics(&inst, &out.schedule, 6).unwrap();
         for r in &m.intervals {
             assert_eq!(r.num_events, out.schedule.events_at(r.interval).len());
             assert!(r.used_resources <= inst.budget() + 1e-9);
@@ -253,29 +393,30 @@ mod tests {
         for seed in 0..5u64 {
             let inst = testkit::small_instance(seed);
             let k = 3;
-            let ub = utility_upper_bound(&inst, k);
             let opt = ExactScheduler::new().run(&inst, k).unwrap().total_utility;
-            let grd = GreedyScheduler::new().run(&inst, k).unwrap().total_utility;
+            let grd = GreedyScheduler::new().run(&inst, k).unwrap();
+            let ub = schedule_metrics(&inst, &grd.schedule, k)
+                .unwrap()
+                .upper_bound;
             assert!(ub >= opt - 1e-9, "seed {seed}: UB {ub} < OPT {opt}");
-            assert!(ub >= grd - 1e-9);
+            assert!(ub >= grd.total_utility - 1e-9);
         }
     }
 
     #[test]
     fn upper_bound_monotone_in_k_and_zero_at_zero() {
         let inst = testkit::medium_instance(2);
-        assert_eq!(utility_upper_bound(&inst, 0), 0.0);
+        let empty = inst.empty_schedule();
+        let ub = |k| schedule_metrics(&inst, &empty, k).unwrap().upper_bound;
+        assert_eq!(ub(0), 0.0);
         let mut prev = 0.0;
         for k in 1..=inst.num_events() {
-            let ub = utility_upper_bound(&inst, k);
-            assert!(ub >= prev - 1e-12, "UB must be monotone in k");
-            prev = ub;
+            let bound = ub(k);
+            assert!(bound >= prev - 1e-12, "UB must be monotone in k");
+            prev = bound;
         }
         // Beyond |E| the bound saturates.
-        assert_eq!(
-            utility_upper_bound(&inst, inst.num_events()),
-            utility_upper_bound(&inst, inst.num_events() + 10)
-        );
+        assert_eq!(ub(inst.num_events()), ub(inst.num_events() + 10));
     }
 
     #[test]
@@ -283,7 +424,7 @@ mod tests {
         let inst = testkit::hand_instance();
         let mut s = inst.empty_schedule();
         s.assign(EventId::new(0), IntervalId::new(1)).unwrap();
-        let m = schedule_metrics(&inst, &s);
+        let m = schedule_metrics(&inst, &s, 1).unwrap();
         // e0 at t1: only user0, ρ = 1 → every aggregate collapses to 1.
         assert!(approx_eq(m.total_utility, 1.0));
         assert!(approx_eq(m.max_event_attendance, 1.0));

@@ -75,11 +75,15 @@ pub enum Stage {
     /// (`aux_a` = run entries, `aux_b` = workers, `0` when every column
     /// is full and nothing is resolved).
     Runs = 16,
+    /// Computing one schedule's quality report after an offline solve:
+    /// its engine's `build` and solo-score `sweep`, attendances and reach.
+    /// A sibling of [`Stage::Load`] and [`Stage::Solve`].
+    Report = 17,
 }
 
 /// All stages, indexed by discriminant (pipeline order, with later
 /// additions appended).
-pub const STAGES: [Stage; 17] = [
+pub const STAGES: [Stage; 18] = [
     Stage::Request,
     Stage::Parse,
     Stage::Queue,
@@ -97,6 +101,7 @@ pub const STAGES: [Stage; 17] = [
     Stage::Build,
     Stage::Columns,
     Stage::Runs,
+    Stage::Report,
 ];
 
 impl Stage {
@@ -120,6 +125,7 @@ impl Stage {
             Stage::Build => "build",
             Stage::Columns => "columns",
             Stage::Runs => "runs",
+            Stage::Report => "report",
         }
     }
 
@@ -705,7 +711,7 @@ mod tests {
 
     #[test]
     fn stages_are_indexed_by_discriminant_with_unique_labels() {
-        assert_eq!(STAGES.len(), 17);
+        assert_eq!(STAGES.len(), 18);
         for (i, &stage) in STAGES.iter().enumerate() {
             assert_eq!(stage as usize, i);
             assert_eq!(Stage::from_index(i as u64), Some(stage));
@@ -714,6 +720,7 @@ mod tests {
         assert_eq!(labels.len(), STAGES.len());
         assert_eq!(Stage::Columns.label(), "columns");
         assert_eq!(Stage::Runs.label(), "runs");
+        assert_eq!(Stage::Report.label(), "report");
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn metrics_describe_an_ebsn_schedule_coherently() {
     let (ds, cfg) = built();
     let built = build_instance(&ds, &cfg).unwrap();
     let out = GreedyScheduler::new().run(&built.instance, cfg.k).unwrap();
-    let m = schedule_metrics(&built.instance, &out.schedule);
+    let m = schedule_metrics(&built.instance, &out.schedule, cfg.k).unwrap();
 
     assert!((m.total_utility - out.total_utility).abs() < 1e-7);
     assert!(m.expected_reach > 0.0);
