@@ -1,7 +1,8 @@
 //! Subcommand implementations for the `ses` binary.
 //!
-//! Scheduling and simulation run through the [`ses_service::SchedulerService`]
-//! facade — the same request/response path a server front end would use —
+//! Scheduling and simulation run through the `ses-service` facade
+//! ([`ses_service::solve`], [`ses_service::SchedulerService`]) — the same
+//! request/response path the server uses —
 //! and algorithm names are resolved by the core registry
 //! ([`ses_core::SchedulerSpec`]), never string-matched here.
 
@@ -233,20 +234,18 @@ pub fn solve(args: &ParsedArgs) -> Result<(), String> {
             }
         }
     };
-    let service = SchedulerService::new();
     let response = {
         let _scope = trace.map(ses_obs::trace_scope);
-        service
-            .solve(
-                &instance,
-                &SolveRequest {
-                    spec,
-                    k,
-                    threads,
-                    instance: Default::default(),
-                },
-            )
-            .map_err(|e| e.to_string())?
+        ses_service::solve(
+            &instance,
+            &SolveRequest {
+                spec,
+                k,
+                threads,
+                instance: Default::default(),
+            },
+        )
+        .map_err(|e| e.to_string())?
     };
 
     if format == Format::Json {

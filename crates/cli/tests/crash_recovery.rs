@@ -4,11 +4,14 @@
 //! digest, bit for bit, as the uninterrupted in-process simulation. This
 //! is the out-of-process proof of the recovery-equals-replay argument
 //! (DESIGN.md §13); the in-process variants live in `ses-server`'s
-//! `durability_integration` tests.
+//! `durability_integration` tests. A second kill -9 test pins what the
+//! WAL keeps of rejected opens.
 
+use ses_durable::RecoveryReport;
 use ses_server::{
     drive_range, finish_replay, open_server_session, prepare_replay, HttpClient, ReplayConfig,
 };
+use ses_service::SessionReport;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -18,8 +21,9 @@ use std::time::{Duration, Instant};
 struct Scratch(PathBuf);
 
 impl Scratch {
-    fn new() -> Self {
-        let dir = std::env::temp_dir().join(format!("ses-crash-recovery-{}", std::process::id()));
+    fn new(tag: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("ses-crash-recovery-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         Scratch(dir)
     }
@@ -92,15 +96,17 @@ fn wait_ready(addr: &str) {
     }
 }
 
+/// Reserves a port, then frees it for the child. (The tiny window between
+/// drop and bind is the standard ephemeral-port test idiom.)
+fn free_addr() -> String {
+    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+    probe.local_addr().unwrap().to_string()
+}
+
 #[test]
 fn kill_dash_nine_mid_stream_recovers_to_a_bit_identical_replay() {
-    let scratch = Scratch::new();
-    // Reserve a port, then free it for the child. (The tiny window between
-    // drop and bind is the standard ephemeral-port test idiom.)
-    let addr = {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        probe.local_addr().unwrap().to_string()
-    };
+    let scratch = Scratch::new("replay");
+    let addr = free_addr();
 
     let server = spawn_server(&addr, &scratch.0);
     wait_ready(&addr);
@@ -157,5 +163,70 @@ fn kill_dash_nine_mid_stream_recovers_to_a_bit_identical_replay() {
             .exists()),
         "no recovery.json written by the restarted server"
     );
+    drop(server);
+}
+
+fn post(client: &mut HttpClient, path: &str, body: &str) -> (u16, String) {
+    client.post(path, body).expect("request")
+}
+
+fn open_body(name: &str, k: usize) -> String {
+    format!(r#"{{"name":"{name}","spec":"Greedy","k":{k},"threads":1}}"#)
+}
+
+/// What recovery must reproduce of a session: its report minus nothing
+/// that replay could legitimately change.
+fn report_state(client: &mut HttpClient, name: &str) -> (u64, usize, u64, u64) {
+    let (status, body) = post(client, &format!("/sessions/{name}/report"), "");
+    assert_eq!(status, 200, "report {name}: {body}");
+    let report: SessionReport = serde_json::from_str(&body).unwrap();
+    (
+        report.utility.to_bits(),
+        report.scheduled,
+        report.events_applied,
+        report.clock,
+    )
+}
+
+#[test]
+fn kill_dash_nine_keeps_first_opens_and_never_logs_failed_ones() {
+    let scratch = Scratch::new("opens");
+    let addr = free_addr();
+    let server = spawn_server(&addr, &scratch.0);
+    wait_ready(&addr);
+    let mut client = HttpClient::new(addr.clone());
+
+    let (status, body) = post(&mut client, "/sessions/first/open", &open_body("first", 4));
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = post(&mut client, "/sessions/first/event", "\"Extend\"");
+    assert_eq!(status, 200, "{body}");
+    // A duplicate open is logged, then rejected by the shard.
+    let (status, body) = post(&mut client, "/sessions/first/open", &open_body("first", 7));
+    assert_eq!(status, 409, "{body}");
+    // An open whose solve fails (k > |E| = 16) is rejected before the
+    // shard sees it, so it leaves no record; a valid reopen of the same
+    // name is then the session's one open record.
+    let (status, body) = post(&mut client, "/sessions/late/open", &open_body("late", 99));
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = post(&mut client, "/sessions/late/open", &open_body("late", 5));
+    assert_eq!(status, 200, "{body}");
+    let first = report_state(&mut client, "first");
+    let late = report_state(&mut client, "late");
+
+    drop(server); // kill -9
+    let server = spawn_server(&addr, &scratch.0);
+    wait_ready(&addr);
+    let mut client = HttpClient::new(addr);
+    assert_eq!(report_state(&mut client, "first"), first);
+    assert_eq!(report_state(&mut client, "late"), late);
+    for shard in 0..2 {
+        let path = scratch
+            .0
+            .join(format!("shard-{shard}"))
+            .join("recovery.json");
+        let json = std::fs::read_to_string(&path).expect("recovery.json");
+        let report: RecoveryReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(report.sessions_failed, 0, "{json}");
+    }
     drop(server);
 }

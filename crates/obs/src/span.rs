@@ -34,7 +34,8 @@ pub enum Stage {
     /// Reading and framing the request body.
     Parse = 1,
     /// Time spent queued between shard dispatch and shard pickup
-    /// (`aux_a` = queue depth at enqueue).
+    /// (`aux_a` = queue depth at enqueue), or waiting for a server solver
+    /// permit (`aux_a` = permits held on arrival).
     Queue = 2,
     /// Shard-side handling of one operation (`aux_a` = shard index).
     Service = 3,

@@ -32,27 +32,38 @@
 //!
 //! ## Architecture
 //!
+//! The reasoning is in `DESIGN.md` §8 (server) and §9 (tracing).
+//!
 //! * **Shard workers** — N threads, each owning a
-//!   [`SchedulerService`](ses_service::SchedulerService). Sessions route by
-//!   a stable FNV hash of their name, so one session's events arrive in
-//!   order on one shard and `apply`'s `&mut self` never needs a global
-//!   lock; stateless solves round-robin.
-//! * **Connection handlers** — a fixed pool on a rendezvous channel, with
-//!   tracked overflow threads when every pool worker is pinned by a
-//!   keep-alive connection. Request bodies are size-capped (413) and parse
-//!   errors answer as structured 400s, never dropped connections.
+//!   [`SchedulerService`](ses_service::SchedulerService): the live
+//!   sessions, the server's only mutable state. Sessions route by a stable
+//!   FNV hash of their name, so one session's events arrive in order on
+//!   one shard and `apply`'s `&mut self` never needs a global lock.
+//! * **Stateless work** — `/solve`, `/eval` and an open's solve and
+//!   session build run on the connection thread, never queued behind a
+//!   shard; the owning shard only logs and adopts an opened session. At
+//!   most N solver runs execute at once: each waits for one of N permits.
+//! * **Connection handlers** — an acceptor thread polls a non-blocking
+//!   listener and hands connections to a fixed pool on a rendezvous
+//!   channel, with tracked overflow threads when every pool worker is
+//!   pinned by a keep-alive connection, so no connection waits behind
+//!   another. Request bodies are size-capped (413) and parse errors answer
+//!   as structured 400s, never dropped connections.
 //! * **Observability** — every request gets a 64-bit trace id (a valid
 //!   inbound `x-ses-trace-id` is honored, and the id is always echoed
-//!   back); span timelines from socket to engine are recorded into
-//!   per-thread lock-free rings (`ses-obs`) and served at
+//!   back). The connection handler records `request`/`parse`/`respond`
+//!   spans and a `queue` span for a solver-permit wait, a shard records
+//!   `queue`/`service`, and the engine layers below add their own — all
+//!   into per-thread lock-free rings (`ses-obs`), served at
 //!   `GET /trace/{id}`; `/metrics` carries per-endpoint latency
 //!   histograms, status-class counters, per-shard queue-depth/occupancy
 //!   gauges, span-stage p50/p95/p99 lines, and engine totals; requests
 //!   slower than [`ServerConfig::slow_request_millis`] dump their span
 //!   timeline to the structured log.
 //! * **Shutdown** — cooperative, via [`ServerHandle::shutdown`] or the
-//!   SIGTERM/SIGINT flag from [`install_signal_handlers`]; in-flight
-//!   requests finish, then threads drain in dependency order.
+//!   SIGTERM/SIGINT flag from [`install_signal_handlers`]: the acceptor
+//!   stops, handlers notice at their next request boundary or idle tick,
+//!   and shards exit when the last request sender drops.
 //!
 //! The crate also ships the client side: a keep-alive [`HttpClient`], the
 //! closed-loop [load generator](loadgen) behind `ses loadgen`, and the

@@ -1,55 +1,30 @@
-//! The server runtime: listener, connection handlers, routing, shutdown.
-//!
-//! Concurrency model (see `DESIGN.md` §8):
-//!
-//! * one **acceptor** thread polls a non-blocking listener;
-//! * a fixed pool of **connection handlers** waits on a rendezvous channel;
-//!   when every pool worker is busy (keep-alive connections pin a worker
-//!   for their lifetime) the acceptor spawns a tracked *overflow* handler
-//!   instead of queueing — a connection is never stuck behind another
-//!   connection, only behind its own shard;
-//! * N **shard workers** each own a [`SchedulerService`]; sessions route
-//!   by name hash, stateless solves round-robin. Shards never share
-//!   mutable state, so there is no global lock anywhere on the request
-//!   path.
-//!
-//! Every request is traced (see `DESIGN.md` §9): a valid inbound
-//! `x-ses-trace-id` header is honored, anything else gets a fresh id, and
-//! the id is echoed on the response. The connection handler records
-//! `request`/`parse`/`respond` spans, the shard worker adds
-//! `queue`/`service`, and the engine layers below add their own — the whole
-//! timeline is queryable at `GET /trace/{id}` while it is still in the
-//! rings, and requests slower than [`ServerConfig::slow_request_millis`]
-//! dump it to the structured log.
-//!
-//! Shutdown is cooperative: a control flag (from [`ServerHandle::shutdown`]
-//! or a SIGTERM/SIGINT handler installed via
-//! [`install_signal_handlers`]) stops the acceptor, connection handlers
-//! notice at their next request boundary or idle tick, and shard workers
-//! exit when the last request sender is dropped.
-//!
-//! [`SchedulerService`]: ses_service::SchedulerService
+//! The server runtime: listener, connection handlers, routing, solver
+//! permits, shutdown. The concurrency model is the crate docs'
+//! "Architecture" section.
 
 use crate::http::{self, RecvError};
 use crate::metrics::{
     Endpoint, EndpointLatency, EngineTotals, MetricsReport, ServerMetrics, ShardGauge, ShardStatus,
     WalReport,
 };
-use crate::shard::{run_shard, shard_of, ApiError, ShardMsg, ShardOp, ShardReply};
+use crate::shard::{
+    json_body, resolve, run_shard, shard_of, ApiError, ShardMsg, ShardOp, ShardReply,
+};
 use serde::{Deserialize, Serialize};
 use ses_core::testkit::workload_instance;
+use ses_core::SesInstance;
 use ses_durable::{FsyncPolicy, RecoveredLog, SessionJournal, ShardWal, WalConfig};
 use ses_obs::{Level, OpsDelta, Stage, TraceId};
 use ses_service::{
-    EvalRequest, InstanceInfo, InstanceRegistry, SessionEvent, SessionOpen, SessionReport,
-    SolveRequest,
+    EvalRequest, InstanceInfo, InstanceName, InstanceRegistry, ServiceError, SessionEvent,
+    SessionOpen, SessionReport, SolveRequest,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// How the server is built: network shape, concurrency, limits, and the
@@ -58,7 +33,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (tests do this).
     pub addr: String,
-    /// Shard workers (each owns a `SchedulerService`).
+    /// Shard workers (each owns a `SchedulerService`); also the most
+    /// solver runs (`/solve`, `/eval`, session opens) that execute at once.
     pub shards: usize,
     /// Pre-spawned connection-handler pool size. More concurrent
     /// keep-alive connections than this are still served — by tracked
@@ -240,13 +216,14 @@ enum RouteState {
     To(usize),
 }
 
-/// Shared, all-atomic server state (config copies, flags, metrics).
+/// Shared server state (config copies, flags, metrics, routes, permits).
 struct ServerState {
     ctrl_shutdown: AtomicBool,
     max_body_bytes: usize,
     slow_request_micros: u64,
     shards: usize,
-    round_robin: AtomicUsize,
+    /// Bounds concurrent solver runs on connection threads at `shards`.
+    permits: SolverPermits,
     overflow_active: AtomicUsize,
     started: Instant,
     metrics: ServerMetrics,
@@ -302,24 +279,17 @@ impl ServerState {
         ))
     }
 
-    /// Sets (`Some`) or clears (`None`) a session's route override,
-    /// normalizing "override equals the name hash" back to no entry.
-    fn set_route(&self, name: &str, value: Option<RouteState>) {
+    /// Sets a session's route override, normalizing "override equals the
+    /// name hash" back to no entry.
+    fn set_route(&self, name: &str, value: RouteState) {
         let mut map = self
             .route_overrides
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         match value {
-            Some(RouteState::To(shard)) if shard == shard_of(name, self.shards) => {
-                map.remove(name);
-            }
-            Some(v) => {
-                map.insert(name.to_owned(), v);
-            }
-            None => {
-                map.remove(name);
-            }
-        }
+            RouteState::To(shard) if shard == shard_of(name, self.shards) => map.remove(name),
+            v => map.insert(name.to_owned(), v),
+        };
     }
 }
 
@@ -444,7 +414,11 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         max_body_bytes: cfg.max_body_bytes,
         slow_request_micros: cfg.slow_request_millis.saturating_mul(1_000),
         shards,
-        round_robin: AtomicUsize::new(0),
+        permits: SolverPermits {
+            held: Mutex::new(0),
+            released: Condvar::new(),
+            limit: shards,
+        },
         overflow_active: AtomicUsize::new(0),
         started: Instant::now(),
         metrics: ServerMetrics::new(),
@@ -765,95 +739,59 @@ fn route(
 ) -> (Endpoint, Result<String, ApiError>) {
     let path = path.split('?').next().unwrap_or(path);
     match (method, path) {
-        ("GET", "/healthz") => {
-            // Serialization of this plain struct cannot fail today, but the
-            // request path answers a structured 500 rather than panicking
-            // if the shim ever grows a failure mode.
-            let body = serde_json::to_string(&state.health)
-                .map_err(|e| ApiError::new(500, "internal", format!("health report: {e}")));
-            (Endpoint::Healthz, body)
-        }
+        ("GET", "/healthz") => (Endpoint::Healthz, json_body(&state.health)),
         ("GET", "/metrics") => (
             Endpoint::Metrics,
             metrics_report(state, shard_senders, trace),
         ),
-        ("GET", "/instances") => {
-            let report = InstancesReport {
+        ("GET", "/instances") => (
+            Endpoint::Instances,
+            json_body(&InstancesReport {
                 instances: state.registry.describe(),
-            };
-            let body = serde_json::to_string(&report)
-                .map_err(|e| ApiError::new(500, "serialize", e.to_string()));
-            (Endpoint::Instances, body)
-        }
+            }),
+        ),
         ("GET", p) if p.starts_with("/trace/") => {
             (Endpoint::Trace, trace_report(&p["/trace/".len()..]))
         }
-        ("POST", "/solve") => {
-            let result = parse_body::<SolveRequest>(body, "SolveRequest").and_then(|req| {
-                let shard = state.round_robin.fetch_add(1, Ordering::Relaxed) % state.shards;
-                dispatch(state, shard_senders, shard, ShardOp::Solve(req), trace)
-            });
-            (Endpoint::Solve, result)
-        }
-        ("POST", "/eval") => {
-            let result = parse_body::<EvalRequest>(body, "EvalRequest").and_then(|req| {
-                let shard = state.round_robin.fetch_add(1, Ordering::Relaxed) % state.shards;
-                dispatch(state, shard_senders, shard, ShardOp::Eval(req), trace)
-            });
-            (Endpoint::Eval, result)
-        }
+        ("POST", "/solve") => (
+            Endpoint::Solve,
+            parse_body::<SolveRequest>(body, "SolveRequest")
+                .and_then(|req| solver_run(state, &req.instance, |i| ses_service::solve(i, &req)))
+                .and_then(|resp| json_body(&resp)),
+        ),
+        ("POST", "/eval") => (
+            Endpoint::Eval,
+            parse_body::<EvalRequest>(body, "EvalRequest")
+                .and_then(|req| {
+                    solver_run(state, &req.instance, |i| ses_service::evaluate(i, &req))
+                })
+                .and_then(|resp| json_body(&resp)),
+        ),
         ("POST", "/admin/rebalance") => (
             Endpoint::Rebalance,
             rebalance(state, shard_senders, body, trace),
         ),
         _ => match session_route(path) {
             Some((name, action)) if method == "POST" => {
-                let op = match action {
-                    "open" => parse_body::<SessionOpen>(body, "SessionOpen").and_then(|open| {
-                        if open.name != name {
-                            Err(ApiError::new(
-                                400,
-                                "name_mismatch",
-                                format!(
-                                    "session name '{}' in the body does not match '{name}' in the path",
-                                    open.name
-                                ),
-                            ))
-                        } else {
-                            Ok(ShardOp::Open(open))
-                        }
+                let to_shard = |op: ShardOp| {
+                    let shard = state.effective_shard(&name)?;
+                    dispatch(state, shard_senders, shard, op, trace)
+                };
+                let result = match action {
+                    "open" => open_session(state, shard_senders, &name, body, trace),
+                    "event" => parse_body::<SessionEvent>(body, "SessionEvent").and_then(|event| {
+                        let name = name.clone();
+                        to_shard(ShardOp::Event { name, event })
                     }),
-                    "event" => parse_body::<SessionEvent>(body, "SessionEvent").map(|event| {
-                        ShardOp::Event {
-                            name: name.clone(),
-                            event,
-                        }
-                    }),
-                    "report" => Ok(ShardOp::Report { name: name.clone() }),
-                    "close" => Ok(ShardOp::Close { name: name.clone() }),
+                    "report" => to_shard(ShardOp::Report { name: name.clone() }),
+                    "close" => to_shard(ShardOp::Close { name: name.clone() }),
                     other => Err(ApiError::new(
                         404,
                         "unknown_route",
                         format!("unknown session action '{other}'"),
                     )),
                 };
-                let endpoint = match action {
-                    "open" => Endpoint::Open,
-                    "event" => Endpoint::Event,
-                    "report" => Endpoint::Report,
-                    "close" => Endpoint::Close,
-                    _ => Endpoint::Other,
-                };
-                (
-                    endpoint,
-                    op.and_then(|op| {
-                        // The override map first (a migrated session no
-                        // longer lives on its name-hash shard), then the
-                        // stable hash.
-                        let shard = state.effective_shard(&name)?;
-                        dispatch(state, shard_senders, shard, op, trace)
-                    }),
-                )
+                (session_endpoint(action).unwrap_or(Endpoint::Other), result)
             }
             Some(_) => (
                 Endpoint::Other,
@@ -935,22 +873,14 @@ fn rebalance(
         ));
     }
     let source = state.effective_shard(&req.session)?;
-    let respond = |resp: &RebalanceResponse| {
-        serde_json::to_string(resp).map_err(|e| ApiError::new(500, "serialize", e.to_string()))
-    };
     if source == req.target {
         // Already home — but "rebalance a session that does not exist"
         // must still be a 404, so ask the shard before declaring no-op.
-        dispatch(
-            state,
-            shard_senders,
-            source,
-            ShardOp::Report {
-                name: req.session.clone(),
-            },
-            trace,
-        )?;
-        return respond(&RebalanceResponse {
+        let op = ShardOp::Report {
+            name: req.session.clone(),
+        };
+        dispatch(state, shard_senders, source, op, trace)?;
+        return json_body(&RebalanceResponse {
             session: req.session,
             from: source as u64,
             to: req.target as u64,
@@ -961,50 +891,36 @@ fn rebalance(
 
     // Park the session's route: requests arriving from here on wait for
     // the migration to settle instead of racing it.
-    state.set_route(&req.session, Some(RouteState::Pending));
-    let extracted = dispatch(
-        state,
-        shard_senders,
-        source,
-        ShardOp::Extract {
-            name: req.session.clone(),
-        },
-        trace,
-    );
-    let journal_json = match extracted {
-        Ok(body) => body,
-        Err(e) => {
-            // Nothing moved; the session (if it exists) still lives where
-            // it was.
-            state.set_route(&req.session, Some(RouteState::To(source)));
-            return Err(e);
-        }
+    state.set_route(&req.session, RouteState::Pending);
+    let op = ShardOp::Extract {
+        name: req.session.clone(),
     };
-    let journal: SessionJournal = match serde_json::from_str(&journal_json) {
-        Ok(j) => j,
-        Err(e) => {
-            state.set_route(&req.session, Some(RouteState::To(source)));
-            return Err(ApiError::new(
+    let extracted = dispatch(state, shard_senders, source, op, trace).and_then(|json| {
+        serde_json::from_str::<SessionJournal>(&json).map_err(|e| {
+            ApiError::new(
                 500,
                 "internal",
                 format!("extracted journal did not parse: {e}"),
-            ));
+            )
+        })
+    });
+    let journal = match extracted {
+        Ok(journal) => journal,
+        Err(e) => {
+            // Nothing moved; the session (if it exists) still lives where
+            // it was.
+            state.set_route(&req.session, RouteState::To(source));
+            return Err(e);
         }
     };
     let events_moved = journal.events.len() as u64;
 
-    let installed = dispatch(
-        state,
-        shard_senders,
-        req.target,
-        ShardOp::Install {
-            journal: Box::new(journal.clone()),
-        },
-        trace,
-    );
-    match installed {
+    let op = ShardOp::Install {
+        journal: Box::new(journal.clone()),
+    };
+    match dispatch(state, shard_senders, req.target, op, trace) {
         Ok(report_json) => {
-            state.set_route(&req.session, Some(RouteState::To(req.target)));
+            state.set_route(&req.session, RouteState::To(req.target));
             ses_obs::log(
                 Level::Info,
                 "server",
@@ -1017,7 +933,7 @@ fn rebalance(
                 ],
             );
             let report = serde_json::from_str::<SessionReport>(&report_json).ok();
-            respond(&RebalanceResponse {
+            json_body(&RebalanceResponse {
                 session: req.session,
                 from: source as u64,
                 to: req.target as u64,
@@ -1028,16 +944,11 @@ fn rebalance(
         Err(e) => {
             // Roll back: the journal is still in hand — reinstall at the
             // source so the session survives the failed migration.
-            let restored = dispatch(
-                state,
-                shard_senders,
-                source,
-                ShardOp::Install {
-                    journal: Box::new(journal),
-                },
-                trace,
-            );
-            state.set_route(&req.session, Some(RouteState::To(source)));
+            let op = ShardOp::Install {
+                journal: Box::new(journal),
+            };
+            let restored = dispatch(state, shard_senders, source, op, trace);
+            state.set_route(&req.session, RouteState::To(source));
             ses_obs::log(
                 Level::Warn,
                 "server",
@@ -1086,7 +997,7 @@ fn trace_report(raw: &str) -> Result<String, ApiError> {
         total_nanos: end.saturating_sub(origin),
         spans: spans.iter().map(SpanView::from).collect(),
     };
-    serde_json::to_string(&report).map_err(|e| ApiError::new(500, "serialize", e.to_string()))
+    json_body(&report)
 }
 
 /// The `Allow` list for a known route (`None` = 404). Used by the OPTIONS
@@ -1103,17 +1014,18 @@ fn allow_for(path: &str) -> Option<(Endpoint, &'static str)> {
         p if p.starts_with("/trace/") && !p["/trace/".len()..].is_empty() => {
             Some((Endpoint::Trace, "GET, HEAD, OPTIONS"))
         }
-        p => {
-            let (_, action) = session_route(p)?;
-            let endpoint = match action {
-                "open" => Endpoint::Open,
-                "event" => Endpoint::Event,
-                "report" => Endpoint::Report,
-                "close" => Endpoint::Close,
-                _ => return None,
-            };
-            Some((endpoint, "POST, OPTIONS"))
-        }
+        p => Some((session_endpoint(session_route(p)?.1)?, "POST, OPTIONS")),
+    }
+}
+
+/// The endpoint of a session action (`None` = no such action).
+fn session_endpoint(action: &str) -> Option<Endpoint> {
+    match action {
+        "open" => Some(Endpoint::Open),
+        "event" => Some(Endpoint::Event),
+        "report" => Some(Endpoint::Report),
+        "close" => Some(Endpoint::Close),
+        _ => None,
     }
 }
 
@@ -1150,9 +1062,121 @@ fn session_route(path: &str) -> Option<(String, &str)> {
     Some((name, action))
 }
 
-/// Sends one op to one shard and waits for its reply. The message carries
-/// the request's trace id and enqueue timestamp so the shard can record the
-/// queue-wait span and attribute its work to the trace.
+/// Runs one solver call on this connection thread under a solver permit:
+/// resolve the request's instance (possibly a cold open of a packed file),
+/// then `run` against it.
+fn solver_run<T>(
+    state: &ServerState,
+    instance: &InstanceName,
+    run: impl FnOnce(&Arc<SesInstance>) -> Result<T, ServiceError>,
+) -> Result<T, ApiError> {
+    state
+        .permits
+        .run(|| resolve(&state.registry, instance.as_str()).and_then(|inst| run(&inst)))
+        .map_err(ApiError::from)
+}
+
+/// A session open: the solve and the session build run here (a solver
+/// run), then the owning shard logs the open and adopts the session — or
+/// answers 409 when the name is taken.
+fn open_session(
+    state: &ServerState,
+    shard_senders: &[mpsc::Sender<ShardMsg>],
+    name: &str,
+    body: &str,
+    trace: TraceId,
+) -> Result<String, ApiError> {
+    let open: SessionOpen = parse_body(body, "SessionOpen")?;
+    if open.name != name {
+        return Err(ApiError::new(
+            400,
+            "name_mismatch",
+            format!(
+                "session name '{}' in the body does not match '{name}' in the path",
+                open.name
+            ),
+        ));
+    }
+    let (session, response) = solver_run(state, &open.instance, |inst| {
+        ses_service::prepare_session(inst, &open)
+    })?;
+    let shard = state.effective_shard(name)?;
+    let op = ShardOp::Open {
+        open,
+        session: Box::new(session),
+    };
+    dispatch(state, shard_senders, shard, op, trace)?;
+    json_body(&response)
+}
+
+/// At most `limit` solver runs at once on connection threads. Overflow
+/// connection threads are unbounded; with `limit = shards` this keeps the
+/// bound the shard threads gave when solves ran on them.
+struct SolverPermits {
+    held: Mutex<usize>,
+    released: Condvar,
+    limit: usize,
+}
+
+/// Returns its permit on drop, so a run that errors or panics frees it.
+struct Permit<'a>(&'a SolverPermits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.held.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.released.notify_one();
+    }
+}
+
+impl SolverPermits {
+    /// Runs `f` once a permit is free, recording the wait as a `queue`
+    /// span (`aux_a` = permits held on arrival).
+    fn run<T>(&self, f: impl FnOnce() -> T) -> T {
+        let arrived_ns = ses_obs::now_ns();
+        let held = self.held.lock().unwrap_or_else(PoisonError::into_inner);
+        let on_arrival = *held as u64;
+        let mut held = self
+            .released
+            .wait_while(held, |held| *held >= self.limit)
+            .unwrap_or_else(PoisonError::into_inner);
+        *held += 1;
+        drop(held);
+        let _permit = Permit(self);
+        let waited = ses_obs::now_ns().saturating_sub(arrived_ns);
+        let no_ops = OpsDelta::default();
+        ses_obs::record_span(Stage::Queue, arrived_ns, waited, no_ops, [on_arrival, 0]);
+        f()
+    }
+}
+
+/// Sends one op to one shard and waits for its reply (`None` when the
+/// shard is gone). The message carries the request's trace id and enqueue
+/// timestamp so the shard can record the queue-wait span and attribute its
+/// work to the trace.
+fn ask(
+    state: &ServerState,
+    shard_senders: &[mpsc::Sender<ShardMsg>],
+    shard: usize,
+    op: ShardOp,
+    trace: TraceId,
+) -> Option<ShardReply> {
+    let (reply, reply_rx) = mpsc::channel();
+    let gauge = &state.gauges[shard];
+    let msg = ShardMsg {
+        op,
+        reply,
+        trace: trace.raw(),
+        depth: gauge.enqueued(),
+        enqueued_ns: ses_obs::now_ns(),
+    };
+    if shard_senders[shard].send(msg).is_err() {
+        gauge.abandoned();
+        return None;
+    }
+    reply_rx.recv().ok()
+}
+
+/// [`ask`] for a request op: its response body or typed error.
 fn dispatch(
     state: &ServerState,
     shard_senders: &[mpsc::Sender<ShardMsg>],
@@ -1160,29 +1184,14 @@ fn dispatch(
     op: ShardOp,
     trace: TraceId,
 ) -> Result<String, ApiError> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let gauge = &state.gauges[shard];
-    let depth = gauge.enqueued();
-    let sent = shard_senders[shard].send(ShardMsg {
-        op,
-        reply: reply_tx,
-        trace: trace.raw(),
-        enqueued_ns: ses_obs::now_ns(),
-        depth,
-    });
-    if sent.is_err() {
-        gauge.abandoned();
-        return Err(ApiError::new(503, "shutting_down", "shard worker is gone"));
-    }
-    match reply_rx.recv() {
-        Ok(ShardReply::Ok(body)) => Ok(body),
-        Ok(ShardReply::Err(e)) => Err(e),
-        Ok(ShardReply::Stats(_)) => Err(ApiError::new(
+    match ask(state, shard_senders, shard, op, trace) {
+        Some(ShardReply::Op(result)) => result,
+        Some(ShardReply::Stats(_)) => Err(ApiError::new(
             500,
             "internal",
             "unexpected stats reply to a request op",
         )),
-        Err(_) => Err(ApiError::new(503, "shutting_down", "shard worker is gone")),
+        None => Err(ApiError::new(503, "shutting_down", "shard worker is gone")),
     }
 }
 
@@ -1199,23 +1208,9 @@ fn metrics_report(
     let mut wal: Option<WalReport> = None;
     let mut wal_append: Option<ses_obs::HistogramSnapshot> = None;
     let mut wal_fsync: Option<ses_obs::HistogramSnapshot> = None;
-    for (shard, sender) in shard_senders.iter().enumerate() {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let gauge = &state.gauges[shard];
-        let depth = gauge.enqueued();
-        let sent = sender.send(ShardMsg {
-            op: ShardOp::Stats,
-            reply: reply_tx,
-            trace: trace.raw(),
-            enqueued_ns: ses_obs::now_ns(),
-            depth,
-        });
-        if sent.is_err() {
-            gauge.abandoned();
-            continue; // shard already drained during shutdown
-        }
-        match reply_rx.recv() {
-            Ok(ShardReply::Stats(stats)) => {
+    for (shard, gauge) in state.gauges.iter().enumerate() {
+        match ask(state, shard_senders, shard, ShardOp::Stats, trace) {
+            Some(ShardReply::Stats(stats)) => {
                 engine.merge(&stats.engine);
                 shards_detail.push(ShardStatus {
                     shard: shard as u64,
@@ -1242,14 +1237,15 @@ fn metrics_report(
                     }
                 }
             }
-            Ok(_) => {
+            Some(ShardReply::Op(_)) => {
                 return Err(ApiError::new(
                     500,
                     "internal",
                     format!("shard {shard} answered stats with a request reply"),
                 ))
             }
-            Err(_) => continue,
+            // The shard already drained during shutdown.
+            None => continue,
         }
     }
     if let Some(wal) = wal.as_mut() {
@@ -1272,7 +1268,7 @@ fn metrics_report(
         span_stages: ses_obs::stage_latencies(),
         wal,
     };
-    serde_json::to_string(&report).map_err(|e| ApiError::new(500, "serialize", e.to_string()))
+    json_body(&report)
 }
 
 #[cfg(test)]
@@ -1323,6 +1319,52 @@ mod tests {
         );
         assert_eq!(allow_for("/sessions/a/nope"), None);
         assert_eq!(allow_for("/nope"), None);
+    }
+
+    #[test]
+    fn solver_permits_bound_concurrent_runs_and_free_on_errors() {
+        let permits = SolverPermits {
+            held: Mutex::new(0),
+            released: Condvar::new(),
+            limit: 2,
+        };
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        // Runs meet in pairs, so two permits must be held at once; the
+        // third and later runs wait for a pair to finish.
+        let pair = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..6 {
+                scope.spawn(|| {
+                    permits.run(|| {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        // Give a waiting run the chance to slip past a
+                        // broken bound before the pair meets.
+                        (0..64).for_each(|_| std::thread::yield_now());
+                        pair.wait();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    })
+                });
+            }
+        });
+        assert_eq!(peak.load(Ordering::SeqCst), 2, "six runs, two permits");
+        assert_eq!(*permits.held.lock().unwrap(), 0);
+
+        // A run that errors (or panics) still returns its permit.
+        for _ in 0..3 {
+            let failed: Result<(), &str> = permits.run(|| Err("k > |E|"));
+            assert!(failed.is_err());
+        }
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            permits.run(|| panic!("solver bug"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(
+            *permits.held.lock().unwrap_or_else(PoisonError::into_inner),
+            0
+        );
+        assert_eq!(permits.run(|| 7), 7, "permits are still free");
     }
 
     #[test]

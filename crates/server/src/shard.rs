@@ -1,36 +1,38 @@
-//! Shard workers: each owns a [`SchedulerService`] and serves requests off
-//! an mpsc channel, so `apply`'s `&mut self` never meets a lock.
+//! Shard workers: each owns a [`SchedulerService`] — the live sessions,
+//! the server's only mutable state — and serves session operations off an
+//! mpsc channel, so `apply`'s `&mut self` never meets a lock.
 //!
 //! Sessions are routed by a stable hash of their name, so every event for
-//! one session lands on the same shard in arrival order; stateless
-//! `solve`/`eval` requests round-robin across shards. The only shared
-//! state between shards is the [`InstanceRegistry`] of immutable
-//! `Arc<SesInstance>` handles — each request names its instance (default
-//! `"default"`) and the shard resolves it per operation, so two tenants
-//! never contend on anything but the registry's short lookup lock.
+//! one session lands on the same shard in arrival order. Stateless work —
+//! `solve`, `eval` and an open's solve and session build — runs on the
+//! connection thread (see `server.rs`); a shard only logs and adopts the
+//! finished session. The one solve left on a shard is a migration install,
+//! which replays the session's open (recovery-equals-replay). The only
+//! shared state between shards is the [`InstanceRegistry`] of immutable
+//! `Arc<SesInstance>` handles, which a shard reads for those replays.
 //!
 //! Every message carries its request's trace id and enqueue timestamp: the
 //! worker records a `queue` span for the time the message waited and runs
 //! the operation inside that trace's scope, so engine-internal spans
-//! (solve, select, apply, repair, …) recorded on the shard thread attach to
-//! the originating HTTP request.
+//! (apply, repair, …) recorded on the shard thread attach to the
+//! originating HTTP request.
 
 use crate::metrics::{EngineTotals, ShardGauge};
 use serde::{Deserialize, Serialize};
 use ses_core::util::Fnv1a;
+use ses_core::OnlineSession;
 use ses_durable::{recover_sessions, RecoveredLog, SessionJournal, ShardWal};
-use ses_service::{
-    EvalRequest, InstanceRegistry, SchedulerService, ServiceError, SessionEvent, SessionOpen,
-    SolveRequest,
-};
+use ses_service::{InstanceRegistry, SchedulerService, ServiceError, SessionEvent, SessionOpen};
 use std::sync::mpsc;
 use std::sync::Arc;
 
 /// One request, as the shard sees it.
 pub(crate) enum ShardOp {
-    Solve(SolveRequest),
-    Eval(EvalRequest),
-    Open(SessionOpen),
+    /// Log the open and adopt the session the connection thread built.
+    Open {
+        open: SessionOpen,
+        session: Box<OnlineSession>,
+    },
     Event {
         name: String,
         event: SessionEvent,
@@ -112,10 +114,8 @@ pub(crate) struct ShardStats {
 
 /// What a shard sends back.
 pub(crate) enum ShardReply {
-    /// Success: the serialized JSON response body.
-    Ok(String),
-    /// Failure: status + structured body.
-    Err(ApiError),
+    /// A request op's JSON response body, or its status + structured body.
+    Op(Result<String, ApiError>),
     /// Answer to [`ShardOp::Stats`].
     Stats(Box<ShardStats>),
 }
@@ -124,8 +124,8 @@ pub(crate) enum ShardReply {
 pub(crate) struct ShardMsg {
     pub op: ShardOp,
     pub reply: mpsc::Sender<ShardReply>,
-    /// Raw trace id of the originating request (`0` = untraced internal
-    /// work, e.g. the metrics gatherer's `Stats` probes).
+    /// Raw trace id of the originating request (for `Stats` probes, the
+    /// `/metrics` request that sent them).
     pub trace: u64,
     /// [`ses_obs::now_ns`] at enqueue — the shard derives the queue-wait
     /// span from it.
@@ -156,24 +156,34 @@ pub(crate) fn api_error(e: &ServiceError) -> ApiError {
     }
 }
 
+impl From<ServiceError> for ApiError {
+    fn from(e: ServiceError) -> Self {
+        api_error(&e)
+    }
+}
+
+/// Maps a WAL failure to the HTTP response the client sees: the append
+/// did not reach disk, so the operation is rejected *before* the service
+/// state changes (write-ahead ordering cuts both ways).
+impl From<ses_durable::WalError> for ApiError {
+    fn from(e: ses_durable::WalError) -> Self {
+        ApiError::new(500, "wal", e.to_string())
+    }
+}
+
 /// Resolves a request's instance name through the registry, folding core
 /// errors (unknown name, failed cold-open) into the service error space so
 /// [`api_error`] can map them to structured 404/500 responses.
-fn resolve(
+pub(crate) fn resolve(
     registry: &InstanceRegistry,
     name: &str,
 ) -> Result<Arc<ses_core::SesInstance>, ServiceError> {
     registry.get(name).map_err(ServiceError::Core)
 }
 
-fn json_reply<T: serde::Serialize>(result: Result<T, ServiceError>) -> ShardReply {
-    match result {
-        Ok(value) => match serde_json::to_string(&value) {
-            Ok(body) => ShardReply::Ok(body),
-            Err(e) => ShardReply::Err(ApiError::new(500, "serialize", e.to_string())),
-        },
-        Err(e) => ShardReply::Err(api_error(&e)),
-    }
+/// A response body as JSON; a serialization failure is a structured 500.
+pub(crate) fn json_body<T: Serialize>(value: &T) -> Result<String, ApiError> {
+    serde_json::to_string(value).map_err(|e| ApiError::new(500, "serialize", e.to_string()))
 }
 
 fn stats_of(service: &SchedulerService) -> EngineTotals {
@@ -197,30 +207,21 @@ fn stats_of(service: &SchedulerService) -> EngineTotals {
     totals
 }
 
-/// Maps a WAL failure to the HTTP response the client sees: the append
-/// did not reach disk, so the operation is rejected *before* the service
-/// state changes (write-ahead ordering cuts both ways).
-fn wal_api_error(e: &ses_durable::WalError) -> ApiError {
-    ApiError::new(500, "wal", e.to_string())
-}
-
 /// Session open, write-ahead: the record is on disk (per the fsync
-/// policy) before the service sees the request.
+/// policy) before the service adopts the session the connection thread
+/// built; a taken name answers 409. The body is empty — the connection
+/// thread answers with the solve it ran.
 fn handle_open(
-    registry: &InstanceRegistry,
     service: &mut SchedulerService,
     wal: Option<&mut ShardWal>,
     open: &SessionOpen,
-) -> ShardReply {
+    session: OnlineSession,
+) -> Result<String, ApiError> {
     if let Some(w) = wal {
-        if let Err(e) = w.append_open(open) {
-            return ShardReply::Err(wal_api_error(&e));
-        }
+        w.append_open(open)?;
     }
-    json_reply(
-        resolve(registry, open.instance.as_str())
-            .and_then(|inst| service.open_session(&inst, open)),
-    )
+    service.adopt_session(open.name.clone(), open.instance.clone(), session)?;
+    Ok(String::new())
 }
 
 /// Session event, write-ahead: append (stamping the LSN into the report
@@ -230,31 +231,24 @@ fn handle_event(
     wal: Option<&mut ShardWal>,
     name: &str,
     event: &SessionEvent,
-) -> ShardReply {
+) -> Result<String, ApiError> {
     let Some(w) = wal else {
-        return json_reply(service.apply(name, event));
+        return json_body(&service.apply(name, event)?);
     };
-    let lsn = match w.append_event(name, event) {
-        Ok(lsn) => lsn,
-        Err(e) => return ShardReply::Err(wal_api_error(&e)),
-    };
-    match service.apply(name, event) {
-        Ok(mut report) => {
-            report.lsn = lsn;
-            if let Err(e) = w.maybe_snapshot(name, report.scheduled, report.utility) {
-                // A failed snapshot costs compaction, not correctness —
-                // the WAL tail still covers the session.
-                ses_obs::log(
-                    ses_obs::Level::Warn,
-                    "shard",
-                    "session snapshot failed",
-                    &[("session", name.into()), ("error", e.to_string().into())],
-                );
-            }
-            json_reply(Ok::<_, ServiceError>(report))
-        }
-        Err(e) => ShardReply::Err(api_error(&e)),
+    let lsn = w.append_event(name, event)?;
+    let mut report = service.apply(name, event)?;
+    report.lsn = lsn;
+    if let Err(e) = w.maybe_snapshot(name, report.scheduled, report.utility) {
+        // A failed snapshot costs compaction, not correctness — the WAL
+        // tail still covers the session.
+        ses_obs::log(
+            ses_obs::Level::Warn,
+            "shard",
+            "session snapshot failed",
+            &[("session", name.into()), ("error", e.to_string().into())],
+        );
     }
+    json_body(&report)
 }
 
 /// Session close, write-ahead. A close for an unknown session still leaves
@@ -263,13 +257,11 @@ fn handle_close(
     service: &mut SchedulerService,
     wal: Option<&mut ShardWal>,
     name: &str,
-) -> ShardReply {
+) -> Result<String, ApiError> {
     if let Some(w) = wal {
-        if let Err(e) = w.append_close(name) {
-            return ShardReply::Err(wal_api_error(&e));
-        }
+        w.append_close(name)?;
     }
-    json_reply(service.close_session(name))
+    json_body(&service.close_session(name)?)
 }
 
 /// Migration source: drop the live session and return its journal. The
@@ -280,29 +272,21 @@ fn handle_extract(
     service: &mut SchedulerService,
     wal: Option<&mut ShardWal>,
     name: &str,
-) -> ShardReply {
+) -> Result<String, ApiError> {
     let Some(w) = wal else {
-        return ShardReply::Err(ApiError::new(
+        return Err(ApiError::new(
             400,
             "not_durable",
             "session migration requires the server to run with --wal-dir",
         ));
     };
+    let unknown = || ApiError::from(ServiceError::UnknownSession(name.to_owned()));
     if service.session(name).is_none() {
-        return ShardReply::Err(api_error(&ServiceError::UnknownSession(name.to_owned())));
+        return Err(unknown());
     }
-    let journal = match w.extract(name) {
-        Ok(Some(journal)) => journal,
-        Ok(None) => {
-            return ShardReply::Err(api_error(&ServiceError::UnknownSession(name.to_owned())))
-        }
-        Err(e) => return ShardReply::Err(wal_api_error(&e)),
-    };
+    let journal = w.extract(name)?.ok_or_else(unknown)?;
     drop(service.take_session(name));
-    match serde_json::to_string(&journal) {
-        Ok(body) => ShardReply::Ok(body),
-        Err(e) => ShardReply::Err(ApiError::new(500, "serialize", e.to_string())),
-    }
+    json_body(&journal)
 }
 
 /// Migration target: re-log the journal with fresh LSNs, then rebuild the
@@ -313,30 +297,42 @@ fn handle_install(
     service: &mut SchedulerService,
     wal: Option<&mut ShardWal>,
     journal: &SessionJournal,
-) -> ShardReply {
+) -> Result<String, ApiError> {
     if let Some(w) = wal {
-        if let Err(e) = w.install(journal) {
-            return ShardReply::Err(wal_api_error(&e));
-        }
+        w.install(journal)?;
     }
-    let inst = match resolve(registry, journal.open.instance.as_str()) {
-        Ok(inst) => inst,
-        Err(e) => return ShardReply::Err(api_error(&e)),
-    };
-    if let Err(e) = service.open_session(&inst, &journal.open) {
-        return ShardReply::Err(api_error(&e));
-    }
+    let inst = resolve(registry, journal.open.instance.as_str())?;
+    service.open_session(&inst, &journal.open)?;
     for event in &journal.events {
         // Events the source's service rejected replay as rejections here
         // too (deterministically); they are not errors of the migration.
         let _ = service.apply(&journal.name, event);
     }
-    json_reply(service.report(&journal.name))
+    json_body(&service.report(&journal.name)?)
+}
+
+/// One request op against the shard's sessions and WAL.
+fn handle(
+    registry: &InstanceRegistry,
+    service: &mut SchedulerService,
+    wal: Option<&mut ShardWal>,
+    op: ShardOp,
+) -> Result<String, ApiError> {
+    match op {
+        ShardOp::Open { open, session } => handle_open(service, wal, &open, *session),
+        ShardOp::Event { name, event } => handle_event(service, wal, &name, &event),
+        ShardOp::Report { name } => json_body(&service.report(&name)?),
+        ShardOp::Close { name } => handle_close(service, wal, &name),
+        ShardOp::Extract { name } => handle_extract(service, wal, &name),
+        ShardOp::Install { journal } => handle_install(registry, service, wal, &journal),
+        // The worker loop answers `Stats` itself and never hands it here.
+        ShardOp::Stats => Err(ApiError::new(500, "internal", "stats is not a request op")),
+    }
 }
 
 /// The shard worker loop: owns its service (and, when the server runs
 /// with `--wal-dir`, its WAL), drains its queue, exits when every sender
-/// (acceptor + connection handlers) is gone. Instance-bearing ops resolve
+/// (acceptor + connection handlers) is gone. Migration installs resolve
 /// their named instance through the shared registry first, so an unknown
 /// name (or a broken packed file) is rejected before any session state is
 /// touched. A WAL-backed shard replays its recovered log through the
@@ -417,30 +413,13 @@ pub(crate) fn run_shard(
         let mut service_span = ses_obs::span(ses_obs::Stage::Service);
         service_span.set_aux(shard as u64, msg.depth);
         let reply = match msg.op {
-            ShardOp::Solve(req) => json_reply(
-                resolve(&registry, req.instance.as_str())
-                    .and_then(|inst| service.solve(&inst, &req)),
-            ),
-            ShardOp::Eval(req) => json_reply(
-                resolve(&registry, req.instance.as_str())
-                    .and_then(|inst| service.evaluate(&inst, &req)),
-            ),
-            ShardOp::Open(open) => handle_open(&registry, &mut service, wal.as_mut(), &open),
-            ShardOp::Event { name, event } => {
-                handle_event(&mut service, wal.as_mut(), &name, &event)
-            }
-            ShardOp::Report { name } => json_reply(service.report(&name)),
-            ShardOp::Close { name } => handle_close(&mut service, wal.as_mut(), &name),
-            ShardOp::Extract { name } => handle_extract(&mut service, wal.as_mut(), &name),
-            ShardOp::Install { journal } => {
-                handle_install(&registry, &mut service, wal.as_mut(), &journal)
-            }
             ShardOp::Stats => ShardReply::Stats(Box::new(ShardStats {
                 engine: stats_of(&service),
                 wal: wal.as_ref().map(|w| w.stats()),
                 append: wal.as_ref().map(|w| w.append_latencies()),
                 fsync: wal.as_ref().map(|w| w.fsync_latencies()),
             })),
+            op => ShardReply::Op(handle(&registry, &mut service, wal.as_mut(), op)),
         };
         drop(service_span);
         gauge.served(ses_obs::now_ns().saturating_sub(picked_ns));

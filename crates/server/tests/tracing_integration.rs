@@ -7,8 +7,9 @@
 //! it can shrink the default capacity before any server thread starts.
 
 use ses_server::{
-    serve, ErrorBody, HttpClient, MetricsReport, ServerConfig, ServerHandle, TraceReport,
+    serve, ErrorBody, HttpClient, MetricsReport, ServerConfig, ServerHandle, SpanView, TraceReport,
 };
+use ses_service::{EvalRequest, SolveResponse};
 
 fn test_server(shards: usize) -> ServerHandle {
     serve(&ServerConfig {
@@ -48,13 +49,16 @@ fn responses_carry_a_trace_id_and_solves_are_traceable_end_to_end() {
     let report: TraceReport = serde_json::from_str(&body).unwrap();
     assert_eq!(report.trace, trace);
     assert_eq!(report.span_count as usize, report.spans.len());
-    for stage in ["request", "queue", "service", "solve", "sweep", "select"] {
+    // `queue` is the solver-permit wait; a solve never reaches a shard, so
+    // there is no `service` span.
+    for stage in ["request", "queue", "solve", "sweep", "select"] {
         assert!(
             report.spans.iter().any(|s| s.stage == stage),
             "stage {stage} missing from {:?}",
             report.spans.iter().map(|s| &s.stage).collect::<Vec<_>>()
         );
     }
+    assert!(!report.spans.iter().any(|s| s.stage == "service"));
     // Engine counters are attributed to engine spans.
     let solve = report.spans.iter().find(|s| s.stage == "solve").unwrap();
     assert!(solve.ops.score_evaluations > 0);
@@ -126,6 +130,12 @@ fn metrics_carry_shard_gauges_and_span_stage_lines() {
             .unwrap();
         assert_eq!(status, 200);
     }
+    // Session ops are what reach the shards (and record queue/service).
+    let open = r#"{"name":"m","spec":"Greedy","k":3,"threads":1}"#;
+    let (status, _) = client.post("/sessions/m/open", open).unwrap();
+    assert_eq!(status, 200);
+    let (status, _) = client.post("/sessions/m/event", "\"Extend\"").unwrap();
+    assert_eq!(status, 200);
     let (status, body) = client.get("/metrics").unwrap();
     assert_eq!(status, 200);
     let report: MetricsReport = serde_json::from_str(&body).unwrap();
@@ -136,7 +146,11 @@ fn metrics_carry_shard_gauges_and_span_stage_lines() {
         assert_eq!(line.queue_depth, 0, "idle server has empty queues");
     }
     let handled: u64 = report.shards_detail.iter().map(|s| s.handled).sum();
-    assert!(handled >= 4, "solves round-robined across shards");
+    assert_eq!(
+        handled,
+        2 + 3,
+        "shards handle the open, the event and this report's 3 Stats probes, never a solve"
+    );
 
     // Span-stage lines cover the pipeline and are well-formed quantiles.
     for stage in ["request", "queue", "service", "solve", "select"] {
@@ -222,5 +236,115 @@ fn percent_encoded_session_names_round_trip() {
     // Bad escapes do not route.
     let (status, _) = client.post("/sessions/a%zz/report", "").unwrap();
     assert_eq!(status, 404);
+    handle.shutdown();
+}
+
+/// POSTs with a fixed inbound trace id on a fresh connection.
+fn post_traced(addr: &str, path: &str, body: &str, trace: &str) -> u16 {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let request = format!(
+        "POST {path} HTTP/1.1\r\nHost: x\r\nx-ses-trace-id: {trace}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response[9..12].parse().unwrap()
+}
+
+fn spans_of(client: &mut HttpClient, trace: &str) -> Vec<SpanView> {
+    let (status, body) = client.get(&format!("/trace/{trace}")).unwrap();
+    assert_eq!(status, 200, "{body}");
+    serde_json::from_str::<TraceReport>(&body).unwrap().spans
+}
+
+fn span<'a>(spans: &'a [SpanView], stage: &str) -> &'a SpanView {
+    spans
+        .iter()
+        .find(|s| s.stage == stage)
+        .unwrap_or_else(|| panic!("no {stage} span in {spans:?}"))
+}
+
+fn nested(inner: &SpanView, outer: &SpanView) -> bool {
+    inner.start_nanos >= outer.start_nanos
+        && inner.start_nanos + inner.dur_nanos <= outer.start_nanos + outer.dur_nanos
+}
+
+fn handled_per_shard(client: &mut HttpClient) -> Vec<u64> {
+    let (status, body) = client.get("/metrics").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let report: MetricsReport = serde_json::from_str(&body).unwrap();
+    report.shards_detail.iter().map(|s| s.handled).collect()
+}
+
+#[test]
+fn stateless_requests_skip_the_shards() {
+    let handle = test_server(2);
+    let addr = handle.addr().to_string();
+    let mut client = client_of(&handle);
+
+    // Solves and evals never touch a shard: between two `/metrics` reads
+    // each shard handles exactly one op, the second read's Stats probe.
+    let before = handled_per_shard(&mut client);
+    let solve = r#"{"spec":"Greedy","k":4,"threads":1}"#;
+    for _ in 0..3 {
+        let (status, body) = client.post("/solve", solve).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let solved: SolveResponse = serde_json::from_str(&body).unwrap();
+        let eval = serde_json::to_string(&EvalRequest {
+            assignments: solved.assignments,
+            instance: Default::default(),
+        })
+        .unwrap();
+        let (status, body) = client.post("/eval", &eval).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let after = handled_per_shard(&mut client);
+    let expected: Vec<u64> = before.iter().map(|h| h + 1).collect();
+    assert_eq!(after, expected, "only the Stats probes reached the shards");
+
+    // A traced solve runs on the connection thread, inside `request`.
+    let trace = "000000005e1f0001";
+    assert_eq!(post_traced(&addr, "/solve", solve, trace), 200);
+    let spans = spans_of(&mut client, trace);
+    let request = span(&spans, "request");
+    for stage in ["queue", "solve", "select"] {
+        let s = span(&spans, stage);
+        assert!(nested(s, request), "{stage} outside request: {spans:?}");
+        assert_eq!(
+            s.thread, request.thread,
+            "{stage} left the connection thread"
+        );
+    }
+    assert!(
+        !spans.iter().any(|s| s.stage == "service"),
+        "a solve reached a shard: {spans:?}"
+    );
+
+    // An open solves before dispatch; its shard only logs and adopts.
+    let trace = "000000005e1f0002";
+    let open = r#"{"name":"s","spec":"Greedy","k":4,"threads":1}"#;
+    assert_eq!(post_traced(&addr, "/sessions/s/open", open, trace), 200);
+    let spans = spans_of(&mut client, trace);
+    let (solve, service) = (span(&spans, "solve"), span(&spans, "service"));
+    assert_eq!(solve.thread, span(&spans, "request").thread);
+    assert!(solve.start_nanos + solve.dur_nanos <= service.start_nanos);
+
+    // A session event still goes queue -> service -> apply on its shard.
+    let trace = "000000005e1f0003";
+    assert_eq!(
+        post_traced(&addr, "/sessions/s/event", "\"Extend\"", trace),
+        200
+    );
+    let spans = spans_of(&mut client, trace);
+    let (queue, service, apply) = (
+        span(&spans, "queue"),
+        span(&spans, "service"),
+        span(&spans, "apply"),
+    );
+    assert!(queue.start_nanos <= service.start_nanos);
+    assert!(nested(apply, service), "apply outside service: {spans:?}");
+    assert!(service.thread.starts_with("ses-shard-"), "{spans:?}");
     handle.shutdown();
 }

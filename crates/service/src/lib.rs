@@ -3,13 +3,18 @@
 //! `ses-core` exposes the engine as a library: `Arc<SesInstance>` handles,
 //! [`OnlineSession`](ses_core::OnlineSession)s, typed errors. This crate
 //! shapes that into what a server, CLI or simulator actually speaks:
-//! **serde-serializable requests and responses** over a
-//! [`SchedulerService`] that manages any number of *named* live sessions,
-//! each bound to its own owned instance (multi-tenant by construction).
+//! **serde-serializable requests and responses**. The stateless work is
+//! free functions any thread may run; the only state is a
+//! [`SchedulerService`] holding any number of *named* live sessions, each
+//! bound to its own owned instance (multi-tenant by construction).
 //!
-//! * [`SolveRequest`] / [`EvalRequest`] → [`SolveResponse`] /
-//!   [`EvalResponse`] — stateless scheduling and evaluation;
-//! * [`SessionOpen`] → open a named session; [`SessionEvent`] (announce /
+//! * [`solve`] / [`evaluate`]: [`SolveRequest`] / [`EvalRequest`] →
+//!   [`SolveResponse`] / [`EvalResponse`] — stateless scheduling and
+//!   evaluation;
+//! * [`SessionOpen`] → open a named session: [`prepare_session`] solves
+//!   and builds it (stateless), [`SchedulerService::adopt_session`] names
+//!   it, and [`SchedulerService::open_session`] is the two in one call;
+//!   [`SessionEvent`] (announce /
 //!   cancel / arrive / capacity / availability / extend) → [`EventReport`]
 //!   with the repair accounting ([`RepairReport`](ses_core::RepairReport));
 //! * [`SessionReport`] — point-in-time session summaries;
@@ -84,7 +89,7 @@ mod types;
 
 pub use error::ServiceError;
 pub use registry::{InstanceInfo, InstanceRegistry};
-pub use service::SchedulerService;
+pub use service::{evaluate, prepare_session, solve, SchedulerService};
 pub use types::{
     Announcement, Arrival, Availability, Cancellation, CapacityChange, EvalRequest, EvalResponse,
     EventAttendance, EventReport, InstanceName, SessionEvent, SessionOpen, SessionReport,

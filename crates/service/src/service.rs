@@ -1,4 +1,9 @@
 //! The [`SchedulerService`] facade: owned instances in, typed responses out.
+//!
+//! The stateless entry points — [`solve`], [`evaluate`] and an open's
+//! [`prepare_session`] — are free functions: they read only the instance
+//! they are handed, so any thread may run them. [`SchedulerService`] holds
+//! what is left, the named live sessions.
 
 use crate::error::ServiceError;
 use crate::types::{
@@ -7,10 +12,66 @@ use crate::types::{
 };
 use ses_core::{
     evaluate_schedule, registry, EventId, IntervalId, OnlineSession, RepairReport, ScheduleError,
-    SesInstance,
+    ScheduleOutcome, SchedulerSpec, SesInstance,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Runs `spec` for `k` events under a `solve` span carrying the engine ops
+/// and the selection's pops/updates.
+fn run_solver(
+    inst: &Arc<SesInstance>,
+    spec: SchedulerSpec,
+    threads: usize,
+    k: usize,
+) -> Result<ScheduleOutcome, ServiceError> {
+    let mut span = ses_obs::span(ses_obs::Stage::Solve);
+    let outcome = registry::build_threaded(spec, threads).run(inst, k)?;
+    span.set_ops(outcome.stats.engine.as_ops());
+    span.set_aux(outcome.stats.pops, outcome.stats.updates);
+    Ok(outcome)
+}
+
+/// Runs the requested algorithm on an instance (offline, stateless).
+pub fn solve(inst: &Arc<SesInstance>, req: &SolveRequest) -> Result<SolveResponse, ServiceError> {
+    let outcome = run_solver(inst, req.spec, req.threads, req.k)?;
+    Ok(SolveResponse::from_outcome(req.spec, &outcome))
+}
+
+/// Evaluates an explicit schedule against an instance: feasibility is
+/// checked, then Ω and per-event attendance are computed from scratch.
+pub fn evaluate(inst: &Arc<SesInstance>, req: &EvalRequest) -> Result<EvalResponse, ServiceError> {
+    let mut schedule = inst.empty_schedule();
+    for a in &req.assignments {
+        schedule.assign(a.event, a.interval)?;
+    }
+    inst.check_schedule(&schedule)?;
+    let eval = evaluate_schedule(inst, &schedule);
+    Ok(EvalResponse {
+        total_utility: eval.total_utility,
+        per_event: eval
+            .per_event
+            .iter()
+            .map(|&(event, interval, expected_attendance)| EventAttendance {
+                event,
+                interval,
+                expected_attendance,
+            })
+            .collect(),
+    })
+}
+
+/// The stateless half of a session open: solves the initial schedule and
+/// builds the live session over it, ready for
+/// [`SchedulerService::adopt_session`].
+pub fn prepare_session(
+    inst: &Arc<SesInstance>,
+    open: &SessionOpen,
+) -> Result<(OnlineSession, SolveResponse), ServiceError> {
+    let outcome = run_solver(inst, open.spec, open.threads, open.k)?;
+    let session = OnlineSession::new(inst, &outcome.schedule)?;
+    Ok((session, SolveResponse::from_outcome(open.spec, &outcome)))
+}
 
 /// One live session plus its service-level accounting.
 struct SessionEntry {
@@ -21,17 +82,15 @@ struct SessionEntry {
     instance: InstanceName,
 }
 
-/// A request/response facade over the SES engine, managing any number of
-/// named [`OnlineSession`]s across owned instances.
+/// The named live sessions, each bound to its own owned instance.
 ///
 /// The service holds only owned state (`Arc` handles and sessions), so it is
 /// `Send + 'static`: wrap it in a `Mutex`/`RwLock` and it serves threads, or
 /// keep one per shard. Different sessions may be bound to *different*
-/// instances — the multi-tenant shape a server needs.
-///
-/// Stateless entry points ([`Self::solve`], [`Self::evaluate`]) take the
-/// instance per call; session entry points ([`Self::open_session`],
-/// [`Self::apply`], …) address sessions by name.
+/// instances — the multi-tenant shape a server needs. Sessions are
+/// addressed by name ([`Self::open_session`], [`Self::apply`], …); the
+/// stateless entry points are the free functions [`solve`] and
+/// [`evaluate`].
 #[derive(Default)]
 pub struct SchedulerService {
     sessions: HashMap<String, SessionEntry>,
@@ -53,79 +112,26 @@ impl SchedulerService {
         self.durable = durable;
     }
 
-    /// Runs the requested algorithm on an instance (offline, stateless).
-    pub fn solve(
-        &self,
-        inst: &Arc<SesInstance>,
-        req: &SolveRequest,
-    ) -> Result<SolveResponse, ServiceError> {
-        let mut span = ses_obs::span(ses_obs::Stage::Solve);
-        let outcome = registry::build_threaded(req.spec, req.threads).run(inst, req.k)?;
-        span.set_ops(outcome.stats.engine.as_ops());
-        span.set_aux(outcome.stats.pops, outcome.stats.updates);
-        Ok(SolveResponse::from_outcome(req.spec, &outcome))
-    }
-
-    /// Evaluates an explicit schedule against an instance: feasibility is
-    /// checked, then Ω and per-event attendance are computed from scratch.
-    pub fn evaluate(
-        &self,
-        inst: &Arc<SesInstance>,
-        req: &EvalRequest,
-    ) -> Result<EvalResponse, ServiceError> {
-        let mut schedule = inst.empty_schedule();
-        for a in &req.assignments {
-            schedule.assign(a.event, a.interval)?;
-        }
-        inst.check_schedule(&schedule)?;
-        let eval = evaluate_schedule(inst, &schedule);
-        Ok(EvalResponse {
-            total_utility: eval.total_utility,
-            per_event: eval
-                .per_event
-                .iter()
-                .map(|&(event, interval, expected_attendance)| EventAttendance {
-                    event,
-                    interval,
-                    expected_attendance,
-                })
-                .collect(),
-        })
-    }
-
-    /// Solves an initial schedule and opens a named live session over it.
-    /// Fails if the name is taken.
+    /// Solves an initial schedule and opens a named live session over it:
+    /// [`prepare_session`], then [`Self::adopt_session`]. Fails if the name
+    /// is taken.
     pub fn open_session(
         &mut self,
         inst: &Arc<SesInstance>,
         open: &SessionOpen,
     ) -> Result<SolveResponse, ServiceError> {
-        if self.sessions.contains_key(&open.name) {
-            return Err(ServiceError::SessionExists(open.name.clone()));
-        }
-        let mut span = ses_obs::span(ses_obs::Stage::Solve);
-        let outcome = registry::build_threaded(open.spec, open.threads).run(inst, open.k)?;
-        span.set_ops(outcome.stats.engine.as_ops());
-        span.set_aux(outcome.stats.pops, outcome.stats.updates);
-        drop(span);
-        let session = OnlineSession::new(inst, &outcome.schedule)?;
-        let response = SolveResponse::from_outcome(open.spec, &outcome);
-        self.sessions.insert(
-            open.name.clone(),
-            SessionEntry {
-                session,
-                events_applied: 0,
-                instance: open.instance.clone(),
-            },
-        );
+        let (session, response) = prepare_session(inst, open)?;
+        self.adopt_session(open.name.clone(), open.instance.clone(), session)?;
         Ok(response)
     }
 
-    /// Adopts an externally built session under a name (e.g. one whose
-    /// schedule was loaded from disk). Fails if the name is taken.
+    /// Adopts an externally built session under a name, bound to the
+    /// registry name of its instance (e.g. one from [`prepare_session`], or
+    /// one whose schedule was loaded from disk). Fails if the name is taken.
     pub fn adopt_session(
         &mut self,
         name: impl Into<String>,
+        instance: InstanceName,
         session: OnlineSession,
     ) -> Result<(), ServiceError> {
         let name = name.into();
@@ -137,7 +143,7 @@ impl SchedulerService {
             SessionEntry {
                 session,
                 events_applied: 0,
-                instance: InstanceName::default(),
+                instance,
             },
         );
         Ok(())
@@ -328,18 +334,16 @@ mod tests {
     #[test]
     fn solve_matches_direct_scheduler_run() {
         let inst = testkit::medium_instance(5);
-        let service = SchedulerService::new();
-        let resp = service
-            .solve(
-                &inst,
-                &SolveRequest {
-                    spec: SchedulerSpec::Greedy,
-                    k: 6,
-                    threads: 1,
-                    instance: InstanceName::default(),
-                },
-            )
-            .unwrap();
+        let resp = solve(
+            &inst,
+            &SolveRequest {
+                spec: SchedulerSpec::Greedy,
+                k: 6,
+                threads: 1,
+                instance: InstanceName::default(),
+            },
+        )
+        .unwrap();
         let direct = registry::build(SchedulerSpec::Greedy)
             .run(&inst, 6)
             .unwrap();
@@ -352,18 +356,16 @@ mod tests {
     #[test]
     fn solve_surfaces_typed_solver_errors() {
         let inst = testkit::medium_instance(5);
-        let service = SchedulerService::new();
-        let err = service
-            .solve(
-                &inst,
-                &SolveRequest {
-                    spec: SchedulerSpec::Greedy,
-                    k: 10_000,
-                    threads: 1,
-                    instance: InstanceName::default(),
-                },
-            )
-            .unwrap_err();
+        let err = solve(
+            &inst,
+            &SolveRequest {
+                spec: SchedulerSpec::Greedy,
+                k: 10_000,
+                threads: 1,
+                instance: InstanceName::default(),
+            },
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             ServiceError::Core(ses_core::Error::Solver(_))
@@ -373,27 +375,24 @@ mod tests {
     #[test]
     fn evaluate_round_trips_a_solve() {
         let inst = testkit::medium_instance(7);
-        let service = SchedulerService::new();
-        let solved = service
-            .solve(
-                &inst,
-                &SolveRequest {
-                    spec: SchedulerSpec::Greedy,
-                    k: 5,
-                    threads: 1,
-                    instance: InstanceName::default(),
-                },
-            )
-            .unwrap();
-        let eval = service
-            .evaluate(
-                &inst,
-                &EvalRequest {
-                    assignments: solved.assignments.clone(),
-                    instance: InstanceName::default(),
-                },
-            )
-            .unwrap();
+        let solved = solve(
+            &inst,
+            &SolveRequest {
+                spec: SchedulerSpec::Greedy,
+                k: 5,
+                threads: 1,
+                instance: InstanceName::default(),
+            },
+        )
+        .unwrap();
+        let eval = evaluate(
+            &inst,
+            &EvalRequest {
+                assignments: solved.assignments.clone(),
+                instance: InstanceName::default(),
+            },
+        )
+        .unwrap();
         assert!((eval.total_utility - solved.total_utility).abs() < 1e-7);
         assert_eq!(eval.per_event.len(), solved.scheduled());
     }
@@ -401,21 +400,19 @@ mod tests {
     #[test]
     fn evaluate_rejects_infeasible_schedules() {
         let inst = testkit::single_slot_shared_location(3);
-        let service = SchedulerService::new();
         use ses_core::Assignment;
         // Two events at the same location in the one interval.
-        let err = service
-            .evaluate(
-                &inst,
-                &EvalRequest {
-                    assignments: vec![
-                        Assignment::new(EventId::new(0), IntervalId::new(0)),
-                        Assignment::new(EventId::new(1), IntervalId::new(0)),
-                    ],
-                    instance: InstanceName::default(),
-                },
-            )
-            .unwrap_err();
+        let err = evaluate(
+            &inst,
+            &EvalRequest {
+                assignments: vec![
+                    Assignment::new(EventId::new(0), IntervalId::new(0)),
+                    Assignment::new(EventId::new(1), IntervalId::new(0)),
+                ],
+                instance: InstanceName::default(),
+            },
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             ServiceError::Core(ses_core::Error::Feasibility(_))

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use ses_core::{EngineCounters, EventId, OnlineSession, RepairReport};
-use ses_service::{Availability, SchedulerService, ServiceError, SessionEvent};
+use ses_service::{Availability, InstanceName, SchedulerService, ServiceError, SessionEvent};
 
 use crate::disruption::{Disruption, DisruptionKind, TimedDisruption};
 use crate::scenario::{Scenario, SimView};
@@ -119,7 +119,7 @@ impl Simulator {
     pub fn new(session: OnlineSession, sources: Vec<Box<dyn Scenario>>) -> Self {
         let mut service = SchedulerService::new();
         service
-            .adopt_session(DEFAULT_SESSION, session)
+            .adopt_session(DEFAULT_SESSION, InstanceName::default(), session)
             .expect("fresh service has no sessions");
         Self::over_service(service, DEFAULT_SESSION, sources)
             .expect("session was just adopted under this name")
