@@ -90,7 +90,7 @@ const ATOMIC_ALLOWLIST: [&str; 4] = [
 /// reports to a human, not to a socket. The core store is included because
 /// the registry lazily opens packed tenant files while serving requests —
 /// a corrupt file must answer a structured 500, never take the shard down.
-/// The durable crate's WAL and recovery paths run inside shard workers
+/// The durable crate's WAL and recovery paths run under shard locks
 /// (every append is on the event hot path, and recovery gates boot), so a
 /// torn tail or corrupt segment must come back as a typed `WalError`,
 /// never a panic.

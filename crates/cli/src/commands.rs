@@ -62,6 +62,9 @@ SUBCOMMANDS:
                   runs the stream twice and verifies the traces are identical
     serve       serve the scheduler over HTTP (see DESIGN.md §8–9, §12)
                   --addr A (127.0.0.1:7878)  --shards N (4)
+                  (sessions hash onto N mutex-guarded shards; session ops
+                   run on their connection thread under the shard's lock;
+                   N also caps concurrent solves, evals and opens)
                   --io-threads N (8)         --max-body BYTES (1048576)
                   --users N (400)   --events N (60)
                   --intervals N (24) --seed S (0)

@@ -25,9 +25,9 @@
 //! server-vs-simulator replay digest (`ses-server`'s `verify_replay`) must
 //! come out bit-identical across a kill-and-recover, which the integration
 //! suite and the CI smoke job assert. The same journal-shipping machinery
-//! drives live session migration (`POST /admin/rebalance`): the owning
-//! shard drains and extracts the [`SessionJournal`], the target re-logs
-//! and replays it, and the server atomically re-routes the name-hash
+//! drives live session migration (`POST /admin/rebalance`): with both
+//! shards locked, the owning shard extracts the [`SessionJournal`], the
+//! target re-logs and replays it, and the server re-routes the name-hash
 //! entry. See DESIGN.md §13.
 //!
 //! [`OnlineSession`]: ses_core::OnlineSession

@@ -555,8 +555,9 @@ struct Building {
     check: Option<SnapshotCheck>,
 }
 
-/// One shard's write-ahead log. Owned by the shard worker thread; all
-/// methods take `&mut self` and never block on other shards.
+/// One shard's write-ahead log. Owned by its shard and used under that
+/// shard's lock; all methods take `&mut self` and never block on other
+/// shards.
 pub struct ShardWal {
     cfg: WalConfig,
     file: File,
@@ -942,9 +943,9 @@ impl ShardWal {
 
     /// How long until the pending appends are due for their interval sync:
     /// `Some(remaining)` only under [`FsyncPolicy::Interval`] with unsynced
-    /// appends (zero once overdue), `None` otherwise. The shard loop waits
-    /// at most this long for its next message, so an idle shard still
-    /// syncs its acknowledged tail within the interval.
+    /// appends (zero once overdue), `None` otherwise. The server's WAL-sync
+    /// thread sleeps at most this long before syncing, so an idle shard
+    /// still syncs its acknowledged tail within the interval.
     pub fn sync_due_in(&self) -> Option<Duration> {
         match self.cfg.fsync {
             FsyncPolicy::Interval { millis } if self.dirty_since_sync => {

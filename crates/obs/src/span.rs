@@ -341,20 +341,22 @@ impl SpanRing {
     }
 }
 
-/// Default per-thread ring capacity (slots).
-const DEFAULT_RING_CAPACITY: usize = 4096;
+/// Default per-thread ring capacity (slots). A server connection thread
+/// records every span of its requests — session ops' engine spans
+/// included — so its ring must hold a load burst's worth of them.
+const DEFAULT_RING_CAPACITY: usize = 16384;
 
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 /// Sets the capacity used for rings created *after* this call (existing
 /// rings keep their size). Intended for tests that exercise eviction with
-/// tiny rings; production uses the 4096-slot default.
+/// tiny rings; production uses the 16384-slot default.
 pub fn set_default_ring_capacity(capacity: usize) {
     RING_CAPACITY.store(capacity.max(1), Ordering::Relaxed);
 }
 
 /// Every ring ever created, for cross-thread trace collection. Rings of
-/// exited threads stay registered (a few hundred KiB per thread at the
+/// exited threads stay registered (about 1.4 MiB per thread at the
 /// default capacity) — thread pools here are created once per process, so
 /// this never accumulates.
 fn registry() -> &'static Mutex<Vec<Arc<SpanRing>>> {

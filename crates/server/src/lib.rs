@@ -34,14 +34,18 @@
 //!
 //! The reasoning is in `DESIGN.md` §8 (server) and §9 (tracing).
 //!
-//! * **Shard workers** — N threads, each owning a
-//!   [`SchedulerService`](ses_service::SchedulerService): the live
-//!   sessions, the server's only mutable state. Sessions route by a stable
-//!   FNV hash of their name, so one session's events arrive in order on
-//!   one shard and `apply`'s `&mut self` never needs a global lock.
+//! * **Session shards** — N mutex-guarded shards, each a
+//!   [`SchedulerService`](ses_service::SchedulerService) (the live
+//!   sessions, the server's only mutable state) plus its WAL when durable.
+//!   Sessions route by a stable FNV hash of their name, and a session op
+//!   runs on its connection thread under its shard's lock, so one
+//!   session's ops apply one at a time in arrival order and no global lock
+//!   exists. A rebalance holds the source and the target lock together,
+//!   taken in index order, so no request sees half a migrated session;
+//!   `/metrics` reads each shard under its lock in turn.
 //! * **Stateless work** — `/solve`, `/eval` and an open's solve and
-//!   session build run on the connection thread, never queued behind a
-//!   shard; the owning shard only logs and adopts an opened session. At
+//!   session build run on the connection thread without taking a shard
+//!   lock; the owning shard only logs and adopts an opened session. At
 //!   most N solver runs execute at once: each waits for one of N permits.
 //! * **Connection handlers** — an acceptor thread polls a non-blocking
 //!   listener and hands connections to a fixed pool on a rendezvous
@@ -52,10 +56,10 @@
 //! * **Observability** — every request gets a 64-bit trace id (a valid
 //!   inbound `x-ses-trace-id` is honored, and the id is always echoed
 //!   back). The connection handler records `request`/`parse`/`respond`
-//!   spans and a `queue` span for a solver-permit wait, a shard records
-//!   `queue`/`service`, and the engine layers below add their own — all
-//!   into per-thread lock-free rings (`ses-obs`), served at
-//!   `GET /trace/{id}`; `/metrics` carries per-endpoint latency
+//!   spans, a `queue` span for a solver-permit or shard-lock wait and a
+//!   `service` span for a session op, and the engine layers below add
+//!   their own on the same thread — all into per-thread lock-free rings
+//!   (`ses-obs`), served at `GET /trace/{id}`; `/metrics` carries per-endpoint latency
 //!   histograms, status-class counters, per-shard queue-depth/occupancy
 //!   gauges, span-stage p50/p95/p99 lines, and engine totals; requests
 //!   slower than [`ServerConfig::slow_request_millis`] dump their span
@@ -63,7 +67,9 @@
 //! * **Shutdown** — cooperative, via [`ServerHandle::shutdown`] or the
 //!   SIGTERM/SIGINT flag from [`install_signal_handlers`]: the acceptor
 //!   stops, handlers notice at their next request boundary or idle tick,
-//!   and shards exit when the last request sender drops.
+//!   and once every connection has drained each shard's WAL tail is
+//!   flushed under its lock. Under `--fsync interval:N` one WAL-sync
+//!   thread syncs idle shards' tails on time until then.
 //!
 //! The crate also ships the client side: a keep-alive [`HttpClient`], the
 //! closed-loop [load generator](loadgen) behind `ses loadgen`, and the

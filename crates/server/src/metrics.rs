@@ -158,10 +158,11 @@ impl ServerMetrics {
     }
 }
 
-/// Live occupancy gauges for one shard worker, shared between the dispatch
-/// side (which counts enqueues) and the worker loop (which counts dequeues
-/// and service time). All relaxed atomics: these are monitoring gauges, and
-/// a reader racing a writer sees a value that was true a moment ago.
+/// Live occupancy gauges for one session shard: a session op counts itself
+/// in when it starts waiting for the shard's lock and out when it releases
+/// it, with the time it held the lock. All relaxed atomics: these are
+/// monitoring gauges, and a reader racing a writer sees a value that was
+/// true a moment ago.
 #[derive(Debug, Default)]
 pub struct ShardGauge {
     depth: AtomicU64,
@@ -170,27 +171,27 @@ pub struct ShardGauge {
 }
 
 impl ShardGauge {
-    /// Notes one enqueued request and returns the queue depth *including*
-    /// it — the depth the request observed on arrival.
+    /// Notes one request arriving at the shard and returns the depth
+    /// *including* it — the depth the request observed on arrival.
     pub fn enqueued(&self) -> u64 {
         self.depth.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Notes a request leaving the queue after `queue_ns` waiting, then
-    /// being served for `busy_ns`.
+    /// Notes a request leaving the shard after holding its lock for
+    /// `busy_ns`.
     pub fn served(&self, busy_ns: u64) {
         self.depth.fetch_sub(1, Ordering::Relaxed);
         self.handled.fetch_add(1, Ordering::Relaxed);
         self.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
     }
 
-    /// Notes an enqueue that never reached the worker (the shard's sender
-    /// was already closed during shutdown).
+    /// Notes a request that left without being served: its shard failed,
+    /// or a rebalance moved its session while it waited.
     pub fn abandoned(&self) {
         self.depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Requests currently queued (or in service) on this shard.
+    /// Requests currently waiting for (or holding) this shard's lock.
     pub fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
     }
@@ -206,13 +207,13 @@ impl ShardGauge {
     }
 }
 
-/// One shard's line in the `/metrics` report: live queue state plus the
-/// session accounting its worker reported.
+/// One shard's line in the `/metrics` report: live gauge state plus the
+/// session accounting read under the shard's lock.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardStatus {
     /// Shard index.
     pub shard: u64,
-    /// Requests currently queued (or in service) on this shard.
+    /// Requests currently waiting for (or holding) this shard's lock.
     pub queue_depth: u64,
     /// Requests this shard has finished serving.
     pub handled: u64,
@@ -354,7 +355,7 @@ impl WalReport {
 pub struct MetricsReport {
     /// Milliseconds since the server started.
     pub uptime_millis: f64,
-    /// Number of shard workers.
+    /// Number of session shards.
     pub shards: u64,
     /// Requests answered 2xx.
     pub requests_2xx: u64,

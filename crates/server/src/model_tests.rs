@@ -9,21 +9,22 @@ use std::sync::Arc;
 
 #[test]
 fn model_shard_gauge_depth_never_goes_negative_or_drifts() {
-    // Dispatch-side enqueue racing worker-side serve: depth is a zero-sum
-    // pair of relaxed RMWs, so it must end exactly balanced and the
-    // handled/busy counters must not lose updates.
+    // One connection's arrival racing another's departure: depth is a
+    // zero-sum pair of relaxed RMWs, so it must end exactly balanced and
+    // the handled/busy counters must not lose updates.
     let report = check_with(Config::default(), || {
         let g = Arc::new(ShardGauge::default());
         let g2 = Arc::clone(&g);
-        // The worker serves the one request the dispatcher accounted for
-        // before spawning (the real protocol: served() follows a
-        // successful enqueued() via the channel's happens-before edge).
+        // The other thread serves the one request accounted for before
+        // spawning (in the server a connection thread calls served() after
+        // its own enqueued(), so program order gives the edge the spawn
+        // gives here).
         let first_depth = g.enqueued();
         assert_eq!(first_depth, 1);
         let worker = shuttle::thread::spawn(move || {
             g2.served(2_000);
         });
-        // Dispatcher concurrently accounts a second request.
+        // A second connection concurrently arrives at the shard.
         let d = g.enqueued();
         assert!(d >= 1 && d <= 2, "observed arrival depth out of range: {d}");
         worker.join().unwrap();

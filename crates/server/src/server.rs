@@ -1,19 +1,17 @@
 //! The server runtime: listener, connection handlers, routing, solver
-//! permits, shutdown. The concurrency model is the crate docs'
+//! permits, rebalance, shutdown. The concurrency model is the crate docs'
 //! "Architecture" section.
 
 use crate::http::{self, RecvError};
 use crate::metrics::{
-    Endpoint, EndpointLatency, EngineTotals, MetricsReport, ServerMetrics, ShardGauge, ShardStatus,
-    WalReport,
+    Endpoint, EndpointLatency, EngineTotals, Histogram, HistogramSnapshot, MetricsReport,
+    ServerMetrics, ShardStatus, WalReport,
 };
-use crate::shard::{
-    json_body, resolve, run_shard, shard_of, ApiError, ShardMsg, ShardOp, ShardReply,
-};
+use crate::shard::{json_body, resolve, shard_of, stats_of, ApiError, Shard, Shards};
 use serde::{Deserialize, Serialize};
 use ses_core::testkit::workload_instance;
 use ses_core::SesInstance;
-use ses_durable::{FsyncPolicy, RecoveredLog, SessionJournal, ShardWal, WalConfig};
+use ses_durable::{FsyncPolicy, ShardWal, WalConfig};
 use ses_obs::{Level, OpsDelta, Stage, TraceId};
 use ses_service::{
     EvalRequest, InstanceInfo, InstanceName, InstanceRegistry, ServiceError, SessionEvent,
@@ -33,8 +31,10 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (tests do this).
     pub addr: String,
-    /// Shard workers (each owns a `SchedulerService`); also the most
-    /// solver runs (`/solve`, `/eval`, session opens) that execute at once.
+    /// Session shards: each a mutex-guarded `SchedulerService` (plus its
+    /// WAL when durable), locked by session ops on their connection
+    /// threads; also the most solver runs (`/solve`, `/eval`, session
+    /// opens) that execute at once.
     pub shards: usize,
     /// Pre-spawned connection-handler pool size. More concurrent
     /// keep-alive connections than this are still served — by tracked
@@ -107,7 +107,7 @@ pub struct HealthReport {
     pub intervals: u64,
     /// Instance seed.
     pub seed: u64,
-    /// Shard workers serving sessions.
+    /// Session shards.
     pub shards: u64,
 }
 
@@ -207,38 +207,30 @@ pub fn signal_shutdown_requested() -> bool {
     SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Where a session's requests route while (or after) a migration.
-enum RouteState {
-    /// A rebalance is in flight: requests for the session wait briefly and
-    /// retry, exactly as if the session were mid-close.
-    Pending,
-    /// The session now lives on this shard instead of its name-hash home.
-    To(usize),
-}
-
-/// Shared server state (config copies, flags, metrics, routes, permits).
+/// Shared server state (config copies, flags, metrics, shards, routes,
+/// permits).
 struct ServerState {
     ctrl_shutdown: AtomicBool,
     max_body_bytes: usize,
     slow_request_micros: u64,
-    shards: usize,
-    /// Bounds concurrent solver runs on connection threads at `shards`.
+    /// The session shards.
+    shards: Shards,
+    /// Bounds concurrent solver runs on connection threads at the shard
+    /// count.
     permits: SolverPermits,
     overflow_active: AtomicUsize,
     started: Instant,
     metrics: ServerMetrics,
-    /// One gauge per shard, shared with that shard's worker thread.
-    gauges: Vec<Arc<ShardGauge>>,
     health: HealthReport,
-    /// The instance registry shared with every shard worker; `GET
-    /// /instances` answers from it without touching any shard queue.
+    /// The instance registry every request resolves instances through;
+    /// `GET /instances` answers from it without touching any shard.
     registry: Arc<InstanceRegistry>,
     /// Whether shards run with a WAL (gates `POST /admin/rebalance`).
     durable: bool,
-    /// Session-name → route override, consulted before the name hash.
-    /// Touched only by rebalances and by session routes of overridden
-    /// names; the common case is one uncontended read of an empty map.
-    route_overrides: RwLock<HashMap<String, RouteState>>,
+    /// Session name → shard, for sessions living off their name-hash home.
+    /// Written only by rebalances, under both shard locks; the common case
+    /// is one uncontended read of an empty map.
+    route_overrides: RwLock<HashMap<String, usize>>,
 }
 
 impl ServerState {
@@ -246,50 +238,42 @@ impl ServerState {
         self.ctrl_shutdown.load(Ordering::SeqCst) || signal_shutdown_requested()
     }
 
-    /// The shard `name`'s requests go to right now: the override when one
-    /// is set, the stable name hash otherwise. While a migration is in
-    /// flight the request waits (bounded), then answers 503 — the same
-    /// contract as racing any other connection's close.
-    fn effective_shard(&self, name: &str) -> Result<usize, ApiError> {
-        // ~2 s at 5 ms per poll; a migration is two shard-queue round
-        // trips, normally well under one tick.
-        for _ in 0..400 {
-            {
-                // A poisoned lock means a handler panicked mid-insert;
-                // the map itself is still sound, keep routing.
-                let map = self
-                    .route_overrides
-                    .read()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                match map.get(name) {
-                    None => return Ok(shard_of(name, self.shards)),
-                    Some(RouteState::To(shard)) => return Ok(*shard),
-                    Some(RouteState::Pending) => {}
-                }
-            }
-            if self.shutting_down() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        Err(ApiError::new(
-            503,
-            "rebalancing",
-            format!("session '{name}' is migrating between shards; retry"),
-        ))
+    /// The shard `name`'s requests go to: the override when one is set,
+    /// the stable name hash otherwise.
+    fn route(&self, name: &str) -> usize {
+        // A poisoned lock means a handler panicked mid-insert; the map
+        // itself is still sound, keep routing.
+        let map = self
+            .route_overrides
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        map.get(name)
+            .copied()
+            .unwrap_or_else(|| shard_of(name, self.shards.len()))
     }
 
-    /// Sets a session's route override, normalizing "override equals the
-    /// name hash" back to no entry.
-    fn set_route(&self, name: &str, value: RouteState) {
+    /// Sets a session's route, normalizing "the name hash" back to no
+    /// entry.
+    fn set_route(&self, name: &str, shard: usize) {
         let mut map = self
             .route_overrides
             .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match value {
-            RouteState::To(shard) if shard == shard_of(name, self.shards) => map.remove(name),
-            v => map.insert(name.to_owned(), v),
-        };
+            .unwrap_or_else(PoisonError::into_inner);
+        if shard == shard_of(name, self.shards.len()) {
+            map.remove(name);
+        } else {
+            map.insert(name.to_owned(), shard);
+        }
+    }
+
+    /// Runs one session op on `name`'s shard, on this thread (see
+    /// [`Shards::run`]).
+    fn on_session<T>(
+        &self,
+        name: &str,
+        op: impl FnOnce(&mut Shard) -> Result<T, ApiError>,
+    ) -> Result<T, ApiError> {
+        self.shards.run(|| self.route(name), op)
     }
 }
 
@@ -299,7 +283,8 @@ pub struct ServerHandle {
     state: Arc<ServerState>,
     acceptor: std::thread::JoinHandle<()>,
     pool: Vec<std::thread::JoinHandle<()>>,
-    shard_threads: Vec<std::thread::JoinHandle<()>>,
+    /// The interval-fsync thread, under `--fsync interval:N` only.
+    wal_sync: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -327,21 +312,23 @@ impl ServerHandle {
         while self.state.overflow_active.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_millis(5));
         }
-        for shard in self.shard_threads {
-            let _ = shard.join();
+        self.state.shards.drain();
+        if let Some(wal_sync) = self.wal_sync {
+            let _ = wal_sync.join();
         }
         ses_obs::log(Level::Info, "server", "stopped", &[]);
     }
 }
 
-/// Binds the listener, spawns shard workers and the connection-handler
-/// pool, and returns a handle. The server is serving when this returns.
+/// Binds the listener, recovers the shards, spawns the connection-handler
+/// pool (and, under `--fsync interval:N`, the WAL-sync thread), and returns
+/// a handle. The server is serving when this returns.
 pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    // The registry every shard resolves requests through: the in-memory
+    // The registry every request resolves instances through: the in-memory
     // workload instance under "default", then every configured packed file
     // (registered lazily — a path is not touched until its first request,
     // which is what makes multi-tenant boot cheap).
@@ -353,13 +340,13 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     for (name, path) in &cfg.instances {
         registry.register_path(name.clone(), path.clone());
     }
-    let shards = cfg.shards.max(1);
+    let shard_count = cfg.shards.max(1);
 
     // Durability: open every shard's WAL on this thread, *before* any
-    // worker spawns — a bad --wal-dir (or an unsupported on-disk format)
+    // recovery runs — a bad --wal-dir (or an unsupported on-disk format)
     // must fail the boot with a typed error, not a half-started server.
-    let mut shard_wals: Vec<Option<(ShardWal, RecoveredLog)>> = Vec::with_capacity(shards);
-    for i in 0..shards {
+    let mut shard_wals = Vec::with_capacity(shard_count);
+    for i in 0..shard_count {
         match &cfg.wal_dir {
             None => shard_wals.push(None),
             Some(dir) => {
@@ -383,31 +370,16 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     for (i, wal) in shard_wals.iter().enumerate() {
         if let Some((_, log)) = wal {
             for session in &log.sessions {
-                if shard_of(&session.name, shards) != i {
-                    recovered_routes.insert(session.name.clone(), RouteState::To(i));
+                if shard_of(&session.name, shard_count) != i {
+                    recovered_routes.insert(session.name.clone(), i);
                 }
             }
         }
     }
 
-    let gauges: Vec<Arc<ShardGauge>> = (0..shards)
-        .map(|_| Arc::new(ShardGauge::default()))
-        .collect();
-    let mut shard_senders = Vec::with_capacity(shards);
-    let mut shard_threads = Vec::with_capacity(shards);
-    for (i, (gauge, wal)) in gauges.iter().zip(shard_wals).enumerate() {
-        let (tx, rx) = mpsc::channel::<ShardMsg>();
-        let registry = Arc::clone(&registry);
-        let gauge = Arc::clone(gauge);
-        shard_senders.push(tx);
-        shard_threads.push(
-            std::thread::Builder::new()
-                .name(format!("ses-shard-{i}"))
-                .spawn(move || run_shard(registry, rx, i, gauge, wal))
-                // ses-analyze: allow(server-panic-discipline): boot-time spawn, fails fast before serving
-                .expect("spawn shard worker"),
-        );
-    }
+    // Recovery runs before the acceptor starts: no request can see a
+    // shard mid-replay.
+    let shards = Shards::boot(&registry, shard_wals)?;
 
     let state = Arc::new(ServerState {
         ctrl_shutdown: AtomicBool::new(false),
@@ -417,23 +389,32 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         permits: SolverPermits {
             held: Mutex::new(0),
             released: Condvar::new(),
-            limit: shards,
+            limit: shard_count,
         },
         overflow_active: AtomicUsize::new(0),
         started: Instant::now(),
         metrics: ServerMetrics::new(),
-        gauges,
         health: HealthReport {
             status: "ok".to_owned(),
             users: cfg.users as u64,
             events: cfg.events as u64,
             intervals: cfg.intervals as u64,
             seed: cfg.seed,
-            shards: shards as u64,
+            shards: shard_count as u64,
         },
         registry,
         durable: cfg.wal_dir.is_some(),
         route_overrides: RwLock::new(recovered_routes),
+    });
+
+    let interval_fsync = matches!(cfg.fsync, FsyncPolicy::Interval { .. });
+    let wal_sync = (state.durable && interval_fsync).then(|| {
+        let state = Arc::clone(&state);
+        std::thread::Builder::new()
+            .name("ses-wal-sync".to_owned())
+            .spawn(move || state.shards.sync_wals())
+            // ses-analyze: allow(server-panic-discipline): boot-time spawn, fails fast before serving
+            .expect("spawn WAL sync")
     });
 
     // Rendezvous channel: a send succeeds only while a pool worker is
@@ -445,7 +426,6 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     for i in 0..cfg.io_threads.max(1) {
         let state = Arc::clone(&state);
         let conn_rx = Arc::clone(&conn_rx);
-        let senders = shard_senders.clone();
         pool.push(
             std::thread::Builder::new()
                 .name(format!("ses-conn-{i}"))
@@ -458,7 +438,7 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
                         .unwrap_or_else(|poisoned| poisoned.into_inner())
                         .recv();
                     match received {
-                        Ok(stream) => serve_connection(stream, &state, &senders),
+                        Ok(stream) => serve_connection(stream, &state),
                         Err(_) => break, // acceptor gone, pool drains
                     }
                 })
@@ -471,7 +451,7 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     let acceptor = std::thread::Builder::new()
         .name("ses-acceptor".to_owned())
         .spawn(move || {
-            accept_loop(listener, conn_tx, acceptor_state, shard_senders);
+            accept_loop(listener, conn_tx, acceptor_state);
         })
         // ses-analyze: allow(server-panic-discipline): boot-time spawn, fails fast before serving
         .expect("spawn acceptor");
@@ -482,7 +462,7 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         "listening",
         &[
             ("addr", addr.to_string().into()),
-            ("shards", shards.into()),
+            ("shards", shard_count.into()),
             ("io_threads", cfg.io_threads.max(1).into()),
             ("slow_request_millis", cfg.slow_request_millis.into()),
             ("instances", state.registry.names().len().into()),
@@ -494,7 +474,7 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         state,
         acceptor,
         pool,
-        shard_threads,
+        wal_sync,
     })
 }
 
@@ -502,7 +482,6 @@ fn accept_loop(
     listener: TcpListener,
     conn_tx: mpsc::SyncSender<TcpStream>,
     state: Arc<ServerState>,
-    shard_senders: Vec<mpsc::Sender<ShardMsg>>,
 ) {
     while !state.shutting_down() {
         match listener.accept() {
@@ -514,7 +493,6 @@ fn accept_loop(
                         // spawn a tracked overflow handler so this
                         // connection is not starved behind them.
                         let state2 = Arc::clone(&state);
-                        let senders = shard_senders.clone();
                         state.overflow_active.fetch_add(1, Ordering::SeqCst);
                         ses_obs::log(
                             Level::Debug,
@@ -528,7 +506,7 @@ fn accept_loop(
                         let spawned = std::thread::Builder::new()
                             .name("ses-conn-overflow".to_owned())
                             .spawn(move || {
-                                serve_connection(stream, &state2, &senders);
+                                serve_connection(stream, &state2);
                                 state2.overflow_active.fetch_sub(1, Ordering::SeqCst);
                             });
                         if spawned.is_err() {
@@ -544,8 +522,8 @@ fn accept_loop(
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
-    // Dropping `conn_tx` + our shard senders lets the pool and shards wind
-    // down once every in-flight connection finishes.
+    // Dropping `conn_tx` lets the pool wind down once every in-flight
+    // connection finishes.
 }
 
 /// Per-connection read timeout between requests: bounds how long a handler
@@ -560,11 +538,7 @@ const IDLE_POLL: Duration = Duration::from_millis(250);
 /// a response.
 const BODY_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn serve_connection(
-    stream: TcpStream,
-    state: &ServerState,
-    shard_senders: &[mpsc::Sender<ShardMsg>],
-) {
+fn serve_connection(stream: TcpStream, state: &ServerState) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let Ok(read_half) = stream.try_clone() else {
@@ -669,7 +643,7 @@ fn serve_connection(
             } else {
                 head.method.as_str()
             };
-            let (endpoint, result) = route(state, shard_senders, method, &head.path, &body, trace);
+            let (endpoint, result) = route(state, method, &head.path, &body);
             let (status, response_body) = match result {
                 Ok(body) => (200, body),
                 Err(e) => (e.status, e.body()),
@@ -731,19 +705,14 @@ fn parse_body<T: serde::Deserialize>(body: &str, what: &str) -> Result<T, ApiErr
 /// Routes one request and produces its response body (or typed error).
 fn route(
     state: &ServerState,
-    shard_senders: &[mpsc::Sender<ShardMsg>],
     method: &str,
     path: &str,
     body: &str,
-    trace: TraceId,
 ) -> (Endpoint, Result<String, ApiError>) {
     let path = path.split('?').next().unwrap_or(path);
     match (method, path) {
         ("GET", "/healthz") => (Endpoint::Healthz, json_body(&state.health)),
-        ("GET", "/metrics") => (
-            Endpoint::Metrics,
-            metrics_report(state, shard_senders, trace),
-        ),
+        ("GET", "/metrics") => (Endpoint::Metrics, metrics_report(state)),
         ("GET", "/instances") => (
             Endpoint::Instances,
             json_body(&InstancesReport {
@@ -767,24 +736,18 @@ fn route(
                 })
                 .and_then(|resp| json_body(&resp)),
         ),
-        ("POST", "/admin/rebalance") => (
-            Endpoint::Rebalance,
-            rebalance(state, shard_senders, body, trace),
-        ),
+        ("POST", "/admin/rebalance") => (Endpoint::Rebalance, rebalance(state, body)),
         _ => match session_route(path) {
             Some((name, action)) if method == "POST" => {
-                let to_shard = |op: ShardOp| {
-                    let shard = state.effective_shard(&name)?;
-                    dispatch(state, shard_senders, shard, op, trace)
-                };
                 let result = match action {
-                    "open" => open_session(state, shard_senders, &name, body, trace),
+                    "open" => open_session(state, &name, body),
                     "event" => parse_body::<SessionEvent>(body, "SessionEvent").and_then(|event| {
-                        let name = name.clone();
-                        to_shard(ShardOp::Event { name, event })
+                        state.on_session(&name, |shard| shard.event(&name, &event))
                     }),
-                    "report" => to_shard(ShardOp::Report { name: name.clone() }),
-                    "close" => to_shard(ShardOp::Close { name: name.clone() }),
+                    "report" => {
+                        state.on_session(&name, |shard| json_body(&shard.service.report(&name)?))
+                    }
+                    "close" => state.on_session(&name, |shard| shard.close(&name)),
                     other => Err(ApiError::new(
                         404,
                         "unknown_route",
@@ -839,21 +802,16 @@ pub struct RebalanceResponse {
     pub report: Option<SessionReport>,
 }
 
-/// Live session migration. The session is drained on its owning shard
-/// (FIFO with in-flight requests), its journal extracted (leaving a close
-/// record, so a crash never resurrects it at the source), installed on the
-/// target (re-logged with fresh LSNs, then replayed through the service),
-/// and finally re-routed. While the override is `Pending`, requests for
-/// the session wait briefly — to every client the migration is
-/// indistinguishable from a close immediately followed by a reopen
-/// elsewhere. On an install failure the journal is re-installed at the
-/// source and the route restored.
-fn rebalance(
-    state: &ServerState,
-    shard_senders: &[mpsc::Sender<ShardMsg>],
-    body: &str,
-    trace: TraceId,
-) -> Result<String, ApiError> {
+/// Live session migration. The source and target shards are locked
+/// together (lower index first), so no request sees half a session: the
+/// session's journal is extracted at the source (leaving a close record,
+/// so a crash never resurrects it there), installed on the target
+/// (re-logged with fresh LSNs, then replayed through the service), and
+/// re-routed, all before either lock is released. A request that waited
+/// on the source lock finds the new route and follows it — to every
+/// client the move is invisible. On an install failure the journal is
+/// re-installed at the source and the route stays put.
+fn rebalance(state: &ServerState, body: &str) -> Result<String, ApiError> {
     let req: RebalanceRequest = parse_body(body, "RebalanceRequest")?;
     if !state.durable {
         return Err(ApiError::new(
@@ -862,112 +820,85 @@ fn rebalance(
             "session migration requires the server to run with --wal-dir",
         ));
     }
-    if req.target >= state.shards {
+    if req.target >= state.shards.len() {
         return Err(ApiError::new(
             400,
             "bad_target",
             format!(
                 "target shard {} out of range (server has {} shards)",
-                req.target, state.shards
+                req.target,
+                state.shards.len()
             ),
         ));
     }
-    let source = state.effective_shard(&req.session)?;
-    if source == req.target {
-        // Already home — but "rebalance a session that does not exist"
-        // must still be a 404, so ask the shard before declaring no-op.
-        let op = ShardOp::Report {
-            name: req.session.clone(),
-        };
-        dispatch(state, shard_senders, source, op, trace)?;
-        return json_body(&RebalanceResponse {
-            session: req.session,
-            from: source as u64,
-            to: req.target as u64,
-            events_moved: 0,
-            report: None,
-        });
-    }
-
-    // Park the session's route: requests arriving from here on wait for
-    // the migration to settle instead of racing it.
-    state.set_route(&req.session, RouteState::Pending);
-    let op = ShardOp::Extract {
-        name: req.session.clone(),
-    };
-    let extracted = dispatch(state, shard_senders, source, op, trace).and_then(|json| {
-        serde_json::from_str::<SessionJournal>(&json).map_err(|e| {
-            ApiError::new(
-                500,
-                "internal",
-                format!("extracted journal did not parse: {e}"),
-            )
-        })
-    });
-    let journal = match extracted {
-        Ok(journal) => journal,
-        Err(e) => {
-            // Nothing moved; the session (if it exists) still lives where
-            // it was.
-            state.set_route(&req.session, RouteState::To(source));
-            return Err(e);
-        }
-    };
-    let events_moved = journal.events.len() as u64;
-
-    let op = ShardOp::Install {
-        journal: Box::new(journal.clone()),
-    };
-    match dispatch(state, shard_senders, req.target, op, trace) {
-        Ok(report_json) => {
-            state.set_route(&req.session, RouteState::To(req.target));
-            ses_obs::log(
-                Level::Info,
-                "server",
-                "session rebalanced",
-                &[
-                    ("session", req.session.as_str().into()),
-                    ("from", source.into()),
-                    ("to", req.target.into()),
-                    ("events_moved", events_moved.into()),
-                ],
-            );
-            let report = serde_json::from_str::<SessionReport>(&report_json).ok();
-            json_body(&RebalanceResponse {
+    let name = req.session.as_str();
+    loop {
+        let source = state.route(name);
+        if source == req.target {
+            // Already home — but "rebalance a session that does not exist"
+            // must still be a 404, so ask the shard before declaring no-op.
+            state.on_session(name, |shard| Ok(shard.service.report(name)?))?;
+            return json_body(&RebalanceResponse {
                 session: req.session,
                 from: source as u64,
                 to: req.target as u64,
-                events_moved,
-                report,
-            })
+                events_moved: 0,
+                report: None,
+            });
         }
-        Err(e) => {
-            // Roll back: the journal is still in hand — reinstall at the
-            // source so the session survives the failed migration.
-            let op = ShardOp::Install {
-                journal: Box::new(journal),
-            };
-            let restored = dispatch(state, shard_senders, source, op, trace);
-            state.set_route(&req.session, RouteState::To(source));
-            ses_obs::log(
-                Level::Warn,
-                "server",
-                "rebalance install failed, session restored at source",
-                &[
-                    ("session", req.session.as_str().into()),
-                    ("error", e.message.as_str().into()),
-                    ("restored", restored.is_ok().into()),
-                ],
-            );
-            Err(ApiError::new(
-                500,
-                "rebalance_failed",
-                format!(
-                    "install on shard {} failed ({}); session restored on shard {source}",
-                    req.target, e.message
-                ),
-            ))
+        let (mut from, mut to) = state.shards.lock_pair(source, req.target)?;
+        if state.route(name) != source {
+            // Another rebalance moved the session first.
+            continue;
         }
+        let journal = from.extract(name)?;
+        let events_moved = journal.events.len() as u64;
+        return match to.install(&state.registry, &journal) {
+            Ok(report) => {
+                state.set_route(name, req.target);
+                ses_obs::log(
+                    Level::Info,
+                    "server",
+                    "session rebalanced",
+                    &[
+                        ("session", name.into()),
+                        ("from", source.into()),
+                        ("to", req.target.into()),
+                        ("events_moved", events_moved.into()),
+                    ],
+                );
+                json_body(&RebalanceResponse {
+                    session: req.session.clone(),
+                    from: source as u64,
+                    to: req.target as u64,
+                    events_moved,
+                    report: Some(report),
+                })
+            }
+            Err(e) => {
+                // Roll back: the journal is still in hand — reinstall at
+                // the source so the session survives the failed migration.
+                let restored = from.install(&state.registry, &journal);
+                ses_obs::log(
+                    Level::Warn,
+                    "server",
+                    "rebalance install failed, session restored at source",
+                    &[
+                        ("session", name.into()),
+                        ("error", e.message.as_str().into()),
+                        ("restored", restored.is_ok().into()),
+                    ],
+                );
+                Err(ApiError::new(
+                    500,
+                    "rebalance_failed",
+                    format!(
+                        "install on shard {} failed ({}); session restored on shard {source}",
+                        req.target, e.message
+                    ),
+                ))
+            }
+        };
     }
 }
 
@@ -1077,15 +1008,9 @@ fn solver_run<T>(
 }
 
 /// A session open: the solve and the session build run here (a solver
-/// run), then the owning shard logs the open and adopts the session — or
-/// answers 409 when the name is taken.
-fn open_session(
-    state: &ServerState,
-    shard_senders: &[mpsc::Sender<ShardMsg>],
-    name: &str,
-    body: &str,
-    trace: TraceId,
-) -> Result<String, ApiError> {
+/// run), then, under the owning shard's lock, the shard logs the open and
+/// adopts the session — or answers 409 when the name is taken.
+fn open_session(state: &ServerState, name: &str, body: &str) -> Result<String, ApiError> {
     let open: SessionOpen = parse_body(body, "SessionOpen")?;
     if open.name != name {
         return Err(ApiError::new(
@@ -1100,18 +1025,13 @@ fn open_session(
     let (session, response) = solver_run(state, &open.instance, |inst| {
         ses_service::prepare_session(inst, &open)
     })?;
-    let shard = state.effective_shard(name)?;
-    let op = ShardOp::Open {
-        open,
-        session: Box::new(session),
-    };
-    dispatch(state, shard_senders, shard, op, trace)?;
+    state.on_session(name, |shard| shard.open(&open, session))?;
     json_body(&response)
 }
 
-/// At most `limit` solver runs at once on connection threads. Overflow
-/// connection threads are unbounded; with `limit = shards` this keeps the
-/// bound the shard threads gave when solves ran on them.
+/// At most `limit` (the shard count) solver runs at once on connection
+/// threads. Overflow connection threads are unbounded, so without this
+/// bound concurrent solves would be too.
 struct SolverPermits {
     held: Mutex<usize>,
     released: Condvar,
@@ -1149,116 +1069,52 @@ impl SolverPermits {
     }
 }
 
-/// Sends one op to one shard and waits for its reply (`None` when the
-/// shard is gone). The message carries the request's trace id and enqueue
-/// timestamp so the shard can record the queue-wait span and attribute its
-/// work to the trace.
-fn ask(
-    state: &ServerState,
-    shard_senders: &[mpsc::Sender<ShardMsg>],
-    shard: usize,
-    op: ShardOp,
-    trace: TraceId,
-) -> Option<ShardReply> {
-    let (reply, reply_rx) = mpsc::channel();
-    let gauge = &state.gauges[shard];
-    let msg = ShardMsg {
-        op,
-        reply,
-        trace: trace.raw(),
-        depth: gauge.enqueued(),
-        enqueued_ns: ses_obs::now_ns(),
-    };
-    if shard_senders[shard].send(msg).is_err() {
-        gauge.abandoned();
-        return None;
-    }
-    reply_rx.recv().ok()
-}
-
-/// [`ask`] for a request op: its response body or typed error.
-fn dispatch(
-    state: &ServerState,
-    shard_senders: &[mpsc::Sender<ShardMsg>],
-    shard: usize,
-    op: ShardOp,
-    trace: TraceId,
-) -> Result<String, ApiError> {
-    match ask(state, shard_senders, shard, op, trace) {
-        Some(ShardReply::Op(result)) => result,
-        Some(ShardReply::Stats(_)) => Err(ApiError::new(
-            500,
-            "internal",
-            "unexpected stats reply to a request op",
-        )),
-        None => Err(ApiError::new(503, "shutting_down", "shard worker is gone")),
-    }
-}
-
 /// Builds the `/metrics` body: server-side request accounting, per-shard
-/// gauges, engine totals gathered from every shard, and the process-wide
-/// span-stage latency distributions.
-fn metrics_report(
-    state: &ServerState,
-    shard_senders: &[mpsc::Sender<ShardMsg>],
-    trace: TraceId,
-) -> Result<String, ApiError> {
+/// gauges, engine totals and WAL accounting read from each shard under its
+/// lock in turn (so it waits for at most one in-flight op per shard), and
+/// the process-wide span-stage latency distributions.
+fn metrics_report(state: &ServerState) -> Result<String, ApiError> {
     let mut engine = EngineTotals::default();
-    let mut shards_detail = Vec::with_capacity(shard_senders.len());
+    let mut shards_detail = Vec::with_capacity(state.shards.len());
     let mut wal: Option<WalReport> = None;
-    let mut wal_append: Option<ses_obs::HistogramSnapshot> = None;
-    let mut wal_fsync: Option<ses_obs::HistogramSnapshot> = None;
-    for (shard, gauge) in state.gauges.iter().enumerate() {
-        match ask(state, shard_senders, shard, ShardOp::Stats, trace) {
-            Some(ShardReply::Stats(stats)) => {
-                engine.merge(&stats.engine);
-                shards_detail.push(ShardStatus {
-                    shard: shard as u64,
-                    queue_depth: gauge.depth(),
-                    handled: gauge.handled(),
-                    busy_micros: gauge.busy_micros(),
-                    sessions: stats.engine.sessions,
-                    events_applied: stats.engine.events_applied,
-                    column_slots: stats.engine.column_slots,
-                    resident_bytes: stats.engine.resident_bytes,
-                });
-                if let Some(ws) = &stats.wal {
-                    wal.get_or_insert_with(WalReport::default).merge_stats(ws);
-                }
-                for (total, snap) in [
-                    (&mut wal_append, stats.append),
-                    (&mut wal_fsync, stats.fsync),
-                ] {
-                    if let Some(snap) = snap {
-                        match total {
-                            Some(t) => t.merge(&snap),
-                            None => *total = Some(snap),
-                        }
-                    }
-                }
-            }
-            Some(ShardReply::Op(_)) => {
-                return Err(ApiError::new(
-                    500,
-                    "internal",
-                    format!("shard {shard} answered stats with a request reply"),
-                ))
-            }
-            // The shard already drained during shutdown.
-            None => continue,
-        }
+    let mut wal_append = Histogram::default().snapshot();
+    let mut wal_fsync = Histogram::default().snapshot();
+    for index in 0..state.shards.len() {
+        // A failed shard has no line: its sessions may be half-applied.
+        let Ok(shard) = state.shards.lock(index) else {
+            continue;
+        };
+        let totals = stats_of(&shard.service);
+        engine.merge(&totals);
+        let gauge = state.shards.gauge(index);
+        shards_detail.push(ShardStatus {
+            shard: index as u64,
+            queue_depth: gauge.depth(),
+            handled: gauge.handled(),
+            busy_micros: gauge.busy_micros(),
+            sessions: totals.sessions,
+            events_applied: totals.events_applied,
+            column_slots: totals.column_slots,
+            resident_bytes: totals.resident_bytes,
+        });
+        let Some(w) = shard.wal.as_ref() else {
+            continue;
+        };
+        wal.get_or_insert_with(WalReport::default)
+            .merge_stats(&w.stats());
+        wal_append.merge(&w.append_latencies());
+        wal_fsync.merge(&w.fsync_latencies());
     }
     if let Some(wal) = wal.as_mut() {
-        wal.append = wal_append
-            .filter(|s| s.count > 0)
-            .map(|s| EndpointLatency::from_snapshot("wal_append", &s));
-        wal.fsync = wal_fsync
-            .filter(|s| s.count > 0)
-            .map(|s| EndpointLatency::from_snapshot("wal_fsync", &s));
+        let line = |label, s: &HistogramSnapshot| {
+            (s.count > 0).then(|| EndpointLatency::from_snapshot(label, s))
+        };
+        wal.append = line("wal_append", &wal_append);
+        wal.fsync = line("wal_fsync", &wal_fsync);
     }
     let report = MetricsReport {
         uptime_millis: state.started.elapsed().as_secs_f64() * 1e3,
-        shards: state.shards as u64,
+        shards: state.shards.len() as u64,
         requests_2xx: state.metrics.requests_2xx(),
         requests_4xx: state.metrics.requests_4xx(),
         requests_5xx: state.metrics.requests_5xx(),

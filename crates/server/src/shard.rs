@@ -1,60 +1,33 @@
-//! Shard workers: each owns a [`SchedulerService`] — the live sessions,
-//! the server's only mutable state — and serves session operations off an
-//! mpsc channel, so `apply`'s `&mut self` never meets a lock.
+//! Session shards: N mutex-guarded [`Shard`]s, each a [`SchedulerService`]
+//! — the live sessions, the server's only mutable state — plus, when the
+//! server runs durable, that shard's WAL.
 //!
-//! Sessions are routed by a stable hash of their name, so every event for
-//! one session lands on the same shard in arrival order. Stateless work —
-//! `solve`, `eval` and an open's solve and session build — runs on the
-//! connection thread (see `server.rs`); a shard only logs and adopts the
-//! finished session. The one solve left on a shard is a migration install,
-//! which replays the session's open (recovery-equals-replay). The only
-//! shared state between shards is the [`InstanceRegistry`] of immutable
-//! `Arc<SesInstance>` handles, which a shard reads for those replays.
-//!
-//! Every message carries its request's trace id and enqueue timestamp: the
-//! worker records a `queue` span for the time the message waited and runs
-//! the operation inside that trace's scope, so engine-internal spans
-//! (apply, repair, …) recorded on the shard thread attach to the
-//! originating HTTP request.
+//! Sessions are routed by a stable hash of their name, so every op on one
+//! session takes the same shard's lock, and the lock applies them one at a
+//! time in arrival order. A session op runs on its connection thread
+//! ([`Shards::run`]): the wait for the lock is the request's `queue` span,
+//! the op its `service` span, and engine-internal spans (apply, repair, …)
+//! land in the same trace because they run on the same thread. Stateless
+//! work — `solve`, `eval` and an open's solve and session build — takes no
+//! shard lock (see `server.rs`); a shard only logs and adopts the finished
+//! session. The one solve left under a shard lock is a migration install,
+//! which replays the session's open (recovery-equals-replay). A rebalance
+//! holds its source and target locks together, taken in index order
+//! ([`Shards::lock_pair`]), and `/metrics` reads each shard under its lock
+//! in turn. The only shared state between shards is the
+//! [`InstanceRegistry`] of immutable `Arc<SesInstance>` handles.
 
 use crate::metrics::{EngineTotals, ShardGauge};
 use serde::{Deserialize, Serialize};
 use ses_core::util::Fnv1a;
 use ses_core::OnlineSession;
 use ses_durable::{recover_sessions, RecoveredLog, SessionJournal, ShardWal};
-use ses_service::{InstanceRegistry, SchedulerService, ServiceError, SessionEvent, SessionOpen};
-use std::sync::mpsc;
-use std::sync::Arc;
-
-/// One request, as the shard sees it.
-pub(crate) enum ShardOp {
-    /// Log the open and adopt the session the connection thread built.
-    Open {
-        open: SessionOpen,
-        session: Box<OnlineSession>,
-    },
-    Event {
-        name: String,
-        event: SessionEvent,
-    },
-    Report {
-        name: String,
-    },
-    Close {
-        name: String,
-    },
-    /// Migration: drain and remove a session, returning its journal
-    /// (serialized [`SessionJournal`]) to the rebalance handler.
-    Extract {
-        name: String,
-    },
-    /// Migration: re-log and replay a journal shipped from another shard.
-    Install {
-        journal: Box<SessionJournal>,
-    },
-    /// Aggregate session accounting for `/metrics`.
-    Stats,
-}
+use ses_obs::{OpsDelta, Stage};
+use ses_service::{
+    InstanceRegistry, SchedulerService, ServiceError, SessionEvent, SessionOpen, SessionReport,
+};
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A typed error on its way to becoming an HTTP response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,39 +72,6 @@ pub struct ErrorBody {
     pub error: String,
     /// Stable machine-readable kind (`unknown_session`, `parse`, …).
     pub kind: String,
-}
-
-/// Answer to [`ShardOp::Stats`]: engine totals plus the shard's WAL
-/// accounting when it runs durable.
-pub(crate) struct ShardStats {
-    pub engine: EngineTotals,
-    pub wal: Option<ses_durable::WalStats>,
-    /// WAL append latency distribution (µs).
-    pub append: Option<ses_obs::HistogramSnapshot>,
-    /// WAL fsync latency distribution (µs).
-    pub fsync: Option<ses_obs::HistogramSnapshot>,
-}
-
-/// What a shard sends back.
-pub(crate) enum ShardReply {
-    /// A request op's JSON response body, or its status + structured body.
-    Op(Result<String, ApiError>),
-    /// Answer to [`ShardOp::Stats`].
-    Stats(Box<ShardStats>),
-}
-
-/// One queued request plus its reply channel and trace context.
-pub(crate) struct ShardMsg {
-    pub op: ShardOp,
-    pub reply: mpsc::Sender<ShardReply>,
-    /// Raw trace id of the originating request (for `Stats` probes, the
-    /// `/metrics` request that sent them).
-    pub trace: u64,
-    /// [`ses_obs::now_ns`] at enqueue — the shard derives the queue-wait
-    /// span from it.
-    pub enqueued_ns: u64,
-    /// Queue depth observed at enqueue (including this message).
-    pub depth: u64,
 }
 
 /// Maps service-level failures to HTTP statuses: unknown names — sessions
@@ -186,12 +126,13 @@ pub(crate) fn json_body<T: Serialize>(value: &T) -> Result<String, ApiError> {
     serde_json::to_string(value).map_err(|e| ApiError::new(500, "serialize", e.to_string()))
 }
 
-fn stats_of(service: &SchedulerService) -> EngineTotals {
+/// Engine totals across one shard's sessions, for `/metrics`.
+pub(crate) fn stats_of(service: &SchedulerService) -> EngineTotals {
     let mut totals = EngineTotals::default();
     for name in service.session_names() {
-        // The name list and the lookup are a single-threaded sequence on
-        // this worker, so a miss is unreachable today — but `Stats` runs
-        // per `/metrics` request, so skip rather than panic the shard.
+        // The name list and the lookup run under one shard lock, so a miss
+        // is unreachable today — but this runs per `/metrics` request, so
+        // skip rather than panic.
         let Ok(report) = service.report(name) else {
             continue;
         };
@@ -207,237 +148,373 @@ fn stats_of(service: &SchedulerService) -> EngineTotals {
     totals
 }
 
-/// Session open, write-ahead: the record is on disk (per the fsync
-/// policy) before the service adopts the session the connection thread
-/// built; a taken name answers 409. The body is empty — the connection
-/// thread answers with the solve it ran.
-fn handle_open(
-    service: &mut SchedulerService,
-    wal: Option<&mut ShardWal>,
-    open: &SessionOpen,
-    session: OnlineSession,
-) -> Result<String, ApiError> {
-    if let Some(w) = wal {
-        w.append_open(open)?;
-    }
-    service.adopt_session(open.name.clone(), open.instance.clone(), session)?;
-    Ok(String::new())
+/// One session shard: its live sessions and, when the server runs with
+/// `--wal-dir`, their write-ahead log.
+pub(crate) struct Shard {
+    pub service: SchedulerService,
+    pub wal: Option<ShardWal>,
 }
 
-/// Session event, write-ahead: append (stamping the LSN into the report
-/// the client gets back), apply, then maybe snapshot the session.
-fn handle_event(
-    service: &mut SchedulerService,
-    wal: Option<&mut ShardWal>,
-    name: &str,
-    event: &SessionEvent,
-) -> Result<String, ApiError> {
-    let Some(w) = wal else {
-        return json_body(&service.apply(name, event)?);
-    };
-    let lsn = w.append_event(name, event)?;
-    let mut report = service.apply(name, event)?;
-    report.lsn = lsn;
-    if let Err(e) = w.maybe_snapshot(name, report.scheduled, report.utility) {
-        // A failed snapshot costs compaction, not correctness — the WAL
-        // tail still covers the session.
-        ses_obs::log(
-            ses_obs::Level::Warn,
-            "shard",
-            "session snapshot failed",
-            &[("session", name.into()), ("error", e.to_string().into())],
-        );
+impl Shard {
+    /// Boot: replays a WAL-backed shard's recovered log through the service
+    /// and writes `recovery.json` into its WAL directory.
+    fn recover(
+        registry: &InstanceRegistry,
+        index: usize,
+        wal: Option<(ShardWal, RecoveredLog)>,
+    ) -> Self {
+        let mut service = SchedulerService::new();
+        let wal = wal.map(|(wal, log)| {
+            let report = recover_sessions(&mut service, registry, &log);
+            if let Err(e) = report.write_json(wal.dir()) {
+                ses_obs::log(
+                    ses_obs::Level::Warn,
+                    "shard",
+                    "could not write recovery.json",
+                    &[("shard", index.into()), ("error", e.into())],
+                );
+            }
+            service.set_durable(true);
+            ses_obs::log(
+                ses_obs::Level::Info,
+                "shard",
+                "durability recovery complete",
+                &[
+                    ("shard", index.into()),
+                    ("sessions", report.sessions_recovered.into()),
+                    ("failed", report.sessions_failed.into()),
+                    ("events_replayed", report.events_replayed.into()),
+                    ("torn_tail", report.torn_tail.is_some().into()),
+                    ("errors", report.errors.len().into()),
+                ],
+            );
+            wal
+        });
+        Shard { service, wal }
     }
-    json_body(&report)
-}
 
-/// Session close, write-ahead. A close for an unknown session still leaves
-/// a record; recovery skips it exactly like the service rejects it here.
-fn handle_close(
-    service: &mut SchedulerService,
-    wal: Option<&mut ShardWal>,
-    name: &str,
-) -> Result<String, ApiError> {
-    if let Some(w) = wal {
-        w.append_close(name)?;
+    /// Whether the WAL holds appends still waiting for their interval sync.
+    fn unsynced(&self) -> bool {
+        self.wal.as_ref().and_then(ShardWal::sync_due_in).is_some()
     }
-    json_body(&service.close_session(name)?)
-}
 
-/// Migration source: drop the live session and return its journal. The
-/// close record `extract` writes means a crash after this point never
-/// resurrects the session here — it now lives only in the reply (and,
-/// once installed, on the target shard).
-fn handle_extract(
-    service: &mut SchedulerService,
-    wal: Option<&mut ShardWal>,
-    name: &str,
-) -> Result<String, ApiError> {
-    let Some(w) = wal else {
-        return Err(ApiError::new(
-            400,
-            "not_durable",
-            "session migration requires the server to run with --wal-dir",
-        ));
-    };
-    let unknown = || ApiError::from(ServiceError::UnknownSession(name.to_owned()));
-    if service.session(name).is_none() {
-        return Err(unknown());
+    /// Session open, write-ahead: the record is on disk (per the fsync
+    /// policy) before the service adopts the session the connection thread
+    /// built; a taken name answers 409.
+    pub fn open(&mut self, open: &SessionOpen, session: OnlineSession) -> Result<(), ApiError> {
+        if let Some(w) = self.wal.as_mut() {
+            w.append_open(open)?;
+        }
+        self.service
+            .adopt_session(open.name.clone(), open.instance.clone(), session)?;
+        Ok(())
     }
-    let journal = w.extract(name)?.ok_or_else(unknown)?;
-    drop(service.take_session(name));
-    json_body(&journal)
-}
 
-/// Migration target: re-log the journal with fresh LSNs, then rebuild the
-/// session by replaying it through the service — the same recovery-equals-
-/// replay path a crash would take.
-fn handle_install(
-    registry: &InstanceRegistry,
-    service: &mut SchedulerService,
-    wal: Option<&mut ShardWal>,
-    journal: &SessionJournal,
-) -> Result<String, ApiError> {
-    if let Some(w) = wal {
-        w.install(journal)?;
-    }
-    let inst = resolve(registry, journal.open.instance.as_str())?;
-    service.open_session(&inst, &journal.open)?;
-    for event in &journal.events {
-        // Events the source's service rejected replay as rejections here
-        // too (deterministically); they are not errors of the migration.
-        let _ = service.apply(&journal.name, event);
-    }
-    json_body(&service.report(&journal.name)?)
-}
-
-/// One request op against the shard's sessions and WAL.
-fn handle(
-    registry: &InstanceRegistry,
-    service: &mut SchedulerService,
-    wal: Option<&mut ShardWal>,
-    op: ShardOp,
-) -> Result<String, ApiError> {
-    match op {
-        ShardOp::Open { open, session } => handle_open(service, wal, &open, *session),
-        ShardOp::Event { name, event } => handle_event(service, wal, &name, &event),
-        ShardOp::Report { name } => json_body(&service.report(&name)?),
-        ShardOp::Close { name } => handle_close(service, wal, &name),
-        ShardOp::Extract { name } => handle_extract(service, wal, &name),
-        ShardOp::Install { journal } => handle_install(registry, service, wal, &journal),
-        // The worker loop answers `Stats` itself and never hands it here.
-        ShardOp::Stats => Err(ApiError::new(500, "internal", "stats is not a request op")),
-    }
-}
-
-/// The shard worker loop: owns its service (and, when the server runs
-/// with `--wal-dir`, its WAL), drains its queue, exits when every sender
-/// (acceptor + connection handlers) is gone. Migration installs resolve
-/// their named instance through the shared registry first, so an unknown
-/// name (or a broken packed file) is rejected before any session state is
-/// touched. A WAL-backed shard replays its recovered log through the
-/// service before taking its first request, and writes `recovery.json`
-/// into its WAL directory. Under `--fsync interval:N` the loop also syncs
-/// an unsynced WAL tail once it is due, even when no message arrives.
-pub(crate) fn run_shard(
-    registry: Arc<InstanceRegistry>,
-    rx: mpsc::Receiver<ShardMsg>,
-    shard: usize,
-    gauge: Arc<ShardGauge>,
-    wal: Option<(ShardWal, RecoveredLog)>,
-) {
-    let mut service = SchedulerService::new();
-    let mut wal = wal.map(|(wal, log)| {
-        let report = recover_sessions(&mut service, &registry, &log);
-        if let Err(e) = report.write_json(wal.dir()) {
+    /// Session event, write-ahead: append (stamping the LSN into the
+    /// report the client gets back), apply, then maybe snapshot the session.
+    pub fn event(&mut self, name: &str, event: &SessionEvent) -> Result<String, ApiError> {
+        let Some(w) = self.wal.as_mut() else {
+            return json_body(&self.service.apply(name, event)?);
+        };
+        let lsn = w.append_event(name, event)?;
+        let mut report = self.service.apply(name, event)?;
+        report.lsn = lsn;
+        if let Err(e) = w.maybe_snapshot(name, report.scheduled, report.utility) {
+            // A failed snapshot costs compaction, not correctness — the WAL
+            // tail still covers the session.
             ses_obs::log(
                 ses_obs::Level::Warn,
                 "shard",
-                "could not write recovery.json",
-                &[("shard", shard.into()), ("error", e.into())],
+                "session snapshot failed",
+                &[("session", name.into()), ("error", e.to_string().into())],
             );
         }
-        service.set_durable(true);
-        ses_obs::log(
-            ses_obs::Level::Info,
-            "shard",
-            "durability recovery complete",
-            &[
-                ("shard", shard.into()),
-                ("sessions", report.sessions_recovered.into()),
-                ("failed", report.sessions_failed.into()),
-                ("events_replayed", report.events_replayed.into()),
-                ("torn_tail", report.torn_tail.is_some().into()),
-                ("errors", report.errors.len().into()),
-            ],
-        );
-        wal
-    });
-    loop {
-        // Under `--fsync interval:N` an unsynced tail bounds the wait, so an
-        // idle shard still syncs it on time; otherwise block until the next
-        // message.
-        let msg = match wal.as_ref().and_then(ShardWal::sync_due_in) {
-            Some(wait) if !wait.is_zero() => match rx.recv_timeout(wait) {
-                Ok(msg) => msg,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            },
-            Some(_) => {
-                if let Some(Err(e)) = wal.as_mut().map(ShardWal::flush_if_due) {
+        json_body(&report)
+    }
+
+    /// Session close, write-ahead. A close for an unknown session still
+    /// leaves a record; recovery skips it exactly like the service rejects
+    /// it here.
+    pub fn close(&mut self, name: &str) -> Result<String, ApiError> {
+        if let Some(w) = self.wal.as_mut() {
+            w.append_close(name)?;
+        }
+        json_body(&self.service.close_session(name)?)
+    }
+
+    /// Migration source: drop the live session and return its journal.
+    /// The close record `extract` writes means a crash after this point
+    /// never resurrects the session here — it now lives only in the
+    /// returned journal (and, once installed, on the target shard).
+    pub fn extract(&mut self, name: &str) -> Result<SessionJournal, ApiError> {
+        let Some(w) = self.wal.as_mut() else {
+            return Err(ApiError::new(
+                400,
+                "not_durable",
+                "session migration requires the server to run with --wal-dir",
+            ));
+        };
+        let unknown = || ApiError::from(ServiceError::UnknownSession(name.to_owned()));
+        if self.service.session(name).is_none() {
+            return Err(unknown());
+        }
+        let journal = w.extract(name)?.ok_or_else(unknown)?;
+        drop(self.service.take_session(name));
+        Ok(journal)
+    }
+
+    /// Migration target: re-log the journal with fresh LSNs, then rebuild
+    /// the session by replaying it through the service — the same
+    /// recovery-equals-replay path a crash would take.
+    pub fn install(
+        &mut self,
+        registry: &InstanceRegistry,
+        journal: &SessionJournal,
+    ) -> Result<SessionReport, ApiError> {
+        if let Some(w) = self.wal.as_mut() {
+            w.install(journal)?;
+        }
+        let inst = resolve(registry, journal.open.instance.as_str())?;
+        self.service.open_session(&inst, &journal.open)?;
+        for event in &journal.events {
+            // Events the source's service rejected replay as rejections
+            // here too (deterministically); they are not errors of the
+            // migration.
+            let _ = self.service.apply(&journal.name, event);
+        }
+        Ok(self.service.report(&journal.name)?)
+    }
+}
+
+/// The answer of a shard whose lock is poisoned: an op panicked while
+/// holding it, so its sessions may be half-applied.
+fn failed(index: usize) -> ApiError {
+    ApiError::new(
+        503,
+        "shard_failed",
+        format!("shard {index} failed mid-operation and no longer serves"),
+    )
+}
+
+/// The session shards, one lock each, plus their gauges and the
+/// interval-fsync wake-up.
+pub(crate) struct Shards {
+    slots: Vec<Mutex<Shard>>,
+    gauges: Vec<ShardGauge>,
+    sync: WalSync,
+}
+
+impl Shards {
+    /// Builds one shard per entry of `wals`, recovering the WAL-backed ones
+    /// on one scoped thread per shard; returns once every shard is ready.
+    pub fn boot(
+        registry: &InstanceRegistry,
+        wals: Vec<Option<(ShardWal, RecoveredLog)>>,
+    ) -> std::io::Result<Self> {
+        let slots = std::thread::scope(|scope| {
+            let boots: Vec<_> = wals
+                .into_iter()
+                .enumerate()
+                .map(|(i, wal)| scope.spawn(move || Shard::recover(registry, i, wal)))
+                .collect();
+            boots
+                .into_iter()
+                .enumerate()
+                .map(|(i, boot)| {
+                    boot.join()
+                        .map(Mutex::new)
+                        .map_err(|_| std::io::Error::other(format!("shard {i} recovery panicked")))
+                })
+                .collect::<std::io::Result<Vec<_>>>()
+        })?;
+        Ok(Self {
+            gauges: slots.iter().map(|_| ShardGauge::default()).collect(),
+            slots,
+            sync: WalSync::default(),
+        })
+    }
+
+    /// Number of shards.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Shard `index`'s occupancy gauge.
+    pub fn gauge(&self, index: usize) -> &ShardGauge {
+        &self.gauges[index]
+    }
+
+    /// Locks shard `index`. A poisoned lock answers `503 shard_failed` —
+    /// never `into_inner`: the panic that poisoned it may have left a
+    /// session half-applied.
+    pub fn lock(&self, index: usize) -> Result<MutexGuard<'_, Shard>, ApiError> {
+        self.slots[index].lock().map_err(|_| failed(index))
+    }
+
+    /// Locks two distinct shards, always lower index first, so two
+    /// rebalances crossing the same pair cannot deadlock. Returns the
+    /// guards in argument order.
+    pub fn lock_pair(
+        &self,
+        a: usize,
+        b: usize,
+    ) -> Result<(MutexGuard<'_, Shard>, MutexGuard<'_, Shard>), ApiError> {
+        if a < b {
+            let first = self.lock(a)?;
+            Ok((first, self.lock(b)?))
+        } else {
+            let first = self.lock(b)?;
+            Ok((self.lock(a)?, first))
+        }
+    }
+
+    /// Runs one session op on the calling thread, on the shard `route`
+    /// names. The wait for that shard's lock is recorded as a `queue` span
+    /// (aux `[depth, shard]`) and the op as a `service` span. `route` is
+    /// read again under the lock: if a rebalance moved the session
+    /// meanwhile, the lock is released and the op follows it. A panic in
+    /// `op` poisons the shard, which answers `503 shard_failed` from then
+    /// on — this request included.
+    pub fn run<T>(
+        &self,
+        route: impl Fn() -> usize,
+        op: impl FnOnce(&mut Shard) -> Result<T, ApiError>,
+    ) -> Result<T, ApiError> {
+        loop {
+            let index = route();
+            let gauge = &self.gauges[index];
+            let depth = gauge.enqueued();
+            let arrived_ns = ses_obs::now_ns();
+            let locked = self.lock(index);
+            let picked_ns = ses_obs::now_ns();
+            let waited = picked_ns.saturating_sub(arrived_ns);
+            let aux = [depth, index as u64];
+            ses_obs::record_span(Stage::Queue, arrived_ns, waited, OpsDelta::default(), aux);
+            let shard = match locked {
+                Ok(shard) if route() == index => shard,
+                // A rebalance moved the session while this op waited.
+                Ok(_) => {
+                    gauge.abandoned();
+                    continue;
+                }
+                Err(e) => {
+                    gauge.abandoned();
+                    return Err(e);
+                }
+            };
+            let was_unsynced = shard.unsynced();
+            // The guard moves into the closure, so a panic drops it while
+            // unwinding — which is what poisons the lock.
+            let ran = std::panic::catch_unwind(AssertUnwindSafe(move || {
+                let mut shard = shard;
+                let mut span = ses_obs::span(Stage::Service);
+                span.set_aux(index as u64, depth);
+                let result = op(&mut shard);
+                (result, !was_unsynced && shard.unsynced())
+            }));
+            gauge.served(ses_obs::now_ns().saturating_sub(picked_ns));
+            return match ran {
+                Ok((result, newly_unsynced)) => {
+                    if newly_unsynced {
+                        self.sync.wake();
+                    }
+                    result
+                }
+                Err(_) => Err(failed(index)),
+            };
+        }
+    }
+
+    /// The interval-fsync loop (`--fsync interval:N`): syncs every WAL tail
+    /// that is due, then sleeps until the earliest remaining one is due or
+    /// an op leaves a shard with a fresh unsynced tail, so an idle shard
+    /// still syncs within the interval. Returns once [`Self::drain`] runs.
+    pub fn sync_wals(&self) {
+        let mut flags = self.sync.lock();
+        while !flags.stop {
+            flags.woken = false;
+            drop(flags);
+            let mut next: Option<std::time::Duration> = None;
+            for index in 0..self.len() {
+                // A failed shard is out of service; its tail stays as is.
+                let Ok(mut shard) = self.lock(index) else {
+                    continue;
+                };
+                let Some(wal) = shard.wal.as_mut() else {
+                    continue;
+                };
+                if let Err(e) = wal.flush_if_due() {
                     ses_obs::log(
                         ses_obs::Level::Warn,
                         "shard",
                         "interval WAL flush failed",
-                        &[("shard", shard.into()), ("error", e.to_string().into())],
+                        &[("shard", index.into()), ("error", e.to_string().into())],
                     );
                 }
-                continue;
+                if let Some(wait) = wal.sync_due_in() {
+                    next = Some(next.map_or(wait, |n| n.min(wait)));
+                }
             }
-            None => match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            },
-        };
-        // Attribute everything below — including engine-internal spans on
-        // this thread — to the originating request's trace.
-        let _scope = ses_obs::TraceId::from_raw(msg.trace).map(ses_obs::trace_scope);
-        let picked_ns = ses_obs::now_ns();
-        ses_obs::record_span(
-            ses_obs::Stage::Queue,
-            msg.enqueued_ns,
-            picked_ns.saturating_sub(msg.enqueued_ns),
-            ses_obs::OpsDelta::default(),
-            [msg.depth, shard as u64],
-        );
-        let mut service_span = ses_obs::span(ses_obs::Stage::Service);
-        service_span.set_aux(shard as u64, msg.depth);
-        let reply = match msg.op {
-            ShardOp::Stats => ShardReply::Stats(Box::new(ShardStats {
-                engine: stats_of(&service),
-                wal: wal.as_ref().map(|w| w.stats()),
-                append: wal.as_ref().map(|w| w.append_latencies()),
-                fsync: wal.as_ref().map(|w| w.fsync_latencies()),
-            })),
-            op => ShardReply::Op(handle(&registry, &mut service, wal.as_mut(), op)),
-        };
-        drop(service_span);
-        gauge.served(ses_obs::now_ns().saturating_sub(picked_ns));
-        // A dropped reply receiver means the connection died mid-request;
-        // the shard's state change (if any) stands, like any completed
-        // request whose response was lost on the wire.
-        let _ = msg.reply.send(reply);
-    }
-    // Graceful drain: make the tail durable before the thread exits.
-    if let Some(w) = wal.as_mut() {
-        if let Err(e) = w.flush() {
-            ses_obs::log(
-                ses_obs::Level::Warn,
-                "shard",
-                "final WAL flush failed",
-                &[("shard", shard.into()), ("error", e.to_string().into())],
-            );
+            let asleep = |f: &mut SyncFlags| !f.woken && !f.stop;
+            flags = self.sync.lock();
+            flags = match next {
+                Some(wait) => {
+                    let woke = self.sync.cv.wait_timeout_while(flags, wait, asleep);
+                    woke.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => {
+                    let woke = self.sync.cv.wait_while(flags, asleep);
+                    woke.unwrap_or_else(PoisonError::into_inner)
+                }
+            };
         }
+    }
+
+    /// Graceful drain, once no connection is left: stops
+    /// [`Self::sync_wals`] and makes every shard's WAL tail durable.
+    pub fn drain(&self) {
+        self.sync.lock().stop = true;
+        self.sync.cv.notify_all();
+        for index in 0..self.len() {
+            let Ok(mut shard) = self.lock(index) else {
+                continue;
+            };
+            if let Err(e) = shard.wal.as_mut().map_or(Ok(()), ShardWal::flush) {
+                ses_obs::log(
+                    ses_obs::Level::Warn,
+                    "shard",
+                    "final WAL flush failed",
+                    &[("shard", index.into()), ("error", e.to_string().into())],
+                );
+            }
+        }
+    }
+}
+
+/// Wake-ups for [`Shards::sync_wals`].
+#[derive(Default)]
+struct WalSync {
+    flags: Mutex<SyncFlags>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct SyncFlags {
+    /// An op left a shard with a fresh unsynced tail since the last scan.
+    woken: bool,
+    /// The server is draining.
+    stop: bool,
+}
+
+impl WalSync {
+    // Two plain flags: a panic elsewhere cannot leave them inconsistent.
+    fn lock(&self) -> MutexGuard<'_, SyncFlags> {
+        self.flags.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wake(&self) {
+        self.lock().woken = true;
+        self.cv.notify_one();
     }
 }
 
@@ -464,6 +541,56 @@ mod tests {
         let hits: std::collections::HashSet<usize> =
             (0..64).map(|i| shard_of(&format!("s{i}"), 4)).collect();
         assert!(hits.len() > 1);
+    }
+
+    fn in_memory(shards: usize) -> Shards {
+        Shards::boot(
+            &InstanceRegistry::new(),
+            (0..shards).map(|_| None).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_fails_that_shard_only() {
+        let shards = in_memory(2);
+        let sessions = |index| shards.run(|| index, |s| Ok(s.service.session_names().len()));
+        assert_eq!(sessions(0), Ok(0));
+
+        let panicked = shards.run(
+            || 0,
+            |_| -> Result<(), ApiError> { panic!("bug mid-apply") },
+        );
+        let err = panicked.unwrap_err();
+        assert_eq!((err.status, err.kind), (503, "shard_failed"));
+        // The poisoned lock keeps answering 503; it is never recovered.
+        let err = sessions(0).unwrap_err();
+        assert_eq!((err.status, err.kind), (503, "shard_failed"));
+        assert!(shards.lock(0).is_err());
+
+        assert_eq!(sessions(1), Ok(0), "shard 1 keeps serving");
+        assert_eq!(shards.gauge(0).depth(), 0, "failed ops leave no depth");
+        assert_eq!(shards.gauge(1).depth(), 0);
+    }
+
+    #[test]
+    fn an_op_follows_a_route_that_moved_while_it_waited() {
+        let shards = in_memory(2);
+        // The first read routes to shard 0; the re-read under its lock
+        // (and every read after) says the session now lives on shard 1.
+        let reads = std::cell::Cell::new(0);
+        let route = || {
+            reads.set(reads.get() + 1);
+            usize::from(reads.get() > 1)
+        };
+        let ran_on = shards.run(route, |s| Ok(std::ptr::from_ref(&*s)));
+        let shard1 = std::ptr::from_ref(&*shards.lock(1).unwrap());
+        assert_eq!(ran_on, Ok(shard1));
+        assert_eq!(
+            (shards.gauge(0).handled(), shards.gauge(1).handled()),
+            (0, 1)
+        );
+        assert_eq!(shards.gauge(0).depth(), 0);
     }
 
     #[test]

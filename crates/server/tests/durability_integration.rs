@@ -398,3 +398,77 @@ fn rebalance_rejects_bad_requests_with_typed_errors() {
     assert_eq!(err.kind, "parse");
     handle.shutdown();
 }
+
+/// Rebalances under live traffic: one thread keeps posting events to the
+/// migrating session and to a bystander while the session moves back and
+/// forth between shards. A request that waited on the source shard's lock
+/// follows the session to its new shard, so every reply is a 200 — never
+/// a 503 or a 404 — and the migrated session ends exactly where a control
+/// session on a second server, fed the same events with no rebalance, ends.
+#[test]
+fn rebalance_under_live_traffic_loses_and_refuses_nothing() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let scratch = Scratch::new("live");
+    let control_scratch = Scratch::new("live-control");
+    let handle = durable_server(2, &scratch.0);
+    let control = durable_server(2, &control_scratch.0);
+    let mut control_client = client_of(&control);
+    for c in [&mut client_of(&handle), &mut control_client] {
+        post_ok(c, "/sessions/mig/open", &open_body("mig", 5));
+        post_ok(c, "/sessions/bystander/open", &open_body("bystander", 3));
+    }
+
+    let events = event_bodies(400);
+    let moves = AtomicUsize::new(0);
+    let traffic_done = AtomicBool::new(false);
+    let sent = std::thread::scope(|scope| {
+        let traffic = scope.spawn(|| {
+            let mut client = client_of(&handle);
+            let mut sent = 0;
+            // Keep posting until several moves overlapped the traffic.
+            while sent < 40 || moves.load(Ordering::SeqCst) < 4 {
+                let body = events.get(sent).expect("traffic outlasted the event list");
+                for name in ["mig", "bystander"] {
+                    let path = format!("/sessions/{name}/event");
+                    let (status, resp) = client.post(&path, body).unwrap();
+                    assert_eq!(status, 200, "POST {path} mid-rebalance: {resp}");
+                }
+                sent += 1;
+            }
+            traffic_done.store(true, Ordering::SeqCst);
+            sent
+        });
+        let mut client = client_of(&handle);
+        let mut target = 0;
+        while !traffic_done.load(Ordering::SeqCst) && !traffic.is_finished() {
+            target = 1 - target;
+            let req = serde_json::to_string(&RebalanceRequest {
+                session: "mig".to_owned(),
+                target,
+            })
+            .unwrap();
+            post_ok(&mut client, "/admin/rebalance", &req);
+            moves.fetch_add(1, Ordering::SeqCst);
+        }
+        traffic.join().unwrap()
+    });
+    assert!(moves.load(Ordering::SeqCst) >= 4);
+
+    for body in &events[..sent] {
+        post_ok(&mut control_client, "/sessions/mig/event", body);
+    }
+    let mut client = client_of(&handle);
+    let migrated = report_of(&mut client, "mig");
+    let expected = report_of(&mut control_client, "mig");
+    assert_eq!(migrated.utility.to_bits(), expected.utility.to_bits());
+    assert_eq!(migrated.scheduled, expected.scheduled);
+    assert_eq!(migrated.events_applied, expected.events_applied);
+    assert_eq!(migrated.clock, expected.clock);
+    assert_eq!(
+        report_of(&mut client, "bystander").events_applied,
+        sent as u64
+    );
+    handle.shutdown();
+    control.shutdown();
+}
