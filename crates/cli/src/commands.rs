@@ -75,8 +75,11 @@ SUBCOMMANDS:
                   --wal-dir DIR  (per-shard write-ahead log: sessions survive
                                   kill -9, recovered by replay on next boot;
                                   unlocks live migration via POST /admin/rebalance)
-                  --fsync per-record|interval[:ms]|off (interval:25; needs --wal-dir)
-                  --snapshot-every N (64; events between session snapshots, 0 = never)
+                  --fsync per-record|interval[:ms]|off (interval:25; needs --wal-dir;
+                                      off still syncs snapshots and segment seals)
+                  --snapshot-every N (64; events between session snapshot
+                                      records, always fsynced; 0 = never; a
+                                      segment roll also re-snapshots quiet sessions)
                   endpoints: POST /solve /eval /sessions/{name}/open|event|report|close
                              POST /admin/rebalance (durable servers)
                              GET /healthz /metrics /trace/{id} /instances
@@ -102,7 +105,8 @@ SUBCOMMANDS:
                   section: durable acks + server-side append/fsync latencies
     wal         offline WAL tooling (no server needed)
         inspect   --dir DIR (required; a server's --wal-dir)
-                  --records (list every record: kind, LSN, session)
+                  --records (list every record, snapshots included: kind,
+                             LSN, session)
                   --format text|json (text)
     help        show this message
 ";
@@ -1000,8 +1004,8 @@ pub fn instances(args: &ParsedArgs) -> Result<(), String> {
 }
 
 /// `ses wal inspect` — offline dissection of a server's `--wal-dir`:
-/// per-shard segment and snapshot inventory, LSN ranges, torn tails, and
-/// (with `--records`) every record's kind/LSN/session.
+/// per-shard segment inventory, LSN ranges, torn tails, and (with
+/// `--records`) every record's kind/LSN/session, snapshots included.
 pub fn wal_inspect(args: &ParsedArgs) -> Result<(), String> {
     let dir = args.require("dir").map_err(|e| e.to_string())?;
     let with_records = args.has_flag("records");
@@ -1029,12 +1033,6 @@ pub fn wal_inspect(args: &ParsedArgs) -> Result<(), String> {
             println!(
                 "  {:<16} {:>9} bytes, {:>6} records, lsn {}..={}{torn}",
                 seg.file, seg.bytes, seg.records, seg.first_lsn, seg.last_lsn
-            );
-        }
-        for snap in &shard.snapshots {
-            println!(
-                "  {:<16} session '{}' @ lsn {} — {} events, {} scheduled",
-                snap.file, snap.session, snap.lsn, snap.events, snap.scheduled
             );
         }
         for err in &shard.errors {

@@ -48,7 +48,8 @@ impl Drop for Server {
 
 /// Spawns `ses serve` with a fixed universe on `addr`, WAL-backed with
 /// per-record fsync (the strictest policy — every acked event must survive
-/// the kill).
+/// the kill) and a snapshot every 8 events, so the kill and the resumed
+/// replay cross several snapshot records.
 fn spawn_server(addr: &str, wal_dir: &std::path::Path) -> Server {
     let child = Command::new(env!("CARGO_BIN_EXE_ses"))
         .args([
@@ -71,6 +72,8 @@ fn spawn_server(addr: &str, wal_dir: &std::path::Path) -> Server {
             wal_dir.to_str().unwrap(),
             "--fsync",
             "per-record",
+            "--snapshot-every",
+            "8",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())

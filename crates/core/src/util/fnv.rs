@@ -1,7 +1,7 @@
 //! Streaming 64-bit FNV-1a over a byte stream.
 //!
 //! The one definition of the FNV constants in the workspace: stable,
-//! seedless digests (shard routing, snapshot file names, trace digests)
+//! seedless digests (shard routing, trace digests)
 //! fold bytes through [`Fnv1a`], and the instance store's word-folding
 //! checksum starts its lanes from the same offset basis and prime.
 

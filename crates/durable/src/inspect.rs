@@ -1,11 +1,11 @@
 //! Offline WAL inspection for `ses wal inspect`: walk a `--wal-dir`,
-//! decode every shard's segments and snapshots, and report what a recovery
+//! decode every shard's segments, and report what a recovery
 //! would see — tolerant of torn tails and corruption (that is the point of
 //! inspecting), erroring only when the directory itself is unreadable.
 
 use crate::wal::{
-    check_header, record_kind_name, RawRecord, RecordReader, SessionSnapshot, WalClose, WalEvent,
-    WalOpen, HEADER_LEN, REC_CLOSE, REC_EVENT, REC_OPEN, SEGMENT_MAGIC,
+    check_header, list_segments, record_kind_name, RawRecord, RecordReader, SessionSnapshot,
+    WalClose, WalEvent, WalOpen, HEADER_LEN, REC_CLOSE, REC_EVENT, REC_OPEN, REC_SNAPSHOT,
 };
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -15,7 +15,7 @@ use std::path::Path;
 pub struct RecordInfo {
     /// Byte offset in the segment file.
     pub offset: u64,
-    /// Record kind label (`open`, `event`, `close`).
+    /// Record kind label (`open`, `event`, `close`, `snapshot`).
     pub kind: String,
     /// Log sequence number.
     pub lsn: u64,
@@ -44,21 +44,6 @@ pub struct SegmentInfo {
     pub torn: Option<String>,
 }
 
-/// One snapshot file's summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SnapshotInfo {
-    /// File name (`snap-<hash>.snap`).
-    pub file: String,
-    /// Session the snapshot covers.
-    pub session: String,
-    /// LSN the snapshot is stable at.
-    pub lsn: u64,
-    /// Journaled events compacted into it.
-    pub events: u64,
-    /// Schedule size recorded as the integrity check.
-    pub scheduled: u64,
-}
-
 /// One shard directory's inspection.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardInspection {
@@ -66,11 +51,10 @@ pub struct ShardInspection {
     pub dir: String,
     /// Segments, index order.
     pub segments: Vec<SegmentInfo>,
-    /// Snapshots, file-name order.
-    pub snapshots: Vec<SnapshotInfo>,
     /// Decoded records across all segments.
     pub records: u64,
-    /// Problems found (bad headers, undecodable payloads, …).
+    /// Problems found (bad headers, undecodable payloads, leftover
+    /// format-1 snapshot files, …).
     #[serde(default)]
     pub errors: Vec<String>,
     /// Decoded records, when requested.
@@ -101,6 +85,10 @@ fn record_info(rec: &RawRecord<'_>) -> Result<RecordInfo, String> {
             let p: WalClose = serde_json::from_str(text).map_err(|e| e.to_string())?;
             (p.lsn, p.name)
         }
+        REC_SNAPSHOT => {
+            let p: SessionSnapshot = serde_json::from_str(text).map_err(|e| e.to_string())?;
+            (p.lsn, p.journal.name)
+        }
         other => return Err(format!("unexpected record kind {other:#04x} in segment")),
     };
     Ok(RecordInfo {
@@ -121,29 +109,7 @@ fn inspect_shard_dir(dir: &Path, with_records: bool) -> Result<ShardInspection, 
             .to_owned(),
         ..ShardInspection::default()
     };
-    let mut segments: Vec<(u64, std::path::PathBuf)> = Vec::new();
-    let mut snapshots: Vec<std::path::PathBuf> = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("read {}: {e}", dir.display()))?;
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(idx) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(".wal"))
-        {
-            if let Ok(index) = idx.parse::<u64>() {
-                segments.push((index, path));
-            }
-        } else if name.starts_with("snap-") && name.ends_with(".snap") {
-            snapshots.push(path);
-        }
-    }
-    segments.sort_by_key(|(i, _)| *i);
-    snapshots.sort();
-
+    let segments = list_segments(dir, &mut out.errors).map_err(|e| e.to_string())?;
     for (_, path) in &segments {
         let file = path
             .file_name()
@@ -165,7 +131,7 @@ fn inspect_shard_dir(dir: &Path, with_records: bool) -> Result<ShardInspection, 
             last_lsn: 0,
             torn: None,
         };
-        match check_header(&bytes, &SEGMENT_MAGIC, path) {
+        match check_header(&bytes, path) {
             Ok(records) => {
                 let mut reader = RecordReader::new(records, HEADER_LEN, path.display().to_string());
                 loop {
@@ -201,29 +167,6 @@ fn inspect_shard_dir(dir: &Path, with_records: bool) -> Result<ShardInspection, 
         }
         out.records += info.records;
         out.segments.push(info);
-    }
-
-    for path in &snapshots {
-        let file = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("?")
-            .to_owned();
-        match crate::wal::read_snapshot_file(path) {
-            Ok(SessionSnapshot {
-                lsn,
-                journal,
-                scheduled,
-                ..
-            }) => out.snapshots.push(SnapshotInfo {
-                file,
-                session: journal.name,
-                lsn,
-                events: journal.events.len() as u64,
-                scheduled: scheduled as u64,
-            }),
-            Err(e) => out.errors.push(e.to_string()),
-        }
     }
     Ok(out)
 }

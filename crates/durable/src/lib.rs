@@ -11,14 +11,19 @@
 //!   four-lane FNV-1a checksum ([`ses_core::FoldState`]), under a
 //!   configurable [`FsyncPolicy`] (per-record / interval-batched / off);
 //! * per-session **snapshots** ([`SessionSnapshot`]) — the session's
-//!   journal compacted to one atomically-replaced file, after which WAL
-//!   segments every session has outgrown are deleted;
-//! * **recovery** ([`recover_sessions`]) — replaying snapshot + WAL tail
+//!   whole journal appended to the live segment as one record, fsynced
+//!   whatever the policy, after which the sealed segments every session
+//!   has outgrown are deleted; each segment roll also snapshots the
+//!   sessions that have gone quiet, so the log keeps at most one sealed
+//!   segment beside the live one;
+//! * **recovery** ([`recover_sessions`]) — the segments are read in order
+//!   and each session starts from its open or its latest snapshot record;
+//!   the snapshot's journal, then the events logged after it, replay
 //!   through [`SchedulerService::apply`], the same code path that produced
-//!   the pre-crash state. Torn tails are detected by checksum and cleanly
-//!   truncated; corruption is a typed [`WalError`], never a panic (this
-//!   crate's request-path files are under the workspace
-//!   `server-panic-discipline` lint).
+//!   the pre-crash state, and the snapshot's check is verified in between.
+//!   Torn tails are detected by checksum and cleanly truncated; corruption
+//!   is a typed [`WalError`], never a panic (this crate's request-path
+//!   files are under the workspace `server-panic-discipline` lint).
 //!
 //! Because the log stores *requests*, not state, recovery correctness
 //! reduces to the determinism the workspace already pins: the
@@ -41,14 +46,11 @@ mod inspect;
 mod recover;
 mod wal;
 
-pub use inspect::{
-    inspect_dir, RecordInfo, SegmentInfo, ShardInspection, SnapshotInfo, WalInspection,
-};
+pub use inspect::{inspect_dir, RecordInfo, SegmentInfo, ShardInspection, WalInspection};
 pub use recover::{recover_sessions, RecoveryReport};
 pub use wal::{
-    check_header, encode_record, read_snapshot_file, record_kind_name, write_snapshot_file,
-    FsyncPolicy, RawRecord, RecordReader, RecoveredLog, RecoveredSession, SessionJournal,
-    SessionSnapshot, ShardWal, SnapshotCheck, WalClose, WalConfig, WalError, WalEvent, WalOpen,
-    WalStats, FORMAT_VERSION, HEADER_LEN, REC_CLOSE, REC_EVENT, REC_OPEN, REC_SNAPSHOT,
-    SEGMENT_MAGIC, SNAPSHOT_MAGIC,
+    check_header, encode_record, record_kind_name, FsyncPolicy, RawRecord, RecordReader,
+    RecoveredLog, RecoveredSession, SessionJournal, SessionSnapshot, ShardWal, SnapshotCheck,
+    WalClose, WalConfig, WalError, WalEvent, WalOpen, WalStats, FORMAT_VERSION, HEADER_LEN,
+    REC_CLOSE, REC_EVENT, REC_OPEN, REC_SNAPSHOT, SEGMENT_MAGIC,
 };

@@ -40,6 +40,10 @@ pub struct RecoveryReport {
     /// Torn-tail description when the last segment was truncated.
     #[serde(default)]
     pub torn_tail: Option<String>,
+    /// Sessions recovered from a snapshot record whose integrity checks
+    /// were verified (failures included).
+    #[serde(default)]
+    pub snapshot_checks: u64,
     /// Snapshot integrity-check failures (session kept, tail still
     /// applied; the digest oracle is the final arbiter).
     #[serde(default)]
@@ -97,6 +101,7 @@ fn replay_session(
         replayed += 1;
     }
     if let Some(check) = session.check {
+        report.snapshot_checks += 1;
         match service.report(&session.name) {
             Ok(state) => {
                 if state.utility.to_bits() != check.utility_bits

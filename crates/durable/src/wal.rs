@@ -1,6 +1,6 @@
 //! The per-shard write-ahead log: segmented record files, per-session
-//! snapshots, and the in-memory session journal mirror that snapshots and
-//! migration ship.
+//! snapshot records, and the in-memory session journal mirror that
+//! snapshots and migration ship.
 //!
 //! ## Record framing
 //!
@@ -33,23 +33,22 @@
 //! [`SessionEvent`]: ses_service::SessionEvent
 
 use serde::{Deserialize, Serialize};
-use ses_core::util::Fnv1a;
 use ses_core::FoldState;
 use ses_service::{SessionEvent, SessionOpen};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Magic bytes opening every WAL segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"SESWALOG";
-/// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SESWSNAP";
-/// On-disk format version (bumped on incompatible layout changes).
-pub const FORMAT_VERSION: u32 = 1;
-/// Bytes of segment/snapshot header: magic + version.
+/// On-disk format version (bumped on incompatible layout changes). Version
+/// 2 writes snapshots as records inside segments, which version-1 builds
+/// refuse by this number instead of misreading.
+pub const FORMAT_VERSION: u32 = 2;
+/// Bytes of segment header: magic + version.
 pub const HEADER_LEN: u64 = 12;
 
 /// Record kind: a session open (payload [`WalOpen`]).
@@ -58,8 +57,7 @@ pub const REC_OPEN: u8 = 0x01;
 pub const REC_EVENT: u8 = 0x02;
 /// Record kind: a session close or departure (payload [`WalClose`]).
 pub const REC_CLOSE: u8 = 0x03;
-/// Record kind: a full session snapshot (payload [`SessionSnapshot`];
-/// snapshot files only).
+/// Record kind: a full session snapshot (payload [`SessionSnapshot`]).
 pub const REC_SNAPSHOT: u8 = 0x04;
 
 /// Human-readable name of a record kind.
@@ -85,8 +83,10 @@ pub enum FsyncPolicy {
         /// Maximum milliseconds between syncs.
         millis: u64,
     },
-    /// Never fsync (the OS flushes on its own schedule): crash loses the
-    /// unflushed tail, kept for benchmarking the framing overhead alone.
+    /// Never fsync an event, open or close record (the OS flushes on its
+    /// own schedule): a crash loses the unflushed tail, kept for
+    /// benchmarking the framing overhead alone. Snapshot records and
+    /// segment seals still sync, since truncation relies on them.
     Off,
 }
 
@@ -253,8 +253,8 @@ pub struct WalClose {
 }
 
 /// A session's complete replayable history: the open request plus every
-/// event since, in application order. This is what snapshots persist and
-/// what migration ships between shards — state is never serialized, only
+/// event since, in application order. This is what snapshot records hold
+/// and what migration ships between shards — state is never serialized, only
 /// the inputs that deterministically rebuild it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionJournal {
@@ -267,13 +267,13 @@ pub struct SessionJournal {
     pub events: Vec<SessionEvent>,
 }
 
-/// Payload of a [`REC_SNAPSHOT`] record: one session's journal compacted to
-/// a single checksummed file, plus cheap integrity checks of the state the
-/// journal rebuilds.
+/// Payload of a [`REC_SNAPSHOT`] record: one session's whole journal in a
+/// single record, plus cheap integrity checks of the state the journal
+/// rebuilds. Recovery starts the session from it, so the session's earlier
+/// records are redundant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSnapshot {
-    /// LSN of the last record folded into this snapshot; WAL records with
-    /// `lsn <=` this are redundant for the session.
+    /// The record's log sequence number.
     pub lsn: u64,
     /// The compacted journal.
     pub journal: SessionJournal,
@@ -395,13 +395,9 @@ impl<'a> RecordReader<'a> {
     }
 }
 
-/// Reads and validates a file header, returning the record bytes.
-pub fn check_header<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 8],
-    path: &Path,
-) -> Result<&'a [u8], WalError> {
-    if bytes.len() < HEADER_LEN as usize || bytes[..8] != magic[..] {
+/// Reads and validates a segment header, returning the record bytes.
+pub fn check_header<'a>(bytes: &'a [u8], path: &Path) -> Result<&'a [u8], WalError> {
+    if bytes.len() < HEADER_LEN as usize || bytes[..8] != SEGMENT_MAGIC {
         return Err(WalError::BadMagic {
             path: path.display().to_string(),
         });
@@ -446,9 +442,8 @@ impl WalConfig {
     }
 }
 
-/// Point-in-time WAL accounting, readable through the shard's `Stats`
-/// round-trip (the WAL is single-threaded shard state, so these are plain
-/// counters — no atomics).
+/// Point-in-time WAL accounting, read under the shard's lock (the WAL is
+/// owned by its shard, so these are plain counters — no atomics).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WalStats {
     /// Fsync policy label.
@@ -459,7 +454,7 @@ pub struct WalStats {
     pub appended_bytes: u64,
     /// `fdatasync` calls issued since boot.
     pub fsyncs: u64,
-    /// Snapshot files written since boot.
+    /// Snapshot records written since boot.
     pub snapshots: u64,
     /// Segment files on disk (sealed + live).
     pub segments: u64,
@@ -473,10 +468,13 @@ pub struct WalStats {
 
 struct SessionState {
     journal: SessionJournal,
-    open_lsn: u64,
-    snapshot_lsn: u64,
+    /// LSN of the open or snapshot record recovery starts the session from.
+    start_lsn: u64,
     events_since_snapshot: u64,
-    last_lsn: u64,
+    /// The session's state after `journal`, as last reported through
+    /// [`ShardWal::maybe_snapshot`] (`None` until reported, and again after
+    /// each event until the next report).
+    check: Option<SnapshotCheck>,
 }
 
 struct SealedSegment {
@@ -495,9 +493,9 @@ pub struct RecoveredSession {
     pub open: SessionOpen,
     /// Events covered by the snapshot (empty when there was none).
     pub snapshot_events: Vec<SessionEvent>,
-    /// Events past the snapshot, from the WAL tail.
+    /// Events logged after the snapshot (or after the open).
     pub tail_events: Vec<SessionEvent>,
-    /// LSN of the snapshot (`0` = no snapshot).
+    /// LSN of the snapshot record recovery started from (`0` = none).
     pub snapshot_lsn: u64,
     /// The snapshot's integrity checks, verified after replaying
     /// `snapshot_events`.
@@ -519,12 +517,14 @@ pub struct SnapshotCheck {
 pub struct RecoveredLog {
     /// Sessions alive at the crash/shutdown point, sorted by name.
     pub sessions: Vec<RecoveredSession>,
-    /// Records skipped because their session was unknown or closed.
+    /// Records skipped because their session was unknown or closed. Once a
+    /// session's open is truncated away, this includes its records that
+    /// precede its snapshot in a retained segment.
     pub records_skipped: u64,
     /// Torn-tail description, when the last segment was cleanly truncated.
     pub torn_tail: Option<String>,
     /// Non-tail scan problems (corrupt mid-log segments moved aside,
-    /// unreadable snapshots, …).
+    /// undecodable records, leftover format-1 snapshot files, …).
     pub scan_errors: Vec<String>,
     /// Highest LSN seen on disk.
     pub max_lsn: u64,
@@ -534,25 +534,60 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:08}.wal"))
 }
 
-fn snapshot_path(dir: &Path, name: &str) -> PathBuf {
-    // FNV-1a of the name: session names are arbitrary percent-decoded
-    // strings, so the file name carries a stable hash instead.
-    let h = Fnv1a::hash(name.as_bytes());
-    dir.join(format!("snap-{h:016x}.snap"))
+/// Lists the `seg-*.wal` files in `dir` in index order, which is replay
+/// order. A `snap-*.snap` file left by a format-1 WAL is named in `notes`
+/// and never read: a session that needed it to recover is lost.
+pub(crate) fn list_segments(
+    dir: &Path,
+    notes: &mut Vec<String>,
+) -> Result<Vec<(u64, PathBuf)>, WalError> {
+    let mut segments = Vec::new();
+    for entry in fs::read_dir(dir).map_err(|e| io_err("read dir", dir, e))? {
+        let path = entry.map_err(|e| io_err("read dir", dir, e))?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        let index = name
+            .strip_prefix("seg-")
+            .and_then(|s| s.strip_suffix(".wal"))
+            .and_then(|s| s.parse::<u64>().ok());
+        if let Some(index) = index {
+            segments.push((index, path));
+        } else if name.starts_with("snap-") && name.ends_with(".snap") {
+            notes.push(format!(
+                "{}: format-1 snapshot file ignored (snapshots are log records since format 2)",
+                path.display()
+            ));
+        }
+    }
+    segments.sort_by_key(|(index, _)| *index);
+    Ok(segments)
 }
 
-fn write_header(buf: &mut Vec<u8>, magic: &[u8; 8]) {
-    buf.extend_from_slice(magic);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+/// Creates segment `index` in `dir`, holding just its header, and syncs the
+/// directory so the file's entry survives a power cut along with the
+/// records later synced into it.
+fn create_segment(dir: &Path, index: u64) -> Result<(PathBuf, File), WalError> {
+    let path = segment_path(dir, index);
+    let mut file = OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .open(&path)
+        .map_err(|e| io_err("create segment", &path, e))?;
+    let mut header = Vec::with_capacity(HEADER_LEN as usize);
+    header.extend_from_slice(&SEGMENT_MAGIC);
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    file.write_all(&header)
+        .map_err(|e| io_err("write header", &path, e))?;
+    sync_dir(dir)?;
+    Ok((path, file))
 }
 
-struct Building {
-    open: SessionOpen,
-    open_lsn: u64,
-    snapshot_events: Vec<SessionEvent>,
-    tail: Vec<(u64, SessionEvent)>,
-    snapshot_lsn: u64,
-    check: Option<SnapshotCheck>,
+/// Makes the directory's entries (created or removed files) durable.
+fn sync_dir(dir: &Path) -> Result<(), WalError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("sync dir", dir, e))
 }
 
 /// One shard's write-ahead log. Owned by its shard and used under that
@@ -577,70 +612,24 @@ pub struct ShardWal {
     last_sync_ns: u64,
     append_hist: ses_obs::Histogram,
     fsync_hist: ses_obs::Histogram,
+    /// Test hook: the next append writes only this many bytes of its frame
+    /// and then fails, like a write cut short by a full disk.
+    #[cfg(test)]
+    short_write: Option<usize>,
 }
 
 impl ShardWal {
-    /// Opens (or creates) the WAL in `cfg.dir`, scanning snapshots and
-    /// segments into a [`RecoveredLog`]. Torn tails are truncated in place;
+    /// Opens (or creates) the WAL in `cfg.dir`, scanning its segments in
+    /// order into a [`RecoveredLog`]. Torn tails are truncated in place;
     /// mid-log corruption moves the unreadable suffix aside (`.corrupt`)
     /// so the log stays prefix-consistent. Never panics on bad bytes.
     pub fn open(cfg: WalConfig) -> Result<(Self, RecoveredLog), WalError> {
         fs::create_dir_all(&cfg.dir).map_err(|e| io_err("create dir", &cfg.dir, e))?;
         let mut log = RecoveredLog::default();
+        let segment_files = list_segments(&cfg.dir, &mut log.scan_errors)?;
 
-        // Snapshots first: they seed the per-session journals.
-        let mut snapshots: BTreeMap<String, (PathBuf, SessionSnapshot)> = BTreeMap::new();
-        let mut segment_files: Vec<(u64, PathBuf)> = Vec::new();
-        let entries = fs::read_dir(&cfg.dir).map_err(|e| io_err("read dir", &cfg.dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err("read dir", &cfg.dir, e))?;
-            let path = entry.path();
-            let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if let Some(idx) = file_name
-                .strip_prefix("seg-")
-                .and_then(|s| s.strip_suffix(".wal"))
-            {
-                if let Ok(index) = idx.parse::<u64>() {
-                    segment_files.push((index, path));
-                }
-            } else if file_name.starts_with("snap-") && file_name.ends_with(".snap") {
-                match read_snapshot_file(&path) {
-                    Ok(snap) => {
-                        let keep = snapshots
-                            .get(&snap.journal.name)
-                            .is_none_or(|(_, old)| old.lsn < snap.lsn);
-                        if keep {
-                            snapshots.insert(snap.journal.name.clone(), (path, snap));
-                        }
-                    }
-                    Err(e) => log.scan_errors.push(e.to_string()),
-                }
-            }
-        }
-        segment_files.sort_by_key(|(index, _)| *index);
-
-        let mut building: BTreeMap<String, Building> = BTreeMap::new();
-        let mut stale_snapshots: Vec<PathBuf> = Vec::new();
-        for (name, (_path, snap)) in &snapshots {
-            building.insert(
-                name.clone(),
-                Building {
-                    open: snap.journal.open.clone(),
-                    open_lsn: 0,
-                    snapshot_events: snap.journal.events.clone(),
-                    tail: Vec::new(),
-                    snapshot_lsn: snap.lsn,
-                    check: Some(SnapshotCheck {
-                        scheduled: snap.scheduled,
-                        utility_bits: snap.utility_bits,
-                    }),
-                },
-            );
-            log.max_lsn = log.max_lsn.max(snap.lsn);
-        }
-
+        // Each live session with the LSN of the record it starts from.
+        let mut building: BTreeMap<String, (u64, RecoveredSession)> = BTreeMap::new();
         let mut sealed = Vec::new();
         let mut poisoned_from: Option<usize> = None;
         for (i, (_index, path)) in segment_files.iter().enumerate() {
@@ -648,8 +637,8 @@ impl ShardWal {
                 break;
             }
             let last_segment = i + 1 == segment_files.len();
-            let bytes = fs::read(path).map_err(|e| io_err("read segment", path, e))?;
-            let records = match check_header(&bytes, &SEGMENT_MAGIC, path) {
+            let bytes = read_synced(path)?;
+            let records = match check_header(&bytes, path) {
                 Ok(r) => r,
                 Err(e) => {
                     // Unreadable header: nothing in this segment is usable.
@@ -670,13 +659,14 @@ impl ShardWal {
                         break;
                     }
                 };
-                match decode_into(&rec, &mut building, &mut snapshots, &mut stale_snapshots) {
-                    Ok(lsn) => {
-                        seg_max_lsn = seg_max_lsn.max(lsn);
-                        log.max_lsn = log.max_lsn.max(lsn);
+                // A skipped record still took its LSN, which the next
+                // append must not hand out again.
+                let lsn = match decode_into(&rec, &mut building) {
+                    Ok(lsn) | Err(Skip::Duplicate(lsn)) => lsn,
+                    Err(Skip::UnknownSession(lsn)) => {
+                        log.records_skipped += 1;
+                        lsn
                     }
-                    Err(Skip::UnknownSession) => log.records_skipped += 1,
-                    Err(Skip::Covered) => {}
                     Err(Skip::Bad(detail)) => {
                         log.scan_errors.push(format!(
                             "{}: record at byte {} undecodable: {detail}",
@@ -684,8 +674,11 @@ impl ShardWal {
                             rec.offset
                         ));
                         log.records_skipped += 1;
+                        continue;
                     }
-                }
+                };
+                seg_max_lsn = seg_max_lsn.max(lsn);
+                log.max_lsn = log.max_lsn.max(lsn);
             }
             if let Some((offset, e)) = torn_at {
                 if last_segment {
@@ -727,51 +720,30 @@ impl ShardWal {
                 }
             }
         }
-        for path in stale_snapshots {
-            let _ = fs::remove_file(path);
-        }
 
         // Fresh live segment past everything on disk.
         let segment_index = segment_files.last().map_or(0, |(i, _)| i + 1);
-        let live_path = segment_path(&cfg.dir, segment_index);
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        write_header(&mut header, &SEGMENT_MAGIC);
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&live_path)
-            .map_err(|e| io_err("create segment", &live_path, e))?;
-        file.write_all(&header)
-            .map_err(|e| io_err("write header", &live_path, e))?;
+        let (live_path, file) = create_segment(&cfg.dir, segment_index)?;
 
         // The in-memory mirror and the replay list.
         let mut sessions = BTreeMap::new();
-        for (name, b) in building {
-            let mut events = b.snapshot_events.clone();
-            events.extend(b.tail.iter().map(|(_, e)| e.clone()));
-            let last_lsn = b.tail.last().map_or(b.snapshot_lsn, |(lsn, _)| *lsn);
+        for (name, (start_lsn, s)) in building {
+            let mut events = s.snapshot_events.clone();
+            events.extend(s.tail_events.iter().cloned());
             sessions.insert(
                 name.clone(),
                 SessionState {
                     journal: SessionJournal {
-                        name: name.clone(),
-                        open: b.open.clone(),
+                        name,
+                        open: s.open.clone(),
                         events,
                     },
-                    open_lsn: b.open_lsn,
-                    snapshot_lsn: b.snapshot_lsn,
-                    events_since_snapshot: b.tail.len() as u64,
-                    last_lsn,
+                    start_lsn,
+                    events_since_snapshot: s.tail_events.len() as u64,
+                    check: None,
                 },
             );
-            log.sessions.push(RecoveredSession {
-                name,
-                open: b.open,
-                snapshot_events: b.snapshot_events,
-                tail_events: b.tail.into_iter().map(|(_, e)| e).collect(),
-                snapshot_lsn: b.snapshot_lsn,
-                check: b.check,
-            });
+            log.sessions.push(s);
         }
 
         let wal = Self {
@@ -793,6 +765,8 @@ impl ShardWal {
             last_sync_ns: ses_obs::now_ns(),
             append_hist: ses_obs::Histogram::new(),
             fsync_hist: ses_obs::Histogram::new(),
+            #[cfg(test)]
+            short_write: None,
         };
         Ok((wal, log))
     }
@@ -806,6 +780,7 @@ impl ShardWal {
     /// unless the name is already live (in which case the service will
     /// reject the open, and recovery will skip the record the same way).
     pub fn append_open(&mut self, open: &SessionOpen) -> Result<u64, WalError> {
+        self.roll_if_full()?;
         let lsn = self.next_lsn;
         let payload = to_payload(&WalOpen {
             lsn,
@@ -821,10 +796,9 @@ impl ShardWal {
                         open: open.clone(),
                         events: Vec::new(),
                     },
-                    open_lsn: lsn,
-                    snapshot_lsn: 0,
+                    start_lsn: lsn,
                     events_since_snapshot: 0,
-                    last_lsn: lsn,
+                    check: None,
                 },
             );
         }
@@ -835,6 +809,7 @@ impl ShardWal {
     /// journal (events for unknown sessions are logged but not mirrored —
     /// the service rejects them, and recovery skips them identically).
     pub fn append_event(&mut self, name: &str, event: &SessionEvent) -> Result<u64, WalError> {
+        self.roll_if_full()?;
         let lsn = self.next_lsn;
         let payload = to_payload(&WalEvent {
             lsn,
@@ -845,71 +820,89 @@ impl ShardWal {
         if let Some(s) = self.sessions.get_mut(name) {
             s.journal.events.push(event.clone());
             s.events_since_snapshot += 1;
-            s.last_lsn = lsn;
+            s.check = None;
         }
         Ok(lsn)
     }
 
-    /// Appends a close record and drops the session from the mirror (and
-    /// its snapshot from disk).
+    /// Appends a close record and drops the session from the mirror.
     pub fn append_close(&mut self, name: &str) -> Result<u64, WalError> {
+        self.roll_if_full()?;
         let lsn = self.next_lsn;
         let payload = to_payload(&WalClose {
             lsn,
             name: name.to_owned(),
         })?;
         self.append(REC_CLOSE, &payload)?;
-        if self.sessions.remove(name).is_some() {
-            let _ = fs::remove_file(snapshot_path(&self.cfg.dir, name));
-        }
+        self.sessions.remove(name);
         Ok(lsn)
     }
 
-    /// Writes a snapshot of `name` if it has accumulated
-    /// `cfg.snapshot_every` events since the last one, then truncates any
-    /// sealed segment every live session has outgrown. `scheduled` and
-    /// `utility` are the session's current state, recorded as integrity
-    /// checks. Returns the snapshot LSN when one was written.
+    /// Records `scheduled` and `utility` as the state of `name` after its
+    /// journal so far — the integrity check its snapshot records carry —
+    /// and appends a snapshot record of it once it has accumulated
+    /// `cfg.snapshot_every` events since the last one. The shard reports
+    /// every live session's state here after each of its events (and after
+    /// its open, install or recovery), so a segment roll can re-snapshot a
+    /// quiet session (see `roll_if_full`). Returns the snapshot LSN
+    /// when one was written.
     pub fn maybe_snapshot(
         &mut self,
         name: &str,
         scheduled: usize,
         utility: f64,
     ) -> Result<Option<u64>, WalError> {
-        if self.cfg.snapshot_every == 0 {
+        let Some(s) = self.sessions.get_mut(name) else {
+            return Ok(None);
+        };
+        s.check = Some(SnapshotCheck {
+            scheduled,
+            utility_bits: utility.to_bits(),
+        });
+        self.roll_if_full()?;
+        let due = self.cfg.snapshot_every > 0
+            && self
+                .sessions
+                .get(name)
+                .is_some_and(|s| s.events_since_snapshot >= self.cfg.snapshot_every);
+        if !due {
             return Ok(None);
         }
+        let lsn = self.append_snapshot(name)?;
+        self.truncate_covered();
+        Ok(lsn)
+    }
+
+    /// Appends a snapshot record of `name` (its journal and reported
+    /// state) and makes it the session's start record. `append` syncs the
+    /// record under every policy, and only then does the start move.
+    /// `None` when the session is gone or its state was never reported.
+    fn append_snapshot(&mut self, name: &str) -> Result<Option<u64>, WalError> {
+        let lsn = self.next_lsn;
         let Some(s) = self.sessions.get(name) else {
             return Ok(None);
         };
-        if s.events_since_snapshot < self.cfg.snapshot_every {
+        let Some(check) = s.check else {
             return Ok(None);
-        }
-        let snap = SessionSnapshot {
-            lsn: s.last_lsn,
-            journal: s.journal.clone(),
-            scheduled,
-            utility_bits: utility.to_bits(),
         };
-        let mut span = ses_obs::span(ses_obs::Stage::Wal);
-        let path = snapshot_path(&self.cfg.dir, name);
-        let bytes = write_snapshot_file(&path, &snap)?;
-        span.set_aux(bytes, 1);
-        drop(span);
-        // Only now that the file is durably in place does the session's
-        // stable point move.
+        let payload = to_payload(&SessionSnapshot {
+            lsn,
+            journal: s.journal.clone(),
+            scheduled: check.scheduled,
+            utility_bits: check.utility_bits,
+        })?;
+        self.append(REC_SNAPSHOT, &payload)?;
         if let Some(s) = self.sessions.get_mut(name) {
-            s.snapshot_lsn = snap.lsn;
+            s.start_lsn = lsn;
             s.events_since_snapshot = 0;
         }
         self.snapshots_written += 1;
-        self.truncate_covered();
-        Ok(Some(snap.lsn))
+        Ok(Some(lsn))
     }
 
     /// Removes the session from this WAL for migration: its full journal is
-    /// returned, a close record marks the departure (so recovery never
-    /// resurrects it here), and its snapshot file is deleted.
+    /// returned, and a close record marks the departure (so recovery never
+    /// resurrects it here).
     pub fn extract(&mut self, name: &str) -> Result<Option<SessionJournal>, WalError> {
         if !self.sessions.contains_key(name) {
             return Ok(None);
@@ -960,7 +953,7 @@ impl ShardWal {
     /// Syncs the pending appends if their interval sync is due (see
     /// [`Self::sync_due_in`]); a no-op otherwise. A failed sync is retried
     /// one interval later rather than immediately, so a failing disk
-    /// cannot spin the shard loop.
+    /// cannot spin the WAL-sync thread.
     pub fn flush_if_due(&mut self) -> Result<(), WalError> {
         if self.sync_due_in() != Some(Duration::ZERO) {
             return Ok(());
@@ -1003,43 +996,85 @@ impl ShardWal {
         self.fsync_hist.snapshot()
     }
 
+    /// Writes one framed record at the end of the live segment and syncs it
+    /// as the policy (or, for a snapshot, every policy) asks. A write or
+    /// sync that fails cuts the frame off again, so the log never holds a
+    /// partial record ahead of later whole ones and a failed append leaves
+    /// no record at all.
     fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), WalError> {
         let start_ns = ses_obs::now_ns();
         let mut buf = Vec::with_capacity(payload.len() + 17);
         encode_record(kind, payload, &mut buf);
-        self.file
-            .write_all(&buf)
-            .map_err(|e| io_err("append", &self.live_path, e))?;
+        // A snapshot record syncs under every policy: once it is the
+        // session's stable point, truncation may delete the segments that
+        // hold the session's open and events.
+        let synced = kind == REC_SNAPSHOT
+            || match self.cfg.fsync {
+                FsyncPolicy::PerRecord => true,
+                FsyncPolicy::Interval { millis } => {
+                    ses_obs::now_ns().saturating_sub(self.last_sync_ns) >= millis * 1_000_000
+                }
+                FsyncPolicy::Off => false,
+            };
+        let written = self.write_frame(&buf).and_then(|()| {
+            self.dirty_since_sync = true;
+            if synced {
+                self.fsync()
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(e) = written {
+            return Err(self.cut_back(e));
+        }
         self.live_bytes += buf.len() as u64;
         self.live_max_lsn = self.next_lsn;
         self.records += 1;
         self.appended_bytes += buf.len() as u64;
-        self.dirty_since_sync = true;
-        let synced = match self.cfg.fsync {
-            FsyncPolicy::PerRecord => {
-                self.fsync()?;
-                true
-            }
-            FsyncPolicy::Interval { millis } => {
-                if ses_obs::now_ns().saturating_sub(self.last_sync_ns) >= millis * 1_000_000 {
-                    self.fsync()?;
-                    true
-                } else {
-                    false
-                }
-            }
-            FsyncPolicy::Off => false,
-        };
         self.next_lsn += 1;
         let dur_ns = ses_obs::now_ns().saturating_sub(start_ns);
         self.append_hist.record(dur_ns / 1_000);
-        let mut span = ses_obs::span(ses_obs::Stage::Wal);
-        span.set_aux(buf.len() as u64, u64::from(synced));
-        drop(span);
-        if self.live_bytes >= self.cfg.segment_bytes {
-            self.rotate()?;
-        }
+        ses_obs::record_span(
+            ses_obs::Stage::Wal,
+            start_ns,
+            dur_ns,
+            ses_obs::OpsDelta::default(),
+            [buf.len() as u64, u64::from(synced)],
+        );
         Ok(())
+    }
+
+    fn write_frame(&mut self, buf: &[u8]) -> Result<(), WalError> {
+        #[cfg(test)]
+        if let Some(n) = self.short_write.take() {
+            let _ = self.file.write_all(&buf[..n.min(buf.len())]);
+            return Err(io_err(
+                "append",
+                &self.live_path,
+                std::io::Error::other("injected short write"),
+            ));
+        }
+        self.file
+            .write_all(buf)
+            .map_err(|e| io_err("append", &self.live_path, e))
+    }
+
+    /// Cuts the live segment back to its last whole record after a failed
+    /// append, and returns the append's error (or, when the cut fails too,
+    /// one naming both).
+    fn cut_back(&mut self, failed: WalError) -> WalError {
+        let cut = self
+            .file
+            .set_len(self.live_bytes)
+            .and_then(|()| self.file.seek(SeekFrom::Start(self.live_bytes)));
+        match cut {
+            Ok(_) => failed,
+            Err(e) => io_err(
+                "cut back a failed append",
+                &self.live_path,
+                std::io::Error::other(format!("{failed}; then: {e}")),
+            ),
+        }
     }
 
     fn fsync(&mut self) -> Result<(), WalError> {
@@ -1055,131 +1090,159 @@ impl ShardWal {
         Ok(())
     }
 
-    fn rotate(&mut self) -> Result<(), WalError> {
-        // Seal the live segment: it must be durable before the new one
-        // takes appends, or truncation accounting could outrun the disk.
-        if self.dirty_since_sync && self.cfg.fsync != FsyncPolicy::Off {
+    /// Seals the live segment once it has reached `cfg.segment_bytes` and
+    /// starts the next one, before the next record is written. The sealed
+    /// segment syncs under every policy: a synced snapshot record only
+    /// recovers if every segment before it reads whole. Then every live
+    /// session whose start record lies in a sealed segment older than the
+    /// one just sealed is snapshotted again, so a quiet session never holds
+    /// the log back, and the covered segments are deleted: the log keeps at
+    /// most one sealed segment beside the live one (plus, until a session
+    /// reports its state, the segments that session holds).
+    fn roll_if_full(&mut self) -> Result<(), WalError> {
+        if self.live_bytes < self.cfg.segment_bytes {
+            return Ok(());
+        }
+        if self.dirty_since_sync {
             self.fsync()?;
         }
+        let (path, file) = create_segment(&self.cfg.dir, self.segment_index + 1)?;
         self.sealed.push(SealedSegment {
-            path: self.live_path.clone(),
+            path: std::mem::replace(&mut self.live_path, path),
             max_lsn: self.live_max_lsn,
         });
-        self.segment_index += 1;
-        self.live_path = segment_path(&self.cfg.dir, self.segment_index);
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        write_header(&mut header, &SEGMENT_MAGIC);
-        let mut file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&self.live_path)
-            .map_err(|e| io_err("create segment", &self.live_path, e))?;
-        file.write_all(&header)
-            .map_err(|e| io_err("write header", &self.live_path, e))?;
         self.file = file;
+        self.segment_index += 1;
         self.live_bytes = HEADER_LEN;
         self.live_max_lsn = 0;
-        self.dirty_since_sync = false;
+        let rebased = self.snapshot_laggards();
         self.truncate_covered();
+        rebased
+    }
+
+    /// Snapshots every session whose start record lies in a sealed segment
+    /// other than the newest.
+    fn snapshot_laggards(&mut self) -> Result<(), WalError> {
+        if self.cfg.snapshot_every == 0 || self.sealed.len() < 2 {
+            return Ok(());
+        }
+        let older = &self.sealed[..self.sealed.len() - 1];
+        let held = older.iter().map(|seg| seg.max_lsn).max().unwrap_or(0);
+        let laggards: Vec<String> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.start_lsn <= held)
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in laggards {
+            self.append_snapshot(&name)?;
+        }
         Ok(())
     }
 
     /// Deletes sealed segments every live session has outgrown: a segment
-    /// is droppable when its highest LSN is at or below every session's
-    /// stable point (its snapshot LSN, or just before its open record when
-    /// it has no snapshot). With no live sessions, everything sealed is
-    /// droppable.
+    /// is droppable when its highest LSN lies below every session's start
+    /// record (its open, or its latest snapshot). With no live sessions,
+    /// everything sealed is droppable.
     fn truncate_covered(&mut self) {
         let floor = self
             .sessions
             .values()
-            .map(|s| {
-                if s.snapshot_lsn > 0 {
-                    s.snapshot_lsn
-                } else {
-                    s.open_lsn.saturating_sub(1)
-                }
-            })
+            .map(|s| s.start_lsn.saturating_sub(1))
             .min()
             .unwrap_or(u64::MAX);
-        let mut kept = Vec::with_capacity(self.sealed.len());
-        for seg in self.sealed.drain(..) {
-            if seg.max_lsn <= floor && fs::remove_file(&seg.path).is_ok() {
-                self.segments_removed += 1;
-            } else {
-                kept.push(seg);
-            }
+        let before = self.sealed.len();
+        self.sealed
+            .retain(|seg| seg.max_lsn > floor || fs::remove_file(&seg.path).is_err());
+        let removed = before - self.sealed.len();
+        if removed > 0 {
+            self.segments_removed += removed as u64;
+            // Best effort: a segment whose deletion a power cut undoes
+            // holds only records older than every live session's start.
+            let _ = sync_dir(&self.cfg.dir);
         }
-        self.sealed = kept;
     }
 }
 
+/// Why a record changes no session, with the LSN it took when it has one.
 enum Skip {
-    UnknownSession,
-    Covered,
+    UnknownSession(u64),
+    /// An open for a name that is already live: the service rejected it.
+    Duplicate(u64),
     Bad(String),
 }
 
+/// Folds one record into the live sessions, in log order. Returns the
+/// record's LSN, or why it changes nothing.
 fn decode_into(
     rec: &RawRecord<'_>,
-    building: &mut BTreeMap<String, Building>,
-    snapshots: &mut BTreeMap<String, (PathBuf, SessionSnapshot)>,
-    stale_snapshots: &mut Vec<PathBuf>,
+    building: &mut BTreeMap<String, (u64, RecoveredSession)>,
 ) -> Result<u64, Skip> {
     match rec.kind {
         REC_OPEN => {
-            let open: WalOpen = from_payload(rec.payload).map_err(Skip::Bad)?;
-            let name = open.open.name.clone();
-            if building.contains_key(&name) {
-                // A duplicate open the service rejected (or one already
-                // covered by this session's snapshot).
-                return Err(Skip::Covered);
+            let WalOpen { lsn, open } = from_payload(rec.payload).map_err(Skip::Bad)?;
+            if building.contains_key(&open.name) {
+                return Err(Skip::Duplicate(lsn));
             }
-            let lsn = open.lsn;
-            building.insert(
-                name,
-                Building {
-                    open: open.open,
-                    open_lsn: lsn,
-                    snapshot_events: Vec::new(),
-                    tail: Vec::new(),
-                    snapshot_lsn: 0,
-                    check: None,
-                },
-            );
+            let session = RecoveredSession {
+                name: open.name.clone(),
+                open,
+                snapshot_events: Vec::new(),
+                tail_events: Vec::new(),
+                snapshot_lsn: 0,
+                check: None,
+            };
+            building.insert(session.name.clone(), (lsn, session));
             Ok(lsn)
         }
         REC_EVENT => {
             let ev: WalEvent = from_payload(rec.payload).map_err(Skip::Bad)?;
-            match building.get_mut(&ev.name) {
-                None => Err(Skip::UnknownSession),
-                Some(b) if ev.lsn <= b.snapshot_lsn => Err(Skip::Covered),
-                Some(b) => {
-                    let lsn = ev.lsn;
-                    b.tail.push((lsn, ev.event));
-                    Ok(lsn)
-                }
-            }
+            let (_, session) = building
+                .get_mut(&ev.name)
+                .ok_or(Skip::UnknownSession(ev.lsn))?;
+            session.tail_events.push(ev.event);
+            Ok(ev.lsn)
         }
         REC_CLOSE => {
             let close: WalClose = from_payload(rec.payload).map_err(Skip::Bad)?;
-            match building.get(&close.name) {
-                None => Err(Skip::UnknownSession),
-                Some(b) if close.lsn <= b.snapshot_lsn => Err(Skip::Covered),
-                Some(_) => {
-                    building.remove(&close.name);
-                    if let Some((path, _)) = snapshots.remove(&close.name) {
-                        stale_snapshots.push(path);
-                    }
-                    Ok(close.lsn)
-                }
-            }
+            building
+                .remove(&close.name)
+                .ok_or(Skip::UnknownSession(close.lsn))?;
+            Ok(close.lsn)
         }
-        REC_SNAPSHOT => Err(Skip::Bad(
-            "snapshot record inside a segment file".to_owned(),
-        )),
+        REC_SNAPSHOT => {
+            // The journal holds everything the session's earlier records
+            // built (or would have, had truncation kept them): start over
+            // from it.
+            let snap: SessionSnapshot = from_payload(rec.payload).map_err(Skip::Bad)?;
+            let SessionJournal { name, open, events } = snap.journal;
+            let session = RecoveredSession {
+                name: name.clone(),
+                open,
+                snapshot_events: events,
+                tail_events: Vec::new(),
+                snapshot_lsn: snap.lsn,
+                check: Some(SnapshotCheck {
+                    scheduled: snap.scheduled,
+                    utility_bits: snap.utility_bits,
+                }),
+            };
+            building.insert(name, (snap.lsn, session));
+            Ok(snap.lsn)
+        }
         other => Err(Skip::Bad(format!("unknown record kind {other:#04x}"))),
     }
+}
+
+/// Reads a segment whole after syncing it: a segment an `off` run left in
+/// the page cache becomes durable before any record written after it is.
+fn read_synced(path: &Path) -> Result<Vec<u8>, WalError> {
+    let mut file = File::open(path).map_err(|e| io_err("read segment", path, e))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .and_then(|_| file.sync_data())
+        .map_err(|e| io_err("read segment", path, e))?;
+    Ok(bytes)
 }
 
 fn to_payload<T: Serialize>(value: &T) -> Result<Vec<u8>, WalError> {
@@ -1197,50 +1260,62 @@ fn from_payload<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
-/// Writes one snapshot file atomically (tmp + rename + fsync).
-pub fn write_snapshot_file(path: &Path, snap: &SessionSnapshot) -> Result<u64, WalError> {
-    let payload = to_payload(snap)?;
-    let mut buf = Vec::with_capacity(payload.len() + HEADER_LEN as usize + 17);
-    write_header(&mut buf, &SNAPSHOT_MAGIC);
-    encode_record(REC_SNAPSHOT, &payload, &mut buf);
-    let tmp = path.with_extension("snap.tmp");
-    let mut f = File::create(&tmp).map_err(|e| io_err("create snapshot", &tmp, e))?;
-    f.write_all(&buf)
-        .map_err(|e| io_err("write snapshot", &tmp, e))?;
-    f.sync_all().map_err(|e| io_err("sync snapshot", &tmp, e))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| io_err("publish snapshot", path, e))?;
-    Ok(buf.len() as u64)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ses_core::SchedulerSpec;
+    use ses_service::InstanceName;
 
-/// Reads and verifies one snapshot file.
-pub fn read_snapshot_file(path: &Path) -> Result<SessionSnapshot, WalError> {
-    let bytes = fs::read(path).map_err(|e| io_err("read snapshot", path, e))?;
-    let records = check_header(&bytes, &SNAPSHOT_MAGIC, path)?;
-    let mut reader = RecordReader::new(records, HEADER_LEN, path.display().to_string());
-    let rec = match reader.next() {
-        Some(Ok(rec)) if rec.kind == REC_SNAPSHOT => rec,
-        Some(Ok(rec)) => {
-            return Err(WalError::Corrupt {
-                path: path.display().to_string(),
-                offset: rec.offset,
-                detail: format!(
-                    "expected snapshot record, found {}",
-                    record_kind_name(rec.kind)
-                ),
-            })
+    fn open_request(name: &str) -> SessionOpen {
+        SessionOpen {
+            name: name.to_owned(),
+            spec: SchedulerSpec::Greedy,
+            k: 2,
+            threads: 0,
+            instance: InstanceName::default(),
         }
-        Some(Err(e)) => return Err(e),
-        None => {
-            return Err(WalError::Truncated {
-                path: path.display().to_string(),
-                offset: HEADER_LEN,
-            })
+    }
+
+    /// A write cut short (say by a full disk) is cut off again: the events
+    /// acknowledged after it survive reopen, whether the failed record was
+    /// an event or a snapshot.
+    #[test]
+    fn a_short_write_leaves_no_partial_record() {
+        for snapshot in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "ses-wal-short-write-{}-{snapshot}",
+                std::process::id()
+            ));
+            let _ = fs::remove_dir_all(&dir);
+            let cfg = WalConfig {
+                fsync: FsyncPolicy::PerRecord,
+                snapshot_every: 1,
+                ..WalConfig::new(&dir)
+            };
+            let (mut wal, _) = ShardWal::open(cfg.clone()).expect("fresh open");
+            wal.append_open(&open_request("s")).expect("open");
+            if snapshot {
+                wal.append_event("s", &SessionEvent::Extend).expect("event");
+                wal.short_write = Some(20);
+                assert!(wal.maybe_snapshot("s", 0, 0.0).is_err());
+                assert_eq!(wal.stats().snapshots, 0);
+            } else {
+                wal.short_write = Some(20);
+                assert!(wal.append_event("s", &SessionEvent::Extend).is_err());
+            }
+            let lsn = wal
+                .append_event("s", &SessionEvent::Extend)
+                .expect("later event");
+            drop(wal);
+
+            let (_wal, log) = ShardWal::open(cfg).expect("reopen");
+            assert!(log.torn_tail.is_none(), "{:?}", log.torn_tail);
+            assert!(log.scan_errors.is_empty(), "{:?}", log.scan_errors);
+            assert_eq!(log.max_lsn, lsn);
+            let s = &log.sessions[0];
+            let events = s.snapshot_events.len() + s.tail_events.len();
+            assert_eq!(events, if snapshot { 2 } else { 1 }, "{s:?}");
+            let _ = fs::remove_dir_all(&dir);
         }
-    };
-    from_payload(rec.payload).map_err(|detail| WalError::Corrupt {
-        path: path.display().to_string(),
-        offset: rec.offset,
-        detail,
-    })
+    }
 }

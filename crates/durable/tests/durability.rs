@@ -16,7 +16,8 @@ use proptest::prelude::*;
 use ses_core::testkit::small_instance;
 use ses_core::{EventId, IntervalId, SchedulerSpec, UserId};
 use ses_durable::{
-    recover_sessions, FsyncPolicy, RecoveredLog, SessionJournal, ShardWal, WalConfig, HEADER_LEN,
+    encode_record, recover_sessions, FsyncPolicy, RecoveredLog, SessionJournal, SessionSnapshot,
+    ShardWal, WalConfig, HEADER_LEN, REC_SNAPSHOT,
 };
 use ses_service::{
     Announcement, Arrival, Availability, Cancellation, CapacityChange, InstanceName,
@@ -187,6 +188,26 @@ fn reopen_reconstructs_live_sessions_exactly() {
         wal.journal("a").expect("mirror survives reopen").events,
         events
     );
+}
+
+/// A record recovery skips (an event for an unknown session) still took
+/// its LSN: after a reopen, the next append gets a fresh one.
+#[test]
+fn a_skipped_record_keeps_its_lsn() {
+    let scratch = Scratch::new("skipped-lsn");
+    let ghost_lsn = {
+        let (mut wal, _) = ShardWal::open(wal_config(scratch.path())).expect("fresh open");
+        wal.append_open(&open_request("a")).expect("open a");
+        wal.append_event("ghost", &SessionEvent::Extend)
+            .expect("ghost event")
+    };
+    let (mut wal, log) = ShardWal::open(wal_config(scratch.path())).expect("reopen");
+    assert_eq!(log.records_skipped, 1);
+    assert_eq!(log.max_lsn, ghost_lsn);
+    let next = wal
+        .append_event("a", &SessionEvent::Extend)
+        .expect("event a");
+    assert!(next > ghost_lsn, "LSN {next} handed out twice");
 }
 
 /// Recovery through a real `SchedulerService` rebuilds the session's
@@ -390,17 +411,31 @@ fn extract_install_moves_a_session_between_wals() {
     assert_eq!(after.events_applied, before.events_applied);
 }
 
-/// Builds one shard-WAL directory with `n` events and returns the live
-/// segment's path plus the byte offsets at which each whole record ends
-/// (so the sweep below can truncate at record boundaries and inside them).
-fn seeded_wal(dir: &std::path::Path, n: usize) -> PathBuf {
-    let (mut wal, _) = ShardWal::open(wal_config(dir)).expect("fresh open");
+/// Builds one shard-WAL directory with `n` events, with a snapshot record
+/// after every second event when `snapshots` is set, and returns the live
+/// segment's path plus the last LSN written.
+fn seeded_wal(dir: &std::path::Path, n: usize, snapshots: bool) -> (PathBuf, u64) {
+    let cfg = WalConfig {
+        snapshot_every: if snapshots { 2 } else { 0 },
+        ..wal_config(dir)
+    };
+    let (mut wal, _) = ShardWal::open(cfg).expect("fresh open");
     wal.append_open(&open_request("t")).expect("open");
     for e in event_stream(n) {
         wal.append_event("t", &e).expect("event");
+        wal.maybe_snapshot("t", 0, 0.0).expect("snapshot");
     }
     wal.flush().expect("flush");
-    dir.join("seg-00000000.wal")
+    (dir.join("seg-00000000.wal"), wal.stats().last_lsn)
+}
+
+/// The events a recovered session replays: its snapshot's, then its tail.
+fn recovered_events(log: &RecoveredLog) -> Vec<SessionEvent> {
+    log.sessions.first().map_or_else(Vec::new, |s| {
+        let mut events = s.snapshot_events.clone();
+        events.extend(s.tail_events.iter().cloned());
+        events
+    })
 }
 
 proptest! {
@@ -410,9 +445,13 @@ proptest! {
     /// never panics, reports a typed torn tail (when the cut lands inside
     /// a record), and recovers exactly the whole-record prefix.
     #[test]
-    fn truncated_tail_recovers_cleanly_at_every_cut(n in 1usize..8, cut in 0u64..4096) {
-        let scratch = Scratch::new(&format!("torn-{n}-{cut}"));
-        let seg = seeded_wal(scratch.path(), n);
+    fn truncated_tail_recovers_cleanly_at_every_cut(
+        n in 1usize..8,
+        cut in 0u64..4096,
+        snapshots in any::<bool>(),
+    ) {
+        let scratch = Scratch::new(&format!("torn-{n}-{cut}-{snapshots}"));
+        let (seg, last_lsn) = seeded_wal(scratch.path(), n, snapshots);
         let full = std::fs::metadata(&seg).expect("metadata").len();
         let cut = cut.min(full);
         let f = std::fs::OpenOptions::new().write(true).open(&seg).expect("open seg");
@@ -424,11 +463,11 @@ proptest! {
         if cut < full && cut >= HEADER_LEN {
             // Some suffix was lost: either a clean record boundary (fewer
             // events, no torn tail) or a mid-record cut (torn tail set).
-            let events = log.sessions.first().map_or(0, |s| s.tail_events.len());
+            let events = recovered_events(&log).len();
             prop_assert!(events <= n, "recovered {events} of {n}");
             if log.torn_tail.is_none() {
                 // Boundary cut: the file is now a clean shorter log.
-                prop_assert!(log.max_lsn <= (n as u64) + 1);
+                prop_assert!(log.max_lsn <= last_lsn);
             }
         } else if cut < HEADER_LEN {
             // Header gone: the segment is unreadable, moved aside; the
@@ -453,9 +492,10 @@ proptest! {
         n in 1usize..6,
         byte in HEADER_LEN..2048u64,
         bit in 0u8..8,
+        snapshots in any::<bool>(),
     ) {
-        let scratch = Scratch::new(&format!("flip-{n}-{byte}-{bit}"));
-        let seg = seeded_wal(scratch.path(), n);
+        let scratch = Scratch::new(&format!("flip-{n}-{byte}-{bit}-{snapshots}"));
+        let (seg, _) = seeded_wal(scratch.path(), n, snapshots);
         let mut bytes = std::fs::read(&seg).expect("read seg");
         // Fold the generated offset into the record region of the file.
         let base = HEADER_LEN as usize;
@@ -466,22 +506,195 @@ proptest! {
         let (_wal, log) = ShardWal::open(wal_config(scratch.path()))
             .expect("reopen after bit flip must not error");
         let original = event_stream(n);
-        if let Some(s) = log.sessions.first() {
-            // Whatever survived is a strict prefix of what was written —
-            // a flip can cost us the tail, never alter an accepted event.
-            prop_assert!(s.tail_events.len() <= n);
-            prop_assert_eq!(
-                s.tail_events.as_slice(),
-                &original[..s.tail_events.len()],
-                "accepted events must be unaltered"
-            );
-        }
+        let events = recovered_events(&log);
+        // Whatever survived is a strict prefix of what was written — a
+        // flip can cost us the tail, never alter an accepted event.
+        prop_assert!(events.len() <= n);
+        prop_assert_eq!(
+            events.as_slice(),
+            &original[..events.len()],
+            "accepted events must be unaltered"
+        );
         prop_assert!(
             log.torn_tail.is_some() || !log.scan_errors.is_empty() || log.records_skipped > 0
-                || log.sessions.first().is_some_and(|s| s.tail_events.len() == n),
+                || events.len() == n,
             "a flip that changed bytes must be detected or fully covered: {log:?}"
         );
     }
+}
+
+/// Every append records one `wal` span that covers its own write and
+/// fsync, snapshot records included and never nested in a second span:
+/// the spans add up to the append-latency histogram.
+#[test]
+fn wal_spans_time_the_whole_append() {
+    let scratch = Scratch::new("wal-span");
+    let cfg = WalConfig {
+        fsync: FsyncPolicy::PerRecord,
+        snapshot_every: 2,
+        ..wal_config(scratch.path())
+    };
+    let (mut wal, _) = ShardWal::open(cfg).expect("fresh open");
+    let trace = ses_obs::TraceId::generate();
+    {
+        let _scope = ses_obs::trace_scope(trace);
+        wal.append_open(&open_request("s")).expect("open");
+        for e in event_stream(6) {
+            wal.append_event("s", &e).expect("event");
+            wal.maybe_snapshot("s", 0, 0.0).expect("snapshot");
+        }
+    }
+    assert_eq!(wal.stats().snapshots, 3);
+    let spans: Vec<_> = ses_obs::collect_trace(trace)
+        .into_iter()
+        .filter(|s| s.stage == ses_obs::Stage::Wal)
+        .collect();
+    let appends = wal.append_latencies();
+    assert_eq!(appends.count, spans.len() as u64, "one span per append");
+    assert_eq!(
+        appends.sum,
+        spans.iter().map(|s| s.dur_ns / 1_000).sum::<u64>(),
+        "the spans time the appends"
+    );
+}
+
+/// Snapshots are records in the log, synced even under `off`: with
+/// segments rolling every KiB and truncation following the snapshots, the
+/// directory only ever holds segment files.
+#[test]
+fn snapshots_leave_only_segment_files() {
+    let scratch = Scratch::new("only-segments");
+    let cfg = WalConfig {
+        snapshot_every: 2,
+        segment_bytes: 1024,
+        ..wal_config(scratch.path())
+    };
+    let (mut wal, _) = ShardWal::open(cfg).expect("fresh open");
+    for name in ["a", "b"] {
+        wal.append_open(&open_request(name)).expect("open");
+    }
+    for e in event_stream(20) {
+        for name in ["a", "b"] {
+            wal.append_event(name, &e).expect("event");
+            wal.maybe_snapshot(name, 0, 0.0).expect("snapshot");
+        }
+    }
+    wal.append_close("b").expect("close b");
+    let stats = wal.stats();
+    assert_eq!(stats.snapshots, 20, "{stats:?}");
+    let rotations = stats.segments - 1 + stats.segments_removed;
+    assert!(
+        stats.fsyncs <= stats.snapshots + rotations,
+        "under `off` only snapshot records and segment seals sync: {stats:?}"
+    );
+    assert!(stats.segments_removed > 0, "{stats:?}");
+    drop(wal);
+    let files: Vec<String> = std::fs::read_dir(scratch.path())
+        .expect("read dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !files.is_empty()
+            && files
+                .iter()
+                .all(|f| f.starts_with("seg-") && f.ends_with(".wal")),
+        "only segments expected: {files:?}"
+    );
+}
+
+/// A session that stays quiet after its open does not hold the log back:
+/// each rotation snapshots it again, so the busy session's whole-journal
+/// snapshots are deleted as they are outgrown and the directory stays
+/// within a few segments and snapshots, however long the busy session runs.
+#[test]
+fn a_quiet_session_does_not_hold_the_log_back() {
+    let scratch = Scratch::new("quiet-session");
+    let cfg = WalConfig {
+        snapshot_every: 2,
+        segment_bytes: 1024,
+        ..wal_config(scratch.path())
+    };
+    let events = event_stream(200);
+    let (mut wal, _) = ShardWal::open(cfg.clone()).expect("fresh open");
+    wal.append_open(&open_request("quiet")).expect("open quiet");
+    wal.maybe_snapshot("quiet", 1, 0.5).expect("report quiet");
+    wal.append_open(&open_request("busy")).expect("open busy");
+    for e in &events {
+        wal.append_event("busy", e).expect("event");
+        wal.maybe_snapshot("busy", 0, 0.0).expect("snapshot");
+    }
+    let stats = wal.stats();
+    assert!(stats.segments_removed > 0, "{stats:?}");
+    assert!(stats.segments <= 3, "{stats:?}");
+    drop(wal);
+
+    // Bound: three segments, each a KiB plus up to two snapshots of each
+    // session written before it rolls.
+    let busy_snapshot = serde_json::to_string(&event_stream(200))
+        .expect("serialize")
+        .len() as u64;
+    let bound = 3 * (1024 + 2 * (busy_snapshot + 1024));
+    let bytes: u64 = std::fs::read_dir(scratch.path())
+        .expect("read dir")
+        .map(|e| e.expect("entry").metadata().expect("metadata").len())
+        .sum();
+    assert!(bytes <= bound, "{bytes} bytes on disk, bound {bound}");
+
+    let (_wal, log) = ShardWal::open(cfg).expect("reopen");
+    let names: Vec<&str> = log.sessions.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["busy", "quiet"]);
+    assert_eq!(recovered_events(&log), events, "busy recovers every event");
+    let quiet = &log.sessions[1];
+    assert!(quiet.snapshot_lsn > 0, "quiet starts from a later snapshot");
+    assert!(quiet.snapshot_events.is_empty() && quiet.tail_events.is_empty());
+    assert_eq!(quiet.check.map(|c| c.scheduled), Some(1));
+}
+
+/// A format-1 directory still opens: its segments recover, and a
+/// `snap-*.snap` sidecar it left behind is not read but named among the
+/// scan errors.
+#[test]
+fn leftover_snapshot_file_is_reported_by_name() {
+    let scratch = Scratch::new("leftover-snap");
+    let open = open_request("v1");
+    {
+        let (mut wal, _) = ShardWal::open(wal_config(scratch.path())).expect("fresh open");
+        wal.append_open(&open).expect("open");
+        wal.flush().expect("flush");
+    }
+    // Rewrite the segment header as format 1.
+    let seg = scratch.path().join("seg-00000000.wal");
+    let mut bytes = std::fs::read(&seg).expect("read seg");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&seg, &bytes).expect("write seg");
+    // A well-formed format-1 sidecar snapshot of a session the log lacks.
+    let snap = SessionSnapshot {
+        lsn: 7,
+        journal: SessionJournal {
+            name: "sidecar".to_owned(),
+            open: open_request("sidecar"),
+            events: event_stream(3),
+        },
+        scheduled: 0,
+        utility_bits: 0,
+    };
+    let mut file = b"SESWSNAP".to_vec();
+    file.extend_from_slice(&1u32.to_le_bytes());
+    let payload = serde_json::to_string(&snap).expect("serialize");
+    encode_record(REC_SNAPSHOT, payload.as_bytes(), &mut file);
+    let planted = scratch.path().join("snap-0123456789abcdef.snap");
+    std::fs::write(&planted, &file).expect("plant sidecar");
+
+    let (_wal, log) = ShardWal::open(wal_config(scratch.path())).expect("reopen v1 dir");
+    let names: Vec<&str> = log.sessions.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["v1"], "the segment recovers, the sidecar does not");
+    assert!(
+        log.scan_errors
+            .iter()
+            .any(|e| e.contains("snap-0123456789abcdef.snap")),
+        "the sidecar must be named: {:?}",
+        log.scan_errors
+    );
 }
 
 /// `RecoveredLog` default is empty (used by the no-WAL server path).

@@ -315,7 +315,7 @@ pub struct WalReport {
     pub appended_bytes: u64,
     /// `fdatasync` calls issued since boot.
     pub fsyncs: u64,
-    /// Snapshot files written since boot.
+    /// Snapshot records written since boot.
     pub snapshots: u64,
     /// Segment files currently on disk (sealed + live).
     pub segments: u64,

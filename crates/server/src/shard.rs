@@ -163,34 +163,41 @@ impl Shard {
         index: usize,
         wal: Option<(ShardWal, RecoveredLog)>,
     ) -> Self {
-        let mut service = SchedulerService::new();
-        let wal = wal.map(|(wal, log)| {
-            let report = recover_sessions(&mut service, registry, &log);
-            if let Err(e) = report.write_json(wal.dir()) {
-                ses_obs::log(
-                    ses_obs::Level::Warn,
-                    "shard",
-                    "could not write recovery.json",
-                    &[("shard", index.into()), ("error", e.into())],
-                );
-            }
-            service.set_durable(true);
+        let mut shard = Shard {
+            service: SchedulerService::new(),
+            wal: None,
+        };
+        let Some((wal, log)) = wal else {
+            return shard;
+        };
+        let report = recover_sessions(&mut shard.service, registry, &log);
+        if let Err(e) = report.write_json(wal.dir()) {
             ses_obs::log(
-                ses_obs::Level::Info,
+                ses_obs::Level::Warn,
                 "shard",
-                "durability recovery complete",
-                &[
-                    ("shard", index.into()),
-                    ("sessions", report.sessions_recovered.into()),
-                    ("failed", report.sessions_failed.into()),
-                    ("events_replayed", report.events_replayed.into()),
-                    ("torn_tail", report.torn_tail.is_some().into()),
-                    ("errors", report.errors.len().into()),
-                ],
+                "could not write recovery.json",
+                &[("shard", index.into()), ("error", e.into())],
             );
-            wal
-        });
-        Shard { service, wal }
+        }
+        shard.service.set_durable(true);
+        ses_obs::log(
+            ses_obs::Level::Info,
+            "shard",
+            "durability recovery complete",
+            &[
+                ("shard", index.into()),
+                ("sessions", report.sessions_recovered.into()),
+                ("failed", report.sessions_failed.into()),
+                ("events_replayed", report.events_replayed.into()),
+                ("torn_tail", report.torn_tail.is_some().into()),
+                ("errors", report.errors.len().into()),
+            ],
+        );
+        shard.wal = Some(wal);
+        for session in &log.sessions {
+            shard.snapshot_if_due(&session.name);
+        }
+        shard
     }
 
     /// Whether the WAL holds appends still waiting for their interval sync.
@@ -207,6 +214,7 @@ impl Shard {
         }
         self.service
             .adopt_session(open.name.clone(), open.instance.clone(), session)?;
+        self.snapshot_if_due(&open.name);
         Ok(())
     }
 
@@ -217,11 +225,24 @@ impl Shard {
             return json_body(&self.service.apply(name, event)?);
         };
         let lsn = w.append_event(name, event)?;
-        let mut report = self.service.apply(name, event)?;
+        let applied = self.service.apply(name, event);
+        self.snapshot_if_due(name);
+        let mut report = applied?;
         report.lsn = lsn;
-        if let Err(e) = w.maybe_snapshot(name, report.scheduled, report.utility) {
-            // A failed snapshot costs compaction, not correctness — the WAL
-            // tail still covers the session.
+        json_body(&report)
+    }
+
+    /// Reports the session's current state to the WAL, which snapshots the
+    /// session when due and re-snapshots quiet sessions from the states
+    /// reported here (see `ShardWal::maybe_snapshot`). A failed snapshot
+    /// costs compaction, not correctness: a failed append cuts its partial
+    /// record off, and the session's start record moves only once its
+    /// snapshot is synced, so the records already logged still cover it.
+    fn snapshot_if_due(&mut self, name: &str) {
+        let (Some(w), Some(session)) = (self.wal.as_mut(), self.service.session(name)) else {
+            return;
+        };
+        if let Err(e) = w.maybe_snapshot(name, session.schedule().len(), session.utility()) {
             ses_obs::log(
                 ses_obs::Level::Warn,
                 "shard",
@@ -229,7 +250,6 @@ impl Shard {
                 &[("session", name.into()), ("error", e.to_string().into())],
             );
         }
-        json_body(&report)
     }
 
     /// Session close, write-ahead. A close for an unknown session still
@@ -282,6 +302,7 @@ impl Shard {
             // migration.
             let _ = self.service.apply(&journal.name, event);
         }
+        self.snapshot_if_due(&journal.name);
         Ok(self.service.report(&journal.name)?)
     }
 }
