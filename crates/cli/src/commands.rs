@@ -12,7 +12,8 @@ use ses_core::{schedule_metrics, SchedulerSpec};
 use ses_datagen::paper::{PaperConfig, SigmaMode};
 use ses_datagen::pipeline::build_instance;
 use ses_ebsn::{
-    generate as generate_dataset, interest_stats, overlap_stats, EbsnDataset, GeneratorConfig,
+    estimate_slot_activity, generate as generate_dataset, interest_stats, mean_activity_by_slot,
+    overlap_stats, slot_label, EbsnDataset, GeneratorConfig, SmoothingConfig,
 };
 use ses_service::{SchedulerService, SessionOpen, SessionReport, SolveRequest, SolveResponse};
 
@@ -46,7 +47,8 @@ SUBCOMMANDS:
                   --active N (6; sparse: active intervals per user)
                   --seed S (0)
                   the output cold-opens via --instance flags and `ses serve`
-    quality     compare heuristics against the exact optimum on small instances
+    quality     compare every heuristic spec against the exact optimum on small
+                instances (mean and worst utility ratio)
                   --instances N (20)  --k K (4)
     simulate    replay a disruption workload against the online scheduler
                   --scenario steady|flash-crowd|adversarial|seasonal (steady)
@@ -179,9 +181,13 @@ pub fn analyze(args: &ParsedArgs) -> Result<(), String> {
     let dataset = load(args)?;
     println!("dataset: {}", dataset.summary());
     let o = overlap_stats(&dataset);
-    println!("\ntemporal overlap:");
+    println!("\ntemporal overlap (the paper measures 8.1 mean concurrent on Meetup):");
     println!("  mean concurrent events : {:.2}", o.mean_concurrent);
     println!("  max concurrent events  : {}", o.max_concurrent);
+    println!(
+        "  temporal clashes       : {:.4}% of event pairs",
+        o.temporal_conflict_fraction * 100.0
+    );
     println!(
         "  spatio-temporal clashes: {:.4}% of event pairs",
         o.spatiotemporal_conflict_fraction * 100.0
@@ -189,6 +195,7 @@ pub fn analyze(args: &ParsedArgs) -> Result<(), String> {
     let i = interest_stats(&dataset, 50_000, 0);
     println!("\ninterest (Jaccard over tags):");
     println!("  nonzero fraction       : {:.3}", i.nonzero_fraction);
+    println!("  mean interest          : {:.4}", i.mean_interest);
     println!("  mean nonzero interest  : {:.4}", i.mean_nonzero_interest);
     let hist = ses_ebsn::group_size_histogram(&dataset, &[10, 50, 200, 1000]);
     println!("\ngroup sizes (≤10 / ≤50 / ≤200 / ≤1000 / larger):");
@@ -196,6 +203,14 @@ pub fn analyze(args: &ParsedArgs) -> Result<(), String> {
         "  {} / {} / {} / {} / {}",
         hist[0], hist[1], hist[2], hist[3], hist[4]
     );
+    let sigma = mean_activity_by_slot(&estimate_slot_activity(
+        &dataset,
+        SmoothingConfig::default(),
+    ));
+    println!("\nestimated σ by weekly slot (mean over members, from check-ins):");
+    for (slot, mean) in sigma.iter().enumerate() {
+        println!("  {:<14} {:.4}", slot_label(slot), mean);
+    }
     Ok(())
 }
 
@@ -1048,14 +1063,22 @@ pub fn wal_inspect(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `ses quality`
+/// `ses quality`: every non-EXACT spec of the registry against the exact
+/// optimum on small seeded instances, as the mean and worst utility ratio.
 pub fn quality(args: &ParsedArgs) -> Result<(), String> {
-    use ses_core::registry;
+    use ses_core::registry::{self, SPEC_NAMES};
     use ses_core::testkit::{random_instance, TestInstanceConfig};
     let instances: usize = args.get_or("instances", 20).map_err(|e| e.to_string())?;
     let k: usize = args.get_or("k", 4).map_err(|e| e.to_string())?;
-    let names = ["GRD", "GRD-PQ", "LS", "TOP", "RAND"];
-    let mut sums = vec![0.0; names.len()];
+    let mut specs = Vec::new();
+    for name in SPEC_NAMES {
+        let spec = SchedulerSpec::parse(name).map_err(|e| e.to_string())?;
+        if spec != SchedulerSpec::Exact {
+            specs.push(spec);
+        }
+    }
+    let mut sums = vec![0.0; specs.len()];
+    let mut worst = vec![f64::INFINITY; specs.len()];
     let mut solved = 0usize;
     for seed in 0..instances as u64 {
         let inst = random_instance(&TestInstanceConfig {
@@ -1076,22 +1099,32 @@ pub fn quality(args: &ParsedArgs) -> Result<(), String> {
             continue;
         }
         solved += 1;
-        for (i, name) in names.iter().enumerate() {
-            let spec = SchedulerSpec::parse(name)
-                .map_err(|e| e.to_string())?
-                .with_seed(seed);
-            let out = registry::build(spec)
+        for (i, spec) in specs.iter().enumerate() {
+            let out = registry::build(spec.with_seed(seed))
                 .run(&inst, k)
                 .map_err(|e| e.to_string())?;
-            sums[i] += out.total_utility / opt.total_utility;
+            let ratio = out.total_utility / opt.total_utility;
+            if ratio > 1.0 + 1e-9 {
+                return Err(format!(
+                    "{spec} beats the exact optimum on seed {seed}: {ratio}"
+                ));
+            }
+            sums[i] += ratio;
+            worst[i] = worst[i].min(ratio);
         }
     }
     if solved == 0 {
         return Err("no instance solved exactly".to_owned());
     }
-    println!("mean utility ratio vs exact optimum over {solved} instances (k = {k}):");
-    for (i, name) in names.iter().enumerate() {
-        println!("  {:<7} {:.4}", name, sums[i] / solved as f64);
+    println!("utility ratio vs exact optimum over {solved} instances (k = {k}):");
+    println!("  {:<7} {:>6} {:>6}", "spec", "mean", "worst");
+    for (i, spec) in specs.iter().enumerate() {
+        println!(
+            "  {:<7} {:.4} {:.4}",
+            spec.name(),
+            sums[i] / solved as f64,
+            worst[i]
+        );
     }
     Ok(())
 }

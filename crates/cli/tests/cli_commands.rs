@@ -398,8 +398,31 @@ fn simulate_format_json_runs() {
 
 #[test]
 fn quality_command_runs() {
-    commands::quality(&argv(&["quality", "--instances", "4", "--k", "3"]))
-        .expect("quality succeeds");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(["quality", "--instances", "8", "--k", "3"])
+        .output()
+        .expect("ses runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    // One row per non-EXACT spec: "<name> <mean ratio> <worst ratio>".
+    // EXACT is the optimum, so a ratio above 1 is a heuristic bug.
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip(2)
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+    let expected: Vec<&str> = ses_core::SPEC_NAMES
+        .iter()
+        .copied()
+        .filter(|n| *n != "EXACT")
+        .collect();
+    assert_eq!(names, expected, "{stdout}");
+    for row in &rows {
+        let mean: f64 = row[1].parse().unwrap();
+        let worst: f64 = row[2].parse().unwrap();
+        assert!(worst <= mean + 1e-9 && mean <= 1.0 + 1e-9, "{stdout}");
+    }
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! occasionally accepts worsening moves with probability
 //! `exp(Δ / temperature)` and cools geometrically, which lets it cross
 //! utility valleys (e.g. vacate a popular interval to re-pack it better).
-//! Used in the ablation benches as an upper-effort reference point between
-//! GRD+LS and the exact solver.
+//! `ses quality` (ablation A4) reports it as an upper-effort reference
+//! point between GRD+LS and the exact solver.
 
 use crate::engine::AttendanceEngine;
 use crate::ids::{EventId, IntervalId};

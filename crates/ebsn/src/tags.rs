@@ -319,12 +319,6 @@ impl TagSet {
         Self::default()
     }
 
-    /// Builds from a slice of tags (sorts and dedups). For arbitrary
-    /// iterators use the `FromIterator` impl (`iter.collect::<TagSet>()`).
-    pub fn from_tags(tags: &[Tag]) -> Self {
-        tags.iter().copied().collect()
-    }
-
     /// Number of tags.
     pub fn len(&self) -> usize {
         self.tags.len()

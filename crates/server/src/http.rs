@@ -73,34 +73,31 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// poll), mirroring the generous in-request deadline bodies get.
 const HEAD_RETRY_TICKS: u32 = 40;
 
-/// Reads one `\n`-terminated line, never consuming (or buffering) more
-/// than `budget + 1` bytes — the cap holds even when the peer streams an
-/// endless newline-less line, which a plain `read_line` would happily
-/// accumulate into an unbounded allocation. Read timeouts are retried
-/// while `*ticks > 0` (decrementing it), so partial lines survive a slow
-/// link instead of killing the connection.
+/// Reads one `\n`-terminated line of raw bytes, never consuming (or
+/// buffering) more than `budget + 1` bytes — the cap holds even when the
+/// peer streams an endless newline-less line, which a plain `read_line`
+/// would happily accumulate into an unbounded allocation. Returns the
+/// bytes consumed, or `None` once the line exceeds `budget`. Read timeouts
+/// are retried while `*ticks > 0` (decrementing it), so partial lines
+/// survive a slow link instead of killing the connection. Bytes, not a
+/// `String`: encoding is checked by the caller on whole lines, so bad
+/// UTF-8 is told apart from an oversized line.
 fn read_line_capped<R: BufRead>(
     reader: &mut R,
     budget: usize,
-    line: &mut String,
+    line: &mut Vec<u8>,
     ticks: &mut u32,
-) -> std::io::Result<usize> {
+) -> std::io::Result<Option<usize>> {
     let start = line.len();
     loop {
         let remaining = budget + 1 - (line.len() - start);
         // UFCS so `take` binds to the `impl Read for &mut R` (method-call
         // syntax would auto-deref and try to move `R` itself).
         let mut limited = std::io::Read::take(&mut *reader, remaining as u64);
-        match limited.read_line(line) {
+        match limited.read_until(b'\n', line) {
             Ok(_) => {
                 let consumed = line.len() - start;
-                if consumed > budget {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "line exceeds the head budget",
-                    ));
-                }
-                return Ok(consumed);
+                return Ok((consumed <= budget).then_some(consumed));
             }
             Err(e) if is_timeout(&e) && *ticks > 0 => *ticks -= 1,
             Err(e) => return Err(e),
@@ -108,22 +105,29 @@ fn read_line_capped<R: BufRead>(
     }
 }
 
+fn head_str(line: &[u8]) -> Result<&str, RecvError> {
+    std::str::from_utf8(line)
+        .map_err(|_| RecvError::Malformed("request head is not valid UTF-8".into()))
+}
+
 /// Reads one request head. [`RecvError::Idle`] is returned only when the
 /// very first read timed out with nothing consumed, so callers can keep
 /// polling a keep-alive connection and re-check their shutdown flag; once
 /// any head byte has arrived, timeouts are instead retried (for
 /// `HEAD_RETRY_TICKS` socket-timeout ticks, ≈10 s at the server's 250 ms
-/// poll) so a slow peer's request is not silently dropped.
+/// poll) so a slow peer's request is not silently dropped. Consumes at
+/// most `MAX_HEAD_BYTES + 1` bytes.
 pub fn read_head<R: BufRead>(reader: &mut R) -> Result<Head, RecvError> {
     let oversized = || RecvError::Malformed(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
-    let mut line = String::new();
+    let mut line = Vec::new();
     // No retry budget until the request has started: the first timeout on
     // an empty line is the caller's idle tick, not a slow peer.
     let mut ticks = 0u32;
     let mut granted = false;
     let first = loop {
         match read_line_capped(reader, MAX_HEAD_BYTES, &mut line, &mut ticks) {
-            Ok(n) => break n,
+            Ok(Some(n)) => break n,
+            Ok(None) => return Err(oversized()),
             Err(e) if is_timeout(&e) && !granted => {
                 if line.is_empty() {
                     return Err(RecvError::Idle);
@@ -132,13 +136,13 @@ pub fn read_head<R: BufRead>(reader: &mut R) -> Result<Head, RecvError> {
                 granted = true;
                 ticks = HEAD_RETRY_TICKS;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => return Err(oversized()),
             Err(e) => return Err(RecvError::Io(e)),
         }
     };
     if first == 0 {
         return Err(RecvError::Closed);
     }
+    let line = head_str(&line)?;
     let mut parts = line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) => (m.to_owned(), p.to_owned(), v.to_owned()),
@@ -164,19 +168,19 @@ pub fn read_head<R: BufRead>(reader: &mut R) -> Result<Head, RecvError> {
     if !granted {
         ticks = HEAD_RETRY_TICKS;
     }
-    let mut budget = MAX_HEAD_BYTES.saturating_sub(line.len());
+    let mut budget = MAX_HEAD_BYTES.saturating_sub(first);
     loop {
         if budget == 0 {
             return Err(oversized());
         }
-        let mut line = String::new();
+        let mut line = Vec::new();
         match read_line_capped(reader, budget, &mut line, &mut ticks) {
-            Ok(0) => return Err(RecvError::Malformed("eof inside headers".into())),
-            Ok(n) => budget -= n,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => return Err(oversized()),
+            Ok(Some(0)) => return Err(RecvError::Malformed("eof inside headers".into())),
+            Ok(Some(n)) => budget -= n,
+            Ok(None) => return Err(oversized()),
             Err(e) => return Err(RecvError::Io(e)),
         }
-        let line = line.trim_end();
+        let line = head_str(&line)?.trim_end();
         if line.is_empty() {
             break;
         }
@@ -286,6 +290,7 @@ pub fn write_continue<W: Write>(writer: &mut W) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn head_of(raw: &str) -> Result<Head, RecvError> {
@@ -361,6 +366,120 @@ mod tests {
         assert!(matches!(head_of(&flood), Err(RecvError::Malformed(_))));
         let raw = format!("GET / HTTP/1.1\r\nX-Flood: {flood}");
         assert!(matches!(head_of(&raw), Err(RecvError::Malformed(_))));
+    }
+
+    #[test]
+    fn non_utf8_heads_are_malformed_not_oversized() {
+        let bad_utf8 = |raw: &[u8]| match read_head(&mut &raw[..]) {
+            Err(RecvError::Malformed(m)) => m == "request head is not valid UTF-8",
+            _ => false,
+        };
+        assert!(bad_utf8(b"GET /\xff HTTP/1.1\r\n\r\n"));
+        assert!(bad_utf8(b"GET / HTTP/1.1\r\nX-Name: \xc3\x28\r\n\r\n"));
+        // Valid multi-byte UTF-8 still parses.
+        let head = head_of("GET /caf\u{e9} HTTP/1.1\r\nX-Name: \u{e9}\r\n\r\n").unwrap();
+        assert_eq!(head.path, "/caf\u{e9}");
+    }
+
+    /// Hands out one chunk per read; `None` is a read timeout.
+    struct Stutter(std::collections::VecDeque<Option<&'static [u8]>>);
+
+    impl std::io::Read for Stutter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                Some(Some(chunk)) => {
+                    buf[..chunk.len()].copy_from_slice(chunk);
+                    Ok(chunk.len())
+                }
+                Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+                None => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn a_character_split_by_a_read_timeout_survives() {
+        // A slow peer's "é" arrives in two reads with a timeout between.
+        let chunks = [
+            Some(&b"GET /caf\xc3"[..]),
+            None,
+            Some(&b"\xa9 HTTP/1.1\r\n\r\n"[..]),
+        ];
+        let mut reader = BufReader::new(Stutter(chunks.into()));
+        assert_eq!(read_head(&mut reader).unwrap().path, "/caf\u{e9}");
+    }
+
+    /// Request heads the server accepts, to mutate one byte at a time.
+    fn valid_head(variant: usize, padding: usize) -> Vec<u8> {
+        let heads = [
+            "GET /healthz HTTP/1.1\r\n\r\n",
+            "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+            "POST /eval HTTP/1.0\r\nExpect: 100-continue\r\nConnection: keep-alive\r\nContent-Length: 4\r\n\r\nbody",
+            "GET /metrics HTTP/1.1\r\nx-ses-trace-id: 00000000000000ff\r\nConnection: close\r\n\r\n",
+        ];
+        let (line, rest) = heads[variant % heads.len()].split_once("\r\n").unwrap();
+        format!("{line}\r\nX-Pad: {}\r\n{rest}", "p".repeat(padding)).into_bytes()
+    }
+
+    /// Parses `raw` as the server does — head, then a body of the declared
+    /// length when it is within the server's default cap — and checks
+    /// that nothing panics and the head read stays within its byte cap.
+    fn parse_bounded(raw: &[u8]) {
+        let mut rest = raw;
+        let head = read_head(&mut rest);
+        let head_bytes = raw.len() - rest.len();
+        assert!(
+            head_bytes <= MAX_HEAD_BYTES + 1,
+            "{head_bytes} head bytes read"
+        );
+        if let Ok(head) = head {
+            if head.content_length <= 1 << 20 {
+                let before = rest.len();
+                match read_body(&mut rest, head.content_length) {
+                    Ok(_) | Err(RecvError::Io(_) | RecvError::Malformed(_)) => {}
+                    Err(e) => panic!("unexpected body error {e}"),
+                }
+                assert!(before - rest.len() <= head.content_length);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn arbitrary_bytes_parse_or_fail_typed(
+            mut raw in prop::collection::vec(any::<u8>(), 0..2 * MAX_HEAD_BYTES),
+            newlines in prop::bool::ANY,
+        ) {
+            // Without newlines the input is one endless line, which must
+            // still be cut off at the head budget.
+            if !newlines {
+                raw.retain(|&b| b != b'\n');
+            }
+            parse_bounded(&raw);
+        }
+
+        #[test]
+        fn mutated_heads_parse_or_fail_typed(
+            variant in 0usize..4,
+            near_budget in prop::bool::ANY,
+            pad in any::<usize>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            // Small heads put most mutations on structural bytes; padded
+            // ones straddle the head budget.
+            let padding = if near_budget {
+                MAX_HEAD_BYTES - 256 + pad % 320
+            } else {
+                pad % 64
+            };
+            let mut raw = valid_head(variant, padding);
+            let at = at % raw.len();
+            raw[at] = byte;
+            parse_bounded(&raw);
+        }
     }
 
     #[test]

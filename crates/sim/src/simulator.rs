@@ -224,19 +224,6 @@ impl Simulator {
         &self.trace
     }
 
-    /// Consumes the simulator, returning the session for post-inspection.
-    pub fn into_session(mut self) -> OnlineSession {
-        self.service
-            .take_session(&self.name)
-            .expect("simulator session stays open for its lifetime")
-    }
-
-    /// Consumes the simulator, returning the service (with the session
-    /// still open under [`Self::session_name`]).
-    pub fn into_service(self) -> SchedulerService {
-        self.service
-    }
-
     /// Asks source `i` for its next event and queues it.
     fn refill(&mut self, i: usize) {
         let session = self
