@@ -172,6 +172,27 @@ struct StoreColdOpen {
     /// Engine slot/byte accounting identical (wall-clock `build_millis`
     /// excluded — it is the one nondeterministic stat).
     memory_stats_match: bool,
+    /// The host the wall clocks were measured on ([`machine`]). Absent in
+    /// rows recorded before it was kept.
+    #[serde(default)]
+    machine: String,
+}
+
+/// The host a row's wall clocks come from: the CPU model (Linux
+/// `/proc/cpuinfo`; the architecture elsewhere) and the cores this
+/// process could use.
+fn machine() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_owned())
+            })
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_owned());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{model}, {cores} cores available")
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -668,6 +689,7 @@ fn measure_store_profile(
         speedup: rebuild_millis / cold_open_millis.max(1e-6),
         omega_bits_match,
         memory_stats_match,
+        machine: machine(),
     })
 }
 

@@ -16,6 +16,67 @@ use ses_ebsn::{
     overlap_stats, slot_label, EbsnDataset, GeneratorConfig, SmoothingConfig,
 };
 use ses_service::{SchedulerService, SessionOpen, SessionReport, SolveRequest, SolveResponse};
+use std::io::{self, Write};
+
+/// Writes one line of command output to a command's writer, as `println!`
+/// would to stdout; a failed write is the command's error.
+macro_rules! say {
+    ($out:expr) => {
+        writeln!($out).map_err(output_error)
+    };
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(output_error)
+    };
+}
+
+fn output_error(e: io::Error) -> String {
+    format!("writing output: {e}")
+}
+
+/// Standard output as the binary's command writer. When the reader goes
+/// away early (`ses analyze | head -2`), the next write fails with
+/// `BrokenPipe` and the command stops there; [`Stdout::closed`] then tells
+/// the binary to end quietly with status 0 rather than report the error.
+pub struct Stdout {
+    inner: io::Stdout,
+    closed: bool,
+}
+
+impl Stdout {
+    /// Whether a write found the reader gone.
+    pub fn closed(&self) -> bool {
+        self.closed
+    }
+
+    fn note<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+impl Default for Stdout {
+    /// The process's standard output.
+    fn default() -> Self {
+        Self {
+            inner: io::stdout(),
+            closed: false,
+        }
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.note(result)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let result = self.inner.flush();
+        self.note(result)
+    }
+}
 
 /// Help text for `ses help`.
 pub const HELP: &str = "\
@@ -150,7 +211,7 @@ fn spec_of(args: &ParsedArgs, default: &str, seed: u64) -> Result<SchedulerSpec,
 }
 
 /// `ses generate`
-pub fn generate(args: &ParsedArgs) -> Result<(), String> {
+pub fn generate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let members: usize = args.get_or("members", 3000).map_err(|e| e.to_string())?;
     let mut cfg = GeneratorConfig::meetup_california_scaled(members);
     cfg.num_events = args
@@ -163,11 +224,11 @@ pub fn generate(args: &ParsedArgs) -> Result<(), String> {
         .get_or("weeks", cfg.horizon_weeks)
         .map_err(|e| e.to_string())?;
     cfg.seed = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let out = args.require("out").map_err(|e| e.to_string())?;
+    let path = args.require("out").map_err(|e| e.to_string())?;
 
     let dataset = generate_dataset(&cfg);
-    dataset.save_json(out).map_err(|e| e.to_string())?;
-    println!("wrote {}: {}", out, dataset.summary());
+    dataset.save_json(path).map_err(|e| e.to_string())?;
+    say!(out, "wrote {}: {}", path, dataset.summary())?;
     Ok(())
 }
 
@@ -177,45 +238,62 @@ fn load(args: &ParsedArgs) -> Result<EbsnDataset, String> {
 }
 
 /// `ses analyze`
-pub fn analyze(args: &ParsedArgs) -> Result<(), String> {
+pub fn analyze(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let dataset = load(args)?;
-    println!("dataset: {}", dataset.summary());
+    say!(out, "dataset: {}", dataset.summary())?;
     let o = overlap_stats(&dataset);
-    println!("\ntemporal overlap (the paper measures 8.1 mean concurrent on Meetup):");
-    println!("  mean concurrent events : {:.2}", o.mean_concurrent);
-    println!("  max concurrent events  : {}", o.max_concurrent);
-    println!(
+    say!(
+        out,
+        "\ntemporal overlap (the paper measures 8.1 mean concurrent on Meetup):"
+    )?;
+    say!(out, "  mean concurrent events : {:.2}", o.mean_concurrent)?;
+    say!(out, "  max concurrent events  : {}", o.max_concurrent)?;
+    say!(
+        out,
         "  temporal clashes       : {:.4}% of event pairs",
         o.temporal_conflict_fraction * 100.0
-    );
-    println!(
+    )?;
+    say!(
+        out,
         "  spatio-temporal clashes: {:.4}% of event pairs",
         o.spatiotemporal_conflict_fraction * 100.0
-    );
+    )?;
     let i = interest_stats(&dataset, 50_000, 0);
-    println!("\ninterest (Jaccard over tags):");
-    println!("  nonzero fraction       : {:.3}", i.nonzero_fraction);
-    println!("  mean interest          : {:.4}", i.mean_interest);
-    println!("  mean nonzero interest  : {:.4}", i.mean_nonzero_interest);
+    say!(out, "\ninterest (Jaccard over tags):")?;
+    say!(out, "  nonzero fraction       : {:.3}", i.nonzero_fraction)?;
+    say!(out, "  mean interest          : {:.4}", i.mean_interest)?;
+    say!(
+        out,
+        "  mean nonzero interest  : {:.4}",
+        i.mean_nonzero_interest
+    )?;
     let hist = ses_ebsn::group_size_histogram(&dataset, &[10, 50, 200, 1000]);
-    println!("\ngroup sizes (≤10 / ≤50 / ≤200 / ≤1000 / larger):");
-    println!(
+    say!(out, "\ngroup sizes (≤10 / ≤50 / ≤200 / ≤1000 / larger):")?;
+    say!(
+        out,
         "  {} / {} / {} / {} / {}",
-        hist[0], hist[1], hist[2], hist[3], hist[4]
-    );
+        hist[0],
+        hist[1],
+        hist[2],
+        hist[3],
+        hist[4]
+    )?;
     let sigma = mean_activity_by_slot(&estimate_slot_activity(
         &dataset,
         SmoothingConfig::default(),
     ));
-    println!("\nestimated σ by weekly slot (mean over members, from check-ins):");
+    say!(
+        out,
+        "\nestimated σ by weekly slot (mean over members, from check-ins):"
+    )?;
     for (slot, mean) in sigma.iter().enumerate() {
-        println!("  {:<14} {:.4}", slot_label(slot), mean);
+        say!(out, "  {:<14} {:.4}", slot_label(slot), mean)?;
     }
     Ok(())
 }
 
 /// `ses solve` (alias: `ses schedule`)
-pub fn solve(args: &ParsedArgs) -> Result<(), String> {
+pub fn solve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let k: usize = args.get_or("k", 100).map_err(|e| e.to_string())?;
     let t_factor: f64 = args.get_or("t-factor", 1.5).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
@@ -271,25 +349,28 @@ pub fn solve(args: &ParsedArgs) -> Result<(), String> {
     };
 
     if format == Format::Json {
-        println!(
+        say!(
+            out,
             "{}",
             serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
-        println!(
+        say!(
+            out,
             "{}: scheduled {}/{} events, utility Ω = {:.3}, {:.1} ms",
             response.algorithm,
             response.scheduled(),
             k,
             response.total_utility,
             response.millis
-        );
-        println!(
+        )?;
+        say!(
+            out,
             "ops: {} score evaluations, {} posting visits, {} assigns",
             response.counters.score_evaluations,
             response.counters.posting_visits,
             response.counters.assigns
-        );
+        )?;
     }
 
     // Rehydrate the schedule from the response for metrics and export —
@@ -306,7 +387,7 @@ pub fn solve(args: &ParsedArgs) -> Result<(), String> {
             let _scope = trace.map(ses_obs::trace_scope);
             schedule_metrics(&instance, &schedule, k).map_err(|e| e.to_string())?
         };
-        println!(
+        say!(out,
             "metrics: reach {:.1} users, attendance/event {:.2} (min {:.2} / max {:.2}, gini {:.3}), \
              {} intervals occupied (max {} events), {:.0}% resource use",
             metrics.expected_reach,
@@ -317,36 +398,37 @@ pub fn solve(args: &ParsedArgs) -> Result<(), String> {
             metrics.occupied_intervals,
             metrics.max_events_per_interval,
             metrics.mean_resource_utilization * 100.0
-        );
+        )?;
         let ub = metrics.upper_bound;
         if ub > 0.0 {
-            println!(
+            say!(
+                out,
                 "certified quality: Ω is ≥ {:.1}% of any feasible schedule's utility \
                  (admissible upper bound {:.3})",
                 100.0 * response.total_utility / ub,
                 ub
-            );
+            )?;
         }
     }
-    if let Some(out) = args.options.get("out") {
+    if let Some(path) = args.options.get("out") {
         let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
-        std::fs::write(out, json).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| e.to_string())?;
         if format == Format::Text {
-            println!("wrote schedule to {out}");
+            say!(out, "wrote schedule to {path}")?;
         }
     } else if format == Format::Text {
         // Print the first few assignments as a preview.
         for (i, a) in schedule.iter().enumerate() {
             if i >= 10 {
-                println!("  … ({} more)", schedule.len() - 10);
+                say!(out, "  … ({} more)", schedule.len() - 10)?;
                 break;
             }
             match &candidate_source {
                 Some(source) => {
                     let src = source[a.event.index()];
-                    println!("  {} → {} (dataset event {src})", a.event, a.interval);
+                    say!(out, "  {} → {} (dataset event {src})", a.event, a.interval)?;
                 }
-                None => println!("  {} → {}", a.event, a.interval),
+                None => say!(out, "  {} → {}", a.event, a.interval)?,
             }
         }
     }
@@ -371,7 +453,7 @@ struct SimulateResponse {
 }
 
 /// `ses simulate`
-pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
+pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     use ses_core::testkit::workload_instance;
     use ses_sim::{scenario_by_name, SimSummary, Simulator, SCENARIO_NAMES};
 
@@ -403,7 +485,10 @@ pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
         holdback
     } else {
         if holdback > 0.0 && format == Format::Text {
-            println!("note: scenario {scenario_name} never emits late arrivals; holdback disabled");
+            say!(
+                out,
+                "note: scenario {scenario_name} never emits late arrivals; holdback disabled"
+            )?;
         }
         0.0
     };
@@ -487,47 +572,60 @@ pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
                 .map(|&(kind, n)| (kind.label().to_owned(), n))
                 .collect(),
         };
-        println!(
+        say!(
+            out,
             "{}",
             serde_json::to_string_pretty(&body).map_err(|e| e.to_string())?
-        );
+        )?;
         return Ok(());
     }
 
-    println!(
+    say!(
+        out,
         "simulate: scenario {scenario_name}, {steps} steps, seed {seed}\n\
          instance: {users} users, {events} events, {intervals} intervals; \
          initial schedule |S| = {} ({}), Ω₀ = {:.3}",
         initial.scheduled(),
         initial.algorithm,
         initial.total_utility
-    );
-    println!(
+    )?;
+    say!(
+        out,
         "withheld {withheld} candidates as late arrivals\n\
          determinism: two runs, identical traces (digest {:#018x}) ✓",
         first.digest
-    );
-    println!(
+    )?;
+    say!(
+        out,
         "final: Ω = {:.3} (from {:.3}), |S| = {}, tick {}",
-        second.final_utility, initial.total_utility, second.final_scheduled, second.final_tick
-    );
-    println!(
+        second.final_utility,
+        initial.total_utility,
+        second.final_scheduled,
+        second.final_tick
+    )?;
+    say!(
+        out,
         "repairs: {} disruptions applied ({} inert), {} repair moves, Ω recovered {:.3}",
-        second.applied, second.skipped, second.total_moves, second.total_recovered
-    );
+        second.applied,
+        second.skipped,
+        second.total_moves,
+        second.total_recovered
+    )?;
     if second.rejected > 0 {
-        println!(
+        say!(
+            out,
             "WARNING: {} events rejected by the service (scenario bug?)",
             second.rejected
-        );
+        )?;
     }
     let mix: Vec<String> = histogram
         .iter()
         .filter(|(_, n)| *n > 0)
         .map(|(kind, n)| format!("{} {n}", kind.label()))
         .collect();
-    println!("mix: {}", mix.join(", "));
-    println!(
+    say!(out, "mix: {}", mix.join(", "))?;
+    say!(
+        out,
         "throughput: {:.0} events/sec ({:.1} ms total); engine: {} score evals, {} posting \
          visits, {} assigns, {} unassigns",
         second.events_per_sec,
@@ -536,16 +634,18 @@ pub fn simulate(args: &ParsedArgs) -> Result<(), String> {
         second.counters.posting_visits,
         second.counters.assigns,
         second.counters.unassigns
-    );
-    println!(
+    )?;
+    say!(
+        out,
         "service: session '{}' absorbed {} events",
-        report.name, report.events_applied
-    );
+        report.name,
+        report.events_applied
+    )?;
     Ok(())
 }
 
 /// `ses serve`
-pub fn serve(args: &ParsedArgs) -> Result<(), String> {
+pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let level_name = args
         .options
         .get("log-level")
@@ -601,7 +701,7 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
     };
     ses_server::install_signal_handlers();
     let handle = ses_server::serve(&cfg).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
-    println!(
+    say!(out,
         "ses-server listening on {} — {} shards, {} io threads, default instance {}u/{}e/{}t seed {}, {} packed tenant(s)",
         handle.addr(),
         cfg.shards,
@@ -611,25 +711,29 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
         cfg.intervals,
         cfg.seed,
         cfg.instances.len()
-    );
+    )?;
     match &cfg.wal_dir {
-        Some(dir) => println!(
+        Some(dir) => say!(
+            out,
             "durability: WAL at {} (fsync {}, snapshot every {} events) — sessions survive \
              kill -9; live migration via POST /admin/rebalance",
             dir.display(),
             cfg.fsync.label(),
             cfg.snapshot_every
-        ),
-        None => println!("durability: off (no --wal-dir; sessions are in-memory only)"),
+        )?,
+        None => say!(
+            out,
+            "durability: off (no --wal-dir; sessions are in-memory only)"
+        )?,
     }
-    println!("endpoints: POST /solve /eval /sessions/{{name}}/open|event|report|close /admin/rebalance · GET /healthz /metrics /trace/{{id}} /instances");
+    say!(out, "endpoints: POST /solve /eval /sessions/{{name}}/open|event|report|close /admin/rebalance · GET /healthz /metrics /trace/{{id}} /instances")?;
     handle.join();
-    println!("ses-server: drained, bye");
+    say!(out, "ses-server: drained, bye")?;
     Ok(())
 }
 
 /// `ses loadgen`
-pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
+pub fn loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let addr = args
         .options
         .get("addr")
@@ -703,29 +807,41 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
         durability: Vec::new(),
     };
 
-    if let Some(out) = args.options.get("out") {
+    if let Some(path) = args.options.get("out") {
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(out, json).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| e.to_string())?;
     }
     if format == Format::Json {
-        println!(
+        say!(
+            out,
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        )?;
     } else {
         let s = &report.loadgen;
-        println!(
+        say!(
+            out,
             "loadgen: {} clients × {} requests against {} — {:.0} req/s ({} requests in {:.1} ms)",
-            s.clients, cfg.requests, cfg.addr, s.req_per_sec, s.requests, s.elapsed_millis
-        );
-        println!(
+            s.clients,
+            cfg.requests,
+            cfg.addr,
+            s.req_per_sec,
+            s.requests,
+            s.elapsed_millis
+        )?;
+        say!(
+            out,
             "latency: mean {:.0} µs, p50 {} µs, p95 {} µs, p99 {} µs, max {} µs",
-            s.mean_micros, s.p50_micros, s.p95_micros, s.p99_micros, s.max_micros
-        );
+            s.mean_micros,
+            s.p50_micros,
+            s.p95_micros,
+            s.p99_micros,
+            s.max_micros
+        )?;
         if s.per_instance.len() > 1 {
-            println!("per-instance (cross-tenant isolation):");
+            say!(out, "per-instance (cross-tenant isolation):")?;
             for l in &s.per_instance {
-                println!(
+                say!(out,
                     "  {:<16} {} clients, {} requests, {} errors — p50 {} µs, p95 {} µs, p99 {} µs, max {} µs",
                     l.instance,
                     l.clients,
@@ -735,7 +851,7 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
                     l.p95_micros,
                     l.p99_micros,
                     l.max_micros
-                );
+                )?;
             }
         }
         let mix: Vec<String> = s
@@ -744,14 +860,25 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
             .filter(|(_, n)| *n > 0)
             .map(|(l, n)| format!("{l} {n}"))
             .collect();
-        println!("mix: {}; {} ok, {} errors", mix.join(", "), s.ok, s.errors);
+        say!(
+            out,
+            "mix: {}; {} ok, {} errors",
+            mix.join(", "),
+            s.ok,
+            s.errors
+        )?;
         if let Some(w) = &s.wal {
-            println!(
+            say!(
+                out,
                 "durability: fsync {}, {} records, {} fsyncs, {} durable acks",
-                w.policy, w.records, w.fsyncs, w.durable_acks
-            );
+                w.policy,
+                w.records,
+                w.fsyncs,
+                w.durable_acks
+            )?;
             for line in [w.append.as_ref(), w.fsync.as_ref()].into_iter().flatten() {
-                println!(
+                say!(
+                    out,
                     "  {:<10} {} calls — mean {:.0} µs, p50 {} µs, p95 {} µs, p99 {} µs, max {} µs",
                     line.endpoint,
                     line.count,
@@ -760,7 +887,7 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
                     line.p95_micros,
                     line.p99_micros,
                     line.max_micros
-                );
+                )?;
             }
         }
         if !s.status_counts.is_empty() {
@@ -769,33 +896,44 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
                 .iter()
                 .map(|c| format!("{}×{}", c.count, c.status))
                 .collect();
-            println!("  non-2xx by status: {}", by_status.join(", "));
+            say!(out, "  non-2xx by status: {}", by_status.join(", "))?;
         }
         for sample in &s.error_samples {
-            println!("  error sample: {sample}");
+            say!(out, "  error sample: {sample}")?;
         }
         if !s.slowest.is_empty() {
-            println!("slowest requests (span timelines at GET /trace/{{id}} while spans live):");
+            say!(
+                out,
+                "slowest requests (span timelines at GET /trace/{{id}} while spans live):"
+            )?;
             for r in &s.slowest {
-                println!(
+                say!(
+                    out,
                     "  {:>7} µs  {:<7} {}  trace {}",
-                    r.micros, r.endpoint, r.status, r.trace
-                );
+                    r.micros,
+                    r.endpoint,
+                    r.status,
+                    r.trace
+                )?;
             }
         }
         match &report.digest {
-            Some(d) if d.matches && d.utility_bits_match => println!(
+            Some(d) if d.matches && d.utility_bits_match => say!(
+                out,
                 "determinism: {} replayed disruptions, server digest ≡ sim digest ({:#018x}) ✓",
-                d.steps, d.sim_digest
-            ),
-            Some(d) => println!(
+                d.steps,
+                d.sim_digest
+            )?,
+            Some(d) => {
+                say!(out,
                 "determinism: MISMATCH — server {:#018x} vs sim {:#018x} (utility bits equal: {})",
                 d.server_digest, d.sim_digest, d.utility_bits_match
-            ),
-            None => println!("determinism: skipped (--verify-steps 0)"),
+            )?
+            }
+            None => say!(out, "determinism: skipped (--verify-steps 0)")?,
         }
-        if let Some(out) = args.options.get("out") {
-            println!("wrote report to {out}");
+        if let Some(path) = args.options.get("out") {
+            say!(out, "wrote report to {path}")?;
         }
     }
 
@@ -890,7 +1028,7 @@ pub fn top_frame(addr: &str, report: &ses_server::MetricsReport) -> String {
 }
 
 /// `ses top` — poll `/metrics` and redraw a live text dashboard.
-pub fn top(args: &ParsedArgs) -> Result<(), String> {
+pub fn top(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let addr = args
         .options
         .get("addr")
@@ -911,17 +1049,18 @@ pub fn top(args: &ParsedArgs) -> Result<(), String> {
     loop {
         match fetch(&mut client) {
             Ok(report) if once => {
-                print!("{}", top_frame(&addr, &report));
+                write!(out, "{}", top_frame(&addr, &report)).map_err(output_error)?;
                 return Ok(());
             }
             // ANSI clear + home, then the frame — a poor man's curses.
-            Ok(report) => print!("\x1b[2J\x1b[H{}", top_frame(&addr, &report)),
+            Ok(report) => {
+                write!(out, "\x1b[2J\x1b[H{}", top_frame(&addr, &report)).map_err(output_error)?
+            }
             Err(e) if once => return Err(format!("{addr}: {e}")),
             // Live mode rides out restarts instead of dying on one bad poll.
-            Err(e) => println!("\x1b[2J\x1b[Hses top — {addr}: {e} (retrying)"),
+            Err(e) => say!(out, "\x1b[2J\x1b[Hses top — {addr}: {e} (retrying)")?,
         }
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
+        out.flush().map_err(output_error)?;
         std::thread::sleep(std::time::Duration::from_millis(interval));
     }
 }
@@ -929,14 +1068,14 @@ pub fn top(args: &ParsedArgs) -> Result<(), String> {
 /// `ses pack` — materialize a synthetic universe once and write it as a
 /// packed columnar instance file servers and CLI runs cold-open without a
 /// rebuild (see `ses_core::store` and DESIGN.md §12).
-pub fn pack(args: &ParsedArgs) -> Result<(), String> {
+pub fn pack(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let users: usize = args.get_or("users", 10_000).map_err(|e| e.to_string())?;
     let events: usize = args.get_or("events", 200).map_err(|e| e.to_string())?;
     let intervals: usize = args.get_or("intervals", 48).map_err(|e| e.to_string())?;
     let interests: usize = args.get_or("interests", 8).map_err(|e| e.to_string())?;
     let active: usize = args.get_or("active", 6).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let out = args.require("out").map_err(|e| e.to_string())?;
+    let path = args.require("out").map_err(|e| e.to_string())?;
     let profile = args
         .options
         .get("profile")
@@ -959,22 +1098,23 @@ pub fn pack(args: &ParsedArgs) -> Result<(), String> {
     };
     let build_millis = build_start.elapsed().as_secs_f64() * 1e3;
     let pack_start = std::time::Instant::now();
-    ses_core::store::pack_to_path(&inst, std::path::Path::new(out))
-        .map_err(|e| format!("pack {out}: {e}"))?;
+    ses_core::store::pack_to_path(&inst, std::path::Path::new(path))
+        .map_err(|e| format!("pack {path}: {e}"))?;
     let pack_millis = pack_start.elapsed().as_secs_f64() * 1e3;
-    let bytes = std::fs::metadata(out).map_err(|e| e.to_string())?.len();
-    println!(
-        "packed {profile} universe {}u/{}e/{}t seed {seed} → {out}: {bytes} bytes \
+    let bytes = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
+    say!(
+        out,
+        "packed {profile} universe {}u/{}e/{}t seed {seed} → {path}: {bytes} bytes \
          (build {build_millis:.1} ms, pack {pack_millis:.1} ms)",
         inst.num_users(),
         inst.num_events(),
         inst.num_intervals()
-    );
+    )?;
     Ok(())
 }
 
 /// `ses instances` — list a running server's instance registry.
-pub fn instances(args: &ParsedArgs) -> Result<(), String> {
+pub fn instances(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let addr = args
         .options
         .get("addr")
@@ -991,28 +1131,49 @@ pub fn instances(args: &ParsedArgs) -> Result<(), String> {
     let report: ses_server::InstancesReport =
         serde_json::from_str(&body).map_err(|e| format!("bad /instances body: {e}"))?;
     if format == Format::Json {
-        println!(
+        say!(
+            out,
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        )?;
         return Ok(());
     }
-    println!("instances @ {addr}:");
-    println!(
+    say!(out, "instances @ {addr}:")?;
+    say!(
+        out,
         "  {:<16} {:<8} {:>9} {:>7} {:>9} {:>9}  source",
-        "name", "loaded", "users", "events", "intervals", "competing"
-    );
+        "name",
+        "loaded",
+        "users",
+        "events",
+        "intervals",
+        "competing"
+    )?;
     for i in &report.instances {
         if i.loaded {
-            println!(
+            say!(
+                out,
                 "  {:<16} {:<8} {:>9} {:>7} {:>9} {:>9}  {}",
-                i.name, "yes", i.users, i.events, i.intervals, i.competing, i.source
-            );
+                i.name,
+                "yes",
+                i.users,
+                i.events,
+                i.intervals,
+                i.competing,
+                i.source
+            )?;
         } else {
-            println!(
+            say!(
+                out,
                 "  {:<16} {:<8} {:>9} {:>7} {:>9} {:>9}  {}",
-                i.name, "lazy", "-", "-", "-", "-", i.source
-            );
+                i.name,
+                "lazy",
+                "-",
+                "-",
+                "-",
+                "-",
+                i.source
+            )?;
         }
     }
     Ok(())
@@ -1021,43 +1182,54 @@ pub fn instances(args: &ParsedArgs) -> Result<(), String> {
 /// `ses wal inspect` — offline dissection of a server's `--wal-dir`:
 /// per-shard segment inventory, LSN ranges, torn tails, and (with
 /// `--records`) every record's kind/LSN/session, snapshots included.
-pub fn wal_inspect(args: &ParsedArgs) -> Result<(), String> {
+pub fn wal_inspect(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let dir = args.require("dir").map_err(|e| e.to_string())?;
     let with_records = args.has_flag("records");
     let format = format_of(args)?;
     let inspection = ses_durable::inspect_dir(std::path::Path::new(dir), with_records)?;
     if format == Format::Json {
-        println!(
+        say!(
+            out,
             "{}",
             serde_json::to_string_pretty(&inspection).map_err(|e| e.to_string())?
-        );
+        )?;
         return Ok(());
     }
     if inspection.shards.is_empty() {
-        println!("wal inspect: no WAL shards under {dir}");
+        say!(out, "wal inspect: no WAL shards under {dir}")?;
         return Ok(());
     }
     for shard in &inspection.shards {
-        println!("{} — {} records", shard.dir, shard.records);
+        say!(out, "{} — {} records", shard.dir, shard.records)?;
         for seg in &shard.segments {
             let torn = seg
                 .torn
                 .as_deref()
                 .map(|t| format!("  TORN: {t}"))
                 .unwrap_or_default();
-            println!(
+            say!(
+                out,
                 "  {:<16} {:>9} bytes, {:>6} records, lsn {}..={}{torn}",
-                seg.file, seg.bytes, seg.records, seg.first_lsn, seg.last_lsn
-            );
+                seg.file,
+                seg.bytes,
+                seg.records,
+                seg.first_lsn,
+                seg.last_lsn
+            )?;
         }
         for err in &shard.errors {
-            println!("  ERROR: {err}");
+            say!(out, "  ERROR: {err}")?;
         }
         for rec in &shard.record_list {
-            println!(
+            say!(
+                out,
                 "    {:>8}  {:<8} lsn {:>6}  {:>6} bytes  {}",
-                rec.offset, rec.kind, rec.lsn, rec.bytes, rec.session
-            );
+                rec.offset,
+                rec.kind,
+                rec.lsn,
+                rec.bytes,
+                rec.session
+            )?;
         }
     }
     Ok(())
@@ -1065,7 +1237,7 @@ pub fn wal_inspect(args: &ParsedArgs) -> Result<(), String> {
 
 /// `ses quality`: every non-EXACT spec of the registry against the exact
 /// optimum on small seeded instances, as the mean and worst utility ratio.
-pub fn quality(args: &ParsedArgs) -> Result<(), String> {
+pub fn quality(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     use ses_core::registry::{self, SPEC_NAMES};
     use ses_core::testkit::{random_instance, TestInstanceConfig};
     let instances: usize = args.get_or("instances", 20).map_err(|e| e.to_string())?;
@@ -1100,10 +1272,10 @@ pub fn quality(args: &ParsedArgs) -> Result<(), String> {
         }
         solved += 1;
         for (i, spec) in specs.iter().enumerate() {
-            let out = registry::build(spec.with_seed(seed))
+            let run = registry::build(spec.with_seed(seed))
                 .run(&inst, k)
                 .map_err(|e| e.to_string())?;
-            let ratio = out.total_utility / opt.total_utility;
+            let ratio = run.total_utility / opt.total_utility;
             if ratio > 1.0 + 1e-9 {
                 return Err(format!(
                     "{spec} beats the exact optimum on seed {seed}: {ratio}"
@@ -1116,15 +1288,19 @@ pub fn quality(args: &ParsedArgs) -> Result<(), String> {
     if solved == 0 {
         return Err("no instance solved exactly".to_owned());
     }
-    println!("utility ratio vs exact optimum over {solved} instances (k = {k}):");
-    println!("  {:<7} {:>6} {:>6}", "spec", "mean", "worst");
+    say!(
+        out,
+        "utility ratio vs exact optimum over {solved} instances (k = {k}):"
+    )?;
+    say!(out, "  {:<7} {:>6} {:>6}", "spec", "mean", "worst")?;
     for (i, spec) in specs.iter().enumerate() {
-        println!(
+        say!(
+            out,
             "  {:<7} {:.4} {:.4}",
             spec.name(),
             sums[i] / solved as f64,
             worst[i]
-        );
+        )?;
     }
     Ok(())
 }

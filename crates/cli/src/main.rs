@@ -16,6 +16,7 @@
 //! ```
 
 use ses_cli::{args, commands};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -35,25 +36,31 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Every command writes its output through `out`; a reader that closed
+    // the pipe early ends the command quietly, with status 0.
+    let mut out = commands::Stdout::default();
     let result = match parsed.command.as_str() {
-        "generate" => commands::generate(&parsed),
-        "analyze" => commands::analyze(&parsed),
-        "solve" | "schedule" => commands::solve(&parsed),
-        "pack" => commands::pack(&parsed),
-        "quality" => commands::quality(&parsed),
-        "simulate" => commands::simulate(&parsed),
-        "serve" => commands::serve(&parsed),
-        "instances" => commands::instances(&parsed),
-        "top" => commands::top(&parsed),
-        "loadgen" => commands::loadgen(&parsed),
-        "wal-inspect" => commands::wal_inspect(&parsed),
+        "generate" => commands::generate(&parsed, &mut out),
+        "analyze" => commands::analyze(&parsed, &mut out),
+        "solve" | "schedule" => commands::solve(&parsed, &mut out),
+        "pack" => commands::pack(&parsed, &mut out),
+        "quality" => commands::quality(&parsed, &mut out),
+        "simulate" => commands::simulate(&parsed, &mut out),
+        "serve" => commands::serve(&parsed, &mut out),
+        "instances" => commands::instances(&parsed, &mut out),
+        "top" => commands::top(&parsed, &mut out),
+        "loadgen" => commands::loadgen(&parsed, &mut out),
+        "wal-inspect" => commands::wal_inspect(&parsed, &mut out),
         "wal" => Err("wal needs an action (try `ses wal inspect --dir DIR`)".to_owned()),
-        "help" | "--help" | "-h" => {
-            print!("{}", commands::HELP);
-            Ok(())
-        }
+        "help" | "--help" | "-h" => out
+            .write_all(commands::HELP.as_bytes())
+            .map_err(|e| e.to_string()),
         other => Err(format!("unknown subcommand '{other}' (try `ses help`)")),
     };
+    let result = result.and_then(|()| out.flush().map_err(|e| e.to_string()));
+    if out.closed() {
+        return ExitCode::SUCCESS;
+    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

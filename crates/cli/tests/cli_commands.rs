@@ -3,6 +3,8 @@
 
 use ses_cli::args::parse;
 use ses_cli::commands;
+use std::io::{self, BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 fn argv(parts: &[&str]) -> ses_cli::args::ParsedArgs {
     let v: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
@@ -19,34 +21,41 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 fn generate_analyze_schedule_pipeline() {
     let out = temp_path("pipeline.json");
     let out_str = out.to_str().unwrap();
-    commands::generate(&argv(&[
-        "generate",
-        "--members",
-        "200",
-        "--events",
-        "150",
-        "--weeks",
-        "6",
-        "--out",
-        out_str,
-    ]))
+    commands::generate(
+        &argv(&[
+            "generate",
+            "--members",
+            "200",
+            "--events",
+            "150",
+            "--weeks",
+            "6",
+            "--out",
+            out_str,
+        ]),
+        &mut io::sink(),
+    )
     .expect("generate succeeds");
     assert!(out.exists());
 
-    commands::analyze(&argv(&["analyze", "--dataset", out_str])).expect("analyze succeeds");
+    commands::analyze(&argv(&["analyze", "--dataset", out_str]), &mut io::sink())
+        .expect("analyze succeeds");
 
     let plan = temp_path("plan.json");
-    commands::solve(&argv(&[
-        "schedule",
-        "--dataset",
-        out_str,
-        "--k",
-        "10",
-        "--algo",
-        "GRD",
-        "--out",
-        plan.to_str().unwrap(),
-    ]))
+    commands::solve(
+        &argv(&[
+            "schedule",
+            "--dataset",
+            out_str,
+            "--k",
+            "10",
+            "--algo",
+            "GRD",
+            "--out",
+            plan.to_str().unwrap(),
+        ]),
+        &mut io::sink(),
+    )
     .expect("schedule succeeds");
     // The schedule JSON must deserialize into a ses-core Schedule with 10
     // assignments.
@@ -56,19 +65,22 @@ fn generate_analyze_schedule_pipeline() {
 
     // `--threads` shards the scoring sweeps without changing the result.
     let plan_threaded = temp_path("plan_threaded.json");
-    commands::solve(&argv(&[
-        "solve",
-        "--dataset",
-        out_str,
-        "--k",
-        "10",
-        "--algo",
-        "GRD",
-        "--threads",
-        "4",
-        "--out",
-        plan_threaded.to_str().unwrap(),
-    ]))
+    commands::solve(
+        &argv(&[
+            "solve",
+            "--dataset",
+            out_str,
+            "--k",
+            "10",
+            "--algo",
+            "GRD",
+            "--threads",
+            "4",
+            "--out",
+            plan_threaded.to_str().unwrap(),
+        ]),
+        &mut io::sink(),
+    )
     .expect("solve --threads succeeds");
     let threaded_json = std::fs::read_to_string(&plan_threaded).unwrap();
     let threaded: ses_core::Schedule = serde_json::from_str(&threaded_json).unwrap();
@@ -83,37 +95,38 @@ fn generate_analyze_schedule_pipeline() {
 fn schedule_supports_every_algorithm_name() {
     let out = temp_path("algos.json");
     let out_str = out.to_str().unwrap();
-    commands::generate(&argv(&[
-        "generate",
-        "--members",
-        "120",
-        "--events",
-        "120",
-        "--out",
-        out_str,
-    ]))
+    commands::generate(
+        &argv(&[
+            "generate",
+            "--members",
+            "120",
+            "--events",
+            "120",
+            "--out",
+            out_str,
+        ]),
+        &mut io::sink(),
+    )
     .unwrap();
     for algo in ["GRD", "GRD-PQ", "TOP", "RAND", "RAND:123", "LS", "SA"] {
-        commands::solve(&argv(&[
+        commands::solve(
+            &argv(&["schedule", "--dataset", out_str, "--k", "5", "--algo", algo]),
+            &mut io::sink(),
+        )
+        .unwrap_or_else(|e| panic!("algo {algo}: {e}"));
+    }
+    let err = commands::solve(
+        &argv(&[
             "schedule",
             "--dataset",
             out_str,
             "--k",
             "5",
             "--algo",
-            algo,
-        ]))
-        .unwrap_or_else(|e| panic!("algo {algo}: {e}"));
-    }
-    let err = commands::solve(&argv(&[
-        "schedule",
-        "--dataset",
-        out_str,
-        "--k",
-        "5",
-        "--algo",
-        "BOGUS",
-    ]))
+            "BOGUS",
+        ]),
+        &mut io::sink(),
+    )
     .unwrap_err();
     assert!(
         err.contains("unknown scheduler") && err.contains("GRD"),
@@ -126,24 +139,23 @@ fn schedule_supports_every_algorithm_name() {
 fn schedule_with_checkin_sigma_flag() {
     let out = temp_path("checkins.json");
     let out_str = out.to_str().unwrap();
-    commands::generate(&argv(&[
-        "generate",
-        "--members",
-        "150",
-        "--events",
-        "130",
-        "--out",
-        out_str,
-    ]))
+    commands::generate(
+        &argv(&[
+            "generate",
+            "--members",
+            "150",
+            "--events",
+            "130",
+            "--out",
+            out_str,
+        ]),
+        &mut io::sink(),
+    )
     .unwrap();
-    commands::solve(&argv(&[
-        "schedule",
-        "--dataset",
-        out_str,
-        "--k",
-        "8",
-        "--checkins",
-    ]))
+    commands::solve(
+        &argv(&["schedule", "--dataset", out_str, "--k", "8", "--checkins"]),
+        &mut io::sink(),
+    )
     .expect("checkins sigma mode works");
     std::fs::remove_file(out).ok();
 }
@@ -152,37 +164,46 @@ fn schedule_with_checkin_sigma_flag() {
 fn solve_format_json_and_schedule_alias() {
     let out = temp_path("format.json");
     let out_str = out.to_str().unwrap();
-    commands::generate(&argv(&[
-        "generate",
-        "--members",
-        "120",
-        "--events",
-        "120",
-        "--out",
-        out_str,
-    ]))
+    commands::generate(
+        &argv(&[
+            "generate",
+            "--members",
+            "120",
+            "--events",
+            "120",
+            "--out",
+            out_str,
+        ]),
+        &mut io::sink(),
+    )
     .unwrap();
     // `--format json` succeeds and rejects unknown formats; the old
     // `schedule` spelling still reaches the same implementation.
-    commands::solve(&argv(&[
-        "solve",
-        "--dataset",
-        out_str,
-        "--k",
-        "5",
-        "--format",
-        "json",
-    ]))
+    commands::solve(
+        &argv(&[
+            "solve",
+            "--dataset",
+            out_str,
+            "--k",
+            "5",
+            "--format",
+            "json",
+        ]),
+        &mut io::sink(),
+    )
     .expect("solve --format json succeeds");
-    let err = commands::solve(&argv(&[
-        "solve",
-        "--dataset",
-        out_str,
-        "--k",
-        "5",
-        "--format",
-        "yaml",
-    ]))
+    let err = commands::solve(
+        &argv(&[
+            "solve",
+            "--dataset",
+            out_str,
+            "--k",
+            "5",
+            "--format",
+            "yaml",
+        ]),
+        &mut io::sink(),
+    )
     .unwrap_err();
     assert!(err.contains("unknown format"));
     std::fs::remove_file(out).ok();
@@ -213,17 +234,20 @@ fn timeline_span(timeline: &str, stage: &str) -> (usize, f64, f64, Option<(u64, 
 /// σ-columns) the trace tests solve.
 fn pack_3k(name: &str) -> std::path::PathBuf {
     let store = temp_path(name);
-    commands::pack(&argv(&[
-        "pack",
-        "--users",
-        "3000",
-        "--events",
-        "40",
-        "--intervals",
-        "12",
-        "--out",
-        store.to_str().unwrap(),
-    ]))
+    commands::pack(
+        &argv(&[
+            "pack",
+            "--users",
+            "3000",
+            "--events",
+            "40",
+            "--intervals",
+            "12",
+            "--out",
+            store.to_str().unwrap(),
+        ]),
+        &mut io::sink(),
+    )
     .unwrap();
     store
 }
@@ -232,7 +256,7 @@ fn pack_3k(name: &str) -> std::path::PathBuf {
 fn solve_trace_nests_build_inside_solve() {
     let store = pack_3k("trace_build.sesstore");
     let store_str = store.to_str().unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+    let out = Command::new(env!("CARGO_BIN_EXE_ses"))
         .args(["solve", "--instance", store_str, "--k", "5"])
         .args(["--format", "json", "--trace"])
         .output()
@@ -274,6 +298,31 @@ fn solve_trace_nests_build_inside_solve() {
             && runs_start + runs_dur <= build_start + build_dur + 0.002,
         "columns then runs, within build:\n{timeline}"
     );
+    // The slot index and posting resolution come first, as `index`.
+    let (index_col, index_start, index_dur, index_aux) = timeline_span(&timeline, "index");
+    assert!(
+        index_col == columns_col
+            && build_start <= index_start + 0.002
+            && index_start + index_dur <= columns_start + 0.002,
+        "index nests inside build, before columns:\n{timeline}"
+    );
+    let inst = ses_core::store::open_path(&store).unwrap();
+    let lists: Vec<_> = (0..inst.num_events() as u32)
+        .map(|e| {
+            inst.interest()
+                .interested_users(ses_core::EventId::new(e).into())
+        })
+        .collect();
+    let indexed: std::collections::BTreeSet<_> = lists
+        .iter()
+        .flat_map(|l| l.iter().map(|&(u, _)| u))
+        .collect();
+    let postings: usize = lists.iter().map(|l| l.len()).sum();
+    assert_eq!(
+        index_aux,
+        Some((indexed.len() as u64, postings as u64)),
+        "{timeline}"
+    );
     let (column_slots, partial_slots) = columns_aux.expect("columns span carries aux counts");
     assert!(column_slots == slots && partial_slots > 0, "{timeline}");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -288,7 +337,7 @@ fn solve_trace_nests_build_inside_solve() {
 #[test]
 fn text_report_is_a_span_beside_solve_and_prints_unchanged_lines() {
     let store = pack_3k("trace_report.sesstore");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+    let out = Command::new(env!("CARGO_BIN_EXE_ses"))
         .args(["solve", "--instance", store.to_str().unwrap(), "--k", "5"])
         .arg("--trace")
         .output()
@@ -341,17 +390,20 @@ fn text_report_is_a_span_beside_solve_and_prints_unchanged_lines() {
 fn solve_trace_shows_load_beside_solve() {
     let dataset = temp_path("trace_load.json");
     let dataset_str = dataset.to_str().unwrap();
-    commands::generate(&argv(&[
-        "generate",
-        "--members",
-        "120",
-        "--events",
-        "80",
-        "--out",
-        dataset_str,
-    ]))
+    commands::generate(
+        &argv(&[
+            "generate",
+            "--members",
+            "120",
+            "--events",
+            "80",
+            "--out",
+            dataset_str,
+        ]),
+        &mut io::sink(),
+    )
     .unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+    let out = Command::new(env!("CARGO_BIN_EXE_ses"))
         .args(["solve", "--dataset", dataset_str, "--k", "5"])
         .args(["--format", "json", "--trace"])
         .output()
@@ -374,31 +426,34 @@ fn solve_trace_shows_load_beside_solve() {
 
 #[test]
 fn simulate_format_json_runs() {
-    commands::simulate(&argv(&[
-        "simulate",
-        "--scenario",
-        "steady",
-        "--steps",
-        "120",
-        "--seed",
-        "3",
-        "--users",
-        "60",
-        "--events",
-        "18",
-        "--intervals",
-        "6",
-        "--k",
-        "6",
-        "--format",
-        "json",
-    ]))
+    commands::simulate(
+        &argv(&[
+            "simulate",
+            "--scenario",
+            "steady",
+            "--steps",
+            "120",
+            "--seed",
+            "3",
+            "--users",
+            "60",
+            "--events",
+            "18",
+            "--intervals",
+            "6",
+            "--k",
+            "6",
+            "--format",
+            "json",
+        ]),
+        &mut io::sink(),
+    )
     .expect("simulate --format json succeeds");
 }
 
 #[test]
 fn quality_command_runs() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ses"))
+    let out = Command::new(env!("CARGO_BIN_EXE_ses"))
         .args(["quality", "--instances", "8", "--k", "3"])
         .output()
         .expect("ses runs");
@@ -427,46 +482,80 @@ fn quality_command_runs() {
 
 #[test]
 fn missing_dataset_is_a_clean_error() {
-    let err =
-        commands::analyze(&argv(&["analyze", "--dataset", "/no/such/file.json"])).unwrap_err();
+    let err = commands::analyze(
+        &argv(&["analyze", "--dataset", "/no/such/file.json"]),
+        &mut io::sink(),
+    )
+    .unwrap_err();
     assert!(err.contains("I/O") || err.contains("No such file") || !err.is_empty());
-    let err = commands::generate(&argv(&["generate"])).unwrap_err();
+    let err = commands::generate(&argv(&["generate"]), &mut io::sink()).unwrap_err();
     assert!(err.contains("--out"));
 }
 
 #[test]
 fn simulate_runs_every_scenario_deterministically() {
     for scenario in ["steady", "flash-crowd", "adversarial", "seasonal"] {
-        commands::simulate(&argv(&[
-            "simulate",
-            "--scenario",
-            scenario,
-            "--steps",
-            "150",
-            "--seed",
-            "7",
-            "--users",
-            "80",
-            "--events",
-            "20",
-            "--intervals",
-            "8",
-            "--k",
-            "8",
-        ]))
+        commands::simulate(
+            &argv(&[
+                "simulate",
+                "--scenario",
+                scenario,
+                "--steps",
+                "150",
+                "--seed",
+                "7",
+                "--users",
+                "80",
+                "--events",
+                "20",
+                "--intervals",
+                "8",
+                "--k",
+                "8",
+            ]),
+            &mut io::sink(),
+        )
         .unwrap_or_else(|e| panic!("scenario {scenario}: {e}"));
     }
 }
 
 #[test]
 fn simulate_rejects_unknown_scenario() {
-    let err = commands::simulate(&argv(&[
-        "simulate",
-        "--scenario",
-        "earthquake",
-        "--steps",
-        "10",
-    ]))
+    let err = commands::simulate(
+        &argv(&["simulate", "--scenario", "earthquake", "--steps", "10"]),
+        &mut io::sink(),
+    )
     .unwrap_err();
     assert!(err.contains("unknown scenario"));
+}
+
+/// A reader that closes the pipe early (`ses analyze ds.json | head -1`)
+/// ends the command quietly: no panic on stderr, exit status 0.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    let dataset = temp_path("closed_stdout.json");
+    let dataset_str = dataset.to_str().unwrap();
+    commands::generate(
+        &argv(&["generate", "--members", "600", "--out", dataset_str]),
+        &mut io::sink(),
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(["analyze", "--dataset", dataset_str])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ses runs");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.starts_with("dataset:"), "{first}");
+    // The rest is written after the overlap and interest statistics are
+    // computed, by which time the read end is closed.
+    drop(stdout);
+    let done = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(done.status.success(), "{:?}: {stderr}", done.status);
+    std::fs::remove_file(dataset).ok();
 }

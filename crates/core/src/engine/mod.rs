@@ -241,7 +241,8 @@ impl AttendanceEngine {
     /// `O(nnz + |T| + Σ_h |postings(h)|)` plus one write per run entry,
     /// never a dense `|T|·stride` pass. Partial columns' runs resolve on
     /// every core; the engine is the same for any split. Records a
-    /// [`ses_obs::Stage::Build`] span with `columns` and `runs` children.
+    /// [`ses_obs::Stage::Build`] span with `index`, `columns` and `runs`
+    /// children.
     ///
     /// Takes `&Arc` and clones the handle internally — callers keep their
     /// own handle and pay one refcount bump, never a deep copy.
@@ -255,6 +256,7 @@ impl AttendanceEngine {
         let interest = inst.interest();
         let lists = |e: usize| interest.interested_users(EventId::new(e as u32).into());
 
+        let mut index_span = ses_obs::span(ses_obs::Stage::Index);
         // Union of *candidate* posting lists → dense ranks, in user-id
         // order. Users appearing only in competing posting lists get no
         // slot: they can never accrue scheduled mass, so every read path
@@ -281,6 +283,8 @@ impl AttendanceEngine {
         for e in 0..ne {
             resolved.push(lists(e).iter().map(|&(u, mu)| (rank_of[u.index()], mu)));
         }
+        index_span.set_aux(users.len() as u64, total as u64);
+        drop(index_span);
 
         // Blocked σ-columns: only `σ(u,t) > 0` slots are resident. The
         // rank-major slot index is a build-time temporary.

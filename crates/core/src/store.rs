@@ -21,25 +21,35 @@
 //! competitive with an in-memory rebuild.
 //! Interest is CSR by event (offsets + user column + µ-bits column);
 //! activity σ is CSR by *both* axes — the by-user copy is exactly the
-//! [`Activity`] arrays, which the reader adopts as they are decoded, while
-//! the by-interval copy is the layout a streaming per-interval column
-//! build wants and doubles as a structural end-to-end check: the reader
-//! verifies the two are exact transposes before accepting the file.
+//! [`Activity`] arrays, which the reader decodes straight into, while the
+//! by-interval copy is the layout a streaming per-interval column build
+//! wants and doubles as a structural end-to-end check: the reader verifies
+//! the two are exact transposes before accepting the file.
 //!
 //! The writer streams (section lengths are computed arithmetically up
 //! front, payloads never buffered whole); the only copy it builds is the
-//! flat by-interval transpose of σ. The reader checks magic and
-//! version, slurps the framed sections, and indexes them by slicing;
-//! small sections verify their checksum before decoding, while the heavy
-//! CSR columns fold the checksum *while* parsing in cache-sized windows
-//! (one memory pass instead of two) and compare it before any parsed
-//! value is validated or used — the conversions themselves are total, no
-//! branch looks at an unvouched value. CSR monotonicity, value ranges and
-//! the transpose cross-check run after. Every failure is a typed
-//! [`StoreError`], never a panic, so a server can lazily open tenant
-//! files on the request path (the `server-panic-discipline` lint covers
-//! this module). With more than one core, the interest and activity
-//! section groups decode on scoped threads.
+//! flat by-interval transpose of σ. The reader never holds a file whole:
+//! it reads through positional reads ([`ReadAt`] — `pread` on a `File`
+//! for [`open_path`], a `&[u8]` for bytes already in memory). It checks
+//! magic and version, then locates every section by reading only its
+//! `[id][len]` head and its checksum trailer, so a length the source does
+//! not hold is `Truncated` before anything is sized from it. Small
+//! sections are read whole and verified before decoding. The heavy CSR
+//! sections stream through one reused window per decoder thread
+//! (`WINDOW`, 1 MiB): the interest sections take a verify-only fold pass, then
+//! a decode pass straight into each event's posting list; the by-user σ
+//! section folds and decodes in one pass straight into the `Activity`
+//! columns; the by-interval section takes a fold pass, then is checked
+//! against the decoded by-user copy through one small window per interval
+//! row. In every case the checksum is compared before any decoded value
+//! is validated or used — the conversions themselves are total, no branch
+//! looks at an unvouched value. CSR monotonicity, value ranges and the
+//! transpose cross-check run after. Every failure is a typed
+//! [`StoreError`], never a panic, so a server can lazily open tenant files
+//! on the request path (the `server-panic-discipline` lint covers this
+//! module); a file that is shorter than its frames claim, including one
+//! truncated while it is read, is `Truncated`. With more than one core,
+//! the interest and activity section groups decode on scoped threads.
 
 use crate::activity::Activity;
 use crate::ids::{CompetingEventId, EventId, IntervalId, LocationId, UserId};
@@ -48,7 +58,7 @@ use crate::interest::{Interest, Posting};
 use crate::model::{CandidateEvent, CompetingEvent, Organizer, TimeInterval};
 use crate::util::fnv::{FNV_OFFSET, FNV_PRIME};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -59,8 +69,8 @@ pub const MAGIC: [u8; 8] = *b"SESSTORE";
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Total little-endian conversions for the hot decode loops. Every call
-/// site hands over an exactly-sized window (`chunks_exact`, `split_at`,
-/// `take_slice(N)`), so the zero fallback is unreachable — spelled
+/// site hands over an exactly-sized window (`chunks_exact`, `split_at`, a
+/// fixed-size head), so the zero fallback is unreachable — spelled
 /// without `expect` to keep this module panic-free *by construction*
 /// (the `server-panic-discipline` lint covers it), and any
 /// hypothetically wrong width would still be caught by the section
@@ -81,9 +91,9 @@ fn le_u32(w: &[u8]) -> u32 {
     }
 }
 
-/// Granularity of sink/source buffering: sections stream through the
-/// checksum fold and the underlying reader/writer in chunks of this size,
-/// so per-value `put`/`take` calls touch only an in-memory window.
+/// Granularity of the writer's buffering: sections stream through the
+/// checksum fold and the underlying writer in chunks of this size, so
+/// per-value `put` calls touch only an in-memory window.
 const CHUNK: usize = 64 * 1024;
 
 /// Streaming FNV-1a over little-endian **u64 words** of the byte stream,
@@ -628,30 +638,125 @@ pub fn pack_to_path(inst: &SesInstance, path: &Path) -> Result<u64, StoreError> 
 /// Heavy sections (interest + activity CSRs) decode on scoped threads when
 /// their combined payload crosses this size; tiny fixture files decode
 /// inline so tests don't pay spawn latency.
-const PARALLEL_DECODE_BYTES: usize = 1 << 20;
+const PARALLEL_DECODE_BYTES: u64 = 1 << 20;
 
-/// One indexed section: its payload slice and recorded checksum trailer.
-struct RawSection<'a> {
+/// Each decoder thread's read window: heavy sections are read, folded and
+/// decoded this many bytes at a time, so no buffer the size of a section
+/// (let alone of the file) is ever allocated. A multiple of 8, so every
+/// window holds whole values of every column width.
+const WINDOW: usize = 1 << 20;
+
+/// The smallest per-interval window of the transpose check. With more
+/// intervals than the thread's window can split into windows this size,
+/// the check allocates `2 · |T|` windows of this size instead.
+const MIN_ROW_WINDOW: usize = 64;
+
+/// A byte source the reader addresses by offset. Reads are positional, so
+/// the two decoder threads share one source with no cursor between them,
+/// and the reader asks for one window at a time instead of the whole.
+///
+/// `File` serves [`open_path`] (Unix `pread`); `[u8]` serves bytes already
+/// in memory, such as the byte-level fault tests' buffers.
+pub trait ReadAt: Sync {
+    /// Fills `buf` with the bytes that start at `offset`. A source that
+    /// ends first answers [`io::ErrorKind::UnexpectedEof`].
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
+}
+
+#[cfg(unix)]
+impl ReadAt for std::fs::File {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
+    }
+}
+
+impl ReadAt for [u8] {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        let bytes = usize::try_from(offset)
+            .ok()
+            .and_then(|at| self.get(at..)?.get(..buf.len()));
+        match bytes {
+            Some(bytes) => {
+                buf.copy_from_slice(bytes);
+                Ok(())
+            }
+            None => Err(io::ErrorKind::UnexpectedEof.into()),
+        }
+    }
+}
+
+/// A positional read in which running out of bytes — a short file, or
+/// one truncated while it is read — is the section's `Truncated`.
+fn read_at<S: ReadAt + ?Sized>(
+    src: &S,
+    buf: &mut [u8],
+    offset: u64,
     section: &'static str,
-    payload: &'a [u8],
+) -> Result<(), StoreError> {
+    src.read_exact_at(buf, offset).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            StoreError::Truncated { section }
+        } else {
+            io_err("read", e)
+        }
+    })
+}
+
+fn usize_of(v: u64, section: &'static str, what: &str) -> Result<usize, StoreError> {
+    usize::try_from(v).map_err(|_| StoreError::Corrupt {
+        section,
+        detail: format!("{what} {v} does not fit this platform's usize"),
+    })
+}
+
+/// One framed section located in the source: where its payload lies and
+/// the checksum its trailer records.
+struct Frame {
+    section: &'static str,
+    start: u64,
+    len: u64,
     checksum: u64,
 }
 
-impl<'a> RawSection<'a> {
-    /// Folds the payload and compares against the recorded trailer. Called
-    /// before any value is decoded, so decoders only ever see bytes the
-    /// checksum has vouched for (they still validate *values* — a crafted
-    /// file can checksum anything).
-    fn verify(&self) -> Result<(), StoreError> {
-        let mut fold = FoldState::new();
-        fold.update(self.payload);
-        self.check(fold)
+impl Frame {
+    /// Locates the frame at `*pos`, checking its id against the fixed
+    /// section order, and advances `*pos` past it. Only the `[id][len]`
+    /// head and the checksum trailer are read, so a length the source does
+    /// not hold is `Truncated` before anything is sized from it.
+    fn locate<S: ReadAt + ?Sized>(
+        src: &S,
+        pos: &mut u64,
+        expected: u8,
+    ) -> Result<Self, StoreError> {
+        let section = section_name(expected);
+        let mut head = [0u8; 9];
+        read_at(src, &mut head, *pos, section)?;
+        if head[0] != expected {
+            return Err(StoreError::UnexpectedSection {
+                found: head[0],
+                expected,
+            });
+        }
+        let len = le_u64(&head[1..]);
+        let start = pos.saturating_add(9);
+        let trailer = start
+            .checked_add(len)
+            .ok_or(StoreError::Truncated { section })?;
+        let mut checksum = [0u8; 8];
+        read_at(src, &mut checksum, trailer, section)?;
+        *pos = trailer.saturating_add(8);
+        Ok(Self {
+            section,
+            start,
+            len,
+            checksum: u64::from_le_bytes(checksum),
+        })
     }
 
-    /// Compares a finished fold against the stored checksum. Lets hot
-    /// decoders fold the payload in cache-sized windows *while* parsing
-    /// (one DRAM pass instead of two) and still refuse the section before
-    /// any parsed value is validated or used.
+    /// Compares a finished fold of the payload against the trailer. Every
+    /// decoder calls this before any value it parsed is validated or used,
+    /// so they only ever act on bytes the checksum has vouched for (they
+    /// still validate *values* — a crafted file can checksum anything).
     fn check(&self, fold: FoldState) -> Result<(), StoreError> {
         let actual = fold.finalize();
         if actual != self.checksum {
@@ -664,49 +769,470 @@ impl<'a> RawSection<'a> {
         Ok(())
     }
 
-    fn source(&self) -> SliceSource<'a> {
-        SliceSource {
-            data: self.payload,
-            pos: 0,
-            section: self.section,
+    /// Reads a small section (meta, the interval, event and competing
+    /// tables, end) whole and verifies its checksum before decoding.
+    fn load<S: ReadAt + ?Sized>(&self, src: &S) -> Result<Vec<u8>, StoreError> {
+        let mut bytes = vec![0u8; usize_of(self.len, self.section, "section length")?];
+        read_at(src, &mut bytes, self.start, self.section)?;
+        let mut fold = FoldState::new();
+        fold.update(&bytes);
+        self.check(fold)?;
+        Ok(bytes)
+    }
+
+    /// The verify-only pass of a heavy section: folds the payload window
+    /// by window and compares the checksum.
+    fn verify<S: ReadAt + ?Sized>(&self, src: &S, win: &mut [u8]) -> Result<(), StoreError> {
+        let mut fold = FoldState::new();
+        let len = usize_of(self.len, self.section, "section length")?;
+        Column::new(
+            src,
+            self.section,
+            self.start,
+            self.len,
+            win,
+            Some(&mut fold),
+        )
+        .windows(len, 1, |_| {})?;
+        self.check(fold)
+    }
+
+    /// Reads a CSR payload's `rows + 1` offsets, folding them into `fold`
+    /// when given. The frame must hold them before they are allocated.
+    fn offsets<S: ReadAt + ?Sized>(
+        &self,
+        src: &S,
+        rows: usize,
+        win: &mut [u8],
+        fold: Option<&mut FoldState>,
+    ) -> Result<Vec<u64>, StoreError> {
+        let count = rows.saturating_add(1);
+        let bytes = (count as u64)
+            .checked_mul(8)
+            .filter(|&b| b <= self.len)
+            .ok_or(StoreError::Truncated {
+                section: self.section,
+            })?;
+        // The range is exactly the offsets, so a folding read folds no
+        // byte of the columns behind them.
+        Column::new(src, self.section, self.start, bytes, win, fold)
+            .collect::<u64, 8>(count, le_u64)
+    }
+
+    /// Places a CSR payload's id and value columns behind its offsets,
+    /// given the entry count the last offset claims: the payload holds
+    /// exactly `8·(rows + 1)` offset bytes, `4·nnz` id bytes and `8·nnz`
+    /// value bytes. Returns `(nnz, ids start, values start)`.
+    fn csr_columns(&self, rows: usize, nnz: u64) -> Result<(usize, u64, u64), StoreError> {
+        let section = self.section;
+        let overflow = || StoreError::Corrupt {
+            section,
+            detail: "value count overflows the payload length".to_owned(),
+        };
+        let offset_bytes = (rows as u64)
+            .checked_add(1)
+            .and_then(|n| n.checked_mul(8))
+            .ok_or_else(overflow)?;
+        let need = nnz
+            .checked_mul(4 + 8)
+            .and_then(|b| b.checked_add(offset_bytes))
+            .ok_or_else(overflow)?;
+        if need > self.len {
+            return Err(StoreError::Truncated { section });
         }
+        if need < self.len {
+            return Err(StoreError::Corrupt {
+                section,
+                detail: format!("{} payload bytes left unread", self.len - need),
+            });
+        }
+        let ids = self.start + offset_bytes;
+        Ok((
+            usize_of(nnz, section, "CSR entry count")?,
+            ids,
+            ids + 4 * nnz,
+        ))
     }
 }
 
-/// Splits the next framed section off the front of `bytes`, checking the
-/// id against the fixed section order. Only slices — a corrupt length can
-/// never drive an allocation, just a typed error.
-fn next_section<'a>(bytes: &mut &'a [u8], expected: u8) -> Result<RawSection<'a>, StoreError> {
-    let section = section_name(expected);
-    let (&id, rest) = match bytes.split_first() {
-        Some(split) => split,
-        None => return Err(StoreError::Truncated { section }),
-    };
-    if id != expected {
-        return Err(StoreError::UnexpectedSection {
-            found: id,
-            expected,
+/// A forward reader over `len` bytes of a section starting at source
+/// offset `start`, read through a window the decoder thread lends it, and
+/// folding every window it reads into `fold` when one is given. Window
+/// lengths are multiples of 8 and callers read whole columns of one value
+/// width, so a window always holds whole values.
+struct Column<'a, S: ?Sized> {
+    src: &'a S,
+    section: &'static str,
+    /// Source offset of the first byte not yet read into the window.
+    next: u64,
+    /// Source offset one past the range.
+    end: u64,
+    win: &'a mut [u8],
+    filled: usize,
+    at: usize,
+    fold: Option<&'a mut FoldState>,
+}
+
+impl<'a, S: ReadAt + ?Sized> Column<'a, S> {
+    fn new(
+        src: &'a S,
+        section: &'static str,
+        start: u64,
+        len: u64,
+        win: &'a mut [u8],
+        fold: Option<&'a mut FoldState>,
+    ) -> Self {
+        Self {
+            src,
+            section,
+            next: start,
+            end: start.saturating_add(len),
+            win,
+            filled: 0,
+            at: 0,
+            fold,
+        }
+    }
+
+    /// Reads the next window of the range; `Truncated` if fewer than
+    /// `width` bytes of the range remain.
+    fn refill(&mut self, width: usize) -> Result<(), StoreError> {
+        let left = self.end - self.next;
+        let want = usize::try_from(left).map_or(self.win.len(), |l| l.min(self.win.len()));
+        let buf = match self.win.get_mut(..want) {
+            Some(buf) if want >= width => buf,
+            _ => {
+                return Err(StoreError::Truncated {
+                    section: self.section,
+                })
+            }
+        };
+        read_at(self.src, buf, self.next, self.section)?;
+        if let Some(fold) = self.fold.as_deref_mut() {
+            fold.update(buf);
+        }
+        self.next += want as u64;
+        self.filled = want;
+        self.at = 0;
+        Ok(())
+    }
+
+    /// Hands the next `n` values of `width` bytes to `f`, as many whole
+    /// values per call as the window holds. `Truncated` if the range holds
+    /// fewer — checked up front, so callers may size an allocation by `n`.
+    fn windows(
+        &mut self,
+        mut n: usize,
+        width: usize,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), StoreError> {
+        self.holds(n, width)?;
+        while n > 0 {
+            if self.at == self.filled {
+                self.refill(width)?;
+            }
+            let take = ((self.filled - self.at) / width).min(n);
+            if take == 0 {
+                return Err(StoreError::Truncated {
+                    section: self.section,
+                });
+            }
+            f(&self.win[self.at..self.at + take * width]);
+            self.at += take * width;
+            n -= take;
+        }
+        Ok(())
+    }
+
+    /// `Truncated` unless the rest of the range holds `n` values of
+    /// `width` bytes.
+    fn holds(&self, n: usize, width: usize) -> Result<(), StoreError> {
+        let left = (self.end - self.next) + (self.filled - self.at) as u64;
+        if (n as u64)
+            .checked_mul(width as u64)
+            .is_none_or(|b| b > left)
+        {
+            return Err(StoreError::Truncated {
+                section: self.section,
+            });
+        }
+        Ok(())
+    }
+
+    /// The next `n` values, `W` bytes each, converted by `conv`.
+    fn collect<T, const W: usize>(
+        &mut self,
+        n: usize,
+        conv: fn(&[u8]) -> T,
+    ) -> Result<Vec<T>, StoreError> {
+        self.holds(n, W)?;
+        let mut out = Vec::with_capacity(n);
+        self.windows(n, W, |bytes| out.extend(bytes.chunks_exact(W).map(conv)))?;
+        Ok(out)
+    }
+
+    /// The next value's `W` bytes.
+    #[inline]
+    fn next<const W: usize>(&mut self) -> Result<[u8; W], StoreError> {
+        if self.at == self.filled {
+            self.refill(W)?;
+        }
+        let value = self
+            .win
+            .get(self.at..self.at + W)
+            .and_then(|b| <[u8; W]>::try_from(b).ok());
+        self.at += W;
+        value.ok_or(StoreError::Truncated {
+            section: self.section,
+        })
+    }
+}
+
+fn le_f64(w: &[u8]) -> f64 {
+    f64::from_bits(le_u64(w))
+}
+
+/// A decoder thread's window: [`WINDOW`] bytes, or less for sections
+/// smaller than that.
+fn window(largest_section: u64) -> Vec<u8> {
+    let len = usize::try_from(largest_section).map_or(WINDOW, |l| l.min(WINDOW));
+    vec![0u8; len.next_multiple_of(8).max(MIN_ROW_WINDOW)]
+}
+
+/// Validates a CSR offsets column: starts at 0, monotone non-decreasing.
+/// Returns the entry count, the last offset.
+fn check_offsets(offsets: &[u64], section: &'static str) -> Result<usize, StoreError> {
+    if offsets.first() != Some(&0) {
+        return Err(StoreError::Corrupt {
+            section,
+            detail: "CSR offsets must start at 0".to_owned(),
         });
     }
-    if rest.len() < 8 {
-        return Err(StoreError::Truncated { section });
+    for w in offsets.windows(2) {
+        if w[1] < w[0] {
+            return Err(StoreError::Corrupt {
+                section,
+                detail: format!("CSR offsets decrease ({} then {})", w[0], w[1]),
+            });
+        }
     }
-    let (len_bytes, rest) = rest.split_at(8);
-    let len = usize_of(le_u64(len_bytes), section, "section length")?;
-    if rest.len() < len || rest.len() - len < 8 {
-        return Err(StoreError::Truncated { section });
-    }
-    let (payload, rest) = rest.split_at(len);
-    let (sum_bytes, rest) = rest.split_at(8);
-    *bytes = rest;
-    Ok(RawSection {
-        section,
-        payload,
-        checksum: le_u64(sum_bytes),
+    usize_of(offsets[offsets.len() - 1], section, "CSR entry count")
+}
+
+/// Decodes one interest section into per-event posting lists: a
+/// verify-only fold pass over the payload, then one decode pass that reads
+/// the id and µ columns side by side (each through half the window)
+/// straight into every event's final list.
+fn read_postings<S: ReadAt + ?Sized>(
+    src: &S,
+    frame: &Frame,
+    rows: usize,
+    win: &mut [u8],
+) -> Result<Vec<Box<[Posting]>>, StoreError> {
+    frame.verify(src, win)?;
+    let section = frame.section;
+    let offsets = frame.offsets(src, rows, win, None)?;
+    let nnz = check_offsets(&offsets, section)?;
+    let (_, ids_at, mus_at) = frame.csr_columns(rows, nnz as u64)?;
+    let (id_win, mu_win) = win.split_at_mut(win.len() / 16 * 8);
+    let mut ids = Column::new(src, section, ids_at, 4 * nnz as u64, id_win, None);
+    let mut mus = Column::new(src, section, mus_at, 8 * nnz as u64, mu_win, None);
+    offsets
+        .windows(2)
+        .map(|row| {
+            // Monotone offsets ending at nnz: the row length fits.
+            let n = (row[1] - row[0]) as usize;
+            let mut list = Vec::with_capacity(n);
+            ids.windows(n, 4, |bytes| {
+                list.extend(bytes.chunks_exact(4).map(|w| (UserId::new(le_u32(w)), 0.0)));
+            })?;
+            // The window's values lead the zip, so a window that runs out
+            // never pulls (and skips) a list slot.
+            let mut slots = list.iter_mut();
+            mus.windows(n, 8, |bytes| {
+                for (w, slot) in bytes.chunks_exact(8).zip(slots.by_ref()) {
+                    slot.1 = le_f64(w);
+                }
+            })?;
+            Ok(list.into_boxed_slice())
+        })
+        .collect()
+}
+
+/// Decodes both interest sections and assembles the validated
+/// [`Interest`] (ascending users, µ range re-checked there).
+fn decode_interest<S: ReadAt + ?Sized>(
+    src: &S,
+    cand: &Frame,
+    comp: &Frame,
+    num_users: usize,
+    num_events: usize,
+    num_competing: usize,
+) -> Result<Interest, StoreError> {
+    let mut win = window(cand.len.max(comp.len));
+    let cand_lists = read_postings(src, cand, num_events, &mut win)?;
+    let comp_lists = read_postings(src, comp, num_competing, &mut win)?;
+    Interest::from_sorted_postings(num_users, cand_lists, comp_lists).map_err(|e| {
+        StoreError::Corrupt {
+            section: "interest/candidate",
+            detail: e.to_string(),
+        }
     })
 }
 
-/// Decodes scalar and column values off a checksum-verified payload slice.
+/// Decodes both activity sections into the validated [`Activity`]: the
+/// by-user section in one fold-and-decode pass straight into the CSR
+/// columns `Activity` adopts, its checksum compared before anything
+/// decoded is validated; then the by-interval section is verified against
+/// it ([`check_transpose`]).
+fn decode_activity<S: ReadAt + ?Sized>(
+    src: &S,
+    by_user: &Frame,
+    by_interval: &Frame,
+    num_users: usize,
+    num_intervals: usize,
+) -> Result<Activity, StoreError> {
+    let mut win = window(by_user.len.max(by_interval.len));
+    let mut fold = FoldState::new();
+    let section = by_user.section;
+    let offsets = by_user.offsets(src, num_users, &mut win, Some(&mut fold))?;
+    let claimed = offsets.last().copied().unwrap_or(0);
+    let (nnz, ids_at, sigmas_at) = by_user.csr_columns(num_users, claimed)?;
+    let ids_len = 4 * nnz as u64;
+    let intervals = Column::new(src, section, ids_at, ids_len, &mut win, Some(&mut fold))
+        .collect::<u32, 4>(nnz, le_u32)?;
+    let sigmas_len = 8 * nnz as u64;
+    let sigmas = Column::new(
+        src,
+        section,
+        sigmas_at,
+        sigmas_len,
+        &mut win,
+        Some(&mut fold),
+    )
+    .collect::<f64, 8>(nnz, le_f64)?;
+    by_user.check(fold)?;
+    check_offsets(&offsets, section)?;
+    let columns = (offsets.as_slice(), intervals.as_slice(), sigmas.as_slice());
+    check_transpose(src, by_interval, columns, num_intervals, &mut win)?;
+    Ok(Activity::from_checked_csr(
+        num_intervals,
+        offsets,
+        intervals,
+        sigmas,
+    ))
+}
+
+/// Verifies the by-interval activity section against the decoded by-user
+/// columns without materialising the transpose: a verify-only fold pass,
+/// then the offsets column, then a walk of the by-user rows that validates
+/// their values (strictly ascending intervals per user, interval ids in
+/// range, σ in (0, 1]) and checks the transpose is *exact* — same entry
+/// count, every `(u, t, σ)` of the by-user copy present at `(t, u)` with
+/// bit-identical σ, no surplus entries. Each interval row is read through
+/// its own small id window and σ window carved from the thread's window,
+/// so the walk reads each by-interval entry once, in order within its
+/// row. `O(nnz)` because both sides are sorted.
+fn check_transpose<S: ReadAt + ?Sized>(
+    src: &S,
+    frame: &Frame,
+    (offsets, intervals, sigmas): (&[u64], &[u32], &[f64]),
+    num_intervals: usize,
+    win: &mut [u8],
+) -> Result<(), StoreError> {
+    frame.verify(src, win)?;
+    let section = frame.section;
+    let t_offsets = frame.offsets(src, num_intervals, win, None)?;
+    let nnz = check_offsets(&t_offsets, section)?;
+    if nnz != intervals.len() {
+        return Err(StoreError::Corrupt {
+            section,
+            detail: format!(
+                "transpose entry count {nnz} differs from by-user count {}",
+                intervals.len()
+            ),
+        });
+    }
+    let (_, ids_at, sigmas_at) = frame.csr_columns(num_intervals, nnz as u64)?;
+
+    // One id window and one σ window per interval row.
+    let windows = 2 * num_intervals.max(1);
+    let mut own = Vec::new();
+    let piece = win.len() / windows / 8 * 8;
+    let (buf, piece) = if piece >= MIN_ROW_WINDOW {
+        (win, piece)
+    } else {
+        own.resize(windows * MIN_ROW_WINDOW, 0u8);
+        (own.as_mut_slice(), MIN_ROW_WINDOW)
+    };
+    let mut pieces = buf.chunks_exact_mut(piece);
+    let mut rows = Vec::with_capacity(num_intervals);
+    for row in t_offsets.windows(2) {
+        let (lo, n) = (row[0], row[1] - row[0]);
+        let (Some(id_win), Some(sigma_win)) = (pieces.next(), pieces.next()) else {
+            return Err(StoreError::Corrupt {
+                section,
+                detail: "transpose windows do not fit the read window".to_owned(),
+            });
+        };
+        let ids = Column::new(src, section, ids_at + 4 * lo, 4 * n, id_win, None);
+        let sigmas = Column::new(src, section, sigmas_at + 8 * lo, 8 * n, sigma_win, None);
+        rows.push((ids, sigmas, n));
+    }
+
+    // Walk the by-user copy in (u, t) order, taking the next entry of
+    // interval t's row for each (u, t, σ).
+    for (u, row) in offsets.windows(2).enumerate() {
+        // In range: offsets are monotone and end at intervals.len().
+        let (lo, hi) = (row[0] as usize, row[1] as usize);
+        let mut last = None;
+        for (&t, &sigma) in intervals[lo..hi].iter().zip(&sigmas[lo..hi]) {
+            if last.is_some_and(|l| t <= l) {
+                return Err(StoreError::Corrupt {
+                    section: "activity/by-user",
+                    detail: format!("user {u} intervals are not strictly ascending"),
+                });
+            }
+            last = Some(t);
+            let ti = t as usize;
+            let Some((ids, sigmas, left)) = rows.get_mut(ti) else {
+                return Err(StoreError::Corrupt {
+                    section: "activity/by-user",
+                    detail: format!(
+                        "user {u} references interval {t} \u{2265} |T| = {num_intervals}"
+                    ),
+                });
+            };
+            if !(sigma > 0.0 && sigma <= 1.0) {
+                return Err(StoreError::Corrupt {
+                    section: "activity/by-user",
+                    detail: format!("\u{3c3}({u},{t}) = {sigma} is outside (0, 1]"),
+                });
+            }
+            let matches = *left > 0 && {
+                *left -= 1;
+                u32::from_le_bytes(ids.next()?) == u as u32
+                    && u64::from_le_bytes(sigmas.next()?) == sigma.to_bits()
+            };
+            if !matches {
+                return Err(StoreError::Corrupt {
+                    section,
+                    detail: format!("entry (u{u}, t{ti}) missing or differs in the transpose"),
+                });
+            }
+        }
+    }
+    if let Some(t) = rows.iter().position(|&(_, _, left)| left != 0) {
+        return Err(StoreError::Corrupt {
+            section,
+            detail: format!("interval {t} has surplus transpose entries"),
+        });
+    }
+    Ok(())
+}
+
+/// Decodes scalar and column values off a small section's
+/// checksum-verified bytes.
 struct SliceSource<'a> {
     data: &'a [u8],
     pos: usize,
@@ -714,6 +1240,14 @@ struct SliceSource<'a> {
 }
 
 impl<'a> SliceSource<'a> {
+    fn new(data: &'a [u8], section: &'static str) -> Self {
+        Self {
+            data,
+            pos: 0,
+            section,
+        }
+    }
+
     #[inline]
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
@@ -728,16 +1262,6 @@ impl<'a> SliceSource<'a> {
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
-    }
-
-    /// `n` values * `size` bytes with overflow-checked arithmetic, so a
-    /// corrupt count from a checksum-valid crafted file cannot wrap.
-    fn take_values(&mut self, n: usize, size: usize) -> Result<&'a [u8], StoreError> {
-        let bytes = n.checked_mul(size).ok_or(StoreError::Corrupt {
-            section: self.section,
-            detail: "value count overflows the payload length".to_owned(),
-        })?;
-        self.take_slice(bytes)
     }
 
     #[inline]
@@ -757,14 +1281,6 @@ impl<'a> SliceSource<'a> {
 
     fn take_f64_bits(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Bulk column reads: one `chunks_exact` pass straight off the slice.
-    /// The output allocation is bounded by bytes actually present — the
-    /// slice is taken first.
-    fn take_u64s(&mut self, n: usize) -> Result<Vec<u64>, StoreError> {
-        let bytes = self.take_values(n, 8)?;
-        Ok(bytes.chunks_exact(8).map(le_u64).collect())
     }
 
     fn take_opt_str(&mut self) -> Result<Option<String>, StoreError> {
@@ -799,181 +1315,22 @@ impl<'a> SliceSource<'a> {
     }
 }
 
-/// Fold-while-parse column readers: each [`CHUNK`]-sized window is folded
-/// into the running checksum and converted while it is still cache-hot,
-/// so a column costs one DRAM pass instead of a verify pass plus a parse
-/// pass. `CHUNK` is a multiple of 8 (and 4), so window boundaries never
-/// split an element. The conversions are total — no branch looks at a
-/// value — and callers compare the finished fold against the stored
-/// checksum before validating or using anything parsed here.
-fn fold_u64s(fold: &mut FoldState, bytes: &[u8]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    for win in bytes.chunks(CHUNK) {
-        fold.update(win);
-        out.extend(win.chunks_exact(8).map(le_u64));
-    }
-    out
-}
-
-fn fold_u32s(fold: &mut FoldState, bytes: &[u8]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(bytes.len() / 4);
-    for win in bytes.chunks(CHUNK) {
-        fold.update(win);
-        out.extend(win.chunks_exact(4).map(le_u32));
-    }
-    out
-}
-
-fn fold_f64s(fold: &mut FoldState, bytes: &[u8]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    for win in bytes.chunks(CHUNK) {
-        fold.update(win);
-        out.extend(win.chunks_exact(8).map(|w| f64::from_bits(le_u64(w))));
-    }
-    out
-}
-
-fn read_exact<R: Read>(
-    input: &mut R,
-    buf: &mut [u8],
-    section: &'static str,
-) -> Result<(), StoreError> {
-    input.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated { section }
-        } else {
-            io_err("read", e)
-        }
-    })
-}
-
-fn usize_of(v: u64, section: &'static str, what: &str) -> Result<usize, StoreError> {
-    usize::try_from(v).map_err(|_| StoreError::Corrupt {
-        section,
-        detail: format!("{what} {v} does not fit this platform's usize"),
-    })
-}
-
-/// One CSR matrix read back whole: offsets plus parallel id/value columns.
-struct Csr {
-    offsets: Vec<u64>,
-    ids: Vec<u32>,
-    values: Vec<f64>,
-}
-
-impl Csr {
-    fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        (&self.ids[lo..hi], &self.values[lo..hi])
-    }
-}
-
-/// Validates a CSR offsets column: starts at 0, monotone non-decreasing.
-fn check_offsets(offsets: &[u64], section: &'static str) -> Result<usize, StoreError> {
-    if offsets.first() != Some(&0) {
-        return Err(StoreError::Corrupt {
-            section,
-            detail: "CSR offsets must start at 0".to_owned(),
-        });
-    }
-    for w in offsets.windows(2) {
-        if w[1] < w[0] {
-            return Err(StoreError::Corrupt {
-                section,
-                detail: format!("CSR offsets decrease ({} then {})", w[0], w[1]),
-            });
-        }
-    }
-    usize_of(offsets[offsets.len() - 1], section, "CSR entry count")
-}
-
-/// Decodes one SoA CSR section into owned columns, folding the checksum
-/// while parsing. The trailing offset only *sizes* the column takes until
-/// the checksum is compared — `take_values` bounds every take (and the
-/// matching allocation) by the bytes actually present, so a corrupt
-/// length fails with a typed error instead of a huge allocation.
-fn read_csr(sec: &RawSection<'_>, rows: usize) -> Result<Csr, StoreError> {
-    let mut fold = FoldState::new();
-    let mut src = sec.source();
-    let section = src.section;
-    let offsets = fold_u64s(&mut fold, src.take_values(rows + 1, 8)?);
-    let nnz = usize_of(offsets[rows], section, "CSR entry count")?;
-    let ids = fold_u32s(&mut fold, src.take_values(nnz, 4)?);
-    let values = fold_f64s(&mut fold, src.take_values(nnz, 8)?);
-    src.finish()?;
-    sec.check(fold)?;
-    check_offsets(&offsets, section)?;
-    Ok(Csr {
-        offsets,
-        ids,
-        values,
-    })
-}
-
-/// Decodes one interest CSR section into per-row boxed posting lists,
-/// folding the checksum while parsing. Both columns are parsed in bulk
-/// first (those loops vectorise), then each row interleaves its slice
-/// windows — after the checksum comparison has accepted the section.
-fn read_postings(sec: &RawSection<'_>, rows: usize) -> Result<Vec<Box<[Posting]>>, StoreError> {
-    let mut fold = FoldState::new();
-    let mut src = sec.source();
-    let section = src.section;
-    let offsets = fold_u64s(&mut fold, src.take_values(rows + 1, 8)?);
-    let nnz = usize_of(offsets[rows], section, "CSR entry count")?;
-    let ids = fold_u32s(&mut fold, src.take_values(nnz, 4)?);
-    let mus = fold_f64s(&mut fold, src.take_values(nnz, 8)?);
-    src.finish()?;
-    sec.check(fold)?;
-    check_offsets(&offsets, section)?;
-    let lists = (0..rows)
-        .map(|r| {
-            // In range: offsets are monotone and end at nnz.
-            let lo = offsets[r] as usize;
-            let hi = offsets[r + 1] as usize;
-            ids[lo..hi]
-                .iter()
-                .zip(&mus[lo..hi])
-                .map(|(&u, &mu)| (UserId::new(u), mu))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        })
-        .collect();
-    Ok(lists)
-}
-
-/// Decodes both interest sections and assembles the validated
-/// [`Interest`] (ascending users, µ range re-checked there).
-fn decode_interest(
-    cand: &RawSection<'_>,
-    comp: &RawSection<'_>,
-    num_users: usize,
-    num_events: usize,
-    num_competing: usize,
-) -> Result<Interest, StoreError> {
-    let cand_lists = read_postings(cand, num_events)?;
-    let comp_lists = read_postings(comp, num_competing)?;
-    Interest::from_sorted_postings(num_users, cand_lists, comp_lists).map_err(|e| {
-        StoreError::Corrupt {
-            section: "interest/candidate",
-            detail: e.to_string(),
-        }
-    })
-}
-
-/// Reads a packed instance from `input`: magic and version are checked
-/// off the stream first (a wrong file type fails before any slurp), then
-/// the framed sections are read to the end and handed to the slice
-/// parser. Prefer [`open_path`] for files — it reads with an exact-size
-/// allocation instead of growing through `read_to_end`.
-pub fn read_instance<R: Read>(mut input: R) -> Result<Arc<SesInstance>, StoreError> {
+/// Reads a packed instance from a positional source — [`open_path`]
+/// passes the file, bytes already in memory pass a `&[u8]`. Checks magic
+/// and version, locates every framed section by its head and trailer,
+/// decodes the small sections (each verified whole first), then decodes
+/// the heavy CSR sections through read windows — the interest group and
+/// the activity group on two scoped threads when there is more than one
+/// core to use — and assembles through [`InstanceBuilder`] (which re-runs
+/// full instance validation).
+pub fn read_instance<S: ReadAt + ?Sized>(src: &S) -> Result<Arc<SesInstance>, StoreError> {
     let mut magic = [0u8; 8];
-    read_exact(&mut input, &mut magic, "header")?;
+    read_at(src, &mut magic, 0, "header")?;
     if magic != MAGIC {
         return Err(StoreError::BadMagic { found: magic });
     }
     let mut version = [0u8; 4];
-    read_exact(&mut input, &mut version, "header")?;
+    read_at(src, &mut version, MAGIC.len() as u64, "header")?;
     let version = u32::from_le_bytes(version);
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
@@ -982,34 +1339,17 @@ pub fn read_instance<R: Read>(mut input: R) -> Result<Arc<SesInstance>, StoreErr
         });
     }
 
-    // Slurp the framed sections — transient memory on the order of the
-    // file, strictly smaller than the instance being assembled.
-    let mut bytes = Vec::new();
-    input
-        .read_to_end(&mut bytes)
-        .map_err(|e| io_err("read sections", e))?;
-    parse_sections(&bytes)
-}
-
-/// Parses the framed sections that follow the 12-byte header: indexes
-/// them by slicing, verifies every section's checksum *before* its
-/// values are decoded, decodes the heavy CSR sections on scoped threads
-/// when there is more than one core to use, cross-checks the by-user /
-/// by-interval activity transpose, and assembles through
-/// [`InstanceBuilder`] (which re-runs full instance validation).
-fn parse_sections(bytes: &[u8]) -> Result<Arc<SesInstance>, StoreError> {
-    let mut rest: &[u8] = bytes;
-    let meta_sec = next_section(&mut rest, SEC_META)?;
-    let intervals_sec = next_section(&mut rest, SEC_INTERVALS)?;
-    let events_sec = next_section(&mut rest, SEC_EVENTS)?;
-    let competing_sec = next_section(&mut rest, SEC_COMPETING)?;
-    let cand_sec = next_section(&mut rest, SEC_INTEREST_CAND)?;
-    let comp_sec = next_section(&mut rest, SEC_INTEREST_COMP)?;
-    let by_user_sec = next_section(&mut rest, SEC_ACTIVITY_BY_USER)?;
-    let by_interval_sec = next_section(&mut rest, SEC_ACTIVITY_BY_INTERVAL)?;
-    let end_sec = next_section(&mut rest, SEC_END)?;
-    end_sec.verify()?;
-    if !end_sec.payload.is_empty() {
+    let mut pos = MAGIC.len() as u64 + 4;
+    let meta_sec = Frame::locate(src, &mut pos, SEC_META)?;
+    let intervals_sec = Frame::locate(src, &mut pos, SEC_INTERVALS)?;
+    let events_sec = Frame::locate(src, &mut pos, SEC_EVENTS)?;
+    let competing_sec = Frame::locate(src, &mut pos, SEC_COMPETING)?;
+    let cand_sec = Frame::locate(src, &mut pos, SEC_INTEREST_CAND)?;
+    let comp_sec = Frame::locate(src, &mut pos, SEC_INTEREST_COMP)?;
+    let by_user_sec = Frame::locate(src, &mut pos, SEC_ACTIVITY_BY_USER)?;
+    let by_interval_sec = Frame::locate(src, &mut pos, SEC_ACTIVITY_BY_INTERVAL)?;
+    let end_sec = Frame::locate(src, &mut pos, SEC_END)?;
+    if !end_sec.load(src)?.is_empty() {
         return Err(StoreError::Corrupt {
             section: "end",
             detail: "END section must be empty".to_owned(),
@@ -1017,27 +1357,27 @@ fn parse_sections(bytes: &[u8]) -> Result<Arc<SesInstance>, StoreError> {
     }
 
     // META.
-    meta_sec.verify()?;
-    let mut src = meta_sec.source();
-    let num_users = usize_of(src.take_u64()?, "meta", "user count")?;
-    let num_events = usize_of(src.take_u64()?, "meta", "event count")?;
-    let num_competing = usize_of(src.take_u64()?, "meta", "competing count")?;
-    let num_intervals = usize_of(src.take_u64()?, "meta", "interval count")?;
-    let budget = src.take_f64_bits()?;
-    let organizer_name = src.take_opt_str()?;
-    src.finish()?;
+    let bytes = meta_sec.load(src)?;
+    let mut src_meta = SliceSource::new(&bytes, meta_sec.section);
+    let num_users = usize_of(src_meta.take_u64()?, "meta", "user count")?;
+    let num_events = usize_of(src_meta.take_u64()?, "meta", "event count")?;
+    let num_competing = usize_of(src_meta.take_u64()?, "meta", "competing count")?;
+    let num_intervals = usize_of(src_meta.take_u64()?, "meta", "interval count")?;
+    let budget = src_meta.take_f64_bits()?;
+    let organizer_name = src_meta.take_opt_str()?;
+    src_meta.finish()?;
     let organizer = match organizer_name {
         Some(name) => Organizer::named(budget, name),
         None => Organizer::new(budget),
     };
 
     // INTERVALS.
-    intervals_sec.verify()?;
-    let mut src = intervals_sec.source();
+    let bytes = intervals_sec.load(src)?;
+    let mut table = SliceSource::new(&bytes, intervals_sec.section);
     let mut intervals = Vec::with_capacity(num_intervals.min(1 << 20));
     for t in 0..num_intervals {
-        let start = src.take_u64()?;
-        let end = src.take_u64()?;
+        let start = table.take_u64()?;
+        let end = table.take_u64()?;
         // `TimeInterval::new` asserts end > start — a fine contract for
         // construction bugs, but these values come from a file (the
         // checksum vouches for transport, not for what was written), so
@@ -1050,80 +1390,79 @@ fn parse_sections(bytes: &[u8]) -> Result<Arc<SesInstance>, StoreError> {
         }
         intervals.push(TimeInterval::new(IntervalId::new(t as u32), start, end));
     }
-    src.finish()?;
+    table.finish()?;
 
     // EVENTS.
-    events_sec.verify()?;
-    let mut src = events_sec.source();
+    let bytes = events_sec.load(src)?;
+    let mut table = SliceSource::new(&bytes, events_sec.section);
     let mut events = Vec::with_capacity(num_events.min(1 << 20));
     for e in 0..num_events {
-        let location = LocationId::new(src.take_u32()?);
-        let xi = src.take_f64_bits()?;
-        let ev = match src.take_opt_str()? {
+        let location = LocationId::new(table.take_u32()?);
+        let xi = table.take_f64_bits()?;
+        let ev = match table.take_opt_str()? {
             Some(name) => CandidateEvent::named(EventId::new(e as u32), location, xi, name),
             None => CandidateEvent::new(EventId::new(e as u32), location, xi),
         };
         events.push(ev);
     }
-    src.finish()?;
+    table.finish()?;
 
     // COMPETING.
-    competing_sec.verify()?;
-    let mut src = competing_sec.source();
+    let bytes = competing_sec.load(src)?;
+    let mut table = SliceSource::new(&bytes, competing_sec.section);
     let mut competing = Vec::with_capacity(num_competing.min(1 << 20));
     for c in 0..num_competing {
-        let interval = IntervalId::new(src.take_u32()?);
-        let ev = match src.take_opt_str()? {
+        let interval = IntervalId::new(table.take_u32()?);
+        let ev = match table.take_opt_str()? {
             Some(name) => CompetingEvent::named(CompetingEventId::new(c as u32), interval, name),
             None => CompetingEvent::new(CompetingEventId::new(c as u32), interval),
         };
         competing.push(ev);
     }
-    src.finish()?;
+    table.finish()?;
 
-    // The heavy sections: interest CSRs → Interest, activity by-user
-    // CSR (+ per-entry validation), activity by-interval CSR. They are
-    // independent byte ranges, so decode them on scoped threads when the
-    // payload is big enough to pay for the spawns.
-    let heavy = cand_sec.payload.len()
-        + comp_sec.payload.len()
-        + by_user_sec.payload.len()
-        + by_interval_sec.payload.len();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (interest, by_user) = if cores > 1 && heavy >= PARALLEL_DECODE_BYTES {
-        std::thread::scope(|scope| {
-            let interest = scope.spawn(|| {
-                decode_interest(&cand_sec, &comp_sec, num_users, num_events, num_competing)
-            });
-            let by_user = read_csr(&by_user_sec, num_users).and_then(|by_user| {
-                verify_activity(&by_user, &by_interval_sec, num_users, num_intervals)?;
-                Ok(by_user)
-            });
-            (joined(interest), by_user)
-        })
-    } else {
-        let by_user = read_csr(&by_user_sec, num_users).and_then(|by_user| {
-            verify_activity(&by_user, &by_interval_sec, num_users, num_intervals)?;
-            Ok(by_user)
-        });
-        (
-            decode_interest(&cand_sec, &comp_sec, num_users, num_events, num_competing),
-            by_user,
+    // The heavy sections: interest CSRs → Interest, activity CSRs →
+    // Activity. They are independent byte ranges of one positional
+    // source, so decode the two groups on scoped threads when the payload
+    // is big enough to pay for the spawn.
+    let interest = || {
+        decode_interest(
+            src,
+            &cand_sec,
+            &comp_sec,
+            num_users,
+            num_events,
+            num_competing,
         )
     };
-    let (interest, by_user) = (interest?, by_user?);
-    // `verify_activity` checked the by-user rows: ascending in-range
-    // intervals and σ in (0, 1].
-    let activity =
-        Activity::from_checked_csr(num_intervals, by_user.offsets, by_user.ids, by_user.values);
+    let activity = || {
+        decode_activity(
+            src,
+            &by_user_sec,
+            &by_interval_sec,
+            num_users,
+            num_intervals,
+        )
+    };
+    let heavy = cand_sec.len + comp_sec.len + by_user_sec.len + by_interval_sec.len;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (interest, activity) = if cores > 1 && heavy >= PARALLEL_DECODE_BYTES {
+        std::thread::scope(|scope| {
+            let interest = scope.spawn(interest);
+            let activity = activity();
+            (joined(interest), activity)
+        })
+    } else {
+        (interest(), activity())
+    };
 
     InstanceBuilder::default()
         .organizer(organizer)
         .intervals(intervals)
         .events(events)
         .competing(competing)
-        .interest(interest)
-        .activity(activity)
+        .interest(interest?)
+        .activity(activity?)
         .build_shared()
         .map_err(StoreError::from)
 }
@@ -1143,126 +1482,18 @@ fn joined<T>(
     }
 }
 
-/// Opens a packed instance file. Reads the whole file with an
-/// exact-size allocation (`fs::read` pre-sizes from metadata) — on a
-/// page-cached file this is one copy, several times faster than growing
-/// a buffer through `read_to_end`.
+/// Opens a packed instance file: [`read_instance`] over positional reads
+/// of the file, so no buffer the size of the file or of a heavy section
+/// is ever allocated.
 pub fn open_path(path: &Path) -> Result<Arc<SesInstance>, StoreError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err("open file", e))?;
-    let Some((magic, rest)) = bytes.split_first_chunk::<8>() else {
-        return Err(StoreError::Truncated { section: "header" });
-    };
-    if *magic != MAGIC {
-        return Err(StoreError::BadMagic { found: *magic });
-    }
-    let Some((version, rest)) = rest.split_first_chunk::<4>() else {
-        return Err(StoreError::Truncated { section: "header" });
-    };
-    let version = u32::from_le_bytes(*version);
-    if version != FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    parse_sections(rest)
-}
-
-/// Verifies the by-interval activity section against the decoded by-user
-/// copy in one fused pass, without materialising the transpose: checksum
-/// first, then the offsets column, then a cursor walk that validates the
-/// by-user values (strictly ascending intervals per user, interval ids in
-/// range, σ in (0, 1]) while decoding each by-interval entry straight
-/// off the payload bytes and checking the transpose is *exact* — same
-/// entry count, every `(u, t, σ)` of the by-user copy present at
-/// `(t, u)` with bit-identical σ, no surplus entries. `O(nnz)` because
-/// both sides are sorted; the walk touches each by-interval entry once.
-fn verify_activity(
-    by_user: &Csr,
-    sec: &RawSection<'_>,
-    num_users: usize,
-    num_intervals: usize,
-) -> Result<(), StoreError> {
-    sec.verify()?;
-    let mut src = sec.source();
-    let section = src.section;
-    let offsets = src.take_u64s(num_intervals + 1)?;
-    let nnz = check_offsets(&offsets, section)?;
-    if nnz != by_user.ids.len() {
-        return Err(StoreError::Corrupt {
-            section,
-            detail: format!(
-                "transpose entry count {nnz} differs from by-user count {}",
-                by_user.ids.len()
-            ),
-        });
-    }
-    let tr_ids = src.take_values(nnz, 4)?;
-    let tr_sigmas = src.take_values(nnz, 8)?;
-    src.finish()?;
-    // Walk the by-user copy in (u, t) order with one (cursor, row end)
-    // pair per interval into the by-interval columns.
-    let mut cursors: Vec<(usize, usize)> = offsets
-        .windows(2)
-        .map(|w| (w[0] as usize, w[1] as usize))
-        .collect();
-    for u in 0..num_users {
-        let (ts, sigmas) = by_user.row(u);
-        let mut last = None;
-        for (&t, &sigma) in ts.iter().zip(sigmas) {
-            if last.is_some_and(|l| t <= l) {
-                return Err(StoreError::Corrupt {
-                    section: "activity/by-user",
-                    detail: format!("user {u} intervals are not strictly ascending"),
-                });
-            }
-            last = Some(t);
-            let ti = t as usize;
-            if ti >= num_intervals {
-                return Err(StoreError::Corrupt {
-                    section: "activity/by-user",
-                    detail: format!(
-                        "user {u} references interval {t} \u{2265} |T| = {num_intervals}"
-                    ),
-                });
-            }
-            if !(sigma > 0.0 && sigma <= 1.0) {
-                return Err(StoreError::Corrupt {
-                    section: "activity/by-user",
-                    detail: format!("\u{3c3}({u},{t}) = {sigma} is outside (0, 1]"),
-                });
-            }
-            let (cursor, row_end) = cursors[ti];
-            let matches = cursor < row_end && {
-                let tu = le_u32(&tr_ids[cursor * 4..cursor * 4 + 4]);
-                let tsig = le_u64(&tr_sigmas[cursor * 8..cursor * 8 + 8]);
-                tu == u as u32 && tsig == sigma.to_bits()
-            };
-            if !matches {
-                return Err(StoreError::Corrupt {
-                    section,
-                    detail: format!("entry (u{u}, t{ti}) missing or differs in the transpose"),
-                });
-            }
-            cursors[ti].0 = cursor + 1;
-        }
-    }
-    for (t, &(cursor, row_end)) in cursors.iter().enumerate() {
-        if cursor != row_end {
-            return Err(StoreError::Corrupt {
-                section,
-                detail: format!("interval {t} has surplus transpose entries"),
-            });
-        }
-    }
-    Ok(())
+    let file = std::fs::File::open(path).map_err(|e| io_err("open file", e))?;
+    read_instance(&file)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit;
-    use std::io::Cursor;
 
     fn packed(seed: u64) -> Vec<u8> {
         let inst = testkit::medium_instance(seed);
@@ -1277,7 +1508,7 @@ mod tests {
         let inst = testkit::medium_instance(3);
         let mut buf = Vec::new();
         write_instance(&inst, &mut buf).unwrap();
-        let reopened = read_instance(Cursor::new(&buf)).unwrap();
+        let reopened = read_instance(&buf[..]).unwrap();
         assert_eq!(reopened.num_users(), inst.num_users());
         assert_eq!(reopened.num_events(), inst.num_events());
         assert_eq!(reopened.num_intervals(), inst.num_intervals());
@@ -1305,7 +1536,7 @@ mod tests {
         let mut buf = packed(1);
         buf[0] ^= 0xFF;
         assert!(matches!(
-            read_instance(Cursor::new(&buf)),
+            read_instance(&buf[..]),
             Err(StoreError::BadMagic { .. })
         ));
     }
@@ -1315,7 +1546,7 @@ mod tests {
         let mut buf = packed(1);
         buf[8] = 0xEE;
         assert!(matches!(
-            read_instance(Cursor::new(&buf)),
+            read_instance(&buf[..]),
             Err(StoreError::UnsupportedVersion { found, .. }) if found != FORMAT_VERSION
         ));
     }
@@ -1326,7 +1557,7 @@ mod tests {
         // Cutting the stream at any point must yield a typed error, never a
         // panic. Step through a spread of prefixes including the tail.
         for cut in (0..buf.len()).step_by(97).chain([buf.len() - 1]) {
-            let err = read_instance(Cursor::new(&buf[..cut])).unwrap_err();
+            let err = read_instance(&buf[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1350,7 +1581,7 @@ mod tests {
             let mut buf = clean.clone();
             buf[pos] ^= 0x20;
             assert!(
-                read_instance(Cursor::new(&buf)).is_err(),
+                read_instance(&buf[..]).is_err(),
                 "bit flip at {pos} was accepted"
             );
         }

@@ -12,13 +12,21 @@
 //!   byte-identical output;
 //! * truncating the stream anywhere, corrupting any single byte, or
 //!   rewriting the version all surface as typed [`StoreError`]s. Reads
-//!   never panic and never silently accept altered bytes.
+//!   never panic and never silently accept altered bytes, and a damaged
+//!   file opened by path fails exactly as the same bytes do in memory;
+//! * an instance opened from a file and one read from the same bytes in
+//!   memory are the same instance, on a universe large enough that every
+//!   heavy section spans several read windows and decodes on two threads.
 
 use proptest::prelude::*;
-use ses_core::store::{read_instance, write_instance, StoreError, FORMAT_VERSION, MAGIC};
+use ses_core::store::{
+    open_path, read_instance, write_instance, StoreError, FORMAT_VERSION, MAGIC,
+};
 use ses_core::testkit::{random_instance, TestInstanceConfig};
-use ses_core::{evaluate_schedule, AttendanceEngine, EventId, IntervalId};
-use std::io::Cursor;
+use ses_core::{
+    evaluate_schedule, registry, AttendanceEngine, EventId, IntervalId, SchedulerSpec, SesInstance,
+};
+use std::sync::Arc;
 
 fn config() -> impl Strategy<Value = TestInstanceConfig> {
     (
@@ -53,6 +61,19 @@ fn packed(cfg: &TestInstanceConfig) -> Vec<u8> {
     buf
 }
 
+/// Opens `bytes` by path: writes them to a temp file named for this
+/// process and `tag`, then `open_path`s it.
+fn open_as_file(bytes: &[u8], tag: &str) -> Result<Arc<SesInstance>, StoreError> {
+    let path = std::env::temp_dir().join(format!(
+        "ses-store-roundtrip-{}-{tag}.sesstore",
+        std::process::id()
+    ));
+    std::fs::write(&path, bytes).expect("write temp file");
+    let opened = open_path(&path);
+    std::fs::remove_file(&path).ok();
+    opened
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -66,7 +87,7 @@ proptest! {
         let original = random_instance(&cfg);
         let mut buf = Vec::new();
         write_instance(&original, &mut buf).expect("write to memory");
-        let reopened = read_instance(Cursor::new(&buf)).expect("reopen");
+        let reopened = read_instance(&buf[..]).expect("reopen");
 
         prop_assert_eq!(reopened.num_users(), original.num_users());
         prop_assert_eq!(reopened.num_events(), original.num_events());
@@ -120,9 +141,11 @@ proptest! {
     fn truncation_anywhere_is_a_typed_error(cfg in config(), cut in any::<u64>()) {
         let buf = packed(&cfg);
         let cut = (cut % buf.len() as u64) as usize; // strictly shorter than the file
-        let err = read_instance(Cursor::new(&buf[..cut])).expect_err("truncated must fail");
+        let err = read_instance(&buf[..cut]).expect_err("truncated must fail");
         // Any StoreError variant is acceptable; reaching here proves no panic.
         let _ = err.to_string();
+        let file_err = open_as_file(&buf[..cut], "cut").expect_err("truncated file must fail");
+        prop_assert_eq!(file_err, err);
     }
 
     /// Any single corrupted byte is rejected — the FNV-1a section checksums
@@ -136,8 +159,10 @@ proptest! {
         let mut buf = packed(&cfg);
         let pos = (pos % buf.len() as u64) as usize;
         buf[pos] ^= xor;
-        let err = read_instance(Cursor::new(&buf)).expect_err("corrupted byte must fail");
+        let err = read_instance(&buf[..]).expect_err("corrupted byte must fail");
         let _ = err.to_string();
+        let file_err = open_as_file(&buf, "flip").expect_err("corrupted file must fail");
+        prop_assert_eq!(file_err, err);
     }
 }
 
@@ -148,7 +173,7 @@ fn wrong_version_and_bad_magic_are_typed_errors() {
     let mut wrong_version = buf.clone();
     wrong_version[MAGIC.len()..MAGIC.len() + 4]
         .copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match read_instance(Cursor::new(&wrong_version)) {
+    match read_instance(&wrong_version[..]) {
         Err(StoreError::UnsupportedVersion { found, supported }) => {
             assert_eq!(found, FORMAT_VERSION + 1);
             assert_eq!(supported, FORMAT_VERSION);
@@ -159,7 +184,61 @@ fn wrong_version_and_bad_magic_are_typed_errors() {
     let mut bad_magic = buf;
     bad_magic[0] ^= 0xff;
     assert!(matches!(
-        read_instance(Cursor::new(&bad_magic)),
+        read_instance(&bad_magic[..]),
         Err(StoreError::BadMagic { .. })
     ));
+}
+
+/// The file source and the byte source decode one store into the same
+/// instance: identical greedy Ω bits, identical engine memory accounting,
+/// and byte-identical re-packs. 20k users × 24 intervals of σ make each
+/// activity section ~6 MB, so both activity passes, the interest µ column
+/// and every transpose row span several read windows, and the heavy
+/// sections decode on two threads wherever there are two cores.
+#[test]
+fn file_and_bytes_open_the_same_instance() {
+    let original = random_instance(&TestInstanceConfig {
+        num_users: 20_000,
+        num_events: 30,
+        num_intervals: 24,
+        num_competing: 10,
+        num_locations: 6,
+        theta: 12.0,
+        xi_max: 3.0,
+        interest_density: 0.1,
+        seed: 11,
+    });
+    let mut buf = Vec::new();
+    write_instance(&original, &mut buf).expect("write to memory");
+    assert!(buf.len() > 4 << 20, "store is {} bytes", buf.len());
+    let from_bytes = read_instance(&buf[..]).expect("read bytes");
+    let from_file = open_as_file(&buf, "same").expect("open file");
+
+    let omega = |inst: &Arc<SesInstance>| {
+        registry::build(SchedulerSpec::Greedy)
+            .run(inst, 8)
+            .expect("greedy solves")
+            .total_utility
+            .to_bits()
+    };
+    assert_eq!(omega(&from_file), omega(&from_bytes));
+    assert_eq!(omega(&from_file), omega(&original));
+
+    let stats = |inst: &Arc<SesInstance>| {
+        let m = AttendanceEngine::new(inst).memory_stats();
+        (
+            m.column_slots,
+            m.dense_slots,
+            m.resident_column_bytes,
+            m.run_bytes,
+        )
+    };
+    assert_eq!(stats(&from_file), stats(&from_bytes));
+
+    let mut again = Vec::new();
+    write_instance(&from_file, &mut again).expect("re-pack");
+    assert!(
+        again == buf,
+        "re-packing the file-opened instance changed bytes"
+    );
 }

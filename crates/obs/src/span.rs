@@ -80,11 +80,15 @@ pub enum Stage {
     /// its engine's `build` and solo-score `sweep`, attendances and reach.
     /// A sibling of [`Stage::Load`] and [`Stage::Solve`].
     Report = 17,
+    /// Indexing one engine's users and resolving its candidate postings to
+    /// slot ranks, inside [`Stage::Build`] before [`Stage::Columns`]
+    /// (`aux_a` = indexed users, `aux_b` = resolved postings).
+    Index = 18,
 }
 
 /// All stages, indexed by discriminant (pipeline order, with later
 /// additions appended).
-pub const STAGES: [Stage; 18] = [
+pub const STAGES: [Stage; 19] = [
     Stage::Request,
     Stage::Parse,
     Stage::Queue,
@@ -103,6 +107,7 @@ pub const STAGES: [Stage; 18] = [
     Stage::Columns,
     Stage::Runs,
     Stage::Report,
+    Stage::Index,
 ];
 
 impl Stage {
@@ -127,6 +132,7 @@ impl Stage {
             Stage::Columns => "columns",
             Stage::Runs => "runs",
             Stage::Report => "report",
+            Stage::Index => "index",
         }
     }
 
@@ -714,7 +720,7 @@ mod tests {
 
     #[test]
     fn stages_are_indexed_by_discriminant_with_unique_labels() {
-        assert_eq!(STAGES.len(), 18);
+        assert_eq!(STAGES.len(), 19);
         for (i, &stage) in STAGES.iter().enumerate() {
             assert_eq!(stage as usize, i);
             assert_eq!(Stage::from_index(i as u64), Some(stage));
@@ -724,6 +730,7 @@ mod tests {
         assert_eq!(Stage::Columns.label(), "columns");
         assert_eq!(Stage::Runs.label(), "runs");
         assert_eq!(Stage::Report.label(), "report");
+        assert_eq!(Stage::Index.label(), "index");
     }
 
     #[test]
