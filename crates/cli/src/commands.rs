@@ -432,11 +432,21 @@ pub fn solve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
             }
         }
     }
-    // The timeline goes to stderr so `--format json` output stays pipeable.
     if let Some(id) = trace {
-        eprintln!("{}", ses_obs::format_trace(id, &ses_obs::collect_trace(id)));
+        print_trace(id)?;
     }
     Ok(())
+}
+
+/// Prints the span timeline of `id` to stderr, so `--format json` output
+/// stays pipeable. A reader that closed stderr early ends the timeline
+/// quietly.
+fn print_trace(id: ses_obs::TraceId) -> Result<(), String> {
+    let timeline = ses_obs::format_trace(id, &ses_obs::collect_trace(id));
+    match writeln!(io::stderr(), "{timeline}") {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(output_error(e)),
+        _ => Ok(()),
+    }
 }
 
 /// The JSON body `ses simulate --format json` emits: the service-level
@@ -545,11 +555,11 @@ pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         run_once()?
     };
 
-    // Timeline of the traced (second) run, to stderr so json stays pipeable.
-    // The per-thread ring keeps the most recent spans, so long runs show the
-    // tail of the repair stream rather than an unbounded dump.
+    // Timeline of the traced (second) run. The per-thread ring keeps the
+    // most recent spans, so long runs show the tail of the repair stream
+    // rather than an unbounded dump.
     if let Some(id) = trace {
-        eprintln!("{}", ses_obs::format_trace(id, &ses_obs::collect_trace(id)));
+        print_trace(id)?;
     }
 
     if first.digest != second.digest {

@@ -559,3 +559,18 @@ fn closed_stdout_ends_the_command_quietly() {
     assert!(done.status.success(), "{:?}: {stderr}", done.status);
     std::fs::remove_file(dataset).ok();
 }
+
+#[test]
+fn closed_stderr_ends_the_trace_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(["simulate", "--steps", "300", "--trace"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ses runs");
+    // The timeline is written after both 300-step runs, by which time the
+    // read end is closed.
+    drop(child.stderr.take());
+    let status = child.wait().unwrap();
+    assert!(status.success(), "{status:?}");
+}

@@ -155,8 +155,7 @@ impl Activity {
     }
 
     /// Adopts a by-user CSR whose invariants the caller has already
-    /// checked (the instance store validates them while verifying the
-    /// transpose).
+    /// checked (the instance store validates every decoded row first).
     pub(crate) fn from_checked_csr(
         num_intervals: usize,
         offsets: Vec<u64>,

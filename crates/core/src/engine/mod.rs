@@ -462,18 +462,6 @@ impl AttendanceEngine {
         (score, self.gen[interval.index()])
     }
 
-    /// [`Self::rescore_event_at`] against `&self`, counting into `counters`
-    /// (shard-safe, like the other `_with` scoring methods).
-    pub fn rescore_event_at_with(
-        &self,
-        event: EventId,
-        interval: IntervalId,
-        counters: &mut EngineCounters,
-    ) -> (f64, u64) {
-        let score = self.score_with(event, interval, counters);
-        (score, self.gen[interval.index()])
-    }
-
     /// Fast feasibility/validity check for `event → interval` against the
     /// *current* schedule, using the cached per-interval trackers.
     pub fn check_assignment(
@@ -1377,12 +1365,6 @@ mod tests {
         let (score, generation) = engine.rescore_event_at(e(1), t(0));
         assert_eq!(score.to_bits(), engine.score(e(1), t(0)).to_bits());
         assert_eq!(generation, engine.interval_generation(t(0)));
-        // The shard-safe variant agrees bit for bit and counts externally.
-        let mut shard = EngineCounters::default();
-        let (s2, g2) = engine.rescore_event_at_with(e(1), t(0), &mut shard);
-        assert_eq!(s2.to_bits(), score.to_bits());
-        assert_eq!(g2, generation);
-        assert_eq!(shard.score_evaluations, 1);
         // A later mutation of the interval invalidates the tag.
         engine.assign(e(1), t(0)).unwrap();
         assert!(engine.interval_generation(t(0)) > generation);

@@ -58,12 +58,6 @@ pub struct RepairReport {
 }
 
 impl RepairReport {
-    /// Net damage of the disruption after repair (≥ 0 in the usual case of
-    /// a hostile change; negative means the repair found a net improvement).
-    pub fn net_loss(&self) -> f64 {
-        self.utility_before - self.utility_after
-    }
-
     /// How much of the disruption the repair recovered.
     pub fn recovered(&self) -> f64 {
         self.utility_after - self.utility_disrupted
@@ -786,7 +780,6 @@ mod tests {
             utility_after: 9.0,
             moves: vec![],
         };
-        assert!((r.net_loss() - 1.0).abs() < 1e-12);
         assert!((r.recovered() - 2.0).abs() < 1e-12);
     }
 }

@@ -8,8 +8,7 @@
 //! magic "SESSTORE" · u32 version
 //! [u8 section id][u64 payload len][payload][u64 FNV-1a checksum] …
 //! META · INTERVALS · EVENTS · COMPETING ·
-//! INTEREST_CAND · INTEREST_COMP ·
-//! ACTIVITY_BY_USER · ACTIVITY_BY_INTERVAL · END
+//! INTEREST_CAND · INTEREST_COMP · ACTIVITY_BY_USER · END
 //! ```
 //!
 //! Everything is little-endian; floats are stored as raw `f64` bits so a
@@ -20,36 +19,36 @@
 //! byte fold is gone — that margin is most of what makes cold-open
 //! competitive with an in-memory rebuild.
 //! Interest is CSR by event (offsets + user column + µ-bits column);
-//! activity σ is CSR by *both* axes — the by-user copy is exactly the
-//! [`Activity`] arrays, which the reader decodes straight into, while the
-//! by-interval copy is the layout a streaming per-interval column build
-//! wants and doubles as a structural end-to-end check: the reader verifies
-//! the two are exact transposes before accepting the file.
+//! activity σ is CSR by user (offsets + interval column + σ-bits column),
+//! exactly the [`Activity`] arrays, which the reader decodes straight into
+//! and the engine builds its columns from. σ is stored on that one axis
+//! only: the engine's columns are ordered by rank over the candidate
+//! union, not by user or interval id, so a second axis would supply
+//! nothing the by-user rows do not.
 //!
 //! The writer streams (section lengths are computed arithmetically up
-//! front, payloads never buffered whole); the only copy it builds is the
-//! flat by-interval transpose of σ. The reader never holds a file whole:
-//! it reads through positional reads ([`ReadAt`] — `pread` on a `File`
-//! for [`open_path`], a `&[u8]` for bytes already in memory). It checks
-//! magic and version, then locates every section by reading only its
-//! `[id][len]` head and its checksum trailer, so a length the source does
-//! not hold is `Truncated` before anything is sized from it. Small
-//! sections are read whole and verified before decoding. The heavy CSR
-//! sections stream through one reused window per decoder thread
-//! (`WINDOW`, 1 MiB): the interest sections take a verify-only fold pass, then
-//! a decode pass straight into each event's posting list; the by-user σ
-//! section folds and decodes in one pass straight into the `Activity`
-//! columns; the by-interval section takes a fold pass, then is checked
-//! against the decoded by-user copy through one small window per interval
-//! row. In every case the checksum is compared before any decoded value
-//! is validated or used — the conversions themselves are total, no branch
-//! looks at an unvouched value. CSR monotonicity, value ranges and the
-//! transpose cross-check run after. Every failure is a typed
-//! [`StoreError`], never a panic, so a server can lazily open tenant files
-//! on the request path (the `server-panic-discipline` lint covers this
-//! module); a file that is shorter than its frames claim, including one
-//! truncated while it is read, is `Truncated`. With more than one core,
-//! the interest and activity section groups decode on scoped threads.
+//! front, payloads never buffered whole) and builds no copy of the
+//! instance. The reader never holds a file whole: it reads through
+//! positional reads ([`ReadAt`] — `pread` on a `File` for [`open_path`], a
+//! `&[u8]` for bytes already in memory). It checks magic and version, then
+//! locates every section by reading only its `[id][len]` head and its
+//! checksum trailer, so a length the source does not hold is `Truncated`
+//! before anything is sized from it. Small sections are read whole and
+//! verified before decoding. The heavy CSR sections stream through one
+//! reused window per decoder thread (`WINDOW`, 1 MiB): the interest
+//! sections take a verify-only fold pass, then a decode pass straight into
+//! each event's posting list; the σ section folds and decodes in one pass
+//! straight into the `Activity` columns. In every case the checksum is
+//! compared before any decoded value is validated or used — the
+//! conversions themselves are total, no branch looks at an unvouched
+//! value. CSR monotonicity and value ranges (µ and σ in range, each user's
+//! intervals strictly ascending and below |T|) are checked after. Every
+//! failure is a typed [`StoreError`], never a panic, so a server can
+//! lazily open tenant files on the request path (the
+//! `server-panic-discipline` lint covers this module); a file that is
+//! shorter than its frames claim, including one truncated while it is
+//! read, is `Truncated`. With more than one core, the interest sections
+//! and the activity section decode on two scoped threads.
 
 use crate::activity::Activity;
 use crate::ids::{CompetingEventId, EventId, IntervalId, LocationId, UserId};
@@ -66,7 +65,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"SESSTORE";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Total little-endian conversions for the hot decode loops. Every call
 /// site hands over an exactly-sized window (`chunks_exact`, `split_at`, a
@@ -216,7 +215,6 @@ const SEC_COMPETING: u8 = 0x04;
 const SEC_INTEREST_CAND: u8 = 0x05;
 const SEC_INTEREST_COMP: u8 = 0x06;
 const SEC_ACTIVITY_BY_USER: u8 = 0x07;
-const SEC_ACTIVITY_BY_INTERVAL: u8 = 0x08;
 const SEC_END: u8 = 0xFF;
 
 fn section_name(id: u8) -> &'static str {
@@ -228,7 +226,6 @@ fn section_name(id: u8) -> &'static str {
         SEC_INTEREST_CAND => "interest/candidate",
         SEC_INTEREST_COMP => "interest/competing",
         SEC_ACTIVITY_BY_USER => "activity/by-user",
-        SEC_ACTIVITY_BY_INTERVAL => "activity/by-interval",
         SEC_END => "end",
         _ => "unknown",
     }
@@ -282,7 +279,7 @@ pub enum StoreError {
         expected: u8,
     },
     /// A section decoded but its contents are internally inconsistent
-    /// (non-monotone CSR offsets, out-of-range values, transpose mismatch).
+    /// (non-monotone CSR offsets, unordered or out-of-range values).
     Corrupt {
         /// The inconsistent section.
         section: &'static str,
@@ -475,34 +472,6 @@ fn write_csr<W: Write>(
     sink.finish(len)
 }
 
-/// The by-interval transpose of σ's by-user CSR: one count pass, a prefix
-/// sum and one scatter. Users are scattered in ascending order, so each
-/// interval's row lists its users ascending.
-fn transpose(activity: &Activity) -> (Vec<u64>, Vec<u32>, Vec<f64>) {
-    let (offsets, intervals, sigmas) = activity.columns();
-    let nt = activity.num_intervals();
-    let mut t_offsets = vec![0u64; nt + 1];
-    for &t in intervals {
-        t_offsets[t as usize + 1] += 1;
-    }
-    for t in 0..nt {
-        t_offsets[t + 1] += t_offsets[t];
-    }
-    let mut cursor: Vec<usize> = t_offsets[..nt].iter().map(|&o| o as usize).collect();
-    let mut users = vec![0u32; intervals.len()];
-    let mut values = vec![0.0f64; intervals.len()];
-    for (u, row) in offsets.windows(2).enumerate() {
-        let (lo, hi) = (row[0] as usize, row[1] as usize);
-        for (&t, &sigma) in intervals[lo..hi].iter().zip(&sigmas[lo..hi]) {
-            let slot = &mut cursor[t as usize];
-            users[*slot] = u as u32;
-            values[*slot] = sigma;
-            *slot += 1;
-        }
-    }
-    (t_offsets, users, values)
-}
-
 fn write_postings_csr<W: Write>(
     out: &mut W,
     id: u8,
@@ -601,17 +570,9 @@ pub fn write_instance<W: Write>(inst: &SesInstance, mut out: W) -> Result<u64, S
     total += write_postings_csr(&mut out, SEC_INTEREST_COMP, &comp_lists)?;
 
     // ACTIVITY: the by-user CSR exactly as held (the same rows the engine
-    // builds columns from), then its by-interval transpose.
+    // builds columns from).
     let (offsets, intervals, sigmas) = inst.activity().columns();
     total += write_csr(&mut out, SEC_ACTIVITY_BY_USER, offsets, intervals, sigmas)?;
-    let (offsets, users, sigmas) = transpose(inst.activity());
-    total += write_csr(
-        &mut out,
-        SEC_ACTIVITY_BY_INTERVAL,
-        &offsets,
-        &users,
-        &sigmas,
-    )?;
 
     // END: an empty, checksummed terminator.
     let sink = SectionSink::begin(&mut out, SEC_END, 0)?;
@@ -646,11 +607,6 @@ const PARALLEL_DECODE_BYTES: u64 = 1 << 20;
 /// window holds whole values of every column width.
 const WINDOW: usize = 1 << 20;
 
-/// The smallest per-interval window of the transpose check. With more
-/// intervals than the thread's window can split into windows this size,
-/// the check allocates `2 · |T|` windows of this size instead.
-const MIN_ROW_WINDOW: usize = 64;
-
 /// A byte source the reader addresses by offset. Reads are positional, so
 /// the two decoder threads share one source with no cursor between them,
 /// and the reader asks for one window at a time instead of the whole.
@@ -666,6 +622,13 @@ pub trait ReadAt: Sync {
 #[cfg(unix)]
 impl ReadAt for std::fs::File {
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        // `pread` takes a signed offset and refuses one past `i64::MAX` with
+        // `EINVAL`; no file holds such bytes, so that read ends the source,
+        // as it does for a `[u8]`.
+        let end = offset.checked_add(buf.len() as u64);
+        if end.is_none_or(|end| end > i64::MAX as u64) {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
     }
 }
@@ -970,22 +933,6 @@ impl<'a, S: ReadAt + ?Sized> Column<'a, S> {
         self.windows(n, W, |bytes| out.extend(bytes.chunks_exact(W).map(conv)))?;
         Ok(out)
     }
-
-    /// The next value's `W` bytes.
-    #[inline]
-    fn next<const W: usize>(&mut self) -> Result<[u8; W], StoreError> {
-        if self.at == self.filled {
-            self.refill(W)?;
-        }
-        let value = self
-            .win
-            .get(self.at..self.at + W)
-            .and_then(|b| <[u8; W]>::try_from(b).ok());
-        self.at += W;
-        value.ok_or(StoreError::Truncated {
-            section: self.section,
-        })
-    }
 }
 
 fn le_f64(w: &[u8]) -> f64 {
@@ -996,7 +943,7 @@ fn le_f64(w: &[u8]) -> f64 {
 /// smaller than that.
 fn window(largest_section: u64) -> Vec<u8> {
     let len = usize::try_from(largest_section).map_or(WINDOW, |l| l.min(WINDOW));
-    vec![0u8; len.next_multiple_of(8).max(MIN_ROW_WINDOW)]
+    vec![0u8; len.next_multiple_of(8)]
 }
 
 /// Validates a CSR offsets column: starts at 0, monotone non-decreasing.
@@ -1080,24 +1027,23 @@ fn decode_interest<S: ReadAt + ?Sized>(
     })
 }
 
-/// Decodes both activity sections into the validated [`Activity`]: the
-/// by-user section in one fold-and-decode pass straight into the CSR
-/// columns `Activity` adopts, its checksum compared before anything
-/// decoded is validated; then the by-interval section is verified against
-/// it ([`check_transpose`]).
+/// Decodes the by-user activity section into the validated [`Activity`]:
+/// one fold-and-decode pass straight into the CSR columns `Activity`
+/// adopts, its checksum compared before anything decoded is validated;
+/// then every row is checked — strictly ascending interval ids, each below
+/// |T|, σ in (0, 1].
 fn decode_activity<S: ReadAt + ?Sized>(
     src: &S,
-    by_user: &Frame,
-    by_interval: &Frame,
+    frame: &Frame,
     num_users: usize,
     num_intervals: usize,
 ) -> Result<Activity, StoreError> {
-    let mut win = window(by_user.len.max(by_interval.len));
+    let mut win = window(frame.len);
     let mut fold = FoldState::new();
-    let section = by_user.section;
-    let offsets = by_user.offsets(src, num_users, &mut win, Some(&mut fold))?;
+    let section = frame.section;
+    let offsets = frame.offsets(src, num_users, &mut win, Some(&mut fold))?;
     let claimed = offsets.last().copied().unwrap_or(0);
-    let (nnz, ids_at, sigmas_at) = by_user.csr_columns(num_users, claimed)?;
+    let (nnz, ids_at, sigmas_at) = frame.csr_columns(num_users, claimed)?;
     let ids_len = 4 * nnz as u64;
     let intervals = Column::new(src, section, ids_at, ids_len, &mut win, Some(&mut fold))
         .collect::<u32, 4>(nnz, le_u32)?;
@@ -1111,124 +1057,38 @@ fn decode_activity<S: ReadAt + ?Sized>(
         Some(&mut fold),
     )
     .collect::<f64, 8>(nnz, le_f64)?;
-    by_user.check(fold)?;
+    frame.check(fold)?;
     check_offsets(&offsets, section)?;
-    let columns = (offsets.as_slice(), intervals.as_slice(), sigmas.as_slice());
-    check_transpose(src, by_interval, columns, num_intervals, &mut win)?;
-    Ok(Activity::from_checked_csr(
-        num_intervals,
-        offsets,
-        intervals,
-        sigmas,
-    ))
-}
-
-/// Verifies the by-interval activity section against the decoded by-user
-/// columns without materialising the transpose: a verify-only fold pass,
-/// then the offsets column, then a walk of the by-user rows that validates
-/// their values (strictly ascending intervals per user, interval ids in
-/// range, σ in (0, 1]) and checks the transpose is *exact* — same entry
-/// count, every `(u, t, σ)` of the by-user copy present at `(t, u)` with
-/// bit-identical σ, no surplus entries. Each interval row is read through
-/// its own small id window and σ window carved from the thread's window,
-/// so the walk reads each by-interval entry once, in order within its
-/// row. `O(nnz)` because both sides are sorted.
-fn check_transpose<S: ReadAt + ?Sized>(
-    src: &S,
-    frame: &Frame,
-    (offsets, intervals, sigmas): (&[u64], &[u32], &[f64]),
-    num_intervals: usize,
-    win: &mut [u8],
-) -> Result<(), StoreError> {
-    frame.verify(src, win)?;
-    let section = frame.section;
-    let t_offsets = frame.offsets(src, num_intervals, win, None)?;
-    let nnz = check_offsets(&t_offsets, section)?;
-    if nnz != intervals.len() {
-        return Err(StoreError::Corrupt {
-            section,
-            detail: format!(
-                "transpose entry count {nnz} differs from by-user count {}",
-                intervals.len()
-            ),
-        });
-    }
-    let (_, ids_at, sigmas_at) = frame.csr_columns(num_intervals, nnz as u64)?;
-
-    // One id window and one σ window per interval row.
-    let windows = 2 * num_intervals.max(1);
-    let mut own = Vec::new();
-    let piece = win.len() / windows / 8 * 8;
-    let (buf, piece) = if piece >= MIN_ROW_WINDOW {
-        (win, piece)
-    } else {
-        own.resize(windows * MIN_ROW_WINDOW, 0u8);
-        (own.as_mut_slice(), MIN_ROW_WINDOW)
-    };
-    let mut pieces = buf.chunks_exact_mut(piece);
-    let mut rows = Vec::with_capacity(num_intervals);
-    for row in t_offsets.windows(2) {
-        let (lo, n) = (row[0], row[1] - row[0]);
-        let (Some(id_win), Some(sigma_win)) = (pieces.next(), pieces.next()) else {
-            return Err(StoreError::Corrupt {
-                section,
-                detail: "transpose windows do not fit the read window".to_owned(),
-            });
-        };
-        let ids = Column::new(src, section, ids_at + 4 * lo, 4 * n, id_win, None);
-        let sigmas = Column::new(src, section, sigmas_at + 8 * lo, 8 * n, sigma_win, None);
-        rows.push((ids, sigmas, n));
-    }
-
-    // Walk the by-user copy in (u, t) order, taking the next entry of
-    // interval t's row for each (u, t, σ).
+    let corrupt = |detail| StoreError::Corrupt { section, detail };
     for (u, row) in offsets.windows(2).enumerate() {
         // In range: offsets are monotone and end at intervals.len().
         let (lo, hi) = (row[0] as usize, row[1] as usize);
         let mut last = None;
         for (&t, &sigma) in intervals[lo..hi].iter().zip(&sigmas[lo..hi]) {
             if last.is_some_and(|l| t <= l) {
-                return Err(StoreError::Corrupt {
-                    section: "activity/by-user",
-                    detail: format!("user {u} intervals are not strictly ascending"),
-                });
+                return Err(corrupt(format!(
+                    "user {u} intervals are not strictly ascending"
+                )));
             }
             last = Some(t);
-            let ti = t as usize;
-            let Some((ids, sigmas, left)) = rows.get_mut(ti) else {
-                return Err(StoreError::Corrupt {
-                    section: "activity/by-user",
-                    detail: format!(
-                        "user {u} references interval {t} \u{2265} |T| = {num_intervals}"
-                    ),
-                });
-            };
-            if !(sigma > 0.0 && sigma <= 1.0) {
-                return Err(StoreError::Corrupt {
-                    section: "activity/by-user",
-                    detail: format!("\u{3c3}({u},{t}) = {sigma} is outside (0, 1]"),
-                });
+            if t as usize >= num_intervals {
+                return Err(corrupt(format!(
+                    "user {u} references interval {t} \u{2265} |T| = {num_intervals}"
+                )));
             }
-            let matches = *left > 0 && {
-                *left -= 1;
-                u32::from_le_bytes(ids.next()?) == u as u32
-                    && u64::from_le_bytes(sigmas.next()?) == sigma.to_bits()
-            };
-            if !matches {
-                return Err(StoreError::Corrupt {
-                    section,
-                    detail: format!("entry (u{u}, t{ti}) missing or differs in the transpose"),
-                });
+            if !(sigma > 0.0 && sigma <= 1.0) {
+                return Err(corrupt(format!(
+                    "\u{3c3}({u},{t}) = {sigma} is outside (0, 1]"
+                )));
             }
         }
     }
-    if let Some(t) = rows.iter().position(|&(_, _, left)| left != 0) {
-        return Err(StoreError::Corrupt {
-            section,
-            detail: format!("interval {t} has surplus transpose entries"),
-        });
-    }
-    Ok(())
+    Ok(Activity::from_checked_csr(
+        num_intervals,
+        offsets,
+        intervals,
+        sigmas,
+    ))
 }
 
 /// Decodes scalar and column values off a small section's
@@ -1347,7 +1207,6 @@ pub fn read_instance<S: ReadAt + ?Sized>(src: &S) -> Result<Arc<SesInstance>, St
     let cand_sec = Frame::locate(src, &mut pos, SEC_INTEREST_CAND)?;
     let comp_sec = Frame::locate(src, &mut pos, SEC_INTEREST_COMP)?;
     let by_user_sec = Frame::locate(src, &mut pos, SEC_ACTIVITY_BY_USER)?;
-    let by_interval_sec = Frame::locate(src, &mut pos, SEC_ACTIVITY_BY_INTERVAL)?;
     let end_sec = Frame::locate(src, &mut pos, SEC_END)?;
     if !end_sec.load(src)?.is_empty() {
         return Err(StoreError::Corrupt {
@@ -1421,7 +1280,7 @@ pub fn read_instance<S: ReadAt + ?Sized>(src: &S) -> Result<Arc<SesInstance>, St
     }
     table.finish()?;
 
-    // The heavy sections: interest CSRs → Interest, activity CSRs →
+    // The heavy sections: interest CSRs → Interest, the activity CSR →
     // Activity. They are independent byte ranges of one positional
     // source, so decode the two groups on scoped threads when the payload
     // is big enough to pay for the spawn.
@@ -1435,16 +1294,8 @@ pub fn read_instance<S: ReadAt + ?Sized>(src: &S) -> Result<Arc<SesInstance>, St
             num_competing,
         )
     };
-    let activity = || {
-        decode_activity(
-            src,
-            &by_user_sec,
-            &by_interval_sec,
-            num_users,
-            num_intervals,
-        )
-    };
-    let heavy = cand_sec.len + comp_sec.len + by_user_sec.len + by_interval_sec.len;
+    let activity = || decode_activity(src, &by_user_sec, num_users, num_intervals);
+    let heavy = cand_sec.len + comp_sec.len + by_user_sec.len;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (interest, activity) = if cores > 1 && heavy >= PARALLEL_DECODE_BYTES {
         std::thread::scope(|scope| {

@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use ses_core::store::{
-    open_path, read_instance, write_instance, StoreError, FORMAT_VERSION, MAGIC,
+    open_path, read_instance, write_instance, FoldState, StoreError, FORMAT_VERSION, MAGIC,
 };
 use ses_core::testkit::{random_instance, TestInstanceConfig};
 use ses_core::{
@@ -170,16 +170,19 @@ proptest! {
 fn wrong_version_and_bad_magic_are_typed_errors() {
     let buf = packed(&TestInstanceConfig::default());
 
-    let mut wrong_version = buf.clone();
-    wrong_version[MAGIC.len()..MAGIC.len() + 4]
-        .copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match read_instance(&wrong_version[..]) {
-        Err(StoreError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, FORMAT_VERSION);
+    // Version 1 stored σ on two axes; it is refused, not read.
+    for version in [1, FORMAT_VERSION + 1] {
+        let mut wrong_version = buf.clone();
+        wrong_version[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+        match read_instance(&wrong_version[..]) {
+            Err(StoreError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+    assert_eq!(FORMAT_VERSION, 2);
 
     let mut bad_magic = buf;
     bad_magic[0] ^= 0xff;
@@ -191,10 +194,10 @@ fn wrong_version_and_bad_magic_are_typed_errors() {
 
 /// The file source and the byte source decode one store into the same
 /// instance: identical greedy Ω bits, identical engine memory accounting,
-/// and byte-identical re-packs. 20k users × 24 intervals of σ make each
-/// activity section ~6 MB, so both activity passes, the interest µ column
-/// and every transpose row span several read windows, and the heavy
-/// sections decode on two threads wherever there are two cores.
+/// and byte-identical re-packs. 20k users × 24 intervals of σ make the
+/// activity section ~6 MB, so its interval and σ columns and the interest
+/// µ column span several read windows, and the heavy sections decode on
+/// two threads wherever there are two cores.
 #[test]
 fn file_and_bytes_open_the_same_instance() {
     let original = random_instance(&TestInstanceConfig {
@@ -241,4 +244,129 @@ fn file_and_bytes_open_the_same_instance() {
         again == buf,
         "re-packing the file-opened instance changed bytes"
     );
+}
+
+/// The payload range and checksum offset of the first frame with section
+/// id `id` (frames follow the 12-byte header as `[id][u64 len][payload]
+/// [u64 checksum]`).
+fn frame(buf: &[u8], id: u8) -> (std::ops::Range<usize>, usize) {
+    let mut pos = MAGIC.len() + 4;
+    loop {
+        let len = u64::from_le_bytes(buf[pos + 1..pos + 9].try_into().unwrap()) as usize;
+        let payload = pos + 9..pos + 9 + len;
+        if buf[pos] == id {
+            return (payload.clone(), payload.end);
+        }
+        pos = payload.end + 8;
+    }
+}
+
+/// A length field with its top bit set claims bytes past `i64::MAX`, which
+/// no source holds: the file and the same bytes in memory both answer
+/// `Truncated`.
+#[test]
+fn length_with_top_bit_set_is_truncated_from_both_sources() {
+    let mut buf = packed(&TestInstanceConfig::default());
+    let (payload, _) = frame(&buf, 0x05);
+    buf[payload.start - 1] ^= 0x80;
+    let truncated = StoreError::Truncated {
+        section: "interest/candidate",
+    };
+    assert_eq!(read_instance(&buf[..]).unwrap_err(), truncated);
+    assert_eq!(open_as_file(&buf, "top-bit").unwrap_err(), truncated);
+}
+
+/// Rewrites the `activity/by-user` frame of a packed default instance
+/// through `edit`, which gets the decoded offsets, interval ids and σ
+/// values, then re-seals the frame's checksum with `FoldState`, so only
+/// the reader's row checks stand between the result and an instance.
+fn resealed_sigma_rows(edit: impl FnOnce(&[u64], &mut [u32], &mut [f64])) -> Vec<u8> {
+    let cfg = TestInstanceConfig::default();
+    let mut buf = packed(&cfg);
+    let (payload, checksum_at) = frame(&buf, 0x07);
+    let bytes = &buf[payload.clone()];
+    let offset_bytes = 8 * (cfg.num_users + 1);
+    let nnz = (bytes.len() - offset_bytes) / 12;
+    let (offsets, columns) = bytes.split_at(offset_bytes);
+    let (ids, sigmas) = columns.split_at(4 * nnz);
+    let offsets: Vec<u64> = offsets
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .collect();
+    let mut ids: Vec<u32> = ids
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+        .collect();
+    let mut sigmas: Vec<f64> = sigmas
+        .chunks_exact(8)
+        .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().unwrap())))
+        .collect();
+    edit(&offsets, &mut ids, &mut sigmas);
+    let mut rewritten = Vec::with_capacity(bytes.len());
+    rewritten.extend(offsets.iter().flat_map(|o| o.to_le_bytes()));
+    rewritten.extend(ids.iter().flat_map(|t| t.to_le_bytes()));
+    rewritten.extend(sigmas.iter().flat_map(|s| s.to_bits().to_le_bytes()));
+    let mut fold = FoldState::new();
+    fold.update(&rewritten);
+    buf[payload].copy_from_slice(&rewritten);
+    buf[checksum_at..checksum_at + 8].copy_from_slice(&fold.finalize().to_le_bytes());
+    buf
+}
+
+/// The first user row holding at least two entries, as an entry range.
+fn long_row(offsets: &[u64]) -> std::ops::Range<usize> {
+    offsets
+        .windows(2)
+        .map(|w| w[0] as usize..w[1] as usize)
+        .find(|row| row.len() >= 2)
+        .expect("some user is active in two intervals")
+}
+
+/// Checksum-valid σ rows that break the activity invariants are typed
+/// `Corrupt` errors from both sources, naming the by-user section.
+#[test]
+fn checksum_valid_but_invalid_sigma_rows_are_corrupt() {
+    let num_intervals = TestInstanceConfig::default().num_intervals as u32;
+    let ascending = "not strictly ascending";
+    let in_range = "\u{2265} |T|";
+    let probability = "outside (0, 1]";
+    let cases = [
+        (
+            ascending,
+            resealed_sigma_rows(|offsets, ids, _| {
+                let row = long_row(offsets);
+                ids.swap(row.start, row.start + 1);
+            }),
+        ),
+        (
+            in_range,
+            resealed_sigma_rows(|offsets, ids, _| {
+                // The row's last entry, so the row stays ascending.
+                ids[long_row(offsets).end - 1] = num_intervals;
+            }),
+        ),
+        (
+            probability,
+            resealed_sigma_rows(|_, _, sigmas| sigmas[0] = 0.0),
+        ),
+        (
+            probability,
+            resealed_sigma_rows(|_, _, sigmas| sigmas[0] = 1.5),
+        ),
+        (
+            probability,
+            resealed_sigma_rows(|_, _, sigmas| sigmas[0] = f64::NAN),
+        ),
+    ];
+    for (expected, buf) in cases {
+        let err = read_instance(&buf[..]).unwrap_err();
+        match &err {
+            StoreError::Corrupt {
+                section: "activity/by-user",
+                detail,
+            } => assert!(detail.contains(expected), "{detail}"),
+            other => panic!("expected activity/by-user Corrupt, got {other:?}"),
+        }
+        assert_eq!(open_as_file(&buf, "sigma-rows").unwrap_err(), err);
+    }
 }

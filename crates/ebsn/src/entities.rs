@@ -129,12 +129,6 @@ impl EbsnEvent {
     pub fn end(&self) -> u64 {
         self.start + self.duration
     }
-
-    /// Whether two events overlap in time (half-open).
-    #[inline]
-    pub fn overlaps_in_time(&self, other: &EbsnEvent) -> bool {
-        self.start < other.end() && other.start < self.end()
-    }
 }
 
 /// An RSVP / check-in record.
@@ -164,12 +158,7 @@ mod tests {
             tags: TagSet::new(),
         };
         let a = mk(0, 100);
-        let b = mk(100, 50);
-        let c = mk(99, 2);
         assert_eq!(a.end(), 100);
-        assert!(!a.overlaps_in_time(&b), "touching events do not overlap");
-        assert!(a.overlaps_in_time(&c));
-        assert!(c.overlaps_in_time(&b));
     }
 
     #[test]

@@ -363,11 +363,6 @@ impl TagSet {
         n
     }
 
-    /// Size of the union with `other`.
-    pub fn union_size(&self, other: &TagSet) -> usize {
-        self.tags.len() + other.tags.len() - self.intersection_size(other)
-    }
-
     /// Union with `other` as a new set.
     pub fn union(&self, other: &TagSet) -> TagSet {
         TagSet::from_iter(self.tags.iter().chain(other.tags.iter()).copied())
@@ -456,11 +451,9 @@ mod tests {
         let a = ts(&[1, 2, 3, 4]);
         let b = ts(&[3, 4, 5]);
         assert_eq!(a.intersection_size(&b), 2);
-        assert_eq!(a.union_size(&b), 5);
         assert_eq!(a.union(&b).as_slice().len(), 5);
         let empty = TagSet::new();
         assert_eq!(a.intersection_size(&empty), 0);
-        assert_eq!(a.union_size(&empty), 4);
     }
 
     #[test]
