@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run --release -p ses-bench --bin bench_engine -- \
-//!     [--users N] [--seed S] [--threads N] [--smoke] [--check] \
+//!     [--users N] [--seed S] [--smoke] [--check] \
 //!     [--committed PATH] [--out PATH]
 //! ```
 //!
@@ -200,13 +200,9 @@ struct EngineReport {
     generator: String,
     users: usize,
     seed: u64,
-    /// Scoring shards (`--threads`): the opening sweep and the selection
-    /// loop only.
-    threads: usize,
     /// Cores this run had. The engine build resolves the users-axis cells'
-    /// posting runs on one worker per core (at most one per event),
-    /// whatever `threads` says; the k-axis cells' columns are all full and
-    /// resolve no runs.
+    /// posting runs on one worker per core (at most one per event); the
+    /// k-axis cells' columns are all full and resolve no runs.
     #[serde(default)]
     cores: usize,
     smoke: bool,
@@ -230,7 +226,6 @@ struct EngineReport {
 struct Args {
     users: usize,
     seed: u64,
-    threads: usize,
     smoke: bool,
     check: bool,
     /// Run the sweep inside an active trace scope and, under `--check`,
@@ -263,7 +258,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         users: 3000,
         seed: 0,
-        threads: 1,
         smoke: false,
         check: false,
         spans: false,
@@ -287,13 +281,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
             }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             "--smoke" => args.smoke = true,
             "--check" => args.check = true,
             "--spans" => args.spans = true,
@@ -302,7 +289,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "bench_engine — record/gate the engine perf trajectory (BENCH_engine.json)\n\
-                     options: --users N | --seed S | --threads N | --smoke | --check \
+                     options: --users N | --seed S | --smoke | --check \
                      | --spans | --committed PATH | --out PATH\n\
                      --check re-runs the smoke sweep and fails if counters regress >10% \
                      against the committed BENCH_engine.json\n\
@@ -324,12 +311,7 @@ fn parse_args() -> Result<Args, String> {
 /// Runs the GRD + GRD-PQ sweep over `k_values` on a fresh dataset of
 /// `users` members; every cell's Ω is verified against the
 /// `evaluate_schedule` oracle.
-fn build_cells(
-    users: usize,
-    seed: u64,
-    threads: usize,
-    k_values: &[usize],
-) -> Result<Vec<EngineCell>, String> {
+fn build_cells(users: usize, seed: u64, k_values: &[usize]) -> Result<Vec<EngineCell>, String> {
     let max_k = *k_values.last().expect("sweep is non-empty");
     let mut gen_cfg = GeneratorConfig::meetup_california_scaled(users);
     gen_cfg.seed = seed;
@@ -347,7 +329,7 @@ fn build_cells(
             .map_err(|e| format!("cell k={} failed to build: {e}", cell.value))?;
         let mut cell_rows: Vec<EngineCell> = Vec::new();
         for spec in [SchedulerSpec::Greedy, SchedulerSpec::GreedyHeap] {
-            let scheduler = registry::build_threaded(spec, threads);
+            let scheduler = registry::build(spec);
             let outcome = scheduler
                 .run(&built.instance, cell.config.k)
                 .expect("k ≤ |E| by construction");
@@ -421,7 +403,6 @@ fn build_users_cells(
     users_values: &[usize],
     k: usize,
     seed: u64,
-    threads: usize,
 ) -> Result<Vec<EngineCell>, String> {
     let num_events = 2 * k;
     let num_intervals = 3 * k / 2;
@@ -437,7 +418,7 @@ fn build_users_cells(
         );
         let mut cell_rows: Vec<EngineCell> = Vec::new();
         for spec in [SchedulerSpec::Greedy, SchedulerSpec::GreedyHeap] {
-            let scheduler = registry::build_threaded(spec, threads);
+            let scheduler = registry::build(spec);
             let outcome = scheduler.run(&inst, k).expect("k ≤ |E| by construction");
             let oracle = evaluate_schedule(&inst, &outcome.schedule);
             let drift = (outcome.total_utility - oracle.total_utility).abs()
@@ -720,14 +701,14 @@ fn main() -> ExitCode {
     };
     let cells = {
         let _scope = trace.map(ses_obs::trace_scope);
-        let mut cells = match build_cells(args.users, args.seed, args.threads, k_values) {
+        let mut cells = match build_cells(args.users, args.seed, k_values) {
             Ok(cells) => cells,
             Err(e) => {
                 eprintln!("bench_engine: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        match build_users_cells(users_axis, users_axis_k, args.seed, args.threads) {
+        match build_users_cells(users_axis, users_axis_k, args.seed) {
             Ok(users_cells) => cells.extend(users_cells),
             Err(e) => {
                 eprintln!("bench_engine: {e}");
@@ -749,13 +730,12 @@ fn main() -> ExitCode {
         None
     } else {
         eprintln!("[bench_engine] recording the smoke-sweep reference counters");
-        let smoke_cells = build_cells(args.users.min(SMOKE_USERS), args.seed, 1, SMOKE_KS)
-            .and_then(|mut cells| {
+        let smoke_cells =
+            build_cells(args.users.min(SMOKE_USERS), args.seed, SMOKE_KS).and_then(|mut cells| {
                 cells.extend(build_users_cells(
                     SMOKE_USERS_AXIS,
                     SMOKE_USERS_AXIS_K,
                     args.seed,
-                    1,
                 )?);
                 Ok(cells)
             });
@@ -869,7 +849,6 @@ fn main() -> ExitCode {
         generator: "ses-bench bench_engine (GRD + GRD-PQ lazy, Fig. 1 k sweep)".to_owned(),
         users: args.users,
         seed: args.seed,
-        threads: args.threads,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         smoke: args.smoke || args.check,
         cells,

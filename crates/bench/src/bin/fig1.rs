@@ -29,7 +29,6 @@ struct Args {
     ablation: bool,
     localsearch: bool,
     serial: bool,
-    threads: usize,
     json: Option<String>,
 }
 
@@ -41,7 +40,6 @@ fn parse_args() -> Result<Args, String> {
         ablation: false,
         localsearch: false,
         serial: false,
-        threads: 1,
         json: None,
     };
     let mut it = std::env::args().skip(1);
@@ -74,20 +72,13 @@ fn parse_args() -> Result<Args, String> {
             "--ablation" => args.ablation = true,
             "--localsearch" => args.localsearch = true,
             "--serial" => args.serial = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             "--full" => args.users = 42_444,
             "--json" => args.json = Some(it.next().ok_or("--json needs a path")?),
             "--help" | "-h" => {
                 println!(
                     "fig1 — regenerate Fig. 1 of 'Social Event Scheduling' (ICDE 2018)\n\
                      options: --users N | --seed S | --panel a|b|c|d|all | --ablation\n\
-                     \x20        --localsearch | --serial | --threads N | --full | --json PATH"
+                     \x20        --localsearch | --serial | --full | --json PATH"
                 );
                 std::process::exit(0);
             }
@@ -138,7 +129,6 @@ fn main() -> ExitCode {
         algos,
         parallel: !args.serial,
         seed: args.seed,
-        threads: args.threads,
     };
     let (k_cells, t_cells) = paper_sweeps(args.seed);
 

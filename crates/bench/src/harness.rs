@@ -21,11 +21,6 @@ pub struct HarnessConfig {
     pub parallel: bool,
     /// Seed for the stochastic schedulers.
     pub seed: u64,
-    /// Scoring threads *within* each scheduler run (greedy-family sweeps;
-    /// see [`registry::build_threaded`]). Orthogonal to `parallel`, which
-    /// spreads whole cells: use `threads > 1` with `parallel: false` when
-    /// wall-clock per cell is the measurement.
-    pub threads: usize,
 }
 
 impl Default for HarnessConfig {
@@ -34,7 +29,6 @@ impl Default for HarnessConfig {
             algos: SchedulerSpec::paper_set(),
             parallel: true,
             seed: 0,
-            threads: 1,
         }
     }
 }
@@ -87,7 +81,7 @@ fn run_cell(dataset: &EbsnDataset, cell: &SweepCell, cfg: &HarnessConfig) -> Vec
     cfg.algos
         .iter()
         .map(|&spec| {
-            let scheduler = registry::build_threaded(spec.with_seed(cfg.seed), cfg.threads);
+            let scheduler = registry::build(spec.with_seed(cfg.seed));
             let outcome = scheduler
                 .run(&built.instance, cell.config.k)
                 .expect("k ≤ |E| by construction");
@@ -166,7 +160,6 @@ mod tests {
             algos: vec![SchedulerSpec::Greedy, SchedulerSpec::Random(0)],
             parallel: false,
             seed: 0,
-            threads: 1,
         };
         let rows = run_sweep(&ds, &cells, &cfg);
         assert_eq!(rows.len(), 4);
@@ -197,40 +190,6 @@ mod tests {
             assert_eq!(a.value, b.value);
             assert!((a.utility - b.utility).abs() < 1e-9);
             assert_eq!(a.scheduled, b.scheduled);
-        }
-    }
-
-    #[test]
-    fn scoring_threads_do_not_change_results() {
-        // In-run scoring shards read frozen engine state, so a threaded
-        // sweep must reproduce the serial rows bit-for-bit (utility and
-        // hardware-independent counters alike).
-        let ds = small_dataset();
-        let cells = k_sweep(&[15], 0);
-        let serial = run_sweep(
-            &ds,
-            &cells,
-            &HarnessConfig {
-                parallel: false,
-                ..HarnessConfig::default()
-            },
-        );
-        let threaded = run_sweep(
-            &ds,
-            &cells,
-            &HarnessConfig {
-                parallel: false,
-                threads: 4,
-                ..HarnessConfig::default()
-            },
-        );
-        assert_eq!(serial.len(), threaded.len());
-        for (a, b) in serial.iter().zip(&threaded) {
-            assert_eq!(a.algorithm, b.algorithm);
-            assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "{}", a.algorithm);
-            assert_eq!(a.scheduled, b.scheduled);
-            assert_eq!(a.score_evaluations, b.score_evaluations);
-            assert_eq!(a.posting_visits, b.posting_visits);
         }
     }
 

@@ -97,7 +97,6 @@ SUBCOMMANDS:
                   (GRD-PQ is the CELF lazy greedy; aliases LAZY, CELF)
                   --seed S (0)                --checkins  (σ from check-ins)
                   --format text|json (text)   --out PATH  (write the schedule as JSON)
-                  --threads N (1)             (shard greedy scoring sweeps; same schedule)
                   --instance PATH  (schedule a packed universe from `ses pack`
                                     instead of building one from a dataset)
                   --trace  (print the span timeline of the solve afterwards)
@@ -117,7 +116,6 @@ SUBCOMMANDS:
                   --users N (400)       --events N (60)
                   --intervals N (24)    --k K (20)
                   --algo SPEC (GRD)     --format text|json (text)
-                  --threads N (1)       (shard the initial solve's scoring)
                   --holdback F (0.3)    (fraction of candidates arriving late)
                   --instance PATH  (simulate over a packed universe instead of
                                     the generated workload instance)
@@ -297,7 +295,6 @@ pub fn solve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let k: usize = args.get_or("k", 100).map_err(|e| e.to_string())?;
     let t_factor: f64 = args.get_or("t-factor", 1.5).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let threads: usize = args.get_or("threads", 1).map_err(|e| e.to_string())?;
     let format = format_of(args)?;
     let spec = spec_of(args, "GRD", seed)?;
     // Two ways to get a universe: cold-open a packed file (`ses pack`
@@ -341,7 +338,6 @@ pub fn solve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
             &SolveRequest {
                 spec,
                 k,
-                threads,
                 instance: Default::default(),
             },
         )
@@ -478,7 +474,6 @@ pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let events: usize = args.get_or("events", 60).map_err(|e| e.to_string())?;
     let intervals: usize = args.get_or("intervals", 24).map_err(|e| e.to_string())?;
     let k: usize = args.get_or("k", 20).map_err(|e| e.to_string())?;
-    let threads: usize = args.get_or("threads", 1).map_err(|e| e.to_string())?;
     let holdback: f64 = args.get_or("holdback", 0.3).map_err(|e| e.to_string())?;
     let format = format_of(args)?;
     let spec = spec_of(args, "GRD", seed)?;
@@ -532,7 +527,6 @@ pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
                     name: "simulate".to_owned(),
                     spec,
                     k: k.min(events),
-                    threads,
                     instance: Default::default(),
                 },
             )
@@ -769,7 +763,6 @@ pub fn loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         solve_k: args.get_or("solve-k", 8).map_err(|e| e.to_string())?,
         k: args.get_or("k", 12).map_err(|e| e.to_string())?,
         spec,
-        threads: args.get_or("threads", 1).map_err(|e| e.to_string())?,
         seed,
         instances,
     };
@@ -794,7 +787,6 @@ pub fn loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
                 seed,
                 spec,
                 k: cfg.k,
-                threads: cfg.threads,
                 holdback: args.get_or("holdback", 0.3).map_err(|e| e.to_string())?,
                 session: format!("replay-{seed}"),
             },

@@ -31,10 +31,7 @@ fn main() -> ExitCode {
     }
     let parsed = match args::parse(&argv) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("ses: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     // Every command writes its output through `out`; a reader that closed
     // the pipe early ends the command quietly, with status 0.
@@ -63,9 +60,14 @@ fn main() -> ExitCode {
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("ses: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
+}
+
+/// Reports an error on stderr and returns the failure status. A closed
+/// stderr loses the message, never the status: the write error is ignored
+/// (`eprintln!` would panic and exit 101).
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    let _ = writeln!(std::io::stderr(), "ses: {e}");
+    ExitCode::FAILURE
 }

@@ -63,32 +63,8 @@ fn generate_analyze_schedule_pipeline() {
     let schedule: ses_core::Schedule = serde_json::from_str(&json).unwrap();
     assert_eq!(schedule.len(), 10);
 
-    // `--threads` shards the scoring sweeps without changing the result.
-    let plan_threaded = temp_path("plan_threaded.json");
-    commands::solve(
-        &argv(&[
-            "solve",
-            "--dataset",
-            out_str,
-            "--k",
-            "10",
-            "--algo",
-            "GRD",
-            "--threads",
-            "4",
-            "--out",
-            plan_threaded.to_str().unwrap(),
-        ]),
-        &mut io::sink(),
-    )
-    .expect("solve --threads succeeds");
-    let threaded_json = std::fs::read_to_string(&plan_threaded).unwrap();
-    let threaded: ses_core::Schedule = serde_json::from_str(&threaded_json).unwrap();
-    assert_eq!(threaded, schedule, "--threads must not change the schedule");
-
     std::fs::remove_file(out).ok();
     std::fs::remove_file(plan).ok();
-    std::fs::remove_file(plan_threaded).ok();
 }
 
 #[test]
@@ -573,4 +549,19 @@ fn closed_stderr_ends_the_trace_quietly() {
     drop(child.stderr.take());
     let status = child.wait().unwrap();
     assert!(status.success(), "{status:?}");
+}
+
+#[test]
+fn closed_stderr_keeps_the_failure_status() {
+    // Close the read end before the child starts, so the error report is
+    // certain to hit a closed pipe: the command must still exit 1.
+    let (reader, writer) = io::pipe().expect("pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(["solve", "--instance", "/nonexistent.sesstore"])
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("ses runs");
+    assert_eq!(status.code(), Some(1), "{status:?}");
 }

@@ -174,7 +174,7 @@ fn post(client: &mut HttpClient, path: &str, body: &str) -> (u16, String) {
 }
 
 fn open_body(name: &str, k: usize) -> String {
-    format!(r#"{{"name":"{name}","spec":"Greedy","k":{k},"threads":1}}"#)
+    format!(r#"{{"name":"{name}","spec":"Greedy","k":{k}}}"#)
 }
 
 /// What recovery must reproduce of a session: its report minus nothing

@@ -11,7 +11,7 @@ use crate::ids::{EventId, IntervalId};
 use crate::instance::SesInstance;
 use crate::util::float::total_cmp;
 
-use super::{frontier_scores, initial_scores, validate_k};
+use super::{initial_scores, validate_k};
 use super::{RunStats, ScheduleOutcome, Scheduler, SesError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,38 +39,14 @@ struct ListEntry {
 /// §III; space `O(|E||T|)`.
 ///
 /// Both scoring sweeps — the initial fill and the per-commit interval
-/// rescoring — go through the engine's batch API and can be sharded across
-/// scoped threads with [`Self::with_threads`]. Scores are computed against
-/// frozen engine state either way, so parallel runs pick the exact same
-/// schedule as serial ones.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyScheduler {
-    threads: usize,
-}
-
-impl Default for GreedyScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// rescoring — go through the engine's batch API.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyScheduler;
 
 impl GreedyScheduler {
-    /// Creates the scheduler (serial scoring).
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        Self { threads: 1 }
-    }
-
-    /// Creates the scheduler with scoring sweeps sharded across up to
-    /// `threads` scoped threads (`0` is treated as `1`).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured scoring-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        Self
     }
 }
 
@@ -87,8 +63,8 @@ impl Scheduler for GreedyScheduler {
         let mut pops = 0u64;
         let mut updates = 0u64;
 
-        // Lines 2–4: generate all assignments (batch-scored, sharded).
-        let mut list: Vec<ListEntry> = initial_scores(&mut engine, self.threads)
+        // Lines 2–4: generate all assignments (batch-scored).
+        let mut list: Vec<ListEntry> = initial_scores(&mut engine)
             .into_iter()
             .map(|(event, interval, score)| ListEntry {
                 event,
@@ -157,7 +133,7 @@ impl Scheduler for GreedyScheduler {
                         .filter(|&i| list[i].interval == dirty)
                         .collect();
                     let events: Vec<EventId> = idxs.iter().map(|&i| list[i].event).collect();
-                    let scores = frontier_scores(&mut engine, &events, dirty, self.threads);
+                    let scores = engine.score_frontier(&events, dirty);
                     for (&i, score) in idxs.iter().zip(scores) {
                         list[i].score = score;
                     }
@@ -266,43 +242,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(!out.complete);
         inst.check_schedule(&out.schedule).unwrap();
-    }
-
-    #[test]
-    fn parallel_scoring_matches_serial_schedules_exactly() {
-        // Sharded scoring reads frozen engine state, so the parallel run
-        // must reproduce the serial schedule, utility bits and counters.
-        for seed in 0..6u64 {
-            let inst = testkit::medium_instance(seed);
-            let serial = GreedyScheduler::new().run(&inst, 6).unwrap();
-            for threads in [2usize, 4] {
-                let par = GreedyScheduler::with_threads(threads)
-                    .run(&inst, 6)
-                    .unwrap();
-                assert_eq!(
-                    par.schedule, serial.schedule,
-                    "seed {seed}, {threads} threads"
-                );
-                assert_eq!(par.total_utility.to_bits(), serial.total_utility.to_bits());
-                assert_eq!(par.stats.engine, serial.stats.engine, "counters merge");
-            }
-        }
-    }
-
-    #[test]
-    fn absurd_thread_counts_are_clamped_not_spawned() {
-        // A hostile `threads` value (e.g. from a wire request) must clamp to
-        // a sane shard count, not attempt a million `scope.spawn`s.
-        let inst = testkit::medium_instance(2);
-        let serial = GreedyScheduler::new().run(&inst, 5).unwrap();
-        let absurd = GreedyScheduler::with_threads(1_000_000)
-            .run(&inst, 5)
-            .unwrap();
-        assert_eq!(absurd.schedule, serial.schedule);
-        assert_eq!(
-            absurd.total_utility.to_bits(),
-            serial.total_utility.to_bits()
-        );
     }
 
     #[test]

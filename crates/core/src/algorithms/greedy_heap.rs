@@ -74,32 +74,15 @@ impl Ord for HeapEntry {
 
 /// CELF-style lazy greedy (same selections as GRD, bit for bit).
 ///
-/// The `O(|E||T|·postings)` initial fill is batch-scored and can be sharded
-/// across scoped threads ([`Self::with_threads`]); the selection loop itself
-/// stays serial because lazy rescoring is inherently sequential.
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyHeapScheduler {
-    threads: usize,
-}
-
-impl Default for GreedyHeapScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The `O(|E||T|·postings)` initial fill is batch-scored; the selection loop
+/// then rescores lazily, one stale heap top at a time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyHeapScheduler;
 
 impl GreedyHeapScheduler {
-    /// Creates the scheduler (serial scoring).
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        Self { threads: 1 }
-    }
-
-    /// Creates the scheduler with the initial fill sharded across up to
-    /// `threads` scoped threads (`0` is treated as `1`).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
+        Self
     }
 }
 
@@ -120,7 +103,7 @@ impl Scheduler for GreedyHeapScheduler {
         // valid at its interval's *current* generation (all zero on a fresh
         // engine, but tagging through the engine keeps this correct even if
         // construction semantics ever change).
-        let mut heap: BinaryHeap<HeapEntry> = initial_scores(&mut engine, self.threads)
+        let mut heap: BinaryHeap<HeapEntry> = initial_scores(&mut engine)
             .into_iter()
             .map(|(event, interval, score)| HeapEntry {
                 score,

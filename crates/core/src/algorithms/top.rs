@@ -17,34 +17,16 @@ use std::time::Instant;
 
 /// The TOP baseline.
 ///
-/// Its single scoring sweep is batch-scored and can be sharded across scoped
-/// threads ([`Self::with_threads`]). TOP deliberately stays on the batch
-/// path and ignores the engine's dirty-interval generations: never rescoring
-/// is the whole point of the baseline, so there is nothing for the delta
-/// APIs to save.
-#[derive(Debug, Clone, Copy)]
-pub struct TopScheduler {
-    threads: usize,
-}
-
-impl Default for TopScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Its single scoring sweep is batch-scored. TOP deliberately ignores the
+/// engine's dirty-interval generations: never rescoring is the whole point
+/// of the baseline, so there is nothing for the delta APIs to save.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TopScheduler;
 
 impl TopScheduler {
-    /// Creates the scheduler (serial scoring).
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        Self { threads: 1 }
-    }
-
-    /// Creates the scheduler with the scoring sweep sharded across up to
-    /// `threads` scoped threads (`0` is treated as `1`).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
+        Self
     }
 }
 
@@ -61,7 +43,7 @@ impl Scheduler for TopScheduler {
         let mut pops = 0u64;
 
         // Score every pair once, against the empty schedule.
-        let mut scored: Vec<(f64, EventId, IntervalId)> = initial_scores(&mut engine, self.threads)
+        let mut scored: Vec<(f64, EventId, IntervalId)> = initial_scores(&mut engine)
             .into_iter()
             .map(|(event, interval, score)| (score, event, interval))
             .collect();

@@ -50,10 +50,7 @@
 //! On top of the per-pair [`AttendanceEngine::score`], the engine exposes a
 //! batch API — [`AttendanceEngine::score_all`] (one event against every
 //! interval) and [`AttendanceEngine::score_frontier`] (many events against
-//! one interval) — plus `_with` variants that take `&self` and an external
-//! [`EngineCounters`], which is what lets the greedy sweeps shard scoring
-//! across `std::thread::scope` threads and merge the per-shard counters
-//! afterwards (see `algorithms`).
+//! one interval) — which the greedy sweeps drive (see `algorithms`).
 //!
 //! The engine keeps the running total utility in sync with every
 //! `assign`/`unassign`, so `ΔΩ` equals the assignment score by construction;
@@ -96,10 +93,9 @@ const NO_RANK: u32 = u32::MAX;
 /// These are hardware-independent companions to wall-clock numbers: Fig. 1b/1d
 /// shapes can be checked against operation counts directly.
 ///
-/// Counters are plain data. The engine accumulates its own set, and the
-/// `_with` scoring methods write into a caller-provided set instead, so
-/// parallel sweeps keep one `EngineCounters` per shard and
-/// [`merge`](EngineCounters::merge) them when the threads join.
+/// Counters are plain data. The engine accumulates its own set; take a
+/// [`delta_since`](EngineCounters::delta_since) an earlier snapshot to
+/// measure one stretch of work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineCounters {
     /// Number of assignment-score evaluations (Eq. 4 computations).
@@ -113,7 +109,8 @@ pub struct EngineCounters {
 }
 
 impl EngineCounters {
-    /// Adds another counter set into this one (shard merge).
+    /// Adds another counter set into this one (the server's per-shard
+    /// session totals).
     pub fn merge(&mut self, other: EngineCounters) {
         self.score_evaluations += other.score_evaluations;
         self.posting_visits += other.posting_visits;
@@ -192,8 +189,8 @@ impl EngineMemoryStats {
 ///
 /// Owns the evolving [`Schedule`] and a shared handle to its
 /// [`SesInstance`], so engines are `Send + Sync + 'static`: they can live in
-/// maps, move across threads, and be *shared* immutably by scoped worker
-/// threads (all scoring state is plain data — no cells, no locks).
+/// maps and move across threads (all scoring state is plain data — no
+/// cells, no locks).
 /// (Borrowed `&SesInstance` constructors are gone — wrap the instance in an
 /// [`Arc`] once and hand out clones; `SesInstance::builder().build_shared()`
 /// does this for you.)
@@ -393,25 +390,6 @@ impl AttendanceEngine {
         self.memory
     }
 
-    /// Number of resident slots in `interval`'s column (its share of the
-    /// layout's `nnz`) — the per-interval work estimate the parallel sweeps
-    /// use to balance their shards.
-    #[inline]
-    pub fn column_len(&self, interval: IntervalId) -> usize {
-        self.cols.len(interval.index())
-    }
-
-    /// Resets the operation counters (the aggregates are untouched).
-    pub fn reset_counters(&mut self) {
-        self.counters = EngineCounters::default();
-    }
-
-    /// Folds a shard's counters into the engine's own set — the merge step
-    /// after parallel scoring with the `_with` methods.
-    pub fn merge_counters(&mut self, shard: EngineCounters) {
-        self.counters.merge(shard);
-    }
-
     /// The current mutation clock. Snapshot it before caching scores; feed
     /// the snapshot to [`Self::dirty_intervals`] later to learn which
     /// intervals (and only which) invalidated their cached scores.
@@ -504,29 +482,11 @@ impl AttendanceEngine {
     /// schedule (Eq. 4): the gain in total expected attendance from adding
     /// the assignment. Does **not** check feasibility.
     ///
-    /// Counts into the engine's own counters; use [`Self::score_with`] from
-    /// shared references (parallel shards) with an external counter set.
-    pub fn score(&mut self, event: EventId, interval: IntervalId) -> f64 {
-        let mut counters = self.counters;
-        let s = self.score_with(event, interval, &mut counters);
-        self.counters = counters;
-        s
-    }
-
-    /// [`Self::score`] against `&self`, counting into `counters`. This is
-    /// the shard-safe entry point: the engine is `Sync`, so scoped threads
-    /// can score concurrently, each with its own counter set.
-    ///
     /// `posting_visits` counts the *run* length — on partial columns that is
     /// at most (and on full columns exactly) the posting-list length, so
     /// the counter never grows under the blocked layout.
-    pub fn score_with(
-        &self,
-        event: EventId,
-        interval: IntervalId,
-        counters: &mut EngineCounters,
-    ) -> f64 {
-        counters.score_evaluations += 1;
+    pub fn score(&mut self, event: EventId, interval: IntervalId) -> f64 {
+        self.counters.score_evaluations += 1;
         let t = interval.index();
         let start = self.cols.offsets[t];
         let end = self.cols.offsets[t + 1];
@@ -536,7 +496,7 @@ impl AttendanceEngine {
             t,
             end - start == self.cols.stride,
         );
-        counters.posting_visits += slots.len() as u64;
+        self.counters.posting_visits += slots.len() as u64;
         kernel::score_run(
             slots,
             mus,
@@ -550,16 +510,8 @@ impl AttendanceEngine {
     /// (index `t` of the result is interval `t`). Equivalent to, and counted
     /// like, `|T|` calls to [`Self::score`].
     pub fn score_all(&mut self, event: EventId) -> Vec<f64> {
-        let mut counters = self.counters;
-        let out = self.score_all_with(event, &mut counters);
-        self.counters = counters;
-        out
-    }
-
-    /// [`Self::score_all`] against `&self` with an external counter set.
-    pub fn score_all_with(&self, event: EventId, counters: &mut EngineCounters) -> Vec<f64> {
         (0..self.inst.num_intervals())
-            .map(|t| self.score_with(event, IntervalId::new(t as u32), counters))
+            .map(|t| self.score(event, IntervalId::new(t as u32)))
             .collect()
     }
 
@@ -567,23 +519,7 @@ impl AttendanceEngine {
     /// (result is parallel to `events`). The greedy update pass uses this to
     /// rescore an interval's frontier after a commit.
     pub fn score_frontier(&mut self, events: &[EventId], interval: IntervalId) -> Vec<f64> {
-        let mut counters = self.counters;
-        let out = self.score_frontier_with(events, interval, &mut counters);
-        self.counters = counters;
-        out
-    }
-
-    /// [`Self::score_frontier`] against `&self` with an external counter set.
-    pub fn score_frontier_with(
-        &self,
-        events: &[EventId],
-        interval: IntervalId,
-        counters: &mut EngineCounters,
-    ) -> Vec<f64> {
-        events
-            .iter()
-            .map(|&e| self.score_with(e, interval, counters))
-            .collect()
+        events.iter().map(|&e| self.score(e, interval)).collect()
     }
 
     /// Applies `event → interval` if it is a *valid* assignment; returns the
@@ -996,25 +932,10 @@ mod tests {
         let mut engine = AttendanceEngine::new(&inst);
         engine.score_all(e(1));
         let batch = engine.counters();
-        engine.reset_counters();
         for ti in 0..inst.num_intervals() {
             engine.score(e(1), t(ti as u32));
         }
-        assert_eq!(engine.counters(), batch);
-    }
-
-    #[test]
-    fn shard_counters_merge_into_engine() {
-        let inst = inst();
-        let mut engine = AttendanceEngine::new(&inst);
-        let mut shard = EngineCounters::default();
-        engine.score_with(e(0), t(0), &mut shard);
-        engine.score_all_with(e(1), &mut shard);
-        assert_eq!(engine.counters(), EngineCounters::default());
-        engine.merge_counters(shard);
-        let c = engine.counters();
-        assert_eq!(c.score_evaluations, 1 + inst.num_intervals() as u64);
-        assert!(c.posting_visits > 0);
+        assert_eq!(engine.counters().delta_since(batch), batch);
     }
 
     #[test]
@@ -1227,14 +1148,13 @@ mod tests {
     fn counters_track_operations() {
         let inst = inst();
         let mut engine = AttendanceEngine::new(&inst);
+        let before = engine.counters();
         engine.score(e(0), t(0));
         engine.assign(e(1), t(1)).unwrap(); // internal score counts too
-        let c = engine.counters();
+        let c = engine.counters().delta_since(before);
         assert_eq!(c.score_evaluations, 2);
         assert_eq!(c.assigns, 1);
         assert!(c.posting_visits >= 2);
-        engine.reset_counters();
-        assert_eq!(engine.counters(), EngineCounters::default());
     }
 
     #[test]
@@ -1453,7 +1373,6 @@ mod tests {
         // 3 indexed users × 2 intervals = 6 dense slots; 2 σ-holes → 4.
         assert_eq!(m.dense_slots, 6);
         assert_eq!(m.column_slots, 4);
-        assert_eq!(engine.column_len(t(0)) + engine.column_len(t(1)), 4);
         assert!(m.resident_column_bytes > 0);
         assert!(m.run_bytes > 0, "partial columns need run storage");
         assert!(m.build_millis >= 0.0);

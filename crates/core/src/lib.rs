@@ -22,13 +22,10 @@
 //!   index** (flat `B`/`M`/count/`σ` columns over ranked posting-list
 //!   users, `DESIGN.md` §2) with batch scoring APIs
 //!   ([`AttendanceEngine::score_all`], [`AttendanceEngine::score_frontier`])
-//!   whose `_with` variants count into caller-owned [`EngineCounters`] for
-//!   parallel shards;
+//!   that count into the engine's own [`EngineCounters`];
 //! * [`algorithms`] — the paper's greedy **GRD** (Algorithm 1), the **TOP**
 //!   and **RAND** baselines, a priority-queue greedy (**GRD-PQ**), an exact
-//!   branch-and-bound oracle and a local-search post-optimizer. The greedy
-//!   family shards its scoring sweeps across `std::thread::scope` threads
-//!   (`with_threads`) without changing any schedule;
+//!   branch-and-bound oracle and a local-search post-optimizer;
 //! * [`registry`] — the algorithm registry: [`SchedulerSpec`] parsing and
 //!   [`registry::build`], the single mapping from spec strings to runnable
 //!   schedulers (front ends must not string-match algorithm names);

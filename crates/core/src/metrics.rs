@@ -107,7 +107,7 @@ pub fn schedule_metrics(
     let mut engine = AttendanceEngine::new(inst);
 
     let mut solos = vec![0.0f64; inst.num_events()];
-    for (event, _, score) in initial_scores(&mut engine, 1) {
+    for (event, _, score) in initial_scores(&mut engine) {
         solos[event.index()] = solos[event.index()].max(score);
     }
     solos.sort_unstable_by(|a, b| b.total_cmp(a));

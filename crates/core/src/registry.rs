@@ -199,34 +199,20 @@ impl fmt::Display for UnknownScheduler {
 
 impl std::error::Error for UnknownScheduler {}
 
-/// Instantiates the scheduler a spec describes (serial scoring).
+/// Instantiates the scheduler a spec describes.
 ///
 /// The returned box is `Send + Sync`, so built schedulers can be shared
 /// across the bench harness's scoped threads or stored in services.
 pub fn build(spec: SchedulerSpec) -> Box<dyn Scheduler + Send + Sync> {
-    build_threaded(spec, 1)
-}
-
-/// Instantiates the scheduler a spec describes, sharding its scoring sweeps
-/// across up to `threads` scoped threads (`0` is treated as `1`).
-///
-/// The thread count applies to the greedy-family sweeps (GRD, GRD-PQ, TOP —
-/// including the GRD stage inside `GRD+LS`/`GRD+SA`); RAND and EXACT have no
-/// batch sweep and ignore it. Parallel and serial runs pick identical
-/// schedules — sharded scoring reads frozen engine state.
-pub fn build_threaded(spec: SchedulerSpec, threads: usize) -> Box<dyn Scheduler + Send + Sync> {
-    let threads = threads.max(1);
     match spec {
-        SchedulerSpec::Greedy => Box::new(GreedyScheduler::with_threads(threads)),
-        SchedulerSpec::GreedyHeap => Box::new(GreedyHeapScheduler::with_threads(threads)),
-        SchedulerSpec::Top => Box::new(TopScheduler::with_threads(threads)),
+        SchedulerSpec::Greedy => Box::new(GreedyScheduler::new()),
+        SchedulerSpec::GreedyHeap => Box::new(GreedyHeapScheduler::new()),
+        SchedulerSpec::Top => Box::new(TopScheduler::new()),
         SchedulerSpec::Random(seed) => Box::new(RandomScheduler::new(seed)),
-        SchedulerSpec::GreedyLocalSearch => Box::new(LocalSearchScheduler::new(
-            GreedyScheduler::with_threads(threads),
-        )),
-        SchedulerSpec::GreedyAnnealing => Box::new(AnnealingScheduler::new(
-            GreedyScheduler::with_threads(threads),
-        )),
+        SchedulerSpec::GreedyLocalSearch => {
+            Box::new(LocalSearchScheduler::new(GreedyScheduler::new()))
+        }
+        SchedulerSpec::GreedyAnnealing => Box::new(AnnealingScheduler::new(GreedyScheduler::new())),
         SchedulerSpec::Exact => Box::new(ExactScheduler::new()),
     }
 }
@@ -344,25 +330,6 @@ mod tests {
             );
             let out = scheduler.run(&inst, 2).unwrap();
             inst.check_schedule(&out.schedule).unwrap();
-        }
-    }
-
-    #[test]
-    fn build_threaded_preserves_results_for_every_spec() {
-        // `threads` is a wall-clock knob, never a semantics knob: every
-        // spec must produce the same schedule size and utility regardless.
-        let inst = testkit::medium_instance(9);
-        for name in SPEC_NAMES {
-            let spec = SchedulerSpec::parse(name).unwrap();
-            let serial = build(spec).run(&inst, 3).unwrap();
-            let threaded = build_threaded(spec, 4).run(&inst, 3).unwrap();
-            assert_eq!(serial.len(), threaded.len(), "spec {name}");
-            assert!(
-                (serial.total_utility - threaded.total_utility).abs() < 1e-9,
-                "spec {name}: {} vs {}",
-                serial.total_utility,
-                threaded.total_utility
-            );
         }
     }
 

@@ -1,15 +1,11 @@
 //! Property tests pinning the columnar mass-table engine to its oracles
 //! (DESIGN.md §2, §6): the from-scratch hash-map evaluation
-//! (`evaluate_schedule`), the analytic operation counts, and the
-//! serial-equals-parallel guarantee of the sharded scoring sweeps.
+//! (`evaluate_schedule`) and the analytic operation counts.
 
 use proptest::prelude::*;
 use ses_core::testkit::{random_instance, TestInstanceConfig};
 use ses_core::util::float::approx_eq_tol;
-use ses_core::{
-    evaluate_schedule, AttendanceEngine, EventId, GreedyHeapScheduler, GreedyScheduler, IntervalId,
-    Scheduler, TopScheduler,
-};
+use ses_core::{evaluate_schedule, AttendanceEngine, EventId, IntervalId};
 
 /// Strategy over modest random instances (mirrors `properties.rs`).
 fn instance_config() -> impl Strategy<Value = TestInstanceConfig> {
@@ -126,41 +122,5 @@ proptest! {
         let c = engine.counters();
         prop_assert_eq!(c.score_evaluations, expected_evals);
         prop_assert_eq!(c.posting_visits, expected_visits);
-    }
-
-    /// Parallel (`--threads N`) and serial runs of the whole greedy family
-    /// pick identical schedules (bit-identical Ω, identical counters): the
-    /// sharded sweeps read frozen engine state, so only wall-clock changes.
-    #[test]
-    fn parallel_and_serial_sweeps_pick_identical_schedules(
-        cfg in instance_config(),
-        k_frac in 0.1f64..1.0,
-        threads in 2usize..5,
-    ) {
-        let inst = random_instance(&cfg);
-        let k = ((inst.num_events() as f64 * k_frac) as usize).min(inst.num_events());
-        let pairs: [(Box<dyn Scheduler>, Box<dyn Scheduler>); 3] = [
-            (
-                Box::new(GreedyScheduler::new()),
-                Box::new(GreedyScheduler::with_threads(threads)),
-            ),
-            (
-                Box::new(GreedyHeapScheduler::new()),
-                Box::new(GreedyHeapScheduler::with_threads(threads)),
-            ),
-            (
-                Box::new(TopScheduler::new()),
-                Box::new(TopScheduler::with_threads(threads)),
-            ),
-        ];
-        for (serial, parallel) in pairs {
-            let a = serial.run(&inst, k).unwrap();
-            let b = parallel.run(&inst, k).unwrap();
-            prop_assert_eq!(&a.schedule, &b.schedule,
-                "{}: {} threads changed the schedule", serial.name(), threads);
-            prop_assert_eq!(a.total_utility.to_bits(), b.total_utility.to_bits());
-            prop_assert_eq!(a.stats.engine, b.stats.engine,
-                "{}: shard counters must merge to the serial totals", serial.name());
-        }
     }
 }

@@ -1271,7 +1271,6 @@ mod tests {
             name: name.to_owned(),
             spec: SchedulerSpec::Greedy,
             k: 2,
-            threads: 0,
             instance: InstanceName::default(),
         }
     }

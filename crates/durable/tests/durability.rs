@@ -50,7 +50,6 @@ fn open_request(name: &str) -> SessionOpen {
         name: name.to_owned(),
         spec: SchedulerSpec::Greedy,
         k: 4,
-        threads: 0,
         instance: InstanceName::default(),
     }
 }

@@ -41,7 +41,8 @@ pub enum Stage {
     Service = 3,
     /// One full offline solve inside the service.
     Solve = 4,
-    /// The initial E×T scoring sweep (Alg. 1 lines 2–4).
+    /// The initial E×T scoring sweep (Alg. 1 lines 2–4; `aux_a` = rows
+    /// scored).
     Sweep = 5,
     /// The greedy selection loop (`aux_a` = pops, `aux_b` = rescores /
     /// lazy re-validations).

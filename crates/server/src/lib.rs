@@ -98,7 +98,7 @@
 //! assert!(body.contains("\"ok\""));
 //!
 //! let (status, body) = client
-//!     .post("/solve", r#"{"spec":"Greedy","k":4,"threads":1}"#)
+//!     .post("/solve", r#"{"spec":"Greedy","k":4}"#)
 //!     .unwrap();
 //! assert_eq!(status, 200, "{body}");
 //! handle.shutdown();

@@ -41,10 +41,6 @@ pub struct LoadgenConfig {
     pub k: usize,
     /// Algorithm for solves and session opens.
     pub spec: SchedulerSpec,
-    /// Scoring threads per solve (keep at 1 under concurrent load). The
-    /// engine build does not follow it: on an instance with partial
-    /// σ-columns it resolves the posting runs on every core.
-    pub threads: usize,
     /// Mix seed.
     pub seed: u64,
     /// The registered instances the clients target, round-robin by client
@@ -65,7 +61,6 @@ impl Default for LoadgenConfig {
             solve_k: 8,
             k: 12,
             spec: SchedulerSpec::Greedy,
-            threads: 1,
             seed: 0,
             instances: vec!["default".to_owned()],
         }
@@ -483,7 +478,6 @@ fn worker(cfg: &LoadgenConfig, index: usize) -> Result<WorkerOutcome, String> {
         let warm = SolveRequest {
             spec: cfg.spec,
             k: 1,
-            threads: cfg.threads,
             instance: InstanceName::new(&*instance),
         };
         let warm_body = serde_json::to_string(&warm).map_err(|e| e.to_string())?;
@@ -531,7 +525,6 @@ fn worker(cfg: &LoadgenConfig, index: usize) -> Result<WorkerOutcome, String> {
         name: session.clone(),
         spec: cfg.spec,
         k: cfg.k.min(events as usize),
-        threads: cfg.threads,
         instance: InstanceName::new(&*instance),
     };
     let open_body = serde_json::to_string(&open).map_err(|e| e.to_string())?;
@@ -551,7 +544,6 @@ fn worker(cfg: &LoadgenConfig, index: usize) -> Result<WorkerOutcome, String> {
             let req = SolveRequest {
                 spec: cfg.spec,
                 k: cfg.solve_k.min(events as usize),
-                threads: cfg.threads,
                 instance: InstanceName::new(&*instance),
             };
             let body = serde_json::to_string(&req).map_err(|e| e.to_string())?;

@@ -43,8 +43,6 @@ pub struct ReplayConfig {
     pub spec: SchedulerSpec,
     /// Initial schedule size.
     pub k: usize,
-    /// Scoring threads for the initial solve.
-    pub threads: usize,
     /// Fraction of unscheduled candidates withheld as late arrivals.
     pub holdback: f64,
     /// Server-side session name used during the replay.
@@ -59,7 +57,6 @@ impl Default for ReplayConfig {
             seed: 0,
             spec: SchedulerSpec::Greedy,
             k: 20,
-            threads: 1,
             holdback: 0.3,
             session: "replay-check".to_owned(),
         }
@@ -158,7 +155,6 @@ pub fn prepare_replay(
         name: cfg.session.clone(),
         spec: cfg.spec,
         k,
-        threads: cfg.threads,
         instance: Default::default(),
     };
     let mut service = SchedulerService::new();

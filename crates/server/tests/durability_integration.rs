@@ -53,7 +53,7 @@ fn client_of(handle: &ServerHandle) -> HttpClient {
 }
 
 fn open_body(name: &str, k: usize) -> String {
-    format!(r#"{{"name":"{name}","spec":"Greedy","k":{k},"threads":1}}"#)
+    format!(r#"{{"name":"{name}","spec":"Greedy","k":{k}}}"#)
 }
 
 /// A deterministic mix of in-universe events for the 60u/16e/8t instance.

@@ -27,7 +27,7 @@ fn client_of(handle: &ses_server::ServerHandle) -> HttpClient {
 }
 
 fn open_body(name: &str, k: usize) -> String {
-    format!(r#"{{"name":"{name}","spec":"Greedy","k":{k},"threads":1}}"#)
+    format!(r#"{{"name":"{name}","spec":"Greedy","k":{k}}}"#)
 }
 
 #[test]
@@ -50,9 +50,7 @@ fn healthz_reports_the_instance_identity() {
 fn solve_and_eval_round_trip_over_the_wire() {
     let handle = test_server(2);
     let mut client = client_of(&handle);
-    let (status, body) = client
-        .post("/solve", r#"{"spec":"Greedy","k":5,"threads":1}"#)
-        .unwrap();
+    let (status, body) = client.post("/solve", r#"{"spec":"Greedy","k":5}"#).unwrap();
     assert_eq!(status, 200, "{body}");
     let solved: ses_service::SolveResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(solved.scheduled(), 5);
@@ -180,9 +178,7 @@ fn oversized_bodies_get_413_before_parsing() {
     let err: ErrorBody = serde_json::from_str(&body).unwrap();
     assert_eq!(err.kind, "body_too_large");
     // Under the cap still works (fresh connection; 413 closes the socket).
-    let (status, _) = client
-        .post("/solve", r#"{"spec":"Greedy","k":2,"threads":1}"#)
-        .unwrap();
+    let (status, _) = client.post("/solve", r#"{"spec":"Greedy","k":2}"#).unwrap();
     assert_eq!(status, 200);
     handle.shutdown();
 }
@@ -385,7 +381,7 @@ fn slow_header_and_body_arrival_is_not_dropped() {
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     stream.write_all(b"POST /solve HTTP/1.1\r\n").unwrap();
     std::thread::sleep(std::time::Duration::from_millis(400));
-    let body = r#"{"spec":"Greedy","k":2,"threads":1}"#;
+    let body = r#"{"spec":"Greedy","k":2}"#;
     stream
         .write_all(
             format!(
@@ -439,10 +435,7 @@ fn packed_tenant_serves_requests_and_instances_endpoint_tracks_it() {
 
     // First request naming the tenant cold-opens the file.
     let (status, body) = client
-        .post(
-            "/solve",
-            r#"{"spec":"Greedy","k":3,"threads":1,"instance":"tenant-b"}"#,
-        )
+        .post("/solve", r#"{"spec":"Greedy","k":3,"instance":"tenant-b"}"#)
         .unwrap();
     assert_eq!(status, 200, "{body}");
     let solved: ses_service::SolveResponse = serde_json::from_str(&body).unwrap();
@@ -459,10 +452,7 @@ fn packed_tenant_serves_requests_and_instances_endpoint_tracks_it() {
 
     // Unknown names are structured 404s listing what is registered.
     let (status, body) = client
-        .post(
-            "/solve",
-            r#"{"spec":"Greedy","k":2,"threads":1,"instance":"ghost"}"#,
-        )
+        .post("/solve", r#"{"spec":"Greedy","k":2,"instance":"ghost"}"#)
         .unwrap();
     assert_eq!(status, 404, "{body}");
     let err: ErrorBody = serde_json::from_str(&body).unwrap();
@@ -474,7 +464,7 @@ fn packed_tenant_serves_requests_and_instances_endpoint_tracks_it() {
     );
 
     // Sessions bind to their tenant and echo it in reports.
-    let open = r#"{"name":"tb","spec":"Greedy","k":2,"threads":1,"instance":"tenant-b"}"#;
+    let open = r#"{"name":"tb","spec":"Greedy","k":2,"instance":"tenant-b"}"#;
     let (status, body) = client.post("/sessions/tb/open", open).unwrap();
     assert_eq!(status, 200, "{body}");
     let (status, body) = client.post("/sessions/tb/report", "").unwrap();
@@ -534,9 +524,7 @@ fn multi_tenant_loadgen_breaks_latency_down_per_instance() {
 fn graceful_shutdown_drains_without_killing_in_flight_requests() {
     let handle = test_server(2);
     let mut client = client_of(&handle);
-    let (status, _) = client
-        .post("/solve", r#"{"spec":"Greedy","k":4,"threads":1}"#)
-        .unwrap();
+    let (status, _) = client.post("/solve", r#"{"spec":"Greedy","k":4}"#).unwrap();
     assert_eq!(status, 200);
     handle.shutdown();
     // The port is released: a fresh server can bind and serve again.

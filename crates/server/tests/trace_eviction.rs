@@ -26,9 +26,7 @@ fn old_traces_evict_to_a_clean_404() {
     .unwrap();
     let mut client = HttpClient::new(handle.addr().to_string());
 
-    let (status, _) = client
-        .post("/solve", r#"{"spec":"Greedy","k":3,"threads":1}"#)
-        .unwrap();
+    let (status, _) = client.post("/solve", r#"{"spec":"Greedy","k":3}"#).unwrap();
     assert_eq!(status, 200);
     let first = client.last_trace_id().unwrap().to_owned();
     let (status, _) = client.get(&format!("/trace/{first}")).unwrap();
@@ -36,9 +34,7 @@ fn old_traces_evict_to_a_clean_404() {
 
     // Enough traffic to lap every 16-slot ring several times over.
     for _ in 0..40 {
-        let (status, _) = client
-            .post("/solve", r#"{"spec":"Greedy","k":3,"threads":1}"#)
-            .unwrap();
+        let (status, _) = client.post("/solve", r#"{"spec":"Greedy","k":3}"#).unwrap();
         assert_eq!(status, 200);
     }
 

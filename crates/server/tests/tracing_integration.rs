@@ -33,9 +33,7 @@ fn client_of(handle: &ServerHandle) -> HttpClient {
 fn responses_carry_a_trace_id_and_solves_are_traceable_end_to_end() {
     let handle = test_server(2);
     let mut client = client_of(&handle);
-    let (status, _) = client
-        .post("/solve", r#"{"spec":"Greedy","k":4,"threads":1}"#)
-        .unwrap();
+    let (status, _) = client.post("/solve", r#"{"spec":"Greedy","k":4}"#).unwrap();
     assert_eq!(status, 200);
     let trace = client
         .last_trace_id()
@@ -125,13 +123,11 @@ fn metrics_carry_shard_gauges_and_span_stage_lines() {
     let handle = test_server(3);
     let mut client = client_of(&handle);
     for _ in 0..4 {
-        let (status, _) = client
-            .post("/solve", r#"{"spec":"Greedy","k":3,"threads":1}"#)
-            .unwrap();
+        let (status, _) = client.post("/solve", r#"{"spec":"Greedy","k":3}"#).unwrap();
         assert_eq!(status, 200);
     }
     // Session ops are what reach the shards (and record queue/service).
-    let open = r#"{"name":"m","spec":"Greedy","k":3,"threads":1}"#;
+    let open = r#"{"name":"m","spec":"Greedy","k":3}"#;
     let (status, _) = client.post("/sessions/m/open", open).unwrap();
     assert_eq!(status, 200);
     let (status, _) = client.post("/sessions/m/event", "\"Extend\"").unwrap();
@@ -221,7 +217,7 @@ fn percent_encoded_session_names_round_trip() {
     let handle = test_server(2);
     let mut client = client_of(&handle);
     // The decoded name goes in the body; the encoded one in the path.
-    let open = r#"{"name":"café night","spec":"Greedy","k":3,"threads":1}"#;
+    let open = r#"{"name":"café night","spec":"Greedy","k":3}"#;
     let (status, body) = client
         .post("/sessions/caf%C3%A9%20night/open", open)
         .unwrap();
@@ -286,7 +282,7 @@ fn stateless_requests_skip_the_shards() {
     // Solves and evals never touch a shard, and neither does a `/metrics`
     // read: between two reads no shard handles an op.
     let before = handled_per_shard(&mut client);
-    let solve = r#"{"spec":"Greedy","k":4,"threads":1}"#;
+    let solve = r#"{"spec":"Greedy","k":4}"#;
     for _ in 0..3 {
         let (status, body) = client.post("/solve", solve).unwrap();
         assert_eq!(status, 200, "{body}");
@@ -322,7 +318,7 @@ fn stateless_requests_skip_the_shards() {
 
     // An open solves before dispatch; its shard only logs and adopts.
     let trace = "000000005e1f0002";
-    let open = r#"{"name":"s","spec":"Greedy","k":4,"threads":1}"#;
+    let open = r#"{"name":"s","spec":"Greedy","k":4}"#;
     assert_eq!(post_traced(&addr, "/sessions/s/open", open, trace), 200);
     let spans = spans_of(&mut client, trace);
     let (solve, service) = (span(&spans, "solve"), span(&spans, "service"));

@@ -48,7 +48,6 @@
 //!             name: "main".into(),
 //!             spec: SchedulerSpec::Greedy,
 //!             k: 6,
-//!             threads: 1,
 //!             instance: Default::default(),
 //!         },
 //!     )

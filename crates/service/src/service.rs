@@ -22,11 +22,10 @@ use std::sync::Arc;
 fn run_solver(
     inst: &Arc<SesInstance>,
     spec: SchedulerSpec,
-    threads: usize,
     k: usize,
 ) -> Result<ScheduleOutcome, ServiceError> {
     let mut span = ses_obs::span(ses_obs::Stage::Solve);
-    let outcome = registry::build_threaded(spec, threads).run(inst, k)?;
+    let outcome = registry::build(spec).run(inst, k)?;
     span.set_ops(outcome.stats.engine.as_ops());
     span.set_aux(outcome.stats.pops, outcome.stats.updates);
     Ok(outcome)
@@ -34,7 +33,7 @@ fn run_solver(
 
 /// Runs the requested algorithm on an instance (offline, stateless).
 pub fn solve(inst: &Arc<SesInstance>, req: &SolveRequest) -> Result<SolveResponse, ServiceError> {
-    let outcome = run_solver(inst, req.spec, req.threads, req.k)?;
+    let outcome = run_solver(inst, req.spec, req.k)?;
     Ok(SolveResponse::from_outcome(req.spec, &outcome))
 }
 
@@ -68,7 +67,7 @@ pub fn prepare_session(
     inst: &Arc<SesInstance>,
     open: &SessionOpen,
 ) -> Result<(OnlineSession, SolveResponse), ServiceError> {
-    let outcome = run_solver(inst, open.spec, open.threads, open.k)?;
+    let outcome = run_solver(inst, open.spec, open.k)?;
     let session = OnlineSession::new(inst, &outcome.schedule)?;
     Ok((session, SolveResponse::from_outcome(open.spec, &outcome)))
 }
@@ -324,7 +323,6 @@ mod tests {
                     name: name.to_owned(),
                     spec: SchedulerSpec::Greedy,
                     k,
-                    threads: 1,
                     instance: InstanceName::default(),
                 },
             )
@@ -339,7 +337,6 @@ mod tests {
             &SolveRequest {
                 spec: SchedulerSpec::Greedy,
                 k: 6,
-                threads: 1,
                 instance: InstanceName::default(),
             },
         )
@@ -361,7 +358,6 @@ mod tests {
             &SolveRequest {
                 spec: SchedulerSpec::Greedy,
                 k: 10_000,
-                threads: 1,
                 instance: InstanceName::default(),
             },
         )
@@ -380,7 +376,6 @@ mod tests {
             &SolveRequest {
                 spec: SchedulerSpec::Greedy,
                 k: 5,
-                threads: 1,
                 instance: InstanceName::default(),
             },
         )
@@ -436,7 +431,6 @@ mod tests {
                     name: "a".into(),
                     spec: SchedulerSpec::Greedy,
                     k: 2,
-                    threads: 1,
                     instance: InstanceName::default(),
                 },
             )

@@ -4,6 +4,8 @@
 //! Everything here is plain data — typed ids from `ses-core`, numbers and
 //! vectors — so requests can arrive as JSON, be logged, replayed, and
 //! round-tripped losslessly (see the crate's serde property tests).
+//! Decoding ignores fields a type does not name, so JSON carrying a retired
+//! field (older clients' and WAL records' `"threads"`) still decodes.
 
 use serde::{Deserialize, Serialize};
 use ses_core::{
@@ -82,12 +84,6 @@ pub struct SolveRequest {
     pub spec: SchedulerSpec,
     /// Number of events to schedule.
     pub k: usize,
-    /// Scoring threads for the greedy-family sweeps (`0`/`1` = serial;
-    /// parallel runs pick identical schedules — see
-    /// [`ses_core::registry::build_threaded`]). Defaults to `0` when absent
-    /// from the wire, so pre-`threads` request JSON still deserializes.
-    #[serde(default)]
-    pub threads: usize,
     /// The registered instance to solve over. Defaults to `"default"` when
     /// absent from the wire (pre-instance JSON compatibility).
     #[serde(default)]
@@ -172,10 +168,6 @@ pub struct SessionOpen {
     pub spec: SchedulerSpec,
     /// Initial schedule size.
     pub k: usize,
-    /// Scoring threads for the initial solve (`0`/`1` = serial). Defaults
-    /// to `0` when absent from the wire (pre-`threads` JSON compatibility).
-    #[serde(default)]
-    pub threads: usize,
     /// The registered instance the session schedules over. Defaults to
     /// `"default"` when absent from the wire.
     #[serde(default)]

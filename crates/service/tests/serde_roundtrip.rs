@@ -17,18 +17,36 @@ where
     serde_json::from_str(&json).expect("deserializes")
 }
 
-/// Requests recorded before the `threads` field existed must still
-/// deserialize (the field is `#[serde(default)]`, landing on 0 = serial).
+/// `value`'s JSON object with a retired `"threads": 4` field spliced in —
+/// the bytes older clients and WAL records written before the field was
+/// dropped still carry — decoded again.
+fn decode_with_retired_threads<T>(value: &T) -> T
+where
+    T: serde::Serialize + serde::Deserialize,
+{
+    let json = serde_json::to_string(value).expect("serializes");
+    let body = json.strip_prefix('{').expect("a JSON object");
+    serde_json::from_str(&format!(r#"{{"threads":4,{body}"#)).expect("deserializes")
+}
+
+/// Request JSON without a `threads` field and JSON that still sends the
+/// retired field (older clients, WAL records written while it existed)
+/// decode to the same value.
 #[test]
 fn pre_threads_request_json_still_deserializes() {
     let req: SolveRequest =
         serde_json::from_str(r#"{"spec":"Greedy","k":6}"#).expect("legacy SolveRequest parses");
     assert_eq!(req.k, 6);
-    assert_eq!(req.threads, 0, "missing threads defaults to serial");
+    let threaded: SolveRequest = serde_json::from_str(r#"{"spec":"Greedy","k":6,"threads":4}"#)
+        .expect("SolveRequest with threads parses");
+    assert_eq!(threaded, req, "threads is ignored");
     let open: SessionOpen = serde_json::from_str(r#"{"name":"main","spec":"Top","k":3}"#)
         .expect("legacy SessionOpen parses");
     assert_eq!(open.name, "main");
-    assert_eq!(open.threads, 0);
+    let threaded: SessionOpen =
+        serde_json::from_str(r#"{"name":"main","spec":"Top","k":3,"threads":4}"#)
+            .expect("SessionOpen with threads parses");
+    assert_eq!(threaded, open, "threads is ignored");
     // Likewise reports recorded before the `clock` field existed.
     let report: ses_service::SessionReport = serde_json::from_str(
         r#"{"name":"main","utility":1.5,"scheduled":2,"budget":8.0,"events_applied":3,
@@ -85,7 +103,6 @@ fn lazy_alias_specs_round_trip_like_grd_pq() {
         let req = SolveRequest {
             spec,
             k: 7,
-            threads: 2,
             instance: InstanceName::default(),
         };
         assert_eq!(roundtrip_json(&req), req, "alias {alias}");
@@ -168,10 +185,10 @@ proptest! {
         let req = SolveRequest {
             spec,
             k,
-            threads: k % 5,
             instance: InstanceName::new(format!("inst-{}", k % 7)),
         };
-        prop_assert_eq!(roundtrip_json(&req), req);
+        prop_assert_eq!(roundtrip_json(&req), req.clone());
+        prop_assert_eq!(decode_with_retired_threads(&req), req);
     }
 
     #[test]
@@ -180,10 +197,10 @@ proptest! {
             name: format!("tenant-{k}"),
             spec,
             k,
-            threads: k % 3,
             instance: InstanceName::new(format!("inst-{}", k % 4)),
         };
-        prop_assert_eq!(roundtrip_json(&open), open);
+        prop_assert_eq!(roundtrip_json(&open), open.clone());
+        prop_assert_eq!(decode_with_retired_threads(&open), open);
     }
 
     #[test]
