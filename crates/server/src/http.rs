@@ -256,6 +256,10 @@ pub fn write_response<W: Write>(
 /// [`write_response`] with extra response headers and an optional
 /// headers-only mode: a `HEAD` answer advertises the `Content-Length` the
 /// matching `GET` would carry but sends no body bytes (RFC 9110 §9.3.2).
+///
+/// The whole response is built in memory and handed to `writer` in one
+/// `write_all`: the server's sockets set `TCP_NODELAY`, so every separate
+/// write would leave as its own segment.
 pub fn write_response_ex<W: Write>(
     writer: &mut W,
     status: u16,
@@ -264,20 +268,24 @@ pub fn write_response_ex<W: Write>(
     extra_headers: &[(&str, &str)],
     head_only: bool,
 ) -> std::io::Result<()> {
+    use std::fmt::Write as _;
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        writer,
+    let mut out = String::with_capacity(160 + body.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         status_text(status),
         body.len(),
-    )?;
+    );
     for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    writer.write_all(b"\r\n")?;
+    out.push_str("\r\n");
     if !head_only {
-        writer.write_all(body.as_bytes())?;
+        out.push_str(body);
     }
+    writer.write_all(out.as_bytes())?;
     writer.flush()
 }
 
@@ -491,5 +499,62 @@ mod tests {
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("{\"ok\":true}"));
+    }
+
+    /// Keeps every byte and counts the `write` calls that delivered them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_with_unchanged_bytes() {
+        // Writes one 200 and checks it arrived whole, in one write call.
+        let check = |body: &str, keep_alive, headers: &[(&str, &str)], head_only, expected| {
+            let mut out = CountingWriter::default();
+            write_response_ex(&mut out, 200, body, keep_alive, headers, head_only).unwrap();
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+            assert_eq!(out.writes, 1, "{expected:?} took {} writes", out.writes);
+        };
+        let trace = ("x-ses-trace-id", "00000000000000ff");
+        check(
+            "{\"ok\":true}",
+            true,
+            &[trace],
+            false,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: keep-alive\r\nx-ses-trace-id: 00000000000000ff\r\n\r\n{\"ok\":true}",
+        );
+        // HEAD: the GET's Content-Length, no body bytes.
+        check(
+            "{\"ok\":true}",
+            false,
+            &[trace],
+            true,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: close\r\nx-ses-trace-id: 00000000000000ff\r\n\r\n",
+        );
+        check(
+            "{\"allow\":\"GET, HEAD, OPTIONS\"}",
+            true,
+            &[trace, ("Allow", "GET, HEAD, OPTIONS")],
+            false,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 30\r\n\
+             Connection: keep-alive\r\nx-ses-trace-id: 00000000000000ff\r\n\
+             Allow: GET, HEAD, OPTIONS\r\n\r\n{\"allow\":\"GET, HEAD, OPTIONS\"}",
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use ses_server::{
     serve, verify_replay, ErrorBody, HealthReport, HttpClient, InstancesReport, LoadgenConfig,
-    MetricsReport, ReplayConfig, ServerConfig,
+    MetricsReport, ReplayConfig, ServerConfig, TraceReport,
 };
 use ses_service::SessionReport;
 
@@ -403,6 +403,64 @@ fn slow_header_and_body_arrival_is_not_dropped() {
 }
 
 #[test]
+fn pipelined_requests_on_one_connection_are_answered_in_order() {
+    use std::io::{Read, Write};
+    let handle = test_server(1);
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // Both requests in one write: the second sits in the server's read
+    // buffer while the first is answered. The last one closes, so EOF
+    // marks the end of everything the server sent.
+    let body = r#"{"spec":"Greedy","k":2}"#;
+    let requests = format!(
+        "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n\
+         POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(requests.as_bytes()).unwrap();
+    let mut received = Vec::new();
+    stream.read_to_end(&mut received).unwrap();
+
+    // Frames one response off the front of `rest` by its Content-Length.
+    let next_response = |rest: &mut &[u8]| -> (String, String) {
+        let text = std::str::from_utf8(rest).unwrap();
+        let (head, tail) = text.split_once("\r\n\r\n").expect("a complete head");
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("Content-Length header")
+            .parse()
+            .unwrap();
+        let body = tail[..len].to_owned();
+        *rest = &rest[head.len() + 4 + len..];
+        (head.lines().next().unwrap().to_owned(), body)
+    };
+    let mut rest = &received[..];
+    let (status, health) = next_response(&mut rest);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let health: HealthReport = serde_json::from_str(&health).unwrap();
+    assert_eq!(health.status, "ok");
+    let (status, solved) = next_response(&mut rest);
+    assert_eq!(status, "HTTP/1.1 200 OK", "{solved}");
+    let solved: ses_service::SolveResponse = serde_json::from_str(&solved).unwrap();
+    assert_eq!(solved.scheduled(), 2);
+    assert!(
+        rest.is_empty(),
+        "stray bytes: {:?}",
+        String::from_utf8_lossy(rest)
+    );
+    handle.shutdown();
+}
+
+/// Whether the trace of `client`'s last response holds a span of `stage`.
+fn trace_has_stage(client: &mut HttpClient, stage: &str) -> bool {
+    let trace = client.last_trace_id().expect("trace id echoed").to_owned();
+    let (status, body) = client.get(&format!("/trace/{trace}")).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let report: TraceReport = serde_json::from_str(&body).unwrap();
+    report.spans.iter().any(|s| s.stage == stage)
+}
+
+#[test]
 fn packed_tenant_serves_requests_and_instances_endpoint_tracks_it() {
     // Pack a second universe to disk, boot the server with it registered.
     let packed = std::env::temp_dir().join("ses-http-it-tenant-b.sesstore");
@@ -433,13 +491,20 @@ fn packed_tenant_serves_requests_and_instances_endpoint_tracks_it() {
     assert!(!report.instances[1].loaded, "packed entry stays lazy");
     assert_eq!(report.instances[1].source, packed.display().to_string());
 
-    // First request naming the tenant cold-opens the file.
-    let (status, body) = client
-        .post("/solve", r#"{"spec":"Greedy","k":3,"instance":"tenant-b"}"#)
-        .unwrap();
+    // First request naming the tenant cold-opens the file, inside a
+    // `load` span of its trace; a later request finds it resident.
+    let tenant_solve = r#"{"spec":"Greedy","k":3,"instance":"tenant-b"}"#;
+    let (status, body) = client.post("/solve", tenant_solve).unwrap();
     assert_eq!(status, 200, "{body}");
     let solved: ses_service::SolveResponse = serde_json::from_str(&body).unwrap();
     assert_eq!(solved.scheduled(), 3);
+    assert!(trace_has_stage(&mut client, "load"), "cold open is a span");
+    let (status, body) = client.post("/solve", tenant_solve).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        !trace_has_stage(&mut client, "load"),
+        "warm get loads nothing"
+    );
     let (_, body) = client.get("/instances").unwrap();
     let report: InstancesReport = serde_json::from_str(&body).unwrap();
     let b = report

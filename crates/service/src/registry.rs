@@ -125,7 +125,10 @@ impl InstanceRegistry {
                 known: self.names(),
             }),
             InstanceSource::Packed(path) => {
-                let inst = store::open_path(path).map_err(ses_core::Error::Store)?;
+                let inst = {
+                    let _span = ses_obs::span(ses_obs::Stage::Load);
+                    store::open_path(path).map_err(ses_core::Error::Store)?
+                };
                 *cell = Some(Arc::clone(&inst));
                 Ok(inst)
             }
