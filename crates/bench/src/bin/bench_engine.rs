@@ -5,11 +5,8 @@
 //! records the blocked layout's resident bytes and slot counts per cell —
 //! all written as `BENCH_engine.json` at the repo root.
 //!
-//! ```text
-//! cargo run --release -p ses-bench --bin bench_engine -- \
-//!     [--users N] [--seed S] [--smoke] [--check] \
-//!     [--committed PATH] [--out PATH]
-//! ```
+//! `cargo run --release -p ses-bench --bin bench_engine -- --help` lists
+//! the options.
 //!
 //! Per cell the report carries utility, wall-clock millis, the
 //! hardware-independent `score_evaluations` / `posting_visits` counters and
@@ -30,6 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use ses_bench::baseline::greedy_hashmap;
+use ses_cli::args::{self, Command, Opt, ParsedArgs};
 use ses_core::{evaluate_schedule, registry, SchedulerSpec};
 use ses_datagen::pipeline::build_instance;
 use ses_datagen::sweep::k_sweep;
@@ -223,90 +221,20 @@ struct EngineReport {
     store: Vec<StoreColdOpen>,
 }
 
-struct Args {
-    users: usize,
-    seed: u64,
-    smoke: bool,
-    check: bool,
-    /// Run the sweep inside an active trace scope and, under `--check`,
-    /// demand *bit-identical* counters and utility against the committed
-    /// reference — the tracing-overhead gate: span recording must never
-    /// change what the engine computes, only observe it.
-    spans: bool,
-    committed: String,
-    out: Option<String>,
-}
-
-impl Args {
-    /// `--out` if given; otherwise the committed trajectory file for full
-    /// runs, and a temp path for `--smoke`/`--check` — so the documented CI
-    /// invocations can never clobber the committed `BENCH_engine.json`
-    /// with throwaway numbers.
-    fn out_path(&self) -> String {
-        match (&self.out, self.smoke || self.check) {
-            (Some(path), _) => path.clone(),
-            (None, false) => "BENCH_engine.json".to_owned(),
-            (None, true) => std::env::temp_dir()
-                .join("BENCH_engine_smoke.json")
-                .to_string_lossy()
-                .into_owned(),
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        users: 3000,
-        seed: 0,
-        smoke: false,
-        check: false,
-        spans: false,
-        committed: "BENCH_engine.json".to_owned(),
-        out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--users" => {
-                args.users = it
-                    .next()
-                    .ok_or("--users needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--users: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--smoke" => args.smoke = true,
-            "--check" => args.check = true,
-            "--spans" => args.spans = true,
-            "--committed" => args.committed = it.next().ok_or("--committed needs a path")?,
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--help" | "-h" => {
-                println!(
-                    "bench_engine — record/gate the engine perf trajectory (BENCH_engine.json)\n\
-                     options: --users N | --seed S | --smoke | --check \
-                     | --spans | --committed PATH | --out PATH\n\
-                     --check re-runs the smoke sweep and fails if counters regress >10% \
-                     against the committed BENCH_engine.json\n\
-                     --spans runs the sweep inside an active trace scope; with --check the \
-                     gate tightens to bit-identical counters and utility (tracing overhead \
-                     must be observational only)"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if args.smoke || args.check {
-        args.users = args.users.min(SMOKE_USERS);
-    }
-    Ok(args)
-}
+const BENCH_ENGINE: Command = Command {
+    name: "bench_engine",
+    about: "record/gate the engine perf trajectory (BENCH_engine.json)",
+    options: &[
+        Opt::value("users", "N", "3000", ""),
+        Opt::value("seed", "S", "0", ""),
+        Opt::flag("smoke", "(the small CI sweep, ungated)"),
+        Opt::flag("check", "(re-run the smoke sweep; fail if counters regress >10%\nagainst the committed BENCH_engine.json)"),
+        Opt::flag("spans", "(run the sweep inside an active trace scope; with --check\nthe gate tightens to bit-identical counters and utility)"),
+        Opt::value("committed", "PATH", "BENCH_engine.json", "(the reference --check reads)"),
+        Opt::optional("out", "PATH", "(default: BENCH_engine.json; a temp file under --smoke\nor --check)"),
+    ],
+    ..Command::EMPTY
+};
 
 /// Runs the GRD + GRD-PQ sweep over `k_values` on a fresh dataset of
 /// `users` members; every cell's Ω is verified against the
@@ -674,47 +602,45 @@ fn measure_store_profile(
     })
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_engine: {e}");
-            return ExitCode::FAILURE;
-        }
+fn run(args: &ParsedArgs) -> Result<(), String> {
+    let check = args.given("check");
+    let smoke = check || args.given("smoke");
+    // Under `--check`, `--spans` also demands *bit-identical* counters and
+    // utility against the committed reference — the tracing-overhead gate:
+    // span recording must never change what the engine computes.
+    let spans = args.given("spans");
+    let users: usize = args.get("users")?;
+    let users = if smoke { users.min(SMOKE_USERS) } else { users };
+    let seed: u64 = args.get("seed")?;
+    let committed: String = args.get("committed")?;
+    // A temp path for `--smoke`/`--check` unless `--out` says otherwise, so
+    // the documented CI invocations can never clobber the committed
+    // `BENCH_engine.json` with throwaway numbers.
+    let out = match args.get_opt("out")? {
+        Some(path) => path,
+        None if smoke => std::env::temp_dir()
+            .join("BENCH_engine_smoke.json")
+            .to_string_lossy()
+            .into_owned(),
+        None => "BENCH_engine.json".to_owned(),
     };
 
-    let k_values: &[usize] = if args.smoke || args.check {
-        SMOKE_KS
-    } else {
-        &[100, 300, 500]
-    };
+    let k_values: &[usize] = if smoke { SMOKE_KS } else { &[100, 300, 500] };
 
     // `--spans` runs the sweep under an active trace scope so every engine
     // span is recorded with a live trace id — the worst case for the
     // recording path. Spans themselves are always on; the scope only makes
     // them attributable (and thus collectable).
-    let trace = args.spans.then(ses_obs::TraceId::generate);
-    let (users_axis, users_axis_k): (&[usize], usize) = if args.smoke || args.check {
+    let trace = spans.then(ses_obs::TraceId::generate);
+    let (users_axis, users_axis_k): (&[usize], usize) = if smoke {
         (SMOKE_USERS_AXIS, SMOKE_USERS_AXIS_K)
     } else {
         (USERS_AXIS, USERS_AXIS_K)
     };
     let cells = {
         let _scope = trace.map(ses_obs::trace_scope);
-        let mut cells = match build_cells(args.users, args.seed, k_values) {
-            Ok(cells) => cells,
-            Err(e) => {
-                eprintln!("bench_engine: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match build_users_cells(users_axis, users_axis_k, args.seed) {
-            Ok(users_cells) => cells.extend(users_cells),
-            Err(e) => {
-                eprintln!("bench_engine: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let mut cells = build_cells(users, seed, k_values)?;
+        cells.extend(build_users_cells(users_axis, users_axis_k, seed)?);
         cells
     };
     if let Some(id) = trace {
@@ -726,38 +652,29 @@ fn main() -> ExitCode {
 
     // Full runs re-measure the CI smoke sweep too, so the committed file
     // always carries the reference counters `--check` gates against.
-    let smoke_reference = if args.smoke || args.check {
+    let smoke_reference = if smoke {
         None
     } else {
         eprintln!("[bench_engine] recording the smoke-sweep reference counters");
-        let smoke_cells =
-            build_cells(args.users.min(SMOKE_USERS), args.seed, SMOKE_KS).and_then(|mut cells| {
-                cells.extend(build_users_cells(
-                    SMOKE_USERS_AXIS,
-                    SMOKE_USERS_AXIS_K,
-                    args.seed,
-                )?);
-                Ok(cells)
-            });
-        match smoke_cells {
-            Ok(cells) => Some(SmokeReference {
-                users: args.users.min(SMOKE_USERS),
-                seed: args.seed,
-                cells,
-            }),
-            Err(e) => {
-                eprintln!("bench_engine: smoke reference failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let smoke_users = users.min(SMOKE_USERS);
+        let mut cells = build_cells(smoke_users, seed, SMOKE_KS)
+            .map_err(|e| format!("smoke reference failed: {e}"))?;
+        cells.extend(
+            build_users_cells(SMOKE_USERS_AXIS, SMOKE_USERS_AXIS_K, seed)
+                .map_err(|e| format!("smoke reference failed: {e}"))?,
+        );
+        Some(SmokeReference {
+            users: smoke_users,
+            seed,
+            cells,
+        })
     };
 
     // Full runs also measure the packed store's cold-open rows; a bit
     // mismatch is a correctness failure, not a perf number.
-    let store = if args.smoke || args.check {
+    let store = if smoke {
         Vec::new()
     } else {
-        let seed = args.seed;
         type UniverseBuilder = Box<dyn Fn() -> std::sync::Arc<ses_core::SesInstance>>;
         let profiles: [(&str, usize, UniverseBuilder); 2] = [
             (
@@ -792,35 +709,27 @@ fn main() -> ExitCode {
             eprintln!(
                 "[bench_engine] measuring pack→cold-open on the {users}-user {profile} universe"
             );
-            match measure_store_profile(
+            let row = measure_store_profile(
                 profile,
                 *users,
                 STORE_COLD_OPEN_EVENTS,
                 STORE_COLD_OPEN_INTERVALS,
                 seed,
                 build.as_ref(),
-            ) {
-                Ok(row) => {
-                    if !row.omega_bits_match || !row.memory_stats_match {
-                        eprintln!(
-                            "bench_engine: {profile} cold-open is not bit-exact \
-                             (Ω match {}, memory match {})",
-                            row.omega_bits_match, row.memory_stats_match
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!(
-                        "[bench_engine] {profile}: cold-open {:.1} ms vs rebuild {:.1} ms \
-                         ({:.1}x, {} packed bytes, min of {STORE_TIMING_ROUNDS} rounds)",
-                        row.cold_open_millis, row.rebuild_millis, row.speedup, row.packed_bytes
-                    );
-                    rows.push(row);
-                }
-                Err(e) => {
-                    eprintln!("bench_engine: {profile} store cold-open failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+            )
+            .map_err(|e| format!("{profile} store cold-open failed: {e}"))?;
+            if !row.omega_bits_match || !row.memory_stats_match {
+                return Err(format!(
+                    "{profile} cold-open is not bit-exact (Ω match {}, memory match {})",
+                    row.omega_bits_match, row.memory_stats_match
+                ));
             }
+            eprintln!(
+                "[bench_engine] {profile}: cold-open {:.1} ms vs rebuild {:.1} ms \
+                 ({:.1}x, {} packed bytes, min of {STORE_TIMING_ROUNDS} rounds)",
+                row.cold_open_millis, row.rebuild_millis, row.speedup, row.packed_bytes
+            );
+            rows.push(row);
         }
         rows
     };
@@ -847,22 +756,18 @@ fn main() -> ExitCode {
     };
     let report = EngineReport {
         generator: "ses-bench bench_engine (GRD + GRD-PQ lazy, Fig. 1 k sweep)".to_owned(),
-        users: args.users,
-        seed: args.seed,
+        users,
+        seed,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        smoke: args.smoke || args.check,
+        smoke,
         cells,
         largest_cell_speedup,
         lazy_eval_ratio_at_max_k,
         smoke_reference,
         store,
     };
-    let out = args.out_path();
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("bench_engine: failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&out, json).map_err(|e| format!("failed to write {out}: {e}"))?;
     let speedup_summary = report
         .largest_cell_speedup
         .iter()
@@ -876,47 +781,36 @@ fn main() -> ExitCode {
         lazy_eval_ratio_at_max_k
     );
 
-    if args.check {
-        let committed: EngineReport = match std::fs::read_to_string(&args.committed)
-            .map_err(|e| format!("cannot read {}: {e}", args.committed))
-            .and_then(|text| {
-                serde_json::from_str(&text)
-                    .map_err(|e| format!("cannot parse {}: {e}", args.committed))
-            }) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_engine --check: {e}");
-                return ExitCode::FAILURE;
-            }
+    if check {
+        let text = std::fs::read_to_string(&committed)
+            .map_err(|e| format!("--check: cannot read {committed}: {e}"))?;
+        let reference: EngineReport = serde_json::from_str(&text)
+            .map_err(|e| format!("--check: cannot parse {committed}: {e}"))?;
+        let Some(reference) = reference.smoke_reference.as_ref() else {
+            return Err(format!(
+                "--check: {committed} has no smoke_reference section — \
+                 regenerate it with a full run"
+            ));
         };
-        let Some(reference) = committed.smoke_reference.as_ref() else {
-            eprintln!(
-                "bench_engine --check: {} has no smoke_reference section — \
-                 regenerate it with a full run",
-                args.committed
-            );
-            return ExitCode::FAILURE;
-        };
-        if reference.users != args.users || reference.seed != args.seed {
-            eprintln!(
-                "bench_engine --check: reference was recorded at users={} seed={}, \
-                 this run used users={} seed={}",
-                reference.users, reference.seed, args.users, args.seed
-            );
-            return ExitCode::FAILURE;
+        if reference.users != users || reference.seed != seed {
+            return Err(format!(
+                "--check: reference was recorded at users={} seed={}, \
+                 this run used users={users} seed={seed}",
+                reference.users, reference.seed
+            ));
         }
         let mut violations = check_against_reference(&report.cells, reference);
-        if args.spans {
+        if spans {
             violations.extend(check_bit_identical(&report.cells, reference));
         }
         if !violations.is_empty() {
-            eprintln!("bench_engine --check: perf regression gate FAILED:");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            return ExitCode::FAILURE;
+            let lines: Vec<String> = violations.iter().map(|v| format!("  - {v}")).collect();
+            return Err(format!(
+                "--check: perf regression gate FAILED:\n{}",
+                lines.join("\n")
+            ));
         }
-        if args.spans {
+        if spans {
             eprintln!(
                 "[bench_engine] --check --spans passed: {} cells bit-identical to the \
                  committed counters with tracing active",
@@ -930,5 +824,26 @@ fn main() -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    args::main(&BENCH_ENGINE, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use ses_cli::args::{parse_options, ArgsError};
+
+    #[test]
+    fn the_table_rejects_an_unknown_flag() {
+        let args = ["--smoke".to_owned(), "--bogus".to_owned()];
+        assert_eq!(
+            parse_options(&super::BENCH_ENGINE, &args).unwrap_err(),
+            ArgsError::Unknown {
+                command: "bench_engine",
+                option: "bogus".to_owned()
+            }
+        );
+    }
 }

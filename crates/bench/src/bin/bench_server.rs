@@ -5,17 +5,14 @@
 //! `/metrics` histograms, and the digest verdict — as `BENCH_server.json`
 //! at the repo root.
 //!
-//! ```text
-//! cargo run --release -p ses-bench --bin bench_server -- \
-//!     [--clients N] [--requests N] [--shards N] [--seed S] \
-//!     [--smoke] [--out PATH]
-//! ```
-//!
-//! `--smoke` shrinks the run for CI (and, like `bench_engine --smoke`,
-//! defaults its output to a temp path so throwaway numbers cannot clobber
-//! the committed report). Exit status is non-zero when any request
+//! `cargo run --release -p ses-bench --bin bench_server -- --help` lists
+//! the options. `--smoke` shrinks the run for CI (and, like
+//! `bench_engine --smoke`, defaults its output to a temp file of its own, so
+//! throwaway numbers clobber neither the committed report nor another CI
+//! step's output). Exit status is non-zero when any request
 //! answered non-2xx or the replay digests diverge, so CI can gate on it.
 
+use ses_cli::args::{self, Command, Opt, ParsedArgs};
 use ses_server::{
     serve, verify_replay, DurabilityRow, FsyncPolicy, HttpClient, LoadgenConfig, ReplayConfig,
     ServerBenchReport, ServerConfig,
@@ -29,33 +26,42 @@ const TENANT_USERS: usize = 5_000;
 const TENANT_EVENTS: usize = 120;
 const TENANT_INTERVALS: usize = 48;
 
-/// Where full runs land (the committed report).
-const DEFAULT_OUT: &str = "BENCH_server.json";
-/// Where smoke runs land unless `--out` says otherwise.
-const SMOKE_OUT: &str = "/tmp/BENCH_server_smoke.json";
+const BENCH_SERVER: Command = Command {
+    name: "bench_server",
+    about: "record the serving-stack perf trajectory (BENCH_server.json)",
+    options: &[
+        Opt::optional("clients", "N", "(8; 4 under --smoke)"),
+        Opt::optional("requests", "N", "(2000; 300 under --smoke)"),
+        Opt::value("shards", "N", "4", ""),
+        Opt::value("seed", "S", "0", ""),
+        Opt::flag("smoke", "(a shrunk run for CI)"),
+        Opt::optional(
+            "out",
+            "PATH",
+            "(default: BENCH_server.json; a temp file under --smoke)",
+        ),
+    ],
+    ..Command::EMPTY
+};
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
-    match arg_value(args, key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad value for {key}: {v:?}")),
-    }
-}
-
-fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let clients: usize = parse_or(&args, "--clients", if smoke { 4 } else { 8 })?;
-    let requests: u64 = parse_or(&args, "--requests", if smoke { 300 } else { 2000 })?;
-    let shards: usize = parse_or(&args, "--shards", 4)?;
-    let seed: u64 = parse_or(&args, "--seed", 0)?;
-    let out = arg_value(&args, "--out")
-        .unwrap_or_else(|| (if smoke { SMOKE_OUT } else { DEFAULT_OUT }).to_owned());
+fn run(args: &ParsedArgs) -> Result<(), String> {
+    let smoke = args.given("smoke");
+    let clients: usize = args
+        .get_opt("clients")?
+        .unwrap_or(if smoke { 4 } else { 8 });
+    let requests: u64 = args
+        .get_opt("requests")?
+        .unwrap_or(if smoke { 300 } else { 2000 });
+    let shards: usize = args.get("shards")?;
+    let seed: u64 = args.get("seed")?;
+    let out = match args.get_opt("out")? {
+        Some(path) => path,
+        None if smoke => std::env::temp_dir()
+            .join("bench_server_smoke.json")
+            .to_string_lossy()
+            .into_owned(),
+        None => "BENCH_server.json".to_owned(),
+    };
 
     // Pack a second tenant so the loadgen splits clients across two
     // universes — the per-instance rows below are the committed evidence
@@ -165,7 +171,10 @@ fn run() -> Result<bool, String> {
 
     handle.shutdown();
     let _ = std::fs::remove_file(&tenant_path);
-    Ok(healthy)
+    if !healthy {
+        return Err("FAILED (non-2xx responses or digest mismatch)".to_owned());
+    }
+    Ok(())
 }
 
 /// Measures the durability cost curve: for each fsync policy, a fresh
@@ -238,15 +247,22 @@ fn durability_sweep(smoke: bool, shards: usize, seed: u64) -> Result<Vec<Durabil
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => {
-            eprintln!("bench_server: FAILED (non-2xx responses or digest mismatch)");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("bench_server: {e}");
-            ExitCode::FAILURE
-        }
+    args::main(&BENCH_SERVER, run)
+}
+
+#[cfg(test)]
+mod tests {
+    use ses_cli::args::{parse_options, ArgsError};
+
+    #[test]
+    fn the_table_rejects_an_unknown_flag() {
+        let args = ["--smoke".to_owned(), "--bogus".to_owned()];
+        assert_eq!(
+            parse_options(&super::BENCH_SERVER, &args).unwrap_err(),
+            ArgsError::Unknown {
+                command: "bench_server",
+                option: "bogus".to_owned()
+            }
+        );
     }
 }

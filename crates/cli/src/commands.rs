@@ -6,7 +6,7 @@
 //! and algorithm names are resolved by the core registry
 //! ([`ses_core::SchedulerSpec`]), never string-matched here.
 
-use crate::args::ParsedArgs;
+use crate::args::{self, Command, Opt, ParsedArgs};
 use serde::Serialize;
 use ses_core::{schedule_metrics, SchedulerSpec};
 use ses_datagen::paper::{PaperConfig, SigmaMode};
@@ -78,99 +78,208 @@ impl Write for Stdout {
     }
 }
 
-/// Help text for `ses help`.
-pub const HELP: &str = "\
-ses — social event scheduling (ICDE 2018 reproduction)
+/// Every `ses` command and the options it declares: [`crate::args::parse`]
+/// checks each command line against this table, and [`help`] renders it.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        about: "generate a Meetup-like EBSN dataset and save it as JSON",
+        options: &[
+            Opt::value("members", "N", "3000", ""),
+            Opt::optional("events", "N", "(auto)"),
+            Opt::optional("groups", "N", "(auto)"),
+            Opt::value("weeks", "W", "52", ""),
+            Opt::value("seed", "S", "0", ""),
+            Opt::optional("out", "PATH", "(required)"),
+        ],
+        ..Command::EMPTY
+    },
+    Command {
+        name: "analyze",
+        about: "print dataset statistics (overlap, sparsity, group sizes)",
+        options: &[Opt::optional("dataset", "PATH", "(required)")],
+        ..Command::EMPTY
+    },
+    Command {
+        name: "solve",
+        aliases: &["schedule"],
+        about: "build the paper's instance from a dataset and schedule it",
+        options: &[
+            Opt::optional("dataset", "PATH", "(required unless --instance)"),
+            Opt::value("k", "K", "100", ""),
+            Opt::value("t-factor", "F", "1.5", ""),
+            Opt::value("algo", "GRD|GRD-PQ|TOP|RAND|LS|SA|EXACT", "GRD", "(GRD-PQ is the CELF lazy greedy; aliases LAZY, CELF)"),
+            Opt::value("seed", "S", "0", ""),
+            Opt::flag("checkins", "(σ from check-ins)"),
+            FORMAT,
+            Opt::optional("out", "PATH", "(write the schedule as JSON)"),
+            Opt::optional("instance", "PATH", "(schedule a packed universe from `ses pack`\ninstead of building one from a dataset)")
+                .excludes(&["dataset", "t-factor", "checkins"]),
+            Opt::flag("trace", "(print the span timeline of the solve afterwards)"),
+        ],
+        ..Command::EMPTY
+    },
+    Command {
+        name: "pack",
+        about: "build a synthetic universe and write it as a packed instance",
+        options: &[
+            Opt::value("profile", "sparse|workload", "sparse", ""),
+            Opt::optional("out", "PATH", "(required)"),
+            Opt::value("users", "N", "10000", ""),
+            Opt::value("events", "N", "200", ""),
+            Opt::value("intervals", "N", "48", ""),
+            Opt::value("interests", "N", "8", "(sparse: candidate postings per user)"),
+            Opt::value("active", "N", "6", "(sparse: active intervals per user)"),
+            Opt::value("seed", "S", "0", ""),
+        ],
+        notes: "the output cold-opens via --instance flags and `ses serve`",
+        ..Command::EMPTY
+    },
+    Command {
+        name: "quality",
+        about: "compare every heuristic spec against the exact optimum on small\n\
+                instances (mean and worst utility ratio)",
+        options: &[Opt::value("instances", "N", "20", ""), Opt::value("k", "K", "4", "")],
+        ..Command::EMPTY
+    },
+    Command {
+        name: "simulate",
+        about: "replay a disruption workload against the online scheduler",
+        options: &[
+            Opt::value("scenario", "steady|flash-crowd|adversarial|seasonal", "steady", ""),
+            Opt::value("steps", "N", "10000", ""),
+            Opt::value("seed", "S", "0", ""),
+            Opt::value("users", "N", "400", ""),
+            Opt::value("events", "N", "60", ""),
+            Opt::value("intervals", "N", "24", ""),
+            Opt::value("k", "K", "20", ""),
+            Opt::value("algo", "SPEC", "GRD", ""),
+            FORMAT,
+            Opt::value("holdback", "F", "0.3", "(fraction of candidates arriving late)"),
+            Opt::optional("instance", "PATH", "(simulate over a packed universe instead of\nthe generated workload instance)")
+                .excludes(&["users", "events", "intervals"]),
+            Opt::flag("trace", "(print the span timeline of the second run afterwards)"),
+        ],
+        notes: "runs the stream twice and verifies the traces are identical",
+        ..Command::EMPTY
+    },
+    Command {
+        name: "serve",
+        about: "serve the scheduler over HTTP (see DESIGN.md §8–9, §12)",
+        options: &[
+            ADDR,
+            Opt::value("shards", "N", "4", "(sessions hash onto N mutex-guarded shards; session ops\nrun on their connection thread under the shard's lock;\nN also caps concurrent solves, evals and opens)"),
+            Opt::value("io-threads", "N", "8", ""),
+            Opt::value("max-body", "BYTES", "1048576", ""),
+            Opt::value("users", "N", "400", ""),
+            Opt::value("events", "N", "60", ""),
+            Opt::value("intervals", "N", "24", ""),
+            Opt::value("seed", "S", "0", ""),
+            Opt::optional("instance", "NAME=PATH", "(register a packed instance under NAME;\nrepeatable; loaded lazily on first use)"),
+            Opt::value("log-level", "error|warn|info|debug", "info", ""),
+            Opt::flag("log-json", ""),
+            Opt::value("slow-ms", "MILLIS", "250", "(slow requests log their span timeline)"),
+            Opt::optional("wal-dir", "DIR", "(per-shard write-ahead log: sessions survive\nkill -9, recovered by replay on next boot;\nunlocks live migration via POST /admin/rebalance)"),
+            Opt::value("fsync", "per-record|interval[:ms]|off", "interval:25", "(needs --wal-dir;\noff still syncs snapshots and segment seals)"),
+            Opt::value("snapshot-every", "N", "64", "(events between session snapshot\nrecords, always fsynced; 0 = never; a\nsegment roll also re-snapshots quiet sessions)"),
+        ],
+        notes: "endpoints: POST /solve /eval /sessions/{name}/open|event|report|close\n\
+                \x20          POST /admin/rebalance (durable servers)\n\
+                \x20          GET /healthz /metrics /trace/{id} /instances\n\
+                \x20          stop with SIGTERM/ctrl-c",
+        ..Command::EMPTY
+    },
+    Command {
+        name: "instances",
+        about: "list the instance registry of a running server",
+        options: &[ADDR, FORMAT],
+        ..Command::EMPTY
+    },
+    Command {
+        name: "top",
+        about: "live per-shard / per-endpoint dashboard of a running server",
+        options: &[
+            ADDR,
+            Opt::value("interval", "MILLIS", "1000", ""),
+            Opt::flag("once", "(print a single frame and exit; no screen clearing)"),
+        ],
+        ..Command::EMPTY
+    },
+    Command {
+        name: "loadgen",
+        about: "drive a running server with concurrent closed-loop clients",
+        options: &[
+            ADDR,
+            Opt::value("clients", "N", "8", ""),
+            Opt::value("requests", "N", "2000", "(per client)"),
+            Opt::value("solve-fraction", "F", "0.02", ""),
+            Opt::value("solve-k", "K", "8", ""),
+            Opt::value("k", "K", "12", ""),
+            Opt::value("algo", "SPEC", "GRD", ""),
+            Opt::value("seed", "S", "0", ""),
+            Opt::value("instance", "NAME", "default", "(repeatable; clients round-robin across the\nnamed instances — per-instance latency in\nthe report)"),
+            Opt::value("verify-steps", "N", "200", "(0 skips the sim-digest replay check)"),
+            Opt::value("scenario", "NAME", "flash-crowd", ""),
+            Opt::value("holdback", "F", "0.3", ""),
+            FORMAT,
+            Opt::optional("out", "PATH", "(write the report)"),
+            Opt::flag("strict", "(exit non-zero on any non-2xx or digest mismatch)"),
+        ],
+        notes: "against a durable server the summary adds a durability\n\
+                section: durable acks + server-side append/fsync latencies",
+        ..Command::EMPTY
+    },
+    Command {
+        name: "wal inspect",
+        about: "offline WAL tooling (no server needed)",
+        options: &[
+            Opt::optional("dir", "DIR", "(required; a server's --wal-dir)"),
+            Opt::flag("records", "(list every record, snapshots included: kind,\nLSN, session)"),
+            FORMAT,
+        ],
+        ..Command::EMPTY
+    },
+    Command {
+        name: "help",
+        aliases: &["--help", "-h"],
+        about: "show this message",
+        ..Command::EMPTY
+    },
+];
 
-USAGE:
-    ses <SUBCOMMAND> [OPTIONS]
+const ADDR: Opt = Opt::value("addr", "A", "127.0.0.1:7878", "");
+const FORMAT: Opt = Opt::value("format", "text|json", "text", "");
 
-SUBCOMMANDS:
-    generate    generate a Meetup-like EBSN dataset and save it as JSON
-                  --members N (3000)  --events N (auto)  --groups N (auto)
-                  --weeks W (52)      --seed S (0)       --out PATH (required)
-    analyze     print dataset statistics (overlap, sparsity, group sizes)
-                  --dataset PATH (required)
-    solve       build the paper's instance from a dataset and schedule it
-      (alias:     --dataset PATH (required unless --instance)   --k K (100)
-      schedule)   --t-factor F (1.5)          --algo GRD|GRD-PQ|TOP|RAND|LS|SA|EXACT (GRD)
-                  (GRD-PQ is the CELF lazy greedy; aliases LAZY, CELF)
-                  --seed S (0)                --checkins  (σ from check-ins)
-                  --format text|json (text)   --out PATH  (write the schedule as JSON)
-                  --instance PATH  (schedule a packed universe from `ses pack`
-                                    instead of building one from a dataset)
-                  --trace  (print the span timeline of the solve afterwards)
-    pack        build a synthetic universe and write it as a packed instance
-                  --profile sparse|workload (sparse)  --out PATH (required)
-                  --users N (10000)  --events N (200)  --intervals N (48)
-                  --interests N (8; sparse: candidate postings per user)
-                  --active N (6; sparse: active intervals per user)
-                  --seed S (0)
-                  the output cold-opens via --instance flags and `ses serve`
-    quality     compare every heuristic spec against the exact optimum on small
-                instances (mean and worst utility ratio)
-                  --instances N (20)  --k K (4)
-    simulate    replay a disruption workload against the online scheduler
-                  --scenario steady|flash-crowd|adversarial|seasonal (steady)
-                  --steps N (10000)     --seed S (0)
-                  --users N (400)       --events N (60)
-                  --intervals N (24)    --k K (20)
-                  --algo SPEC (GRD)     --format text|json (text)
-                  --holdback F (0.3)    (fraction of candidates arriving late)
-                  --instance PATH  (simulate over a packed universe instead of
-                                    the generated workload instance)
-                  --trace  (print the span timeline of the second run afterwards)
-                  runs the stream twice and verifies the traces are identical
-    serve       serve the scheduler over HTTP (see DESIGN.md §8–9, §12)
-                  --addr A (127.0.0.1:7878)  --shards N (4)
-                  (sessions hash onto N mutex-guarded shards; session ops
-                   run on their connection thread under the shard's lock;
-                   N also caps concurrent solves, evals and opens)
-                  --io-threads N (8)         --max-body BYTES (1048576)
-                  --users N (400)   --events N (60)
-                  --intervals N (24) --seed S (0)
-                  --instance NAME=PATH  (register a packed instance under NAME;
-                                         repeatable; loaded lazily on first use)
-                  --log-level error|warn|info|debug (info)  --log-json
-                  --slow-ms MILLIS (250; slow requests log their span timeline)
-                  --wal-dir DIR  (per-shard write-ahead log: sessions survive
-                                  kill -9, recovered by replay on next boot;
-                                  unlocks live migration via POST /admin/rebalance)
-                  --fsync per-record|interval[:ms]|off (interval:25; needs --wal-dir;
-                                      off still syncs snapshots and segment seals)
-                  --snapshot-every N (64; events between session snapshot
-                                      records, always fsynced; 0 = never; a
-                                      segment roll also re-snapshots quiet sessions)
-                  endpoints: POST /solve /eval /sessions/{name}/open|event|report|close
-                             POST /admin/rebalance (durable servers)
-                             GET /healthz /metrics /trace/{id} /instances
-                             stop with SIGTERM/ctrl-c
-    instances   list the instance registry of a running server
-                  --addr A (127.0.0.1:7878)  --format text|json (text)
-    top         live per-shard / per-endpoint dashboard of a running server
-                  --addr A (127.0.0.1:7878)  --interval MILLIS (1000)
-                  --once  (print a single frame and exit; no screen clearing)
-    loadgen     drive a running server with concurrent closed-loop clients
-                  --addr A (127.0.0.1:7878)  --clients N (8)
-                  --requests N (2000 per client)
-                  --solve-fraction F (0.02)  --solve-k K (8)
-                  --k K (12)        --algo SPEC (GRD)   --seed S (0)
-                  --instance NAME  (repeatable; clients round-robin across the
-                                    named instances — per-instance latency in
-                                    the report; default: just \"default\")
-                  --verify-steps N (200; 0 skips the sim-digest replay check)
-                  --scenario NAME (flash-crowd)  --holdback F (0.3)
-                  --format text|json (text)      --out PATH (write the report)
-                  --strict  (exit non-zero on any non-2xx or digest mismatch)
-                  against a durable server the summary adds a durability
-                  section: durable acks + server-side append/fsync latencies
-    wal         offline WAL tooling (no server needed)
-        inspect   --dir DIR (required; a server's --wal-dir)
-                  --records (list every record, snapshots included: kind,
-                             LSN, session)
-                  --format text|json (text)
-    help        show this message
-";
+/// Runs the command `args` was checked against.
+pub fn run(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
+    let command = match args.command.name {
+        "generate" => generate,
+        "analyze" => analyze,
+        "solve" => solve,
+        "pack" => pack,
+        "quality" => quality,
+        "simulate" => simulate,
+        "serve" => serve,
+        "instances" => instances,
+        "top" => top,
+        "loadgen" => loadgen,
+        "wal inspect" => wal_inspect,
+        "help" => help,
+        other => unreachable!("`{other}` is declared but has no handler"),
+    };
+    command(args, out)
+}
+
+/// `ses help`
+pub fn help(_: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
+    write!(
+        out,
+        "ses — social event scheduling (ICDE 2018 reproduction)\n\n\
+         USAGE:\n    ses <SUBCOMMAND> [OPTIONS]\n\nSUBCOMMANDS:\n{}",
+        args::help(COMMANDS)
+    )
+    .map_err(output_error)
+}
 
 /// The output format of a subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,10 +289,10 @@ enum Format {
 }
 
 fn format_of(args: &ParsedArgs) -> Result<Format, String> {
-    match args.options.get("format").map(String::as_str) {
-        None | Some("text") => Ok(Format::Text),
-        Some("json") => Ok(Format::Json),
-        Some(other) => Err(format!(
+    match args.require("format")? {
+        "text" => Ok(Format::Text),
+        "json" => Ok(Format::Json),
+        other => Err(format!(
             "unknown format '{other}' (expected 'text' or 'json')"
         )),
     }
@@ -194,12 +303,8 @@ fn format_of(args: &ParsedArgs) -> Result<Format, String> {
 ///
 /// A seed pinned in the spec string (`RAND:123`) wins over the global
 /// `--seed`; only suffix-less specs pick up the global seed.
-fn spec_of(args: &ParsedArgs, default: &str, seed: u64) -> Result<SchedulerSpec, String> {
-    let name = args
-        .options
-        .get("algo")
-        .map(String::as_str)
-        .unwrap_or(default);
+fn spec_of(args: &ParsedArgs, seed: u64) -> Result<SchedulerSpec, String> {
+    let name = args.require("algo")?;
     let spec = SchedulerSpec::parse(name).map_err(|e| e.to_string())?;
     Ok(if name.contains(':') {
         spec
@@ -210,19 +315,12 @@ fn spec_of(args: &ParsedArgs, default: &str, seed: u64) -> Result<SchedulerSpec,
 
 /// `ses generate`
 pub fn generate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let members: usize = args.get_or("members", 3000).map_err(|e| e.to_string())?;
-    let mut cfg = GeneratorConfig::meetup_california_scaled(members);
-    cfg.num_events = args
-        .get_or("events", cfg.num_events)
-        .map_err(|e| e.to_string())?;
-    cfg.num_groups = args
-        .get_or("groups", cfg.num_groups)
-        .map_err(|e| e.to_string())?;
-    cfg.horizon_weeks = args
-        .get_or("weeks", cfg.horizon_weeks)
-        .map_err(|e| e.to_string())?;
-    cfg.seed = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let path = args.require("out").map_err(|e| e.to_string())?;
+    let mut cfg = GeneratorConfig::meetup_california_scaled(args.get("members")?);
+    cfg.num_events = args.get_opt("events")?.unwrap_or(cfg.num_events);
+    cfg.num_groups = args.get_opt("groups")?.unwrap_or(cfg.num_groups);
+    cfg.horizon_weeks = args.get("weeks")?;
+    cfg.seed = args.get("seed")?;
+    let path = args.require("out")?;
 
     let dataset = generate_dataset(&cfg);
     dataset.save_json(path).map_err(|e| e.to_string())?;
@@ -231,7 +329,7 @@ pub fn generate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
 }
 
 fn load(args: &ParsedArgs) -> Result<EbsnDataset, String> {
-    let path = args.require("dataset").map_err(|e| e.to_string())?;
+    let path = args.require("dataset")?;
     EbsnDataset::load_json(path).map_err(|e| e.to_string())
 }
 
@@ -292,24 +390,23 @@ pub fn analyze(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
 
 /// `ses solve` (alias: `ses schedule`)
 pub fn solve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let k: usize = args.get_or("k", 100).map_err(|e| e.to_string())?;
-    let t_factor: f64 = args.get_or("t-factor", 1.5).map_err(|e| e.to_string())?;
-    let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
+    let k: usize = args.get("k")?;
+    let seed: u64 = args.get("seed")?;
     let format = format_of(args)?;
-    let spec = spec_of(args, "GRD", seed)?;
+    let spec = spec_of(args, seed)?;
     // Two ways to get a universe: cold-open a packed file (`ses pack`
     // output — no dataset needed, no rebuild), or build the paper's
     // instance from a dataset. Only the dataset path knows which dataset
     // event each candidate came from, so the preview's source column is
     // optional. With `--trace`, the load is a `load` span beside (not
     // inside) the `solve` span, so the timeline accounts for both.
-    let trace = args.has_flag("trace").then(ses_obs::TraceId::generate);
+    let trace = args.given("trace").then(ses_obs::TraceId::generate);
     let (instance, candidate_source) = {
         let _scope = trace.map(ses_obs::trace_scope);
         let _span = ses_obs::span(ses_obs::Stage::Load);
-        match args.options.get("instance") {
+        match args.get_opt::<String>("instance")? {
             Some(path) => {
-                let inst = ses_core::store::open_path(std::path::Path::new(path))
+                let inst = ses_core::store::open_path(std::path::Path::new(&path))
                     .map_err(|e| format!("open {path}: {e}"))?;
                 (inst, None)
             }
@@ -317,9 +414,9 @@ pub fn solve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
                 let dataset = load(args)?;
                 let cfg = PaperConfig {
                     k,
-                    t_factor,
+                    t_factor: args.get("t-factor")?,
                     seed,
-                    sigma: if args.has_flag("checkins") {
+                    sigma: if args.given("checkins") {
                         SigmaMode::FromCheckins
                     } else {
                         SigmaMode::Uniform
@@ -406,9 +503,9 @@ pub fn solve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
             )?;
         }
     }
-    if let Some(path) = args.options.get("out") {
+    if let Some(path) = args.get_opt::<String>("out")? {
         let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        std::fs::write(&path, json).map_err(|e| e.to_string())?;
         if format == Format::Text {
             say!(out, "wrote schedule to {path}")?;
         }
@@ -463,20 +560,13 @@ pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     use ses_core::testkit::workload_instance;
     use ses_sim::{scenario_by_name, SimSummary, Simulator, SCENARIO_NAMES};
 
-    let scenario_name = args
-        .options
-        .get("scenario")
-        .map(String::as_str)
-        .unwrap_or("steady");
-    let steps: u64 = args.get_or("steps", 10_000).map_err(|e| e.to_string())?;
-    let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let users: usize = args.get_or("users", 400).map_err(|e| e.to_string())?;
-    let events: usize = args.get_or("events", 60).map_err(|e| e.to_string())?;
-    let intervals: usize = args.get_or("intervals", 24).map_err(|e| e.to_string())?;
-    let k: usize = args.get_or("k", 20).map_err(|e| e.to_string())?;
-    let holdback: f64 = args.get_or("holdback", 0.3).map_err(|e| e.to_string())?;
+    let scenario_name = args.require("scenario")?;
+    let steps: u64 = args.get("steps")?;
+    let seed: u64 = args.get("seed")?;
+    let k: usize = args.get("k")?;
+    let holdback: f64 = args.get("holdback")?;
     let format = format_of(args)?;
-    let spec = spec_of(args, "GRD", seed)?;
+    let spec = spec_of(args, seed)?;
     let Some(probe) = scenario_by_name(scenario_name, seed) else {
         return Err(format!(
             "unknown scenario '{scenario_name}' (expected one of: {})",
@@ -502,10 +592,15 @@ pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     // what makes server-replay digests comparable to in-process runs. A
     // packed file (`--instance`) overrides the generated workload, and the
     // printed dimensions come from the instance either way.
-    let inst = match args.options.get("instance") {
-        Some(path) => ses_core::store::open_path(std::path::Path::new(path))
+    let inst = match args.get_opt::<String>("instance")? {
+        Some(path) => ses_core::store::open_path(std::path::Path::new(&path))
             .map_err(|e| format!("open {path}: {e}"))?,
-        None => workload_instance(users, events, intervals, seed),
+        None => workload_instance(
+            args.get("users")?,
+            args.get("events")?,
+            args.get("intervals")?,
+            seed,
+        ),
     };
     let (users, events, intervals) = (inst.num_users(), inst.num_events(), inst.num_intervals());
 
@@ -543,7 +638,7 @@ pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         Ok((initial, summary, report, sim.kind_histogram(), withheld))
     };
     let (initial, first, _, _, _) = run_once()?;
-    let trace = args.has_flag("trace").then(ses_obs::TraceId::generate);
+    let trace = args.given("trace").then(ses_obs::TraceId::generate);
     let (_, second, report, histogram, withheld) = {
         let _scope = trace.map(ses_obs::trace_scope);
         run_once()?
@@ -650,15 +745,11 @@ pub fn simulate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
 
 /// `ses serve`
 pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let level_name = args
-        .options
-        .get("log-level")
-        .map(String::as_str)
-        .unwrap_or("info");
+    let level_name = args.require("log-level")?;
     let level = ses_obs::Level::parse(level_name)
         .ok_or_else(|| format!("unknown log level '{level_name}' (error|warn|info|debug)"))?;
     ses_obs::set_log_level(level);
-    ses_obs::set_log_json(args.has_flag("log-json"));
+    ses_obs::set_log_json(args.given("log-json"));
     // Each `--instance name=path` registers a packed file as a lazily
     // loaded tenant next to the built-in "default" workload universe.
     let mut instances = Vec::new();
@@ -671,37 +762,24 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         }
         instances.push((name.to_owned(), std::path::PathBuf::from(path)));
     }
-    let wal_dir = args.options.get("wal-dir").map(std::path::PathBuf::from);
-    let fsync = match args.options.get("fsync") {
-        None => ses_server::FsyncPolicy::Interval { millis: 25 },
-        Some(v) => ses_server::FsyncPolicy::parse(v)?,
-    };
-    if wal_dir.is_none() && args.options.contains_key("fsync") {
+    let wal_dir = args.get_opt::<std::path::PathBuf>("wal-dir")?;
+    if wal_dir.is_none() && args.given("fsync") {
         return Err("--fsync needs --wal-dir (no WAL to sync without one)".to_owned());
     }
-    let snapshot_every: u64 = args
-        .get_or("snapshot-every", 64)
-        .map_err(|e| e.to_string())?;
     let cfg = ses_server::ServerConfig {
-        addr: args
-            .options
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:7878".to_owned()),
-        shards: args.get_or("shards", 4).map_err(|e| e.to_string())?,
-        io_threads: args.get_or("io-threads", 8).map_err(|e| e.to_string())?,
-        max_body_bytes: args
-            .get_or("max-body", 1 << 20)
-            .map_err(|e| e.to_string())?,
-        users: args.get_or("users", 400).map_err(|e| e.to_string())?,
-        events: args.get_or("events", 60).map_err(|e| e.to_string())?,
-        intervals: args.get_or("intervals", 24).map_err(|e| e.to_string())?,
-        seed: args.get_or("seed", 0).map_err(|e| e.to_string())?,
-        slow_request_millis: args.get_or("slow-ms", 250).map_err(|e| e.to_string())?,
+        addr: args.get("addr")?,
+        shards: args.get("shards")?,
+        io_threads: args.get("io-threads")?,
+        max_body_bytes: args.get("max-body")?,
+        users: args.get("users")?,
+        events: args.get("events")?,
+        intervals: args.get("intervals")?,
+        seed: args.get("seed")?,
+        slow_request_millis: args.get("slow-ms")?,
         instances,
         wal_dir,
-        fsync,
-        snapshot_every,
+        fsync: ses_server::FsyncPolicy::parse(args.require("fsync")?)?,
+        snapshot_every: args.get("snapshot-every")?,
     };
     ses_server::install_signal_handlers();
     let handle = ses_server::serve(&cfg).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
@@ -738,62 +816,43 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
 
 /// `ses loadgen`
 pub fn loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let addr = args
-        .options
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_owned());
-    let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let spec = spec_of(args, "GRD", seed)?;
-    let mut instances: Vec<String> = args
-        .get_all("instance")
-        .into_iter()
-        .map(str::to_owned)
-        .collect();
-    if instances.is_empty() {
-        instances.push("default".to_owned());
-    }
+    let addr: String = args.get("addr")?;
+    let seed: u64 = args.get("seed")?;
+    let spec = spec_of(args, seed)?;
     let cfg = ses_server::LoadgenConfig {
         addr: addr.clone(),
-        clients: args.get_or("clients", 8).map_err(|e| e.to_string())?,
-        requests: args.get_or("requests", 2000).map_err(|e| e.to_string())?,
-        solve_fraction: args
-            .get_or("solve-fraction", 0.02)
-            .map_err(|e| e.to_string())?,
-        solve_k: args.get_or("solve-k", 8).map_err(|e| e.to_string())?,
-        k: args.get_or("k", 12).map_err(|e| e.to_string())?,
+        clients: args.get("clients")?,
+        requests: args.get("requests")?,
+        solve_fraction: args.get("solve-fraction")?,
+        solve_k: args.get("solve-k")?,
+        k: args.get("k")?,
         spec,
         seed,
-        instances,
+        instances: args
+            .get_all("instance")
+            .into_iter()
+            .map(str::to_owned)
+            .collect(),
     };
-    let verify_steps: u64 = args
-        .get_or("verify-steps", 200)
-        .map_err(|e| e.to_string())?;
+    let replay = ses_server::ReplayConfig {
+        scenario: args.get("scenario")?,
+        steps: args.get("verify-steps")?,
+        seed,
+        spec,
+        k: cfg.k,
+        holdback: args.get("holdback")?,
+        session: format!("replay-{seed}"),
+    };
+    let report_path = args.get_opt::<String>("out")?;
+    let strict = args.given("strict");
     let format = format_of(args)?;
 
     let summary = ses_server::loadgen::run(&cfg)?;
 
     let mut client = ses_server::HttpClient::new(addr);
-    let digest = if verify_steps > 0 {
-        Some(ses_server::verify_replay(
-            &mut client,
-            &ses_server::ReplayConfig {
-                scenario: args
-                    .options
-                    .get("scenario")
-                    .cloned()
-                    .unwrap_or_else(|| "flash-crowd".to_owned()),
-                steps: verify_steps,
-                seed,
-                spec,
-                k: cfg.k,
-                holdback: args.get_or("holdback", 0.3).map_err(|e| e.to_string())?,
-                session: format!("replay-{seed}"),
-            },
-        )?)
-    } else {
-        None
-    };
+    let digest = (replay.steps > 0)
+        .then(|| ses_server::verify_replay(&mut client, &replay))
+        .transpose()?;
     let (status, body) = client
         .get("/metrics")
         .map_err(|e| format!("GET /metrics failed: {e}"))?;
@@ -809,7 +868,7 @@ pub fn loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         durability: Vec::new(),
     };
 
-    if let Some(path) = args.options.get("out") {
+    if let Some(path) = &report_path {
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
     }
@@ -934,12 +993,12 @@ pub fn loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
             }
             None => say!(out, "determinism: skipped (--verify-steps 0)")?,
         }
-        if let Some(path) = args.options.get("out") {
+        if let Some(path) = &report_path {
             say!(out, "wrote report to {path}")?;
         }
     }
 
-    if args.has_flag("strict") {
+    if strict {
         if report.loadgen.errors > 0 {
             return Err(format!(
                 "strict mode: {} non-2xx responses",
@@ -1031,13 +1090,9 @@ pub fn top_frame(addr: &str, report: &ses_server::MetricsReport) -> String {
 
 /// `ses top` — poll `/metrics` and redraw a live text dashboard.
 pub fn top(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let addr = args
-        .options
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_owned());
-    let interval: u64 = args.get_or("interval", 1000).map_err(|e| e.to_string())?;
-    let once = args.has_flag("once");
+    let addr: String = args.get("addr")?;
+    let interval: u64 = args.get("interval")?;
+    let once = args.given("once");
     let mut client = ses_server::HttpClient::new(addr.clone());
     let fetch = |client: &mut ses_server::HttpClient| -> Result<ses_server::MetricsReport, String> {
         let (status, body) = client
@@ -1071,18 +1126,14 @@ pub fn top(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
 /// packed columnar instance file servers and CLI runs cold-open without a
 /// rebuild (see `ses_core::store` and DESIGN.md §12).
 pub fn pack(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let users: usize = args.get_or("users", 10_000).map_err(|e| e.to_string())?;
-    let events: usize = args.get_or("events", 200).map_err(|e| e.to_string())?;
-    let intervals: usize = args.get_or("intervals", 48).map_err(|e| e.to_string())?;
-    let interests: usize = args.get_or("interests", 8).map_err(|e| e.to_string())?;
-    let active: usize = args.get_or("active", 6).map_err(|e| e.to_string())?;
-    let seed: u64 = args.get_or("seed", 0).map_err(|e| e.to_string())?;
-    let path = args.require("out").map_err(|e| e.to_string())?;
-    let profile = args
-        .options
-        .get("profile")
-        .map(String::as_str)
-        .unwrap_or("sparse");
+    let users: usize = args.get("users")?;
+    let events: usize = args.get("events")?;
+    let intervals: usize = args.get("intervals")?;
+    let interests: usize = args.get("interests")?;
+    let active: usize = args.get("active")?;
+    let seed: u64 = args.get("seed")?;
+    let path = args.require("out")?;
+    let profile = args.require("profile")?;
 
     let build_start = std::time::Instant::now();
     let inst = match profile {
@@ -1117,11 +1168,7 @@ pub fn pack(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
 
 /// `ses instances` — list a running server's instance registry.
 pub fn instances(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let addr = args
-        .options
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7878".to_owned());
+    let addr: String = args.get("addr")?;
     let format = format_of(args)?;
     let mut client = ses_server::HttpClient::new(addr.clone());
     let (status, body) = client
@@ -1185,8 +1232,8 @@ pub fn instances(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
 /// per-shard segment inventory, LSN ranges, torn tails, and (with
 /// `--records`) every record's kind/LSN/session, snapshots included.
 pub fn wal_inspect(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    let dir = args.require("dir").map_err(|e| e.to_string())?;
-    let with_records = args.has_flag("records");
+    let dir = args.require("dir")?;
+    let with_records = args.given("records");
     let format = format_of(args)?;
     let inspection = ses_durable::inspect_dir(std::path::Path::new(dir), with_records)?;
     if format == Format::Json {
@@ -1242,8 +1289,8 @@ pub fn wal_inspect(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String>
 pub fn quality(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     use ses_core::registry::{self, SPEC_NAMES};
     use ses_core::testkit::{random_instance, TestInstanceConfig};
-    let instances: usize = args.get_or("instances", 20).map_err(|e| e.to_string())?;
-    let k: usize = args.get_or("k", 4).map_err(|e| e.to_string())?;
+    let instances: usize = args.get("instances")?;
+    let k: usize = args.get("k")?;
     let mut specs = Vec::new();
     for name in SPEC_NAMES {
         let spec = SchedulerSpec::parse(name).map_err(|e| e.to_string())?;

@@ -1,14 +1,14 @@
 //! Integration tests of the `ses` subcommands, driven through the same
 //! parsed-argument structures the binary uses.
 
-use ses_cli::args::parse;
+use ses_cli::args::{self, parse};
 use ses_cli::commands;
 use std::io::{self, BufRead, BufReader};
 use std::process::{Command, Stdio};
 
 fn argv(parts: &[&str]) -> ses_cli::args::ParsedArgs {
     let v: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-    parse(&v).expect("test argv parses")
+    parse(commands::COMMANDS, &v).expect("test argv parses")
 }
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -564,4 +564,175 @@ fn closed_stderr_keeps_the_failure_status() {
         .status()
         .expect("ses runs");
     assert_eq!(status.code(), Some(1), "{status:?}");
+}
+
+/// Runs `ses` with `args`, asserts it exits 1 naming every one of `names`,
+/// and returns its stderr.
+fn ses_fails(args: &[&str], names: &[&str]) -> String {
+    let done = Command::new(env!("CARGO_BIN_EXE_ses"))
+        .args(args)
+        .output()
+        .expect("ses runs");
+    let stderr = String::from_utf8_lossy(&done.stderr).into_owned();
+    assert_eq!(done.status.code(), Some(1), "{args:?}: {stderr}");
+    for name in names {
+        assert!(
+            stderr.contains(name),
+            "{args:?}: {stderr} does not name {name}"
+        );
+    }
+    stderr
+}
+
+#[test]
+fn every_command_rejects_an_undeclared_option() {
+    for command in commands::COMMANDS {
+        let mut args: Vec<&str> = command.name.split(' ').collect();
+        args.extend(["--bogus", "1"]);
+        ses_fails(&args, &[command.name, "--bogus"]);
+    }
+    let store_path = pack_3k("rejects.sesstore");
+    let store = store_path.to_str().unwrap();
+    let pack = [
+        "pack",
+        "--users",
+        "100",
+        "--events",
+        "10",
+        "--intervals",
+        "4",
+    ];
+    ses_fails(
+        &[&pack[..], &["--out", store, "--bogus", "3"]].concat(),
+        &["pack", "--bogus"],
+    );
+    let solve = ["solve", "--instance", store, "--k", "3"];
+    ses_fails(
+        &[&solve[..], &["--threads", "4"]].concat(),
+        &["solve", "--threads"],
+    );
+    ses_fails(
+        &[&solve[..], &["--formt", "json"]].concat(),
+        &["solve", "--formt"],
+    );
+    // A flag given a value, and a value option given none.
+    ses_fails(
+        &[&solve[..], &["--trace", "yes"]].concat(),
+        &["solve", "'yes'"],
+    );
+    ses_fails(
+        &["solve", "--instance", store, "--k"],
+        &["--k needs a value"],
+    );
+    ses_fails(
+        &["solve", "--k", "--instance", store],
+        &["--k needs a value"],
+    );
+    // Options the packed-instance paths would ignore.
+    for refused in [
+        &["--dataset", "d.json"][..],
+        &["--t-factor", "9"],
+        &["--checkins"],
+    ] {
+        ses_fails(&[&solve[..], refused].concat(), &["solve", refused[0]]);
+    }
+    let simulate = ["simulate", "--instance", store, "--steps", "10"];
+    for refused in ["--users", "--events", "--intervals"] {
+        ses_fails(
+            &[&simulate[..], &[refused, "9"]].concat(),
+            &["simulate", refused],
+        );
+    }
+    std::fs::remove_file(&store_path).ok();
+}
+
+/// The other half of the option-table rule: every option a command
+/// declares is read by it. Each command runs with every option it declares
+/// (an option that refuses others runs in a second pass, in their place);
+/// the values are small and the addresses unresolvable, so the network
+/// commands fail after their reads. Reading an undeclared option panics,
+/// so every command run in these tests also checks reads ⊆ declared.
+#[test]
+fn every_declared_option_is_read() {
+    let paths = [
+        temp_path("walk.json"),
+        pack_3k("walk.sesstore"),
+        temp_path("walk-wal"),
+    ];
+    std::fs::create_dir_all(&paths[2]).unwrap();
+    let [dataset, store, wal] = paths.each_ref().map(|p| p.to_str().unwrap());
+    commands::generate(
+        &argv(&["generate", "--members", "300", "--out", dataset]),
+        &mut io::sink(),
+    )
+    .unwrap();
+    for command in commands::COMMANDS {
+        let refused: Vec<&str> = command
+            .options
+            .iter()
+            .flat_map(|o| o.excludes)
+            .copied()
+            .collect();
+        let mut unread: Vec<&str> = command.options.iter().map(|o| o.name).collect();
+        assert!(
+            refused.iter().all(|n| unread.contains(n)),
+            "`ses {}` refuses an undeclared option",
+            command.name
+        );
+        for second_pass in [false, true]
+            .into_iter()
+            .take(1 + !refused.is_empty() as usize)
+        {
+            let keep = |o: &args::Opt| match second_pass {
+                false => o.excludes.is_empty(),
+                true => !refused.contains(&o.name),
+            };
+            let mut line = Vec::new();
+            // `--trace` is left off: its timeline would go to the test's
+            // stderr, and a flag is read whether or not it is given.
+            for opt in command
+                .options
+                .iter()
+                .filter(|o| keep(o) && o.name != "trace")
+            {
+                line.push(format!("--{}", opt.name));
+                if opt.arg.is_none() {
+                    continue;
+                }
+                line.push(match (command.name, opt.name) {
+                    ("serve", "instance") => format!("walk={store}"),
+                    ("loadgen", "instance") => "default".to_owned(),
+                    (_, "instance") => store.to_owned(),
+                    (_, "dataset") => dataset.to_owned(),
+                    (_, "out") => temp_path(&format!("walk-{}.out", command.name))
+                        .display()
+                        .to_string(),
+                    (_, "dir" | "wal-dir") => wal.to_owned(),
+                    (_, "addr") => "not-an-address".to_owned(),
+                    (_, "members") => "300".to_owned(),
+                    (_, "users") => "80".to_owned(),
+                    (_, "events" | "groups") => "20".to_owned(),
+                    (_, "intervals") => "8".to_owned(),
+                    (_, "steps") => "50".to_owned(),
+                    (_, "instances" | "k") => "3".to_owned(),
+                    _ => opt
+                        .default
+                        .expect("a sample value for every option without a default")
+                        .to_owned(),
+                });
+            }
+            let parsed = args::parse_options(command, &line).unwrap();
+            let _ = commands::run(&parsed, &mut io::sink());
+            unread.retain(|n| parsed.unread().contains(n));
+        }
+        assert!(
+            unread.is_empty(),
+            "`ses {}` never reads {unread:?}",
+            command.name
+        );
+        std::fs::remove_file(temp_path(&format!("walk-{}.out", command.name))).ok();
+    }
+    std::fs::remove_file(dataset).ok();
+    std::fs::remove_file(store).ok();
+    std::fs::remove_dir_all(wal).ok();
 }
