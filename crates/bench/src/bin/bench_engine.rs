@@ -1,6 +1,5 @@
 //! Records the engine perf trajectory and gates it in CI: release-mode GRD
-//! and GRD-PQ (CELF lazy) solves over the Fig. 1 `k` sweep, columnar engine
-//! vs the frozen hash-map baseline (`ses_bench::baseline`), plus a
+//! and GRD-PQ (CELF lazy) solves over the Fig. 1 `k` sweep, plus a
 //! users-axis sweep (10k → 1M members on the sparse-population family) that
 //! records the blocked layout's resident bytes and slot counts per cell —
 //! all written as `BENCH_engine.json` at the repo root.
@@ -8,13 +7,11 @@
 //! `cargo run --release -p ses-bench --bin bench_engine -- --help` lists
 //! the options.
 //!
-//! Per cell the report carries utility, wall-clock millis, the
-//! hardware-independent `score_evaluations` / `posting_visits` counters and
-//! a speedup: GRD cells compare against the frozen hash-map baseline,
-//! GRD-PQ cells against the *same cell's* eager columnar GRD — so the lazy
-//! saving is legible separately from the layout saving. Every cell's Ω is
-//! checked against the from-scratch `evaluate_schedule` oracle before it is
-//! accepted.
+//! Per cell the report carries utility, wall-clock millis and the
+//! hardware-independent `score_evaluations` / `posting_visits` counters;
+//! `lazy_speedup` divides each k-sweep cell's eager GRD millis by its
+//! GRD-PQ millis. Every cell's Ω is checked against the from-scratch
+//! `evaluate_schedule` oracle before it is accepted.
 //!
 //! Full runs additionally embed a `smoke_reference` section: the operation
 //! counters of the small CI sweep (`--smoke` sizing), which are
@@ -26,7 +23,6 @@
 //! can clobber the committed `BENCH_engine.json` with throwaway numbers.
 
 use serde::{Deserialize, Serialize};
-use ses_bench::baseline::greedy_hashmap;
 use ses_cli::args::{self, Command, Opt, ParsedArgs};
 use ses_core::{evaluate_schedule, registry, SchedulerSpec};
 use ses_datagen::pipeline::build_instance;
@@ -108,14 +104,6 @@ struct EngineCell {
     score_evaluations: u64,
     posting_visits: u64,
     scheduled: usize,
-    /// Wall-clock millis of this cell's baseline: the frozen hash-map
-    /// engine for GRD rows, the same cell's eager columnar GRD for GRD-PQ
-    /// rows.
-    baseline_millis: f64,
-    /// `baseline_millis / millis`. Users-axis cells have no hash-map
-    /// baseline (the dense-era layout does not fit at that scale — the
-    /// point of the axis), so their GRD rows carry `0.0`.
-    speedup: f64,
     /// Resident `(t, rank)` slots of the cell's engine (blocked layout
     /// nnz). Absent in pre-PR-8 JSON.
     #[serde(default)]
@@ -205,11 +193,11 @@ struct EngineReport {
     cores: usize,
     smoke: bool,
     cells: Vec<EngineCell>,
-    /// Per-algorithm speedup at each algorithm's largest k-sweep cell: GRD
-    /// against the frozen hash-map baseline, GRD-PQ against the same cell's
-    /// eager columnar GRD — so lazy gains are first-class in the
-    /// trajectory, not folded into a GRD-only scalar.
-    largest_cell_speedup: BTreeMap<String, f64>,
+    /// GRD-PQ against eager GRD at each k-sweep cell (key: `k`): the GRD
+    /// millis divided by the GRD-PQ millis of the same cell. One timed
+    /// sample of each. Absent in files written before it was kept.
+    #[serde(default)]
+    lazy_speedup: BTreeMap<String, f64>,
     /// Lazy GRD-PQ score evaluations at the largest sweep cell vs eager
     /// GRD's (strictly fewer with identical utility).
     lazy_eval_ratio_at_max_k: f64,
@@ -255,7 +243,6 @@ fn build_cells(users: usize, seed: u64, k_values: &[usize]) -> Result<Vec<Engine
     for cell in k_sweep(k_values, seed) {
         let built = build_instance(&dataset, &cell.config)
             .map_err(|e| format!("cell k={} failed to build: {e}", cell.value))?;
-        let mut cell_rows: Vec<EngineCell> = Vec::new();
         for spec in [SchedulerSpec::Greedy, SchedulerSpec::GreedyHeap] {
             let scheduler = registry::build(spec);
             let outcome = scheduler
@@ -273,60 +260,41 @@ fn build_cells(users: usize, seed: u64, k_values: &[usize]) -> Result<Vec<Engine
                     cell.value
                 ));
             }
-            let millis = outcome.stats.elapsed.as_secs_f64() * 1e3;
-            // GRD rows: the frozen hash-map engine is the baseline.
-            // GRD-PQ rows: this cell's eager columnar GRD is the baseline,
-            // isolating the lazy saving from the layout saving.
-            let baseline_millis = match spec {
-                SchedulerSpec::Greedy => greedy_hashmap(&built.instance, cell.config.k).millis,
-                _ => cell_rows
-                    .first()
-                    .map(|grd: &EngineCell| grd.millis)
-                    .unwrap_or(0.0),
-            };
             let row = EngineCell {
                 axis: cell.axis.clone(),
                 value: cell.value,
                 algorithm: spec.name().to_owned(),
                 utility: outcome.total_utility,
                 oracle_utility: oracle.total_utility,
-                millis,
+                millis: outcome.stats.elapsed.as_secs_f64() * 1e3,
                 score_evaluations: outcome.stats.engine.score_evaluations,
                 posting_visits: outcome.stats.engine.posting_visits,
                 scheduled: outcome.len(),
-                baseline_millis,
-                speedup: baseline_millis / millis.max(1e-9),
                 column_slots: outcome.stats.memory.column_slots,
                 dense_slots: outcome.stats.memory.dense_slots,
                 resident_bytes: outcome.stats.memory.total_resident_bytes(),
                 build_millis: outcome.stats.memory.build_millis,
             };
             eprintln!(
-                "[bench_engine] k={:>3} {:>6}: {:>9.2} ms vs baseline {:>9.2} ms ({:.2}x), \
-                 Ω = {:.3}, {} score evals, {} posting visits",
+                "[bench_engine] k={:>3} {:>6}: {:>9.2} ms, Ω = {:.3}, {} score evals, \
+                 {} posting visits",
                 cell.value,
                 row.algorithm,
                 row.millis,
-                row.baseline_millis,
-                row.speedup,
                 row.utility,
                 row.score_evaluations,
                 row.posting_visits
             );
-            cell_rows.push(row);
+            cells.push(row);
         }
-        cells.extend(cell_rows);
     }
     Ok(cells)
 }
 
 /// The users-axis sweep: GRD + GRD-PQ on the `sparse_population` family at
-/// fixed `k`, one cell per universe size. There is no hash-map baseline row
-/// at this scale — the dense-era layout is exactly what these cells prove
-/// unnecessary — so GRD rows carry speedup 0 and GRD-PQ rows still compare
-/// against the same cell's eager GRD. Resident bytes and slot counts come
-/// from the engine's own exact accounting, so they are deterministic and
-/// `--check`-pinnable like the operation counters.
+/// fixed `k`, one cell per universe size. Resident bytes and slot counts
+/// come from the engine's own exact accounting, so they are deterministic
+/// and `--check`-pinnable like the operation counters.
 fn build_users_cells(
     users_values: &[usize],
     k: usize,
@@ -344,7 +312,6 @@ fn build_users_cells(
             USERS_AXIS_ACTIVE,
             seed,
         );
-        let mut cell_rows: Vec<EngineCell> = Vec::new();
         for spec in [SchedulerSpec::Greedy, SchedulerSpec::GreedyHeap] {
             let scheduler = registry::build(spec);
             let outcome = scheduler.run(&inst, k).expect("k ≤ |E| by construction");
@@ -359,14 +326,6 @@ fn build_users_cells(
                     oracle.total_utility,
                 ));
             }
-            let millis = outcome.stats.elapsed.as_secs_f64() * 1e3;
-            let baseline_millis = match spec {
-                SchedulerSpec::Greedy => 0.0,
-                _ => cell_rows
-                    .first()
-                    .map(|grd: &EngineCell| grd.millis)
-                    .unwrap_or(0.0),
-            };
             let mem = outcome.stats.memory;
             let row = EngineCell {
                 axis: "users".to_owned(),
@@ -374,16 +333,10 @@ fn build_users_cells(
                 algorithm: spec.name().to_owned(),
                 utility: outcome.total_utility,
                 oracle_utility: oracle.total_utility,
-                millis,
+                millis: outcome.stats.elapsed.as_secs_f64() * 1e3,
                 score_evaluations: outcome.stats.engine.score_evaluations,
                 posting_visits: outcome.stats.engine.posting_visits,
                 scheduled: outcome.len(),
-                baseline_millis,
-                speedup: if baseline_millis > 0.0 {
-                    baseline_millis / millis.max(1e-9)
-                } else {
-                    0.0
-                },
                 column_slots: mem.column_slots,
                 dense_slots: mem.dense_slots,
                 resident_bytes: mem.total_resident_bytes(),
@@ -401,9 +354,8 @@ fn build_users_cells(
                 100.0 * row.column_slots as f64 / row.dense_slots.max(1) as f64,
                 row.resident_bytes as f64 / (1024.0 * 1024.0),
             );
-            cell_rows.push(row);
+            cells.push(row);
         }
-        cells.extend(cell_rows);
     }
     Ok(cells)
 }
@@ -734,13 +686,19 @@ fn run(args: &ParsedArgs) -> Result<(), String> {
         rows
     };
 
-    // Per-algorithm headline: each algorithm's speedup at its largest
-    // k-sweep cell (cells arrive in ascending k order, so the last insert
-    // wins). Users-axis cells are excluded — they have no dense baseline.
-    let mut largest_cell_speedup: BTreeMap<String, f64> = BTreeMap::new();
-    for cell in cells.iter().filter(|c| c.axis == "k") {
-        largest_cell_speedup.insert(cell.algorithm.clone(), cell.speedup);
-    }
+    // Each k-sweep cell runs GRD, then GRD-PQ.
+    let lazy_speedup: BTreeMap<String, f64> = cells
+        .iter()
+        .filter(|c| c.axis == "k")
+        .collect::<Vec<_>>()
+        .chunks(2)
+        .map(|pair| {
+            (
+                pair[0].value.to_string(),
+                pair[0].millis / pair[1].millis.max(1e-9),
+            )
+        })
+        .collect();
     let lazy_eval_ratio_at_max_k = match (
         cells
             .iter()
@@ -761,7 +719,7 @@ fn run(args: &ParsedArgs) -> Result<(), String> {
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         smoke,
         cells,
-        largest_cell_speedup,
+        lazy_speedup,
         lazy_eval_ratio_at_max_k,
         smoke_reference,
         store,
@@ -769,13 +727,13 @@ fn run(args: &ParsedArgs) -> Result<(), String> {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json).map_err(|e| format!("failed to write {out}: {e}"))?;
     let speedup_summary = report
-        .largest_cell_speedup
+        .lazy_speedup
         .iter()
-        .map(|(algo, s)| format!("{algo} {s:.2}x"))
+        .map(|(k, s)| format!("k={k} {s:.2}x"))
         .collect::<Vec<_>>()
         .join(", ");
     eprintln!(
-        "[bench_engine] wrote {out} ({} cells, largest-cell speedups [{speedup_summary}], \
+        "[bench_engine] wrote {out} ({} cells, GRD-PQ vs GRD [{speedup_summary}], \
          lazy/eager evals at max k {:.3})",
         report.cells.len(),
         lazy_eval_ratio_at_max_k

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baseline;
 pub mod harness;
 pub mod report;
 

@@ -63,46 +63,24 @@ impl<S: Scheduler> AnnealingScheduler<S> {
     pub fn with_config(base: S, config: AnnealingConfig) -> Self {
         Self { base, config }
     }
-}
 
-/// One candidate move, applied tentatively to the engine.
-enum Move {
-    /// Move a scheduled event to another interval.
-    Relocate {
-        event: EventId,
-        from: IntervalId,
-        to: IntervalId,
-    },
-    /// Swap a scheduled event out for an unscheduled one.
-    Swap {
-        out_event: EventId,
-        out_interval: IntervalId,
-        in_event: EventId,
-        in_interval: IntervalId,
-    },
-}
-
-impl<S: Scheduler> Scheduler for AnnealingScheduler<S> {
-    fn name(&self) -> &'static str {
-        "SA"
-    }
-
-    fn run(&self, inst: &Arc<SesInstance>, k: usize) -> Result<ScheduleOutcome, SesError> {
-        let base_outcome = self.base.run(inst, k)?;
-        // ses-analyze: allow(wall-clock-in-core): elapsed feeds SolveStats reporting only, never decisions
-        let start = Instant::now();
+    /// The walk from `engine`'s schedule; `observe` sees the engine after
+    /// every tentative move and every revert. Returns the best schedule
+    /// seen, its utility, and the moves tried and accepted.
+    fn anneal(
+        &self,
+        engine: &mut AttendanceEngine,
+        observe: &mut impl FnMut(&AttendanceEngine),
+    ) -> (Schedule, f64, u64, u64) {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut engine = AttendanceEngine::with_schedule(inst, &base_outcome.schedule)
-            .expect("base schedule must be feasible");
-
         let mut best_utility = engine.total_utility();
         let mut best_schedule: Schedule = engine.schedule().clone();
         let mut temperature = self.config.initial_temperature * best_utility.max(1.0);
         let mut moves_tried = 0u64;
         let mut moves_accepted = 0u64;
 
-        let num_events = inst.num_events();
-        let num_intervals = inst.num_intervals();
+        let num_events = engine.instance().num_events();
+        let num_intervals = engine.instance().num_intervals();
         for _ in 0..self.config.iterations {
             temperature *= self.config.cooling;
             let scheduled = engine.schedule().scheduled_events();
@@ -170,6 +148,7 @@ impl<S: Scheduler> Scheduler for AnnealingScheduler<S> {
                     }
                 }
             };
+            observe(engine);
             let Some(applied) = applied else { continue };
             let delta = engine.total_utility() - before;
             let accept = delta >= 0.0
@@ -199,8 +178,44 @@ impl<S: Scheduler> Scheduler for AnnealingScheduler<S> {
                             .expect("home slot is free");
                     }
                 }
+                observe(engine);
             }
         }
+        (best_schedule, best_utility, moves_tried, moves_accepted)
+    }
+}
+
+/// One candidate move, applied tentatively to the engine.
+enum Move {
+    /// Move a scheduled event to another interval.
+    Relocate {
+        event: EventId,
+        from: IntervalId,
+        to: IntervalId,
+    },
+    /// Swap a scheduled event out for an unscheduled one.
+    Swap {
+        out_event: EventId,
+        out_interval: IntervalId,
+        in_event: EventId,
+        in_interval: IntervalId,
+    },
+}
+
+impl<S: Scheduler> Scheduler for AnnealingScheduler<S> {
+    fn name(&self) -> &'static str {
+        "SA"
+    }
+
+    fn run(&self, inst: &Arc<SesInstance>, k: usize) -> Result<ScheduleOutcome, SesError> {
+        let base_outcome = self.base.run(inst, k)?;
+        // ses-analyze: allow(wall-clock-in-core): elapsed feeds SolveStats reporting only, never decisions
+        let start = Instant::now();
+        let mut engine = AttendanceEngine::with_schedule(inst, &base_outcome.schedule)
+            .expect("base schedule must be feasible");
+
+        let (best_schedule, best_utility, moves_tried, moves_accepted) =
+            self.anneal(&mut engine, &mut |_| {});
 
         let placed = best_schedule.len();
         Ok(ScheduleOutcome {
@@ -223,7 +238,7 @@ impl<S: Scheduler> Scheduler for AnnealingScheduler<S> {
 mod tests {
     use super::*;
     use crate::algorithms::{ExactScheduler, GreedyScheduler, RandomScheduler};
-    use crate::engine::evaluate_schedule;
+    use crate::engine::{evaluate_schedule, oracle::assert_exact_state};
     use crate::testkit;
     use crate::util::float::{approx_eq_tol, approx_ge};
 
@@ -319,6 +334,29 @@ mod tests {
             .run(&inst, 5)
             .unwrap();
         assert_eq!(a.schedule, b.schedule);
+    }
+
+    #[test]
+    fn every_move_leaves_the_state_a_rebuilt_engine_has() {
+        for seed in 0..2u64 {
+            let inst = testkit::medium_instance(seed);
+            let base = RandomScheduler::new(seed).run(&inst, 8).unwrap();
+            let mut engine = AttendanceEngine::with_schedule(&inst, &base.schedule).unwrap();
+            let sa = AnnealingScheduler::with_config(
+                RandomScheduler::new(seed),
+                AnnealingConfig {
+                    iterations: 400,
+                    seed,
+                    ..AnnealingConfig::default()
+                },
+            );
+            let mut observed = 0u64;
+            sa.anneal(&mut engine, &mut |e| {
+                assert_exact_state(e);
+                observed += 1;
+            });
+            assert!(observed >= 100, "seed {seed}: {observed} moves observed");
+        }
     }
 
     #[test]

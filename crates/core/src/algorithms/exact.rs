@@ -38,11 +38,6 @@ impl ExactScheduler {
             max_nodes: 2_000_000,
         }
     }
-
-    /// Creates a solver with an explicit node budget.
-    pub fn with_node_budget(max_nodes: u64) -> Self {
-        Self { max_nodes }
-    }
 }
 
 impl Default for ExactScheduler {
@@ -249,9 +244,7 @@ mod tests {
     #[test]
     fn node_budget_is_enforced() {
         let inst = testkit::small_instance(0);
-        let err = ExactScheduler::with_node_budget(3)
-            .run(&inst, 3)
-            .unwrap_err();
+        let err = ExactScheduler { max_nodes: 3 }.run(&inst, 3).unwrap_err();
         assert!(matches!(err, SesError::ExactSearchExhausted { .. }));
     }
 

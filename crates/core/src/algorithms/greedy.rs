@@ -109,19 +109,21 @@ impl Scheduler for GreedyScheduler {
                 .expect("checked assignment must apply");
 
             if engine.schedule().len() < k {
-                // Lines 10–13: drop entries that became invalid anywhere
-                // (cheap, no scoring), then rescore only the *dirty*
-                // intervals' surviving frontiers — the engine's generation
-                // counters name exactly the intervals whose columns moved
-                // since the last rescan (offline that is the selected
-                // interval, or nothing at all when the committed event moved
-                // no mass), so every other entry's score is still bit-exact.
+                // Lines 10–13: drop entries that became invalid — only those
+                // of the committed event or interval can have — then rescore
+                // only the *dirty* intervals' surviving frontiers — the
+                // engine's generation counters name exactly the intervals
+                // whose columns moved since the last rescan (offline that is
+                // the selected interval, or nothing at all when the committed
+                // event moved no mass), so every other entry's score is still
+                // bit-exact.
                 let mut i = 0;
                 while i < list.len() {
                     let entry = list[i];
-                    if engine
-                        .check_assignment(entry.event, entry.interval)
-                        .is_err()
+                    if (entry.event == top.event || entry.interval == top.interval)
+                        && engine
+                            .check_assignment(entry.event, entry.interval)
+                            .is_err()
                     {
                         list.swap_remove(i);
                     } else {

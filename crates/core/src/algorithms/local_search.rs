@@ -65,8 +65,14 @@ impl<S: Scheduler> LocalSearchScheduler<S> {
         Self { base, config }
     }
 
-    /// One relocate pass; returns whether any move was accepted.
-    fn relocate_pass(&self, engine: &mut AttendanceEngine, moves: &mut u64) -> bool {
+    /// One relocate pass; returns whether any move was accepted. `observe`
+    /// sees the engine after each event is placed again.
+    fn relocate_pass(
+        &self,
+        engine: &mut AttendanceEngine,
+        moves: &mut u64,
+        observe: &mut impl FnMut(&AttendanceEngine),
+    ) -> bool {
         let mut improved = false;
         let scheduled = engine.schedule().scheduled_events();
         let num_intervals = engine.instance().num_intervals();
@@ -100,12 +106,19 @@ impl<S: Scheduler> LocalSearchScheduler<S> {
             engine
                 .assign(event, target)
                 .expect("home or checked target must be assignable");
+            observe(engine);
         }
         improved
     }
 
-    /// One swap pass; returns whether any move was accepted.
-    fn swap_pass(&self, engine: &mut AttendanceEngine, moves: &mut u64) -> bool {
+    /// One swap pass; returns whether any move was accepted. `observe` sees
+    /// the engine after each scheduled event's swap decision.
+    fn swap_pass(
+        &self,
+        engine: &mut AttendanceEngine,
+        moves: &mut u64,
+        observe: &mut impl FnMut(&AttendanceEngine),
+    ) -> bool {
         let mut improved = false;
         let num_events = engine.instance().num_events();
         let num_intervals = engine.instance().num_intervals();
@@ -146,6 +159,7 @@ impl<S: Scheduler> LocalSearchScheduler<S> {
                         .expect("vacated home must be assignable");
                 }
             }
+            observe(engine);
         }
         improved
     }
@@ -169,10 +183,10 @@ impl<S: Scheduler> Scheduler for LocalSearchScheduler<S> {
             passes += 1;
             let mut improved = false;
             if self.config.relocate {
-                improved |= self.relocate_pass(&mut engine, &mut moves);
+                improved |= self.relocate_pass(&mut engine, &mut moves, &mut |_| {});
             }
             if self.config.swap {
-                improved |= self.swap_pass(&mut engine, &mut moves);
+                improved |= self.swap_pass(&mut engine, &mut moves, &mut |_| {});
             }
             if !improved {
                 break;
@@ -200,7 +214,7 @@ impl<S: Scheduler> Scheduler for LocalSearchScheduler<S> {
 mod tests {
     use super::*;
     use crate::algorithms::{ExactScheduler, GreedyScheduler, RandomScheduler, TopScheduler};
-    use crate::engine::evaluate_schedule;
+    use crate::engine::{evaluate_schedule, oracle::assert_exact_state};
     use crate::testkit;
     use crate::util::float::{approx_eq, approx_ge};
 
@@ -287,6 +301,29 @@ mod tests {
             .run(&inst, 5)
             .unwrap();
         inst.check_schedule(&out.schedule).unwrap();
+    }
+
+    #[test]
+    fn every_move_leaves_the_state_a_rebuilt_engine_has() {
+        // Each relocate decision unassigns and re-assigns, and each swap
+        // decision unassigns one event and assigns one, so this exercises
+        // the M re-fold on every step.
+        for seed in 0..3u64 {
+            let inst = testkit::medium_instance(seed);
+            let base = RandomScheduler::new(seed).run(&inst, 8).unwrap();
+            let mut engine = AttendanceEngine::with_schedule(&inst, &base.schedule).unwrap();
+            let ls = LocalSearchScheduler::new(RandomScheduler::new(seed));
+            let (mut moves, mut observed) = (0u64, 0u64);
+            let mut check = |e: &AttendanceEngine| {
+                assert_exact_state(e);
+                observed += 1;
+            };
+            for _ in 0..3 {
+                ls.relocate_pass(&mut engine, &mut moves, &mut check);
+                ls.swap_pass(&mut engine, &mut moves, &mut check);
+            }
+            assert_eq!(observed, 3 * 2 * 8, "seed {seed}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The dense layout this replaces kept `|T| · stride` slots per aggregate
 //! column. Here each interval `t` owns a compact column holding only the
-//! ranks with `σ(u,t) > 0` — CSR offsets into flat `ranks`/`b`/`m`/`σ`/count
+//! ranks with `σ(u,t) > 0` — CSR offsets into flat `ranks`/`b`/`m`/`σ`
 //! arrays — so resident memory is `O(nnz + |T|)` where
 //! `nnz = Σ_t |{r : σ(u_r,t) > 0}|`. A slot with `σ(u,t) = 0` is provably
 //! inert: every read path multiplies it by `σ` (scores, losses, attendance
@@ -57,8 +57,6 @@ pub(crate) struct IntervalColumns {
     pub(crate) m: Vec<f64>,
     /// `σ(u,t)` snapshot per slot (strictly positive by construction).
     pub(crate) sigma: Vec<f64>,
-    /// Contributing-event count per slot (see the engine's zero-snap note).
-    pub(crate) mcount: Vec<u32>,
 }
 
 /// Rank-major view of the *partial* columns: for each rank, its
@@ -143,7 +141,6 @@ impl IntervalColumns {
             b: vec![0.0; nnz],
             m: vec![0.0; nnz],
             sigma,
-            mcount: vec![0; nnz],
         };
         (cols, RankSlots { starts, pairs })
     }
@@ -182,12 +179,10 @@ impl IntervalColumns {
         self.ranks.len()
     }
 
-    /// Bytes resident in the column arrays (ranks + offsets + the four
+    /// Bytes resident in the column arrays (ranks + offsets + the three
     /// parallel value columns).
     pub(crate) fn resident_bytes(&self) -> u64 {
-        let per_slot = size_of::<u32>()      // ranks
-            + 3 * size_of::<f64>()           // b, m, sigma
-            + size_of::<u32>(); // mcount
+        let per_slot = size_of::<u32>() + 3 * size_of::<f64>(); // ranks; b, m, sigma
         (self.ranks.len() * per_slot + self.offsets.len() * size_of::<usize>()) as u64
     }
 }
@@ -379,7 +374,7 @@ impl ResolvedRuns {
     /// otherwise the pre-resolved entries. Taking `postings` as a parameter
     /// (rather than reading it through the engine) keeps the returned
     /// borrow off the engine's mutable column fields, so mutation paths can
-    /// walk a run while updating `m`/`mcount` in place.
+    /// walk a run while updating `m` in place.
     #[inline]
     pub(crate) fn run<'a>(
         &'a self,

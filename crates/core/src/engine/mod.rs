@@ -27,7 +27,7 @@
 //! index* over the union of the candidate posting lists: each indexed user
 //! gets a dense rank `r ∈ [0, stride)`. Per interval, only the ranks with
 //! `σ(u,t) > 0` get a slot: interval `t` owns a compact *column* of those
-//! ranks (CSR offsets + rank ids + parallel `B`/`M`/count/`σ` arrays — see
+//! ranks (CSR offsets + rank ids + parallel `B`/`M`/`σ` arrays — see
 //! the `columns` module), because a `σ = 0` slot is provably inert: every read path
 //! multiplies it by `σ`, so its term is `±0.0` and dropping it keeps all
 //! results bit-identical to the dense layout. Resident memory is
@@ -56,6 +56,13 @@
 //! `assign`/`unassign`, so `ΔΩ` equals the assignment score by construction;
 //! [`evaluate_schedule`] recomputes Ω from scratch over hash maps and is the
 //! testing oracle for both the bookkeeping and the blocked layout.
+//!
+//! # Exact state
+//!
+//! Apart from the running Ω, the state is a function of the schedule, the
+//! competing mass and the budget (DESIGN.md §15): `M_t` is the left fold
+//! from 0.0 of `events_at(t)`'s runs in assignment order, and feasibility
+//! keeps no trackers — every check asks [`SesInstance::check_join`].
 //!
 //! # Dirty-interval generations
 //!
@@ -156,7 +163,7 @@ pub struct EngineMemoryStats {
     pub column_slots: u64,
     /// Slots the dense layout would hold: `|T| · stride`.
     pub dense_slots: u64,
-    /// Bytes in the column arrays (ranks + offsets + `B`/`M`/`σ`/count).
+    /// Bytes in the column arrays (ranks + offsets + `B`/`M`/`σ`).
     pub resident_column_bytes: u64,
     /// Bytes in the per-`(event, interval)` run arrays (zero when every
     /// column is full — dense-era instances pay nothing).
@@ -195,8 +202,8 @@ impl EngineMemoryStats {
 /// [`Arc`] once and hand out clones; `SesInstance::builder().build_shared()`
 /// does this for you.)
 ///
-/// All mutating operations keep the cached aggregates, the feasibility
-/// trackers and the running utility consistent.
+/// All mutating operations keep the aggregate columns and the running
+/// utility consistent; feasibility is read off the schedule itself.
 pub struct AttendanceEngine {
     inst: Arc<SesInstance>,
     schedule: Schedule,
@@ -205,16 +212,12 @@ pub struct AttendanceEngine {
     rank_of: Vec<u32>,
     /// Every candidate event's posting list as ranks and µ.
     resolved: Postings,
-    /// The blocked per-interval aggregate columns (`B`/`M`/count/`σ`).
+    /// The blocked per-interval aggregate columns (`B`/`M`/`σ`).
     cols: IntervalColumns,
     /// Per-`(event, interval)` posting runs against partial columns.
     runs: ResolvedRuns,
     /// Construction-time memory/build accounting (immutable thereafter).
     memory: EngineMemoryStats,
-    /// Per-interval resources in use.
-    used_resources: Vec<f64>,
-    /// Per-interval occupied locations (location → occupying event).
-    used_locations: Vec<FxHashMap<u32, EventId>>,
     /// The live per-interval resource budget θ. Starts at the instance's
     /// budget; the online layer may move it (capacity changes).
     budget: f64,
@@ -326,8 +329,6 @@ impl AttendanceEngine {
             cols,
             runs,
             memory,
-            used_resources: vec![0.0; nt],
-            used_locations: vec![FxHashMap::default(); nt],
             budget: inst.budget(),
             clock: 0,
             gen: vec![0; nt],
@@ -440,36 +441,15 @@ impl AttendanceEngine {
         (score, self.gen[interval.index()])
     }
 
-    /// Fast feasibility/validity check for `event → interval` against the
-    /// *current* schedule, using the cached per-interval trackers.
+    /// Feasibility/validity check for `event → interval` against the
+    /// *current* schedule and the live budget ([`SesInstance::check_join`]).
     pub fn check_assignment(
         &self,
         event: EventId,
         interval: IntervalId,
     ) -> Result<(), FeasibilityViolation> {
-        if self.schedule.contains(event) {
-            return Err(FeasibilityViolation::EventAlreadyScheduled { event });
-        }
-        let ev = self.inst.event(event);
-        let ti = interval.index();
-        if let Some(&existing) = self.used_locations[ti].get(&ev.location.raw()) {
-            return Err(FeasibilityViolation::LocationConflict {
-                interval,
-                existing,
-                incoming: event,
-            });
-        }
-        let used = self.used_resources[ti];
-        let budget = self.budget;
-        if used + ev.required_resources > budget {
-            return Err(FeasibilityViolation::ResourcesExceeded {
-                interval,
-                used,
-                requested: ev.required_resources,
-                budget,
-            });
-        }
-        Ok(())
+        self.inst
+            .check_assignment(&self.schedule, event, interval, self.budget)
     }
 
     /// Convenience wrapper over [`Self::check_assignment`].
@@ -530,27 +510,6 @@ impl AttendanceEngine {
         interval: IntervalId,
     ) -> Result<f64, FeasibilityViolation> {
         self.check_assignment(event, interval)?;
-        Ok(self.apply_assign(event, interval))
-    }
-
-    /// Re-applies `event → interval` *without* the resource check, for
-    /// putting an event back into the slot it was just unassigned from.
-    ///
-    /// `(used − ξ) + ξ` can land one ulp above `used`, so a strict re-check
-    /// of a vacated home slot that was exactly at budget may spuriously
-    /// fail; restoring the previous state must never do that. The location
-    /// must still be free and the event unscheduled (debug-asserted).
-    pub(crate) fn assign_restored(&mut self, event: EventId, interval: IntervalId) -> f64 {
-        debug_assert!(!self.schedule.contains(event));
-        debug_assert!(
-            !self.used_locations[interval.index()]
-                .contains_key(&self.inst.event(event).location.raw()),
-            "assign_restored requires a free location"
-        );
-        self.apply_assign(event, interval)
-    }
-
-    fn apply_assign(&mut self, event: EventId, interval: IntervalId) -> f64 {
         let gain = self.score(event, interval);
         self.schedule
             .assign(event, interval)
@@ -564,62 +523,58 @@ impl AttendanceEngine {
         // state changes but no score can, so the generation stays put
         // (validity is always re-checked fresh by consumers — only scores
         // are cached).
-        let touched = !slots.is_empty();
         for (&slot, &mu) in slots.iter().zip(mus) {
-            let i = start + slot as usize;
-            self.cols.m[i] += mu;
-            self.cols.mcount[i] += 1;
+            self.cols.m[start + slot as usize] += mu;
         }
-        if touched {
+        if !slots.is_empty() {
             self.touch(interval);
         }
-        let ev = self.inst.event(event);
-        self.used_resources[t] += ev.required_resources;
-        self.used_locations[t].insert(ev.location.raw(), event);
         self.total_utility += gain;
         self.counters.assigns += 1;
-        gain
+        Ok(gain)
     }
 
     /// Removes `event` from the schedule; returns the utility *loss* (the
     /// positive amount by which Ω decreased). Used by local search.
+    ///
+    /// M at the vacated interval is re-folded from 0.0 over the runs of the
+    /// events still there, in assignment order — the sums assigning them
+    /// afresh would build — so an emptied slot holds exactly 0.0 (with
+    /// B = 0, any residue would be a whole phantom user: `M/(B+M)` is
+    /// scale-invariant) and M depends only on the schedule. Cost: the runs
+    /// at the interval.
     pub fn unassign(&mut self, event: EventId) -> Result<f64, ScheduleError> {
         let interval = self.schedule.unassign(event)?;
         let t = interval.index();
         let start = self.cols.offsets[t];
         let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let (slots, mus) = self.runs.run(&self.resolved, event.index(), t, full);
-        let touched = !slots.is_empty();
-        let mut loss = 0.0;
-        for (&slot, &mu) in slots.iter().zip(mus) {
-            let i = start + slot as usize;
-            let (b, m) = (self.cols.b[i], self.cols.m[i]);
-            debug_assert!(
-                self.cols.mcount[i] > 0,
-                "posting user must have a mass entry while assigned"
-            );
-            self.cols.mcount[i] -= 1;
-            // Snap to exactly zero when the last contributor leaves: the
-            // Luce ratio `M/(B+M)` is scale-invariant, so with `B = 0` a
-            // floating-point residue of `1e-16` left in `M` would evaluate
-            // to `1.0` — a whole phantom user of utility. The count makes
-            // unassign an exact inverse of assign.
-            let m_new = if self.cols.mcount[i] == 0 {
-                0.0
-            } else {
-                (m - mu).max(0.0)
-            };
-            self.cols.m[i] = m_new;
-            let before = luce_ratio(m, b + m);
-            let after = luce_ratio(m_new, b + m_new);
-            loss += self.cols.sigma[i] * (before - after);
+        let (slots, _) = self.runs.run(&self.resolved, event.index(), t, full);
+        let before: Vec<f64> = slots
+            .iter()
+            .map(|&slot| self.cols.m[start + slot as usize])
+            .collect();
+        let remaining = self.schedule.events_at(interval);
+        for &e in std::iter::once(&event).chain(remaining) {
+            let (slots, _) = self.runs.run(&self.resolved, e.index(), t, full);
+            for &slot in slots {
+                self.cols.m[start + slot as usize] = 0.0;
+            }
         }
-        if touched {
+        for &e in remaining {
+            let (slots, mus) = self.runs.run(&self.resolved, e.index(), t, full);
+            for (&slot, &mu) in slots.iter().zip(mus) {
+                self.cols.m[start + slot as usize] += mu;
+            }
+        }
+        let mut loss = 0.0;
+        for (&slot, &m) in slots.iter().zip(&before) {
+            let i = start + slot as usize;
+            let (b, m_new) = (self.cols.b[i], self.cols.m[i]);
+            loss += self.cols.sigma[i] * (luce_ratio(m, b + m) - luce_ratio(m_new, b + m_new));
+        }
+        if !slots.is_empty() {
             self.touch(interval);
         }
-        let ev = self.inst.event(event);
-        self.used_resources[t] = (self.used_resources[t] - ev.required_resources).max(0.0);
-        self.used_locations[t].remove(&ev.location.raw());
         self.total_utility -= loss;
         self.counters.unassigns += 1;
         Ok(loss)
@@ -712,10 +667,11 @@ impl AttendanceEngine {
         sum
     }
 
-    /// Resources currently used at `interval`.
-    #[inline]
+    /// Resources currently used at `interval`:
+    /// [`SesInstance::resources_of`] its events.
     pub fn used_resources(&self, interval: IntervalId) -> f64 {
-        self.used_resources[interval.index()]
+        self.inst
+            .resources_of(self.schedule.events_at(interval), None)
     }
 
     /// The live per-interval resource budget θ (the instance's budget unless
@@ -834,6 +790,42 @@ pub fn evaluate_schedule(inst: &SesInstance, schedule: &Schedule) -> Evaluation 
     Evaluation {
         total_utility: total,
         per_event,
+    }
+}
+
+/// The exact-state oracle of the LS and SA unit tests (the simulator
+/// streams' copy, which also replays competing mass, is in
+/// `crates/sim/tests/exact_state.rs`).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Panics unless an engine rebuilt over `live`'s instance and budget,
+    /// assigning each interval's `events_at(t)` in order, matches `live`
+    /// bit for bit on every interval's utility and resources. Ω is left
+    /// out: it is a running sum of each step's gain or loss, so an engine
+    /// that reached the same schedule by another path added other terms.
+    pub(crate) fn assert_exact_state(live: &AttendanceEngine) {
+        let mut fresh = AttendanceEngine::new(live.instance_arc());
+        fresh.set_budget(live.budget());
+        for t in (0..live.schedule().num_intervals()).map(|t| IntervalId::new(t as u32)) {
+            for &e in live.schedule().events_at(t) {
+                fresh
+                    .assign(e, t)
+                    .expect("a live schedule re-assigns in order");
+            }
+            assert_eq!(
+                (
+                    live.interval_utility(t).to_bits(),
+                    live.used_resources(t).to_bits()
+                ),
+                (
+                    fresh.interval_utility(t).to_bits(),
+                    fresh.used_resources(t).to_bits()
+                ),
+                "interval {t}"
+            );
+        }
     }
 }
 
@@ -1007,8 +999,8 @@ mod tests {
     fn unassign_snaps_mass_to_exact_zero() {
         // Regression test: M/(B+M) is scale-invariant, so with B = 0 a float
         // residue (e.g. 1.1 − 0.6 − 0.5 ≈ 1e-16) left in M after unassigns
-        // would evaluate to a full phantom attendance of 1.0. The engine must
-        // therefore be an exact no-op after any assign/unassign round trip.
+        // would evaluate to a full phantom attendance of 1.0. `unassign`
+        // re-folds M from 0.0, so any assign/unassign round trip is exact.
         let inst = inst();
         let mut engine = AttendanceEngine::new(&inst);
         engine.assign(e(1), t(0)).unwrap(); // µ(u1,e1) = 0.5, B(u1,t0) = 0
@@ -1107,7 +1099,7 @@ mod tests {
 
     #[test]
     fn feasibility_checks_use_cached_state() {
-        // Rebuild inst with clashing locations to exercise the fast checker.
+        // Rebuild inst with clashing locations to exercise the engine's checker.
         let mut interest = InterestBuilder::new(1, 2, 0);
         interest.set(u(0), e(0), 0.5).unwrap();
         interest.set(u(0), e(1), 0.5).unwrap();
@@ -1328,7 +1320,7 @@ mod tests {
         engine.assign(e(1), t(1)).unwrap();
         let eval = evaluate_schedule(&inst, engine.schedule());
         assert!(approx_eq(engine.total_utility(), eval.total_utility));
-        // Round-trip back to empty is an exact zero (sparse zero-snap).
+        // Round-trip back to empty is an exact zero (the re-fold).
         engine.unassign(e(0)).unwrap();
         engine.unassign(e(1)).unwrap();
         assert_eq!(engine.total_utility(), 0.0);

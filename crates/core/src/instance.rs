@@ -304,69 +304,84 @@ impl SesInstance {
         Schedule::empty(self.num_events(), self.num_intervals())
     }
 
-    /// Checks whether adding `event → interval` to `schedule` keeps it
-    /// feasible and valid (paper §II). `schedule` itself is assumed feasible.
-    pub fn check_assignment(
+    /// Σξ over `present` and `incoming`, the one place resources at an
+    /// interval are summed: ascending ξ from 0.0, so the bits depend only on
+    /// the set, and (since rounded addition of non-negative terms is
+    /// monotone) a subset never sums higher than its superset.
+    pub fn resources_of(&self, present: &[EventId], incoming: Option<EventId>) -> f64 {
+        // Sorted on the stack for up to 16 events: placement searches check
+        // every interval for every candidate.
+        let (mut inline, mut spilled) = ([0.0f64; 16], None);
+        let n = present.len() + usize::from(incoming.is_some());
+        let xi = match inline.get_mut(..n) {
+            Some(xi) => xi,
+            None => spilled.insert(vec![0.0; n]).as_mut_slice(),
+        };
+        for (x, e) in xi.iter_mut().zip(present.iter().chain(incoming.as_ref())) {
+            *x = self.event(*e).required_resources;
+        }
+        xi.sort_unstable_by(f64::total_cmp);
+        xi.iter().fold(0.0, |used, &x| used + x)
+    }
+
+    /// The feasibility rule at one interval (paper §II): `incoming` may join
+    /// `present`, the events at `interval`, iff none of them holds its
+    /// location and [`Self::resources_of`] the union fits `budget`. So every
+    /// subset of a feasible set is feasible, in any assignment order.
+    pub fn check_join(
         &self,
-        schedule: &Schedule,
-        event: EventId,
         interval: IntervalId,
+        present: &[EventId],
+        incoming: EventId,
+        budget: f64,
     ) -> Result<(), FeasibilityViolation> {
-        if schedule.contains(event) {
-            return Err(FeasibilityViolation::EventAlreadyScheduled { event });
+        let ev = self.event(incoming);
+        if let Some(&existing) = present
+            .iter()
+            .find(|&&e| self.event(e).location == ev.location)
+        {
+            return Err(FeasibilityViolation::LocationConflict {
+                interval,
+                existing,
+                incoming,
+            });
         }
-        let incoming = self.event(event);
-        let mut used = 0.0;
-        for &other in schedule.events_at(interval) {
-            let existing = self.event(other);
-            if existing.location == incoming.location {
-                return Err(FeasibilityViolation::LocationConflict {
-                    interval,
-                    existing: other,
-                    incoming: event,
-                });
-            }
-            used += existing.required_resources;
-        }
-        let budget = self.budget();
-        if used + incoming.required_resources > budget {
+        if self.resources_of(present, Some(incoming)) > budget {
             return Err(FeasibilityViolation::ResourcesExceeded {
                 interval,
-                used,
-                requested: incoming.required_resources,
+                used: self.resources_of(present, None),
+                requested: ev.required_resources,
                 budget,
             });
         }
         Ok(())
     }
 
+    /// Checks whether adding `event → interval` to `schedule` keeps it
+    /// feasible under `budget` (the instance's θ, or an engine's live one)
+    /// and valid.
+    pub fn check_assignment(
+        &self,
+        schedule: &Schedule,
+        event: EventId,
+        interval: IntervalId,
+        budget: f64,
+    ) -> Result<(), FeasibilityViolation> {
+        if schedule.contains(event) {
+            return Err(FeasibilityViolation::EventAlreadyScheduled { event });
+        }
+        self.check_join(interval, schedule.events_at(interval), event, budget)
+    }
+
     /// Checks a whole schedule for feasibility (both constraints at every
-    /// interval). Used by tests and by loaders of external schedules.
+    /// interval): each event must be able to join the ones assigned before
+    /// it. Used by tests and by loaders of external schedules.
     pub fn check_schedule(&self, schedule: &Schedule) -> Result<(), FeasibilityViolation> {
         for t in 0..self.num_intervals() {
             let t = IntervalId::new(t as u32);
             let events = schedule.events_at(t);
-            let mut used = 0.0;
             for (i, &e) in events.iter().enumerate() {
-                let ev = self.event(e);
-                used += ev.required_resources;
-                for &other in &events[..i] {
-                    if self.event(other).location == ev.location {
-                        return Err(FeasibilityViolation::LocationConflict {
-                            interval: t,
-                            existing: other,
-                            incoming: e,
-                        });
-                    }
-                }
-            }
-            if used > self.budget() {
-                return Err(FeasibilityViolation::ResourcesExceeded {
-                    interval: t,
-                    used,
-                    requested: 0.0,
-                    budget: self.budget(),
-                });
+                self.check_join(t, &events[..i], e, self.budget())?;
             }
         }
         Ok(())
@@ -600,11 +615,11 @@ mod tests {
         s.assign(EventId::new(0), IntervalId::new(0)).unwrap();
         // e1 shares location 0 with e0.
         let err = inst
-            .check_assignment(&s, EventId::new(1), IntervalId::new(0))
+            .check_assignment(&s, EventId::new(1), IntervalId::new(0), inst.budget())
             .unwrap_err();
         assert!(matches!(err, FeasibilityViolation::LocationConflict { .. }));
         // Different interval is fine.
-        inst.check_assignment(&s, EventId::new(1), IntervalId::new(1))
+        inst.check_assignment(&s, EventId::new(1), IntervalId::new(1), inst.budget())
             .unwrap();
     }
 
@@ -615,7 +630,7 @@ mod tests {
         s.assign(EventId::new(0), IntervalId::new(0)).unwrap(); // uses 4
                                                                 // e2 requires 8; 4 + 8 > 10.
         let err = inst
-            .check_assignment(&s, EventId::new(2), IntervalId::new(0))
+            .check_assignment(&s, EventId::new(2), IntervalId::new(0), inst.budget())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -629,7 +644,7 @@ mod tests {
         let mut s = inst.empty_schedule();
         s.assign(EventId::new(0), IntervalId::new(0)).unwrap();
         let err = inst
-            .check_assignment(&s, EventId::new(0), IntervalId::new(1))
+            .check_assignment(&s, EventId::new(0), IntervalId::new(1), inst.budget())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -652,6 +667,42 @@ mod tests {
         s.assign(EventId::new(0), IntervalId::new(1)).unwrap();
         s.assign(EventId::new(2), IntervalId::new(0)).unwrap();
         inst.check_schedule(&s).unwrap();
+    }
+
+    #[test]
+    fn resources_of_reads_only_the_set() {
+        // 20 events: past the 16-slot stack buffer.
+        let xi: Vec<f64> = (0..20).map(|i| 0.1 + f64::from(i) * 0.37).collect();
+        let inst = SesInstance::builder()
+            .organizer(Organizer::new(1.0))
+            .intervals(uniform_grid(1, 10))
+            .events(
+                (0..20u32)
+                    .map(|e| {
+                        CandidateEvent::new(EventId::new(e), LocationId::new(e), xi[e as usize])
+                    })
+                    .collect(),
+            )
+            .interest(InterestBuilder::new(0, 20, 0).build().unwrap())
+            .activity(Activity::constant(0, 1, 0.5).unwrap())
+            .build()
+            .unwrap();
+        let ids: Vec<EventId> = (0..20).map(EventId::new).collect();
+        let ascending = xi.iter().fold(0.0, |used, &x| used + x);
+        for n in [0, 1, 2, 15, 16, 17, 20] {
+            let mut order = ids[..n].to_vec();
+            let expected = inst.resources_of(&order, None);
+            order.reverse();
+            assert_eq!(
+                inst.resources_of(&order, None).to_bits(),
+                expected.to_bits()
+            );
+            if let Some((&last, rest)) = order.split_last() {
+                let joined = inst.resources_of(rest, Some(last));
+                assert_eq!(joined.to_bits(), expected.to_bits(), "n = {n}");
+            }
+        }
+        assert_eq!(inst.resources_of(&ids, None).to_bits(), ascending.to_bits());
     }
 
     #[test]

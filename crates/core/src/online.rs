@@ -128,6 +128,11 @@ impl OnlineSession {
         self.engine.total_utility()
     }
 
+    /// The session's engine, read-only.
+    pub fn engine(&self) -> &AttendanceEngine {
+        &self.engine
+    }
+
     /// The instance this session runs against.
     pub fn instance(&self) -> &SesInstance {
         self.engine.instance()
@@ -253,23 +258,21 @@ impl OnlineSession {
                 .engine
                 .unassign(event)
                 .expect("event was scheduled at the interval");
-            // The vacated home slot may fail a strict resource re-check by a
-            // float ulp (or, after a capacity cut, sit exactly at budget), so
-            // staying put goes through the restore path, not `assign`.
-            let better = self
+            // Going home re-forms a set that fit the live budget, so it
+            // cannot fail: the feasibility rule reads only the set.
+            let target = match self
                 .best_placement(event)
-                .filter(|&(_, gain)| gain > loss + 1e-9);
-            match better {
+                .filter(|&(_, gain)| gain > loss + 1e-9)
+            {
                 Some((target, _)) if target != interval => {
-                    self.engine
-                        .assign(event, target)
-                        .expect("chosen placement was validated");
                     moves.push((event, target));
+                    target
                 }
-                _ => {
-                    self.engine.assign_restored(event, interval);
-                }
-            }
+                _ => interval,
+            };
+            self.engine
+                .assign(event, target)
+                .expect("a validated placement or the vacated home");
         }
     }
 

@@ -5,9 +5,10 @@ use proptest::prelude::*;
 use ses_core::testkit::{random_instance, TestInstanceConfig};
 use ses_core::util::float::{approx_eq_tol, approx_ge};
 use ses_core::{
-    evaluate_schedule, AttendanceEngine, EventId, ExactScheduler, GreedyHeapScheduler,
-    GreedyScheduler, IntervalId, LocalSearchScheduler, RandomScheduler, Scheduler, TopScheduler,
-    UserId,
+    evaluate_schedule, uniform_grid, Activity, AttendanceEngine, CandidateEvent, EventId,
+    ExactScheduler, GreedyHeapScheduler, GreedyScheduler, InterestBuilder, IntervalId,
+    LocalSearchScheduler, LocationId, Organizer, RandomScheduler, Scheduler, SesInstance,
+    TopScheduler, UserId,
 };
 
 /// Strategy over modest random instances.
@@ -155,10 +156,10 @@ proptest! {
             prop_assert!(approx_eq_tol(engine.total_utility(), reference, 1e-7),
                 "incremental {} vs reference {}", engine.total_utility(), reference);
         }
-        // Roll everything back. The per-entry masses snap to exactly zero
-        // (no phantom Luce ratios — see engine::MassEntry), but the running
-        // Ω is a float sum over the whole op sequence, so it lands within
-        // rounding of zero rather than exactly on it.
+        // Roll everything back. The masses re-fold to exactly zero (no
+        // phantom Luce ratios — see `AttendanceEngine::unassign`), but the
+        // running Ω is a float sum over the whole op sequence, so it lands
+        // within rounding of zero rather than exactly on it.
         for e in assigned {
             engine.unassign(e).unwrap();
         }
@@ -169,6 +170,78 @@ proptest! {
         let e0 = EventId::new(0);
         let t0 = IntervalId::new(0);
         prop_assert_eq!(engine.score(e0, t0), fresh.score(e0, t0));
+    }
+
+    /// `check_schedule`'s verdict is a property of the assignment set: the
+    /// same events at one interval pass or fail together in every
+    /// assignment order. θ is set to their sum in one random order, so the
+    /// set sits on the budget's edge, where summing in assignment order
+    /// used to give different verdicts.
+    #[test]
+    fn check_schedule_verdict_ignores_assignment_order(
+        milli_xi in prop::collection::vec(500u32..3000, 3..9),
+        theta_order in any::<u64>(),
+    ) {
+        let n = milli_xi.len();
+        let xi: Vec<f64> = milli_xi.iter().map(|&m| f64::from(m) / 1000.0).collect();
+        let mut ids: Vec<usize> = (0..n).collect();
+        let mut state = theta_order | 1;
+        for i in (1..n).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ids.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let theta = ids.iter().fold(0.0, |sum, &i| sum + xi[i]);
+        let inst = SesInstance::builder()
+            .organizer(Organizer::new(theta))
+            .intervals(uniform_grid(1, 10))
+            .events(
+                xi.iter()
+                    .enumerate()
+                    .map(|(e, &x)| CandidateEvent::new(EventId::new(e as u32), LocationId::new(e as u32), x))
+                    .collect(),
+            )
+            .interest(InterestBuilder::new(1, n, 0).build().unwrap())
+            .activity(Activity::constant(1, 1, 1.0).unwrap())
+            .build()
+            .unwrap();
+        let verdict = |order: &[usize]| {
+            let mut schedule = inst.empty_schedule();
+            for &e in order {
+                schedule.assign(EventId::new(e as u32), IntervalId::new(0)).unwrap();
+            }
+            inst.check_schedule(&schedule).is_ok()
+        };
+        let first = verdict(&ids);
+        let mut order: Vec<usize> = (0..n).collect();
+        for _ in 0..n {
+            prop_assert_eq!(verdict(&order), first, "order {:?}", order);
+            order.rotate_left(1);
+        }
+        order.reverse();
+        prop_assert_eq!(verdict(&order), first, "order {:?}", order);
+    }
+
+    /// The engine's and the instance's `check_assignment` give the same
+    /// answer, error payload included, on every state a random
+    /// assign/unassign walk reaches.
+    #[test]
+    fn engine_and_instance_checks_agree(
+        cfg in instance_config(),
+        ops in prop::collection::vec((any::<u32>(), any::<u32>()), 1..60),
+    ) {
+        let inst = random_instance(&cfg);
+        let mut engine = AttendanceEngine::new(&inst);
+        for (eraw, traw) in ops {
+            let e = EventId::new(eraw % inst.num_events() as u32);
+            let t = IntervalId::new(traw % inst.num_intervals() as u32);
+            let verdict = engine.check_assignment(e, t);
+            prop_assert_eq!(verdict, inst.check_assignment(engine.schedule(), e, t, inst.budget()));
+            if engine.schedule().contains(e) {
+                engine.unassign(e).unwrap();
+            } else if verdict.is_ok() {
+                engine.assign(e, t).unwrap();
+            }
+        }
     }
 
     /// Local search never hurts its base scheduler and preserves size and
