@@ -241,9 +241,12 @@ fn build_cells(users: usize, seed: u64, k_values: &[usize]) -> Result<Vec<Engine
 
     let mut cells = Vec::new();
     for cell in k_sweep(k_values, seed) {
-        let built = build_instance(&dataset, &cell.config)
-            .map_err(|e| format!("cell k={} failed to build: {e}", cell.value))?;
         for spec in [SchedulerSpec::Greedy, SchedulerSpec::GreedyHeap] {
+            // A fresh instance per solve: the engine index and its opening
+            // sweep are cached on the instance, and each timed cell pays
+            // for its own.
+            let built = build_instance(&dataset, &cell.config)
+                .map_err(|e| format!("cell k={} failed to build: {e}", cell.value))?;
             let scheduler = registry::build(spec);
             let outcome = scheduler
                 .run(&built.instance, cell.config.k)
@@ -304,15 +307,17 @@ fn build_users_cells(
     let num_intervals = 3 * k / 2;
     let mut cells = Vec::new();
     for &users in users_values {
-        let inst = sparse_population(
-            users,
-            num_events,
-            num_intervals,
-            USERS_AXIS_INTERESTS,
-            USERS_AXIS_ACTIVE,
-            seed,
-        );
         for spec in [SchedulerSpec::Greedy, SchedulerSpec::GreedyHeap] {
+            // A fresh instance per solve, so each cell's `build_millis`
+            // times its own index build.
+            let inst = sparse_population(
+                users,
+                num_events,
+                num_intervals,
+                USERS_AXIS_INTERESTS,
+                USERS_AXIS_ACTIVE,
+                seed,
+            );
             let scheduler = registry::build(spec);
             let outcome = scheduler.run(&inst, k).expect("k ≤ |E| by construction");
             let oracle = evaluate_schedule(&inst, &outcome.schedule);

@@ -2,8 +2,9 @@
 //! `ses-server`, drives it with the built-in closed-loop load generator,
 //! runs the server-vs-simulator replay determinism check, and writes the
 //! whole picture — client-side req/s + p50/p95/p99, the server's own
-//! `/metrics` histograms, and the digest verdict — as `BENCH_server.json`
-//! at the repo root.
+//! `/metrics` histograms, the digest verdict, the fsync-policy sweep and
+//! the shared engine index's rows (first vs later `/solve`, session open,
+//! bytes per session) — as `BENCH_server.json` at the repo root.
 //!
 //! `cargo run --release -p ses-bench --bin bench_server -- --help` lists
 //! the options. `--smoke` shrinks the run for CI (and, like
@@ -14,10 +15,13 @@
 
 use ses_cli::args::{self, Command, Opt, ParsedArgs};
 use ses_server::{
-    serve, verify_replay, DurabilityRow, FsyncPolicy, HttpClient, LoadgenConfig, ReplayConfig,
-    ServerBenchReport, ServerConfig,
+    serve, verify_replay, DurabilityRow, EngineIndexRow, FsyncPolicy, HttpClient, LoadgenConfig,
+    ReplayConfig, ServerBenchReport, ServerConfig, Spread,
 };
+use ses_service::SessionReport;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Dimensions of the packed second tenant. Deliberately different from the
 /// default serving instance so cross-tenant traffic exercises distinct
@@ -25,6 +29,13 @@ use std::process::ExitCode;
 const TENANT_USERS: usize = 5_000;
 const TENANT_EVENTS: usize = 120;
 const TENANT_INTERVALS: usize = 48;
+
+/// Fresh servers per engine-index row: each contributes one first solve.
+const INDEX_REPEATS: usize = 5;
+/// Later solves and session opens timed on each of those servers.
+const INDEX_LATER: usize = 5;
+/// `k` of the engine-index rows' solves and opens.
+const INDEX_K: usize = 8;
 
 const BENCH_SERVER: Command = Command {
     name: "bench_server",
@@ -158,12 +169,14 @@ fn run(args: &ParsedArgs) -> Result<(), String> {
         serde_json::from_str(&body).map_err(|e| format!("bad /metrics body: {e}"))?;
 
     let durability = durability_sweep(smoke, shards, seed)?;
+    let engine_index = engine_index_rows(shards, seed, &tenant_path)?;
     let healthy = summary.errors == 0 && digest.matches && digest.utility_bits_match;
     let report = ServerBenchReport {
         loadgen: summary,
         server,
         digest: Some(digest),
         durability,
+        engine_index,
     };
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(&out, json).map_err(|e| format!("write {out}: {e}"))?;
@@ -242,6 +255,103 @@ fn durability_sweep(smoke: bool, shards: usize, seed: u64) -> Result<Vec<Durabil
             ));
         }
         rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// Measures what the shared engine index saves, per instance (the default
+/// and the packed tenant): on each of [`INDEX_REPEATS`] fresh servers, an
+/// empty `/eval` loads the instance without building an engine, then the
+/// first `/solve` (which builds the index and its opening sweep),
+/// [`INDEX_LATER`] more of the same `/solve`, and as many session opens are
+/// timed at the client. The byte columns come from the last open session's
+/// report.
+fn engine_index_rows(
+    shards: usize,
+    seed: u64,
+    tenant: &Path,
+) -> Result<Vec<EngineIndexRow>, String> {
+    let instances = ["default", "tenant-b"];
+    let mut samples = vec![[Vec::new(), Vec::new(), Vec::new()]; instances.len()];
+    let mut memory = vec![ses_core::EngineMemoryStats::default(); instances.len()];
+    for repeat in 0..INDEX_REPEATS {
+        let handle = serve(&ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            shards,
+            seed,
+            instances: vec![("tenant-b".to_owned(), tenant.to_path_buf())],
+            ..ServerConfig::default()
+        })
+        .map_err(|e| format!("bind index server: {e}"))?;
+        let mut client = HttpClient::new(handle.addr().to_string());
+        let mut timed = |path: &str, body: &str| -> Result<(u64, String), String> {
+            let start = Instant::now();
+            let (status, answer) = client
+                .post(path, body)
+                .map_err(|e| format!("POST {path}: {e}"))?;
+            let micros = start.elapsed().as_micros() as u64;
+            if status != 200 {
+                return Err(format!("POST {path} answered {status}: {answer}"));
+            }
+            Ok((micros, answer))
+        };
+        for (i, instance) in instances.iter().enumerate() {
+            let [first, later, open] = &mut samples[i];
+            timed(
+                "/eval",
+                &format!(r#"{{"assignments":[],"instance":"{instance}"}}"#),
+            )?;
+            let solve = format!(r#"{{"spec":"Greedy","k":{INDEX_K},"instance":"{instance}"}}"#);
+            first.push(timed("/solve", &solve)?.0);
+            for _ in 0..INDEX_LATER {
+                later.push(timed("/solve", &solve)?.0);
+            }
+            for j in 0..INDEX_LATER {
+                let name = format!("index-{repeat}-{i}-{j}");
+                let body = format!(
+                    r#"{{"name":"{name}","spec":"Greedy","k":{INDEX_K},"instance":"{instance}"}}"#
+                );
+                open.push(timed(&format!("/sessions/{name}/open"), &body)?.0);
+                let (_, report) = timed(&format!("/sessions/{name}/report"), "")?;
+                let report: SessionReport =
+                    serde_json::from_str(&report).map_err(|e| format!("bad report: {e}"))?;
+                memory[i] = report.memory;
+            }
+        }
+        handle.shutdown();
+    }
+    let rows: Vec<EngineIndexRow> = instances
+        .iter()
+        .zip(samples)
+        .zip(memory)
+        .map(
+            |((instance, [first, later, open]), memory)| EngineIndexRow {
+                instance: (*instance).to_owned(),
+                first_solve: Spread::of(&first),
+                later_solve: Spread::of(&later),
+                open: Spread::of(&open),
+                bytes_per_session: memory.state_bytes,
+                index_bytes: memory.index_bytes,
+            },
+        )
+        .collect();
+    for row in &rows {
+        let show = |s: &Spread| {
+            format!(
+                "{:.0} µs [{}–{}] ×{}",
+                s.median_micros, s.min_micros, s.max_micros, s.repeats
+            )
+        };
+        println!(
+            "  engine index [{}] first solve {}, later solve {}, open {}; \
+             {} B per session, {} B index",
+            row.instance,
+            show(&row.first_solve),
+            show(&row.later_solve),
+            show(&row.open),
+            row.bytes_per_session,
+            row.index_bytes
+        );
     }
     Ok(rows)
 }

@@ -76,11 +76,14 @@ impl CellResult {
 }
 
 fn run_cell(dataset: &EbsnDataset, cell: &SweepCell, cfg: &HarnessConfig) -> Vec<CellResult> {
-    let built = build_instance(dataset, &cell.config)
-        .expect("dataset sized for the sweep (harness checks up front)");
     cfg.algos
         .iter()
         .map(|&spec| {
+            // A fresh instance per algorithm: the engine index and its
+            // opening sweep are cached on the instance, and each timed run
+            // pays for its own, as the paper's timings do.
+            let built = build_instance(dataset, &cell.config)
+                .expect("dataset sized for the sweep (harness checks up front)");
             let scheduler = registry::build(spec.with_seed(cfg.seed));
             let outcome = scheduler
                 .run(&built.instance, cell.config.k)

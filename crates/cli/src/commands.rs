@@ -866,6 +866,7 @@ pub fn loadgen(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         server,
         digest,
         durability: Vec::new(),
+        engine_index: Vec::new(),
     };
 
     if let Some(path) = &report_path {

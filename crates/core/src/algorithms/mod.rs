@@ -130,32 +130,29 @@ pub trait Scheduler {
 }
 
 /// Scores every `(event, interval)` pair against the engine's current state
-/// — the `O(|E||T|·postings)` sweep that opens GRD, GRD-PQ and TOP.
+/// — the `O(|E||T|·postings)` sweep that opens GRD, GRD-PQ and TOP — as
+/// rows in `(event, interval)` order.
 ///
-/// The sweep is interval-major on purpose: one interval's columnar block
-/// (`B`/`M`/`σ` slices, tens of KB) stays cache-resident while every event
-/// scores against it, instead of re-streaming all `|T|` blocks per event —
-/// an order-of-magnitude cut in memory traffic at Fig. 1 scale. Rows come
-/// back in `(event, interval)` order.
+/// On an engine at clock 0 the scores come from the instance's shared
+/// index ([`AttendanceEngine::score_every_pair`]): only the first such
+/// sweep per instance computes them. The counters advance by the sweep's
+/// full cost either way, and the `sweep` span's `aux_b` is 1 when the
+/// index served it.
 pub(crate) fn initial_scores(engine: &mut AttendanceEngine) -> Vec<(EventId, IntervalId, f64)> {
     let mut sweep = ses_obs::span(ses_obs::Stage::Sweep);
     let counters_before = engine.counters();
-    let ne = engine.instance().num_events();
     let nt = engine.instance().num_intervals();
-    let all_events: Vec<EventId> = (0..ne).map(|e| EventId::new(e as u32)).collect();
-    // `columns[t][e]` = score(e → t); filled interval-major, emitted
-    // event-major.
-    let columns: Vec<Vec<f64>> = (0..nt)
-        .map(|t| engine.score_frontier(&all_events, IntervalId::new(t as u32)))
+    let (scores, served) = engine.score_every_pair();
+    let rows: Vec<_> = scores
+        .iter()
+        .enumerate()
+        .map(|(i, &score)| {
+            let (e, t) = (i / nt, i % nt);
+            (EventId::new(e as u32), IntervalId::new(t as u32), score)
+        })
         .collect();
-    let mut rows = Vec::with_capacity(ne * nt);
-    for (e, &event) in all_events.iter().enumerate() {
-        for (t, column) in columns.iter().enumerate() {
-            rows.push((event, IntervalId::new(t as u32), column[e]));
-        }
-    }
     sweep.set_ops(engine.counters().delta_since(counters_before).as_ops());
-    sweep.set_aux(rows.len() as u64, 0);
+    sweep.set_aux(rows.len() as u64, u64::from(served));
     rows
 }
 

@@ -4,8 +4,8 @@
 //!
 //! The dense layout this replaces kept `|T| · stride` slots per aggregate
 //! column. Here each interval `t` owns a compact column holding only the
-//! ranks with `σ(u,t) > 0` — CSR offsets into flat `ranks`/`b`/`m`/`σ`
-//! arrays — so resident memory is `O(nnz + |T|)` where
+//! ranks with `σ(u,t) > 0` — CSR offsets into flat `ranks`/`b`/`σ` arrays,
+//! with each engine's `M` parallel to them — so resident memory is `O(nnz + |T|)` where
 //! `nnz = Σ_t |{r : σ(u_r,t) > 0}|`. A slot with `σ(u,t) = 0` is provably
 //! inert: every read path multiplies it by `σ` (scores, losses, attendance
 //! probabilities, interval utilities), its term is `±0.0`, and partial sums
@@ -36,7 +36,9 @@ use std::ops::Range;
 /// Ranks per block of the postings sweep ([`for_each_posting`]).
 const RANK_BLOCK: usize = 1 << 14;
 
-/// The per-interval blocked columns: CSR offsets plus parallel value arrays.
+/// The per-interval blocked columns: CSR offsets plus the parallel arrays
+/// fixed by the instance (ranks, the initial `B`, `σ`). Each engine keeps
+/// its own `M` (and, once it has one, its own `B`) parallel to them.
 ///
 /// `offsets[t]..offsets[t+1]` is interval `t`'s column; `ranks` within a
 /// column are strictly ascending (users are scattered in rank order, each
@@ -51,10 +53,8 @@ pub(crate) struct IntervalColumns {
     pub(crate) offsets: Vec<usize>,
     /// Rank ids per slot, ascending within each column.
     pub(crate) ranks: Vec<u32>,
-    /// Competing mass `B` per slot.
+    /// The instance's competing mass `B` per slot.
     pub(crate) b: Vec<f64>,
-    /// Scheduled mass `M` per slot.
-    pub(crate) m: Vec<f64>,
     /// `σ(u,t)` snapshot per slot (strictly positive by construction).
     pub(crate) sigma: Vec<f64>,
 }
@@ -139,7 +139,6 @@ impl IntervalColumns {
             offsets,
             ranks,
             b: vec![0.0; nnz],
-            m: vec![0.0; nnz],
             sigma,
         };
         (cols, RankSlots { starts, pairs })
@@ -179,10 +178,10 @@ impl IntervalColumns {
         self.ranks.len()
     }
 
-    /// Bytes resident in the column arrays (ranks + offsets + the three
-    /// parallel value columns).
+    /// Bytes resident in the column arrays (ranks + offsets + the two
+    /// parallel value columns `B` and `σ`).
     pub(crate) fn resident_bytes(&self) -> u64 {
-        let per_slot = size_of::<u32>() + 3 * size_of::<f64>(); // ranks; b, m, sigma
+        let per_slot = size_of::<u32>() + 2 * size_of::<f64>(); // ranks; b, sigma
         (self.ranks.len() * per_slot + self.offsets.len() * size_of::<usize>()) as u64
     }
 }
@@ -240,7 +239,7 @@ impl Postings {
     }
 
     /// Bytes resident: 12 per posting plus the offsets.
-    fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         (self.ids.len() * size_of::<u32>()
             + self.mus.len() * size_of::<f64>()
             + self.offsets.len() * size_of::<usize>()) as u64

@@ -32,16 +32,19 @@ pub(crate) fn posting_gain(b: f64, m: f64, mu: f64) -> f64 {
     let d = b + m;
     let denom = d * (d + mu);
     // `denom > 0` whenever the user has any mass; the fallback covers the
-    // first-mass case `D = 0` (ratio jumps 0 → µ/µ = 1) and is rare enough
-    // for the branch to predict perfectly. The `µ > 0` guard there keeps a
-    // zero-weight posting (which `Interest` never stores) at the 0/0 := 0
-    // convention instead of inventing a phantom unit of gain.
+    // first-mass case `D = 0` (ratio jumps 0 → µ/µ = 1). The `µ > 0` guard
+    // there keeps a zero-weight posting (which `Interest` never stores) at
+    // the 0/0 := 0 convention instead of inventing a phantom unit of gain.
+    // Both sides are computed and one is selected: a user without competing
+    // mass (the first-mass case) is common and scattered through a run, so
+    // a branch on it would mispredict, while a division by zero is only a
+    // discarded NaN or infinity.
+    let first_mass = if mu > 0.0 { 1.0 } else { 0.0 };
+    let ratio = mu * b / denom;
     if denom > 0.0 {
-        mu * b / denom
-    } else if mu > 0.0 {
-        1.0
+        ratio
     } else {
-        0.0
+        first_mass
     }
 }
 

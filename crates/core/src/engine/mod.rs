@@ -57,6 +57,22 @@
 //! [`evaluate_schedule`] recomputes Ω from scratch over hash maps and is the
 //! testing oracle for both the bookkeeping and the blocked layout.
 //!
+//! # One index per instance
+//!
+//! Everything above except `M` is a pure function of the instance: the slot
+//! ranks, the resolved postings, the column layout with the initial `B` and
+//! `σ`, the runs, and the opening sweep's scores (every `(e, t)` against the
+//! empty columns). That half is an [`EngineIndex`], built by the first
+//! engine of an instance and cached on the [`SesInstance`] itself, so every
+//! engine over the instance — each solve, session, replay and report —
+//! shares one (DESIGN.md §16). An engine owns `M`, the schedule, the clock
+//! and generations, the budget, Ω and its counters. It reads `B` from the
+//! index until its first [`AttendanceEngine::add_competing_mass`] lands,
+//! then from its own copy, so the index is never written after its build.
+//! The opening scores are served only to an engine whose clock is still 0,
+//! whose columns are the index's own; the counters still advance by the
+//! sweep's full cost.
+//!
 //! # Exact state
 //!
 //! Apart from the running Ω, the state is a function of the schedule, the
@@ -90,7 +106,7 @@ use crate::util::float::luce_ratio;
 use crate::util::fxhash::FxHashMap;
 use columns::{IntervalColumns, Postings, ResolvedRuns};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Rank sentinel for users outside the slot index (no posting anywhere).
 const NO_RANK: u32 = u32::MAX;
@@ -156,7 +172,13 @@ impl EngineCounters {
 /// number of `(t, rank)` slots actually resident against what the dense
 /// uniform-stride layout would have allocated. All byte counts are exact
 /// (element sizes × lengths), so two engines on the same instance report
-/// identical values — only `build_millis` is wall-clock.
+/// identical layout values — only `build_millis` is wall-clock, and
+/// `index_bytes` grows once when the index's opening scores are filled.
+///
+/// `resident_column_bytes` and `run_bytes` describe the layout one engine
+/// reads, whoever holds it. `index_bytes` and `state_bytes` say who holds
+/// it: the [`EngineIndex`] every engine of the instance shares, and what
+/// this engine owns alone. Summing many engines, count each index once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineMemoryStats {
     /// Resident `(t, rank)` slots (`nnz` of the activity pattern).
@@ -168,8 +190,18 @@ pub struct EngineMemoryStats {
     /// Bytes in the per-`(event, interval)` run arrays (zero when every
     /// column is full — dense-era instances pay nothing).
     pub run_bytes: u64,
-    /// Wall-clock milliseconds spent building the slot index, columns and
-    /// runs. Reporting only — never branched on, never digested.
+    /// Bytes in the instance's shared [`EngineIndex`]: the slot index, the
+    /// resolved postings, the column layout with the initial `B` and `σ`,
+    /// the runs and, once filled, the opening scores.
+    #[serde(default)]
+    pub index_bytes: u64,
+    /// Bytes this engine owns alone: `M`, its generations and, once
+    /// competing mass has landed, its own copy of `B`.
+    #[serde(default)]
+    pub state_bytes: u64,
+    /// Wall-clock milliseconds this engine's construction took: its state,
+    /// plus the instance's index when this engine was the one to build it.
+    /// Reporting only — never branched on, never digested.
     pub build_millis: f64,
 }
 
@@ -180,76 +212,53 @@ impl EngineMemoryStats {
         self.resident_column_bytes + self.run_bytes
     }
 
-    /// Sums another engine's accounting into this one (per-shard session
-    /// totals on the server; `build_millis` accumulates, like a CPU-time
-    /// counter).
+    /// Sums another engine's accounting into this one (`build_millis`
+    /// accumulates, like a CPU-time counter). Engines sharing an index
+    /// each add its `index_bytes`.
     pub fn merge(&mut self, other: &EngineMemoryStats) {
         self.column_slots += other.column_slots;
         self.dense_slots += other.dense_slots;
         self.resident_column_bytes += other.resident_column_bytes;
         self.run_bytes += other.run_bytes;
+        self.index_bytes += other.index_bytes;
+        self.state_bytes += other.state_bytes;
         self.build_millis += other.build_millis;
     }
 }
 
-/// Incremental attendance/utility engine bound to one instance.
-///
-/// Owns the evolving [`Schedule`] and a shared handle to its
-/// [`SesInstance`], so engines are `Send + Sync + 'static`: they can live in
-/// maps and move across threads (all scoring state is plain data — no
-/// cells, no locks).
-/// (Borrowed `&SesInstance` constructors are gone — wrap the instance in an
-/// [`Arc`] once and hand out clones; `SesInstance::builder().build_shared()`
-/// does this for you.)
-///
-/// All mutating operations keep the aggregate columns and the running
-/// utility consistent; feasibility is read off the schedule itself.
-pub struct AttendanceEngine {
-    inst: Arc<SesInstance>,
-    schedule: Schedule,
+/// The instance-derived half of every engine: the slot index, the
+/// candidate postings resolved to ranks, the column layout with the
+/// initial `B` and `σ`, the posting runs, and the opening scores. None of
+/// it depends on a schedule, so it is built once per instance (on the
+/// first [`AttendanceEngine::new`]), cached on the [`SesInstance`], and
+/// shared by every engine of that instance; dropping the instance's last
+/// handle drops it.
+pub struct EngineIndex {
     /// `rank_of[u]` — the user's dense rank in the slot index, or
     /// [`NO_RANK`] for users outside it.
     rank_of: Vec<u32>,
     /// Every candidate event's posting list as ranks and µ.
     resolved: Postings,
-    /// The blocked per-interval aggregate columns (`B`/`M`/`σ`).
+    /// The blocked per-interval columns (ranks, initial `B`, `σ`).
     cols: IntervalColumns,
     /// Per-`(event, interval)` posting runs against partial columns.
     runs: ResolvedRuns,
-    /// Construction-time memory/build accounting (immutable thereafter).
-    memory: EngineMemoryStats,
-    /// The live per-interval resource budget θ. Starts at the instance's
-    /// budget; the online layer may move it (capacity changes).
-    budget: f64,
-    /// Monotone mutation clock: advanced once per column mutation. `0`
-    /// means "nothing has ever mutated", so a consumer snapshot taken at
-    /// clock `c` is stale for exactly the intervals with `gen[t] > c`.
-    clock: u64,
-    /// `gen[t]` — the clock value at interval `t`'s most recent column
-    /// mutation (its *generation*). Scores tagged with an older generation
-    /// are stale; scores tagged with the current one are bit-exact.
-    gen: Vec<u64>,
-    total_utility: f64,
-    counters: EngineCounters,
+    /// The opening sweep: every `(e, t)` score against the empty columns,
+    /// event-major, and the counters computing it cost. Filled by the
+    /// first sweep of an engine at clock 0.
+    opening: OnceLock<(Arc<Vec<f64>>, EngineCounters)>,
 }
 
-impl AttendanceEngine {
-    /// Creates an engine with an empty schedule. Builds the slot index from
-    /// the union of the candidate posting lists, pre-resolves every
-    /// candidate event's postings to ranks, builds the blocked `σ`-columns
-    /// and per-interval runs, and accumulates the competing masses `B_t` —
-    /// `O(nnz + |T| + Σ_h |postings(h)|)` plus one write per run entry,
-    /// never a dense `|T|·stride` pass. Partial columns' runs resolve on
-    /// every core; the engine is the same for any split. Records a
-    /// [`ses_obs::Stage::Build`] span with `index`, `columns` and `runs`
-    /// children.
-    ///
-    /// Takes `&Arc` and clones the handle internally — callers keep their
-    /// own handle and pay one refcount bump, never a deep copy.
-    pub fn new(inst: &Arc<SesInstance>) -> Self {
-        let mut span = ses_obs::span(ses_obs::Stage::Build);
-        // ses-analyze: allow(wall-clock-in-core): build timing is reported in EngineMemoryStats, never branched on or digested
-        let build_start = std::time::Instant::now();
+impl EngineIndex {
+    /// Builds the index of `inst`. Indexes the union of the candidate
+    /// posting lists and pre-resolves every candidate event's postings to
+    /// ranks (an `index` span), builds the blocked `σ`-columns and
+    /// accumulates the competing masses `B_t` (`columns`), and resolves the
+    /// per-interval runs (`runs`) — `O(nnz + |T| + Σ_h |postings(h)|)`
+    /// plus one write per run entry, never a dense `|T|·stride` pass.
+    /// Partial columns' runs resolve on every core; the index is the same
+    /// for any split.
+    pub(crate) fn build(inst: &SesInstance) -> Self {
         let nt = inst.num_intervals();
         let nu = inst.num_users();
         let ne = inst.num_events();
@@ -312,28 +321,107 @@ impl AttendanceEngine {
         let (runs, workers) = ResolvedRuns::build(&cols, &slots, &resolved);
         runs_span.set_aux(runs.entries() as u64, workers as u64);
         drop(runs_span);
-        span.set_aux(runs.entries() as u64, cols.nnz() as u64);
-        let memory = EngineMemoryStats {
-            column_slots: cols.nnz() as u64,
-            dense_slots: nt as u64 * cols.stride as u64,
-            resident_column_bytes: cols.resident_bytes(),
-            run_bytes: runs.resident_bytes(),
-            build_millis: build_start.elapsed().as_secs_f64() * 1e3,
-        };
-
         Self {
-            inst: Arc::clone(inst),
-            schedule: inst.empty_schedule(),
             rank_of,
             resolved,
             cols,
             runs,
-            memory,
+            opening: OnceLock::new(),
+        }
+    }
+
+    /// Interval `t`'s column start and the run of `(event, t)` as parallel
+    /// slot and µ slices: the shared posting list itself when the column is
+    /// full (rank ≡ local slot), otherwise the pre-resolved entries.
+    #[inline]
+    fn run(&self, event: usize, t: usize) -> (usize, &[u32], &[f64]) {
+        let start = self.cols.offsets[t];
+        let full = self.cols.offsets[t + 1] - start == self.cols.stride;
+        let (slots, mus) = self.runs.run(&self.resolved, event, t, full);
+        (start, slots, mus)
+    }
+
+    /// Bytes resident in the index (see [`EngineMemoryStats::index_bytes`]).
+    fn resident_bytes(&self) -> u64 {
+        let opening = self.opening.get().map_or(0, |(scores, _)| scores.len());
+        (self.rank_of.len() * size_of::<u32>() + opening * size_of::<f64>()) as u64
+            + self.resolved.resident_bytes()
+            + self.cols.resident_bytes()
+            + self.runs.resident_bytes()
+    }
+}
+
+/// Incremental attendance/utility engine bound to one instance.
+///
+/// Owns the evolving [`Schedule`], a shared handle to its [`SesInstance`]
+/// and one to the instance's [`EngineIndex`], so engines are
+/// `Send + Sync + 'static`: they can live in maps and move across threads
+/// (all scoring state is plain data — no cells, no locks).
+/// (Borrowed `&SesInstance` constructors are gone — wrap the instance in an
+/// [`Arc`] once and hand out clones; `SesInstance::builder().build_shared()`
+/// does this for you.)
+///
+/// All mutating operations keep the aggregate columns and the running
+/// utility consistent; feasibility is read off the schedule itself.
+pub struct AttendanceEngine {
+    inst: Arc<SesInstance>,
+    /// The instance's shared index: slot ranks, postings, column layout,
+    /// initial `B`, `σ` and runs.
+    index: Arc<EngineIndex>,
+    schedule: Schedule,
+    /// Scheduled mass `M` per column slot, parallel to the index's columns.
+    m: Vec<f64>,
+    /// This engine's own competing mass `B`, copied from the index when the
+    /// first [`Self::add_competing_mass`] lands; until then `B` is read
+    /// from the index, which no engine ever writes.
+    b: Option<Vec<f64>>,
+    /// Wall-clock milliseconds of this engine's construction.
+    build_millis: f64,
+    /// The live per-interval resource budget θ. Starts at the instance's
+    /// budget; the online layer may move it (capacity changes).
+    budget: f64,
+    /// Monotone mutation clock: advanced once per column mutation. `0`
+    /// means "nothing has ever mutated", so a consumer snapshot taken at
+    /// clock `c` is stale for exactly the intervals with `gen[t] > c`.
+    clock: u64,
+    /// `gen[t]` — the clock value at interval `t`'s most recent column
+    /// mutation (its *generation*). Scores tagged with an older generation
+    /// are stale; scores tagged with the current one are bit-exact.
+    gen: Vec<u64>,
+    total_utility: f64,
+    counters: EngineCounters,
+}
+
+impl AttendanceEngine {
+    /// Creates an engine with an empty schedule over the instance's shared
+    /// [`EngineIndex`], building the index first if no engine of the
+    /// instance has yet (see [`EngineIndex`]; concurrent first engines
+    /// build it once). Its own state is `M` and the generations: one
+    /// `O(nnz + |T|)` allocation. Records a [`ses_obs::Stage::Build`] span,
+    /// with `index`, `columns` and `runs` children only when it builds the
+    /// index.
+    ///
+    /// Takes `&Arc` and clones the handle internally — callers keep their
+    /// own handle and pay one refcount bump, never a deep copy.
+    pub fn new(inst: &Arc<SesInstance>) -> Self {
+        let mut span = ses_obs::span(ses_obs::Stage::Build);
+        // ses-analyze: allow(wall-clock-in-core): build timing is reported in EngineMemoryStats, never branched on or digested
+        let build_start = std::time::Instant::now();
+        let index = Arc::clone(inst.engine_index());
+        let nnz = index.cols.nnz();
+        span.set_aux(index.runs.entries() as u64, nnz as u64);
+        Self {
+            inst: Arc::clone(inst),
+            schedule: inst.empty_schedule(),
+            m: vec![0.0; nnz],
+            b: None,
+            build_millis: build_start.elapsed().as_secs_f64() * 1e3,
             budget: inst.budget(),
             clock: 0,
-            gen: vec![0; nt],
+            gen: vec![0; inst.num_intervals()],
             total_utility: 0.0,
             counters: EngineCounters::default(),
+            index,
         }
     }
 
@@ -384,11 +472,37 @@ impl AttendanceEngine {
         self.counters
     }
 
-    /// Resident-memory and build-cost accounting for the blocked layout,
-    /// fixed at construction (columns never grow or shrink afterwards).
+    /// The instance's shared index this engine reads (compare two engines'
+    /// with [`Arc::ptr_eq`] to count shared bytes once).
     #[inline]
+    pub fn index(&self) -> &Arc<EngineIndex> {
+        &self.index
+    }
+
+    /// Resident-memory and build-cost accounting for the blocked layout.
+    /// The layout is fixed at construction (columns never grow or shrink);
+    /// `state_bytes` grows once if `B` is copied, `index_bytes` once when
+    /// the opening scores are filled.
     pub fn memory_stats(&self) -> EngineMemoryStats {
-        self.memory
+        let cols = &self.index.cols;
+        let f64s = self.m.len() + self.b.as_ref().map_or(0, Vec::len);
+        let m_bytes = (self.m.len() * size_of::<f64>()) as u64;
+        EngineMemoryStats {
+            column_slots: cols.nnz() as u64,
+            dense_slots: self.gen.len() as u64 * cols.stride as u64,
+            resident_column_bytes: cols.resident_bytes() + m_bytes,
+            run_bytes: self.index.runs.resident_bytes(),
+            index_bytes: self.index.resident_bytes(),
+            state_bytes: (f64s * size_of::<f64>() + self.gen.len() * size_of::<u64>()) as u64,
+            build_millis: self.build_millis,
+        }
+    }
+
+    /// Competing mass `B` per column slot: this engine's own copy once
+    /// competing mass has landed, the index's until then.
+    #[inline]
+    fn b(&self) -> &[f64] {
+        self.b.as_deref().unwrap_or(&self.index.cols.b)
     }
 
     /// The current mutation clock. Snapshot it before caching scores; feed
@@ -466,23 +580,17 @@ impl AttendanceEngine {
     /// at most (and on full columns exactly) the posting-list length, so
     /// the counter never grows under the blocked layout.
     pub fn score(&mut self, event: EventId, interval: IntervalId) -> f64 {
-        self.counters.score_evaluations += 1;
         let t = interval.index();
-        let start = self.cols.offsets[t];
-        let end = self.cols.offsets[t + 1];
-        let (slots, mus) = self.runs.run(
-            &self.resolved,
-            event.index(),
-            t,
-            end - start == self.cols.stride,
-        );
+        let (start, slots, mus) = self.index.run(event.index(), t);
+        let end = self.index.cols.offsets[t + 1];
+        self.counters.score_evaluations += 1;
         self.counters.posting_visits += slots.len() as u64;
         kernel::score_run(
             slots,
             mus,
-            &self.cols.b[start..end],
-            &self.cols.m[start..end],
-            &self.cols.sigma[start..end],
+            &self.b()[start..end],
+            &self.m[start..end],
+            &self.index.cols.sigma[start..end],
         )
     }
 
@@ -502,6 +610,53 @@ impl AttendanceEngine {
         events.iter().map(|&e| self.score(e, interval)).collect()
     }
 
+    /// Scores every `(event, interval)` pair against the current columns:
+    /// the scores event-major (`e·|T| + t`), and whether the index served
+    /// them. Counted like `|E|·|T|` calls to [`Self::score`] either way.
+    ///
+    /// At clock 0 no column has moved, so the columns are the index's own:
+    /// the first such sweep of any engine of the instance fills the index's
+    /// opening scores, and every later one is served from them, adding the
+    /// counters the sweep cost. Once a column has moved the pairs are
+    /// always scored afresh.
+    ///
+    /// The sweep is interval-major on purpose: one interval's columnar
+    /// block (`B`/`M`/`σ` slices, tens of KB) stays cache-resident while
+    /// every event scores against it, instead of re-streaming all `|T|`
+    /// blocks per event.
+    pub(crate) fn score_every_pair(&mut self) -> (Arc<Vec<f64>>, bool) {
+        if self.clock != 0 {
+            return (Arc::new(self.sweep()), false);
+        }
+        let index = Arc::clone(&self.index);
+        let mut served = true;
+        let (scores, cost) = index.opening.get_or_init(|| {
+            served = false;
+            let before = self.counters;
+            let scores = self.sweep();
+            (Arc::new(scores), self.counters.delta_since(before))
+        });
+        if served {
+            self.counters.merge(*cost);
+        }
+        (Arc::clone(scores), served)
+    }
+
+    /// Every pair's score, computed interval-major, emitted event-major.
+    fn sweep(&mut self) -> Vec<f64> {
+        let ne = self.inst.num_events();
+        let nt = self.inst.num_intervals();
+        let events: Vec<EventId> = (0..ne).map(|e| EventId::new(e as u32)).collect();
+        let mut scores = vec![0.0; ne * nt];
+        for t in 0..nt {
+            let column = self.score_frontier(&events, IntervalId::new(t as u32));
+            for (e, score) in column.into_iter().enumerate() {
+                scores[e * nt + t] = score;
+            }
+        }
+        scores
+    }
+
     /// Applies `event → interval` if it is a *valid* assignment; returns the
     /// realized gain (equal to [`Self::score`] at the moment of application).
     pub fn assign(
@@ -514,17 +669,14 @@ impl AttendanceEngine {
         self.schedule
             .assign(event, interval)
             .expect("validated assignment must apply");
-        let t = interval.index();
-        let start = self.cols.offsets[t];
-        let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let (slots, mus) = self.runs.run(&self.resolved, event.index(), t, full);
+        let (start, slots, mus) = self.index.run(event.index(), interval.index());
         // A run that moves no mass (empty posting list, or every posting
         // aimed at a σ = 0 user) leaves the column bit-identical: validity
         // state changes but no score can, so the generation stays put
         // (validity is always re-checked fresh by consumers — only scores
         // are cached).
         for (&slot, &mu) in slots.iter().zip(mus) {
-            self.cols.m[start + slot as usize] += mu;
+            self.m[start + slot as usize] += mu;
         }
         if !slots.is_empty() {
             self.touch(interval);
@@ -546,31 +698,31 @@ impl AttendanceEngine {
     pub fn unassign(&mut self, event: EventId) -> Result<f64, ScheduleError> {
         let interval = self.schedule.unassign(event)?;
         let t = interval.index();
-        let start = self.cols.offsets[t];
-        let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let (slots, _) = self.runs.run(&self.resolved, event.index(), t, full);
+        let index = &*self.index;
+        let (start, slots, _) = index.run(event.index(), t);
         let before: Vec<f64> = slots
             .iter()
-            .map(|&slot| self.cols.m[start + slot as usize])
+            .map(|&slot| self.m[start + slot as usize])
             .collect();
         let remaining = self.schedule.events_at(interval);
         for &e in std::iter::once(&event).chain(remaining) {
-            let (slots, _) = self.runs.run(&self.resolved, e.index(), t, full);
-            for &slot in slots {
-                self.cols.m[start + slot as usize] = 0.0;
+            for &slot in index.run(e.index(), t).1 {
+                self.m[start + slot as usize] = 0.0;
             }
         }
         for &e in remaining {
-            let (slots, mus) = self.runs.run(&self.resolved, e.index(), t, full);
+            let (_, slots, mus) = index.run(e.index(), t);
             for (&slot, &mu) in slots.iter().zip(mus) {
-                self.cols.m[start + slot as usize] += mu;
+                self.m[start + slot as usize] += mu;
             }
         }
+        let b = self.b();
         let mut loss = 0.0;
         for (&slot, &m) in slots.iter().zip(&before) {
             let i = start + slot as usize;
-            let (b, m_new) = (self.cols.b[i], self.cols.m[i]);
-            loss += self.cols.sigma[i] * (luce_ratio(m, b + m) - luce_ratio(m_new, b + m_new));
+            let m_new = self.m[i];
+            loss +=
+                index.cols.sigma[i] * (luce_ratio(m, b[i] + m) - luce_ratio(m_new, b[i] + m_new));
         }
         if !slots.is_empty() {
             self.touch(interval);
@@ -589,9 +741,9 @@ impl AttendanceEngine {
         // candidate interest anywhere, or σ(u,t) = 0 at this interval — the
         // σ factor below zeroes the probability in the latter case exactly
         // as the dense layout did.
-        let (b, m) = match self.rank_of.get(user.index()) {
-            Some(&r) if r != NO_RANK => match self.cols.slot_of(interval.index(), r) {
-                Some(i) => (self.cols.b[i], self.cols.m[i]),
+        let (b, m) = match self.index.rank_of.get(user.index()) {
+            Some(&r) if r != NO_RANK => match self.index.cols.slot_of(interval.index(), r) {
+                Some(i) => (self.b()[i], self.m[i]),
                 None => (0.0, 0.0),
             },
             _ => (0.0, 0.0),
@@ -611,14 +763,12 @@ impl AttendanceEngine {
     /// run-side ρ expression is written.
     fn walk_attendance(&self, event: EventId, mut visit: impl FnMut(usize, f64)) -> Option<f64> {
         let interval = self.schedule.interval_of(event)?;
-        let t = interval.index();
-        let start = self.cols.offsets[t];
-        let full = self.cols.offsets[t + 1] - start == self.cols.stride;
-        let (slots, mus) = self.runs.run(&self.resolved, event.index(), t, full);
+        let (start, slots, mus) = self.index.run(event.index(), interval.index());
+        let (b, sigma) = (self.b(), &self.index.cols.sigma);
         let mut sum = 0.0;
         for (&slot, &mu) in slots.iter().zip(mus) {
             let i = start + slot as usize;
-            let rho = self.cols.sigma[i] * luce_ratio(mu, self.cols.b[i] + self.cols.m[i]);
+            let rho = sigma[i] * luce_ratio(mu, b[i] + self.m[i]);
             visit(slot as usize, rho);
             sum += rho;
         }
@@ -637,17 +787,18 @@ impl AttendanceEngine {
     /// probe over [`Self::attendance_probability`]. Cost: one pass over the
     /// occupied columns and their runs.
     pub fn expected_reach(&self) -> f64 {
-        let mut p_none = vec![1.0f64; self.cols.stride];
+        let cols = &self.index.cols;
+        let mut p_none = vec![1.0f64; cols.stride];
         let mut p: Vec<f64> = Vec::new();
         for interval in self.schedule.occupied_intervals() {
             let t = interval.index();
-            let (start, end) = (self.cols.offsets[t], self.cols.offsets[t + 1]);
+            let (start, end) = (cols.offsets[t], cols.offsets[t + 1]);
             p.clear();
             p.resize(end - start, 0.0);
             for &e in self.schedule.events_at(interval) {
                 self.walk_attendance(e, |slot, rho| p[slot] += rho);
             }
-            for (&r, &q) in self.cols.ranks[start..end].iter().zip(&p) {
+            for (&r, &q) in cols.ranks[start..end].iter().zip(&p) {
                 p_none[r as usize] *= (1.0 - q).max(0.0);
             }
         }
@@ -657,11 +808,13 @@ impl AttendanceEngine {
     /// Total expected attendance of one interval: `Σ_{e ∈ E_t(S)} ω(e,t)`.
     pub fn interval_utility(&self, interval: IntervalId) -> f64 {
         let t = interval.index();
+        let column = self.index.cols.offsets[t]..self.index.cols.offsets[t + 1];
+        let b = &self.b()[column.clone()];
+        let sigma = &self.index.cols.sigma[column.clone()];
         let mut sum = 0.0;
-        for i in self.cols.offsets[t]..self.cols.offsets[t + 1] {
-            let m = self.cols.m[i];
+        for ((&m, &b), &sigma) in self.m[column].iter().zip(b).zip(sigma) {
             if m > 0.0 {
-                sum += self.cols.sigma[i] * luce_ratio(m, self.cols.b[i] + m);
+                sum += sigma * luce_ratio(m, b + m);
             }
         }
         sum
@@ -710,29 +863,34 @@ impl AttendanceEngine {
     /// users with `σ(u, interval) = 0` (no resident slot → every consumer
     /// multiplies their aggregates by zero). Neither can change any score
     /// or probability.
+    ///
+    /// The first posting that lands copies `B` out of the shared index into
+    /// this engine, so no other engine of the instance ever sees it.
     pub fn add_competing_mass(&mut self, interval: IntervalId, postings: &[(UserId, f64)]) -> f64 {
         let t = interval.index();
+        let index = &*self.index;
         let mut delta = 0.0;
         let mut touched = false;
         for &(u, mu_c) in postings {
             debug_assert!((0.0..=1.0).contains(&mu_c), "competing µ out of range");
-            let Some(&r) = self.rank_of.get(u.index()) else {
+            let Some(&r) = index.rank_of.get(u.index()) else {
                 continue;
             };
             if r == NO_RANK || mu_c <= 0.0 {
                 continue;
             }
-            let Some(i) = self.cols.slot_of(t, r) else {
+            let Some(i) = index.cols.slot_of(t, r) else {
                 continue;
             };
-            let b_old = self.cols.b[i];
-            self.cols.b[i] = b_old + mu_c;
+            let b = self.b.get_or_insert_with(|| index.cols.b.clone());
+            let b_old = b[i];
+            b[i] = b_old + mu_c;
             touched = true;
-            let m = self.cols.m[i];
+            let m = self.m[i];
             if m > 0.0 {
                 let before = luce_ratio(m, b_old + m);
                 let after = luce_ratio(m, b_old + mu_c + m);
-                delta += self.cols.sigma[i] * (after - before);
+                delta += index.cols.sigma[i] * (after - before);
             }
         }
         // Only a landed posting dirties the interval: mass aimed entirely at
@@ -1389,6 +1547,51 @@ mod tests {
             sum.resident_column_bytes,
             m.resident_column_bytes + dm.resident_column_bytes
         );
+    }
+
+    #[test]
+    fn opening_scores_are_served_only_at_clock_zero() {
+        let inst = sparse_inst();
+        let nt = inst.num_intervals();
+        let pairs = || (0..2u32).flat_map(|ev| (0..2u32).map(move |ti| (e(ev), t(ti))));
+        let mut first = AttendanceEngine::new(&inst);
+        let (filled, served) = first.score_every_pair();
+        assert!(!served, "the first sweep computes the opening scores");
+
+        // A second engine at clock 0 is served the same scores and counts
+        // the sweep it stands for.
+        let mut second = AttendanceEngine::new(&inst);
+        let (cached, served) = second.score_every_pair();
+        assert!(served && Arc::ptr_eq(&filled, &cached));
+        assert_eq!(second.counters(), first.counters());
+
+        // Clock > 0 after an assign: scored afresh against the moved column.
+        let mut moved = AttendanceEngine::new(&inst);
+        moved.assign(e(1), t(0)).unwrap();
+        assert!(moved.clock() > 0);
+        let (scores, served) = moved.score_every_pair();
+        assert!(!served && !Arc::ptr_eq(&scores, &filled));
+        for (ev, ti) in pairs() {
+            let i = ev.index() * nt + ti.index();
+            assert_eq!(scores[i].to_bits(), moved.score(ev, ti).to_bits());
+        }
+        assert_ne!(scores[0].to_bits(), filled[0].to_bits(), "e0 → t0 moved");
+
+        // Clock > 0 after landed competing mass: the engine scores against
+        // its own copy of B, and the index's B stays untouched.
+        let mut rival = AttendanceEngine::new(&inst);
+        let shared = rival.memory_stats().state_bytes;
+        rival.add_competing_mass(t(0), &[(u(0), 0.5)]);
+        assert!(rival.clock() > 0);
+        assert!(rival.memory_stats().state_bytes > shared, "B is copied");
+        let (scores, served) = rival.score_every_pair();
+        assert!(!served);
+        assert_ne!(scores[0].to_bits(), filled[0].to_bits());
+        let mut fresh = AttendanceEngine::new(&inst);
+        for (ev, ti) in pairs() {
+            let i = ev.index() * nt + ti.index();
+            assert_eq!(fresh.score(ev, ti).to_bits(), filled[i].to_bits());
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The SES problem instance: everything an algorithm needs to schedule.
 
 use crate::activity::Activity;
+use crate::engine::EngineIndex;
 use crate::ids::{CompetingEventId, EventId, IntervalId, UserId};
 use crate::interest::Interest;
 use crate::model::{CandidateEvent, CompetingEvent, Organizer, TimeInterval};
 use crate::schedule::Schedule;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Validation failures detected by [`InstanceBuilder::build`].
 #[derive(Debug, Clone, PartialEq)]
@@ -175,6 +176,10 @@ impl std::error::Error for FeasibilityViolation {}
 
 /// An immutable, validated SES problem instance: the entity collections
 /// plus the two per-user inputs, interest µ and activity σ.
+///
+/// The instance also caches the [`EngineIndex`] every attendance engine
+/// over it shares — a pure function of the fields above, built by the
+/// first engine and dropped with the instance.
 pub struct SesInstance {
     organizer: Organizer,
     intervals: Vec<TimeInterval>,
@@ -183,6 +188,7 @@ pub struct SesInstance {
     competing_by_interval: Vec<Vec<CompetingEventId>>,
     interest: Interest,
     activity: Activity,
+    engine_index: OnceLock<Arc<EngineIndex>>,
 }
 
 impl fmt::Debug for SesInstance {
@@ -207,6 +213,13 @@ impl SesInstance {
     #[inline]
     pub fn organizer(&self) -> &Organizer {
         &self.organizer
+    }
+
+    /// The shared engine index, built on first use (a concurrent first
+    /// use waits for the one build).
+    pub(crate) fn engine_index(&self) -> &Arc<EngineIndex> {
+        self.engine_index
+            .get_or_init(|| Arc::new(EngineIndex::build(self)))
     }
 
     /// The per-interval resource budget `θ`.
@@ -550,6 +563,7 @@ impl InstanceBuilder {
             competing_by_interval,
             interest,
             activity,
+            engine_index: OnceLock::new(),
         })
     }
 }

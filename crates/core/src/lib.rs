@@ -106,7 +106,7 @@ pub use algorithms::{
     SesError, TopScheduler,
 };
 pub use engine::{
-    evaluate_schedule, AttendanceEngine, EngineCounters, EngineMemoryStats, Evaluation,
+    evaluate_schedule, AttendanceEngine, EngineCounters, EngineIndex, EngineMemoryStats, Evaluation,
 };
 pub use error::Error;
 pub use ids::{CompetingEventId, EventId, EventRef, IntervalId, LocationId, UserId};

@@ -156,8 +156,9 @@ impl OnlineSession {
     }
 
     /// Resident-memory and build-cost accounting of the session's engine
-    /// (blocked column layout) — fixed at session construction; serving
-    /// front ends aggregate it per shard for `/metrics`.
+    /// (blocked column layout; its own state apart from the instance's
+    /// shared index) — serving front ends aggregate it per shard for
+    /// `/metrics`, counting each shared index once.
     pub fn memory_stats(&self) -> crate::engine::EngineMemoryStats {
         self.engine.memory_stats()
     }
@@ -240,13 +241,20 @@ impl OnlineSession {
                 .expect("row was just refreshed")
                 .scores
         };
-        let engine = &self.engine;
-        scores
-            .iter()
-            .enumerate()
-            .map(|(t, &score)| (IntervalId::new(t as u32), score))
-            .filter(|&(t, _)| engine.is_valid(event, t))
-            .max_by(|a, b| total_cmp(a.1, b.1))
+        // The last valid interval of maximal score (`max_by` over the valid
+        // ones). Validity is asked only of an interval that would take the
+        // lead, so a feasibility check runs once per new leader rather than
+        // once per interval.
+        let mut best: Option<(IntervalId, f64)> = None;
+        for (t, &score) in scores.iter().enumerate() {
+            let t = IntervalId::new(t as u32);
+            if best.is_none_or(|(_, lead)| total_cmp(score, lead).is_ge())
+                && self.engine.is_valid(event, t)
+            {
+                best = Some((t, score));
+            }
+        }
+        best
     }
 
     /// One relocate pass over the events scheduled at `interval`: each is

@@ -42,7 +42,8 @@ pub enum Stage {
     /// One full offline solve inside the service.
     Solve = 4,
     /// The initial E×T scoring sweep (Alg. 1 lines 2–4; `aux_a` = rows
-    /// scored).
+    /// scored, `aux_b` = 1 when the instance's engine index served the
+    /// scores instead of computing them).
     Sweep = 5,
     /// The greedy selection loop (`aux_a` = pops, `aux_b` = rescores /
     /// lazy re-validations).
@@ -65,15 +66,17 @@ pub enum Stage {
     /// Loading a problem before an offline solve: dataset decode plus
     /// instance build, or a `.sesstore` open. A sibling of [`Stage::Solve`].
     Load = 13,
-    /// Building one attendance engine: slot index, σ-columns, competing
-    /// mass and posting runs (`aux_a` = run entries, `aux_b` = column
-    /// slots). Nested inside [`Stage::Solve`] for offline solves.
+    /// Building one attendance engine (`aux_a` = run entries, `aux_b` =
+    /// column slots): its own state, plus — for the instance's first
+    /// engine only — the shared engine index, as [`Stage::Index`],
+    /// [`Stage::Columns`] and [`Stage::Runs`] children. Nested inside
+    /// [`Stage::Solve`] for offline solves.
     Build = 14,
-    /// Building one engine's σ-columns and competing mass, inside
+    /// Building an engine index's σ-columns and competing mass, inside
     /// [`Stage::Build`] (`aux_a` = column slots, `aux_b` = slots in
     /// partial columns).
     Columns = 15,
-    /// Resolving one engine's posting runs, inside [`Stage::Build`]
+    /// Resolving an engine index's posting runs, inside [`Stage::Build`]
     /// (`aux_a` = run entries, `aux_b` = workers, `0` when every column
     /// is full and nothing is resolved).
     Runs = 16,
@@ -81,7 +84,7 @@ pub enum Stage {
     /// its engine's `build` and solo-score `sweep`, attendances and reach.
     /// A sibling of [`Stage::Load`] and [`Stage::Solve`].
     Report = 17,
-    /// Indexing one engine's users and resolving its candidate postings to
+    /// Indexing an instance's users and resolving its candidate postings to
     /// slot ranks, inside [`Stage::Build`] before [`Stage::Columns`]
     /// (`aux_a` = indexed users, `aux_b` = resolved postings).
     Index = 18,

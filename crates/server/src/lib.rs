@@ -129,8 +129,8 @@ mod model_tests;
 
 pub use client::HttpClient;
 pub use loadgen::{
-    DurabilityRow, InstanceLatency, LoadgenConfig, LoadgenSummary, ServerBenchReport, SlowRequest,
-    StatusCount, WalDurability,
+    DurabilityRow, EngineIndexRow, InstanceLatency, LoadgenConfig, LoadgenSummary,
+    ServerBenchReport, SlowRequest, Spread, StatusCount, WalDurability,
 };
 pub use metrics::{EndpointLatency, EngineTotals, MetricsReport, ShardStatus, WalReport};
 pub use replay::{

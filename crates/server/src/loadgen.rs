@@ -206,6 +206,62 @@ pub struct ServerBenchReport {
     /// is skipped.
     #[serde(default)]
     pub durability: Vec<DurabilityRow>,
+    /// What the shared engine index saves: one row per instance, each
+    /// measured on fresh servers. Empty in reports that predate it.
+    #[serde(default)]
+    pub engine_index: Vec<EngineIndexRow>,
+}
+
+/// The spread of repeated client-observed latencies (µs).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Spread {
+    /// Median (the mean of the middle two for an even count).
+    pub median_micros: f64,
+    /// Fastest sample.
+    pub min_micros: u64,
+    /// Slowest sample.
+    pub max_micros: u64,
+    /// Number of samples.
+    pub repeats: u64,
+}
+
+impl Spread {
+    /// The spread of `samples`; all zero when there are none.
+    pub fn of(samples: &[u64]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let median_micros = match n {
+            0 => 0.0,
+            _ if n % 2 == 1 => sorted[n / 2] as f64,
+            _ => (sorted[n / 2 - 1] + sorted[n / 2]) as f64 / 2.0,
+        };
+        Self {
+            median_micros,
+            min_micros: sorted.first().copied().unwrap_or(0),
+            max_micros: sorted.last().copied().unwrap_or(0),
+            repeats: n as u64,
+        }
+    }
+}
+
+/// One instance's engine-index costs, seen from the client: the first
+/// `/solve` builds the index and its opening sweep, later solves and every
+/// session open share them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct EngineIndexRow {
+    /// Registry name of the instance.
+    pub instance: String,
+    /// The first `/solve` on a fresh server, the instance already loaded.
+    pub first_solve: Spread,
+    /// Later `/solve`s of the same request.
+    pub later_solve: Spread,
+    /// Session opens after the first solve.
+    pub open: Spread,
+    /// Engine bytes one open session holds alone (`state_bytes`).
+    pub bytes_per_session: u64,
+    /// Bytes of the instance's shared index, held once for all sessions.
+    pub index_bytes: u64,
 }
 
 /// One fsync policy's measured cost in the durability sweep.

@@ -227,8 +227,9 @@ pub struct ShardStatus {
     /// (blocked column layout; absent in pre-`memory` JSON).
     #[serde(default)]
     pub column_slots: u64,
-    /// Resident engine bytes (columns + runs) across this shard's open
-    /// sessions.
+    /// Resident engine bytes of this shard's open sessions: their own
+    /// state, plus each shared engine index not already counted on an
+    /// earlier shard. The shard lines sum to the engine total.
     #[serde(default)]
     pub resident_bytes: u64,
 }
@@ -283,8 +284,9 @@ pub struct EngineTotals {
     /// (blocked column layout; absent in pre-`memory` JSON).
     #[serde(default)]
     pub column_slots: u64,
-    /// Summed resident engine bytes (columns + runs) across all open
-    /// sessions — what the server actually holds for scoring state.
+    /// Resident engine bytes across all open sessions — what the server
+    /// actually holds for scoring state: every session's own state, plus
+    /// each engine index they share counted once.
     #[serde(default)]
     pub resident_bytes: u64,
 }

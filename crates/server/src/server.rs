@@ -1079,12 +1079,13 @@ fn metrics_report(state: &ServerState) -> Result<String, ApiError> {
     let mut wal: Option<WalReport> = None;
     let mut wal_append = Histogram::default().snapshot();
     let mut wal_fsync = Histogram::default().snapshot();
+    let mut indexes = Vec::new();
     for index in 0..state.shards.len() {
         // A failed shard has no line: its sessions may be half-applied.
         let Ok(shard) = state.shards.lock(index) else {
             continue;
         };
-        let totals = stats_of(&shard.service);
+        let totals = stats_of(&shard.service, &mut indexes);
         engine.merge(&totals);
         let gauge = state.shards.gauge(index);
         shards_detail.push(ShardStatus {

@@ -127,22 +127,36 @@ pub(crate) fn json_body<T: Serialize>(value: &T) -> Result<String, ApiError> {
 }
 
 /// Engine totals across one shard's sessions, for `/metrics`.
-pub(crate) fn stats_of(service: &SchedulerService) -> EngineTotals {
+///
+/// Resident bytes are the sessions' own state plus each engine index they
+/// read, counted once: an index already in `seen` (read by a session of an
+/// earlier shard) adds nothing, and a new one is pushed there. Summing the
+/// shards in order therefore counts every shared index exactly once.
+pub(crate) fn stats_of(
+    service: &SchedulerService,
+    seen: &mut Vec<Arc<ses_core::EngineIndex>>,
+) -> EngineTotals {
     let mut totals = EngineTotals::default();
     for name in service.session_names() {
         // The name list and the lookup run under one shard lock, so a miss
         // is unreachable today — but this runs per `/metrics` request, so
         // skip rather than panic.
-        let Ok(report) = service.report(name) else {
+        let (Ok(report), Some(session)) = (service.report(name), service.session(name)) else {
             continue;
         };
+        let index = session.engine().index();
+        let mut resident_bytes = report.memory.state_bytes;
+        if !seen.iter().any(|known| Arc::ptr_eq(known, index)) {
+            resident_bytes += report.memory.index_bytes;
+            seen.push(Arc::clone(index));
+        }
         totals.merge(&EngineTotals {
             sessions: 1,
             events_applied: report.events_applied,
             clock: report.clock,
             counters: report.counters,
             column_slots: report.memory.column_slots,
-            resident_bytes: report.memory.total_resident_bytes(),
+            resident_bytes,
         });
     }
     totals

@@ -246,6 +246,8 @@ proptest! {
                 dense_slots: ops[0],
                 resident_column_bytes: ops[1],
                 run_bytes: ops[2],
+                index_bytes: ops[3],
+                state_bytes: ops[0] / 3,
                 build_millis: utility / 3.0,
             },
             instance: InstanceName::new(format!("inst-{}", events_applied % 3)),
