@@ -10,21 +10,23 @@
 //! Per cell the report carries utility, wall-clock millis and the
 //! hardware-independent `score_evaluations` / `posting_visits` counters;
 //! `lazy_speedup` divides each k-sweep cell's eager GRD millis by its
-//! GRD-PQ millis. Every cell's Ω is checked against the from-scratch
-//! `evaluate_schedule` oracle before it is accepted.
+//! GRD-PQ millis. Every cell's Ω must equal the from-scratch
+//! `evaluate_schedule` oracle's bits before it is accepted.
 //!
 //! Full runs additionally embed a `smoke_reference` section: the operation
 //! counters of the small CI sweep (`--smoke` sizing), which are
 //! deterministic and hardware-independent. `--check` is the CI
 //! perf-regression gate: it re-runs the smoke sweep and exits non-zero if
 //! any cell's `score_evaluations`/`posting_visits` exceed the committed
-//! reference by more than 10%, or its utility drifts. `--smoke` alone (and
-//! `--check`, without an explicit `--out`) writes to a temp path so neither
-//! can clobber the committed `BENCH_engine.json` with throwaway numbers.
+//! reference by more than 10%, or its utility differs in any bit.
+//! `--smoke` alone (and `--check`, without an explicit `--out`) writes to a
+//! temp path so neither can clobber the committed `BENCH_engine.json` with
+//! throwaway numbers.
 
 use serde::{Deserialize, Serialize};
 use ses_cli::args::{self, Command, Opt, ParsedArgs};
-use ses_core::{evaluate_schedule, registry, SchedulerSpec};
+use ses_core::testkit::evaluate_schedule;
+use ses_core::{registry, SchedulerSpec};
 use ses_datagen::pipeline::build_instance;
 use ses_datagen::sweep::k_sweep;
 use ses_datagen::synthetic::sparse_population;
@@ -36,10 +38,6 @@ use std::process::ExitCode;
 /// fails: counters are deterministic, so the slack only absorbs *intended*
 /// small regressions between reference regenerations, never noise.
 const CHECK_HEADROOM: f64 = 1.10;
-
-/// Relative utility drift `--check` tolerates against the committed
-/// reference (the in-run oracle check is tighter still).
-const CHECK_UTILITY_TOL: f64 = 1e-6;
 
 /// User-universe size of the smoke/CI sweep.
 const SMOKE_USERS: usize = 400;
@@ -217,16 +215,53 @@ const BENCH_ENGINE: Command = Command {
         Opt::value("seed", "S", "0", ""),
         Opt::flag("smoke", "(the small CI sweep, ungated)"),
         Opt::flag("check", "(re-run the smoke sweep; fail if counters regress >10%\nagainst the committed BENCH_engine.json)"),
-        Opt::flag("spans", "(run the sweep inside an active trace scope; with --check\nthe gate tightens to bit-identical counters and utility)"),
+        Opt::flag("spans", "(run the sweep inside an active trace scope; with --check\nthe gate tightens to bit-identical counters)"),
         Opt::value("committed", "PATH", "BENCH_engine.json", "(the reference --check reads)"),
         Opt::optional("out", "PATH", "(default: BENCH_engine.json; a temp file under --smoke\nor --check)"),
     ],
     ..Command::EMPTY
 };
 
+/// Solves `inst` with `spec` into one cell, or an error unless the solver
+/// reported exactly the `evaluate_schedule` oracle's Ω bits.
+fn solve_cell(
+    axis: &str,
+    value: f64,
+    inst: &std::sync::Arc<ses_core::SesInstance>,
+    spec: SchedulerSpec,
+    k: usize,
+) -> Result<EngineCell, String> {
+    let outcome = registry::build(spec)
+        .run(inst, k)
+        .expect("k ≤ |E| by construction");
+    let oracle = evaluate_schedule(inst, &outcome.schedule).total_utility;
+    if outcome.total_utility.to_bits() != oracle.to_bits() {
+        return Err(format!(
+            "{} Ω {} differs from the oracle's {oracle} at {axis}={value}",
+            spec.name(),
+            outcome.total_utility
+        ));
+    }
+    let (engine, memory) = (outcome.stats.engine, outcome.stats.memory);
+    Ok(EngineCell {
+        axis: axis.to_owned(),
+        value,
+        algorithm: spec.name().to_owned(),
+        utility: outcome.total_utility,
+        oracle_utility: oracle,
+        millis: outcome.stats.elapsed.as_secs_f64() * 1e3,
+        score_evaluations: engine.score_evaluations,
+        posting_visits: engine.posting_visits,
+        scheduled: outcome.len(),
+        column_slots: memory.column_slots,
+        dense_slots: memory.dense_slots,
+        resident_bytes: memory.total_resident_bytes(),
+        build_millis: memory.build_millis,
+    })
+}
+
 /// Runs the GRD + GRD-PQ sweep over `k_values` on a fresh dataset of
-/// `users` members; every cell's Ω is verified against the
-/// `evaluate_schedule` oracle.
+/// `users` members.
 fn build_cells(users: usize, seed: u64, k_values: &[usize]) -> Result<Vec<EngineCell>, String> {
     let max_k = *k_values.last().expect("sweep is non-empty");
     let mut gen_cfg = GeneratorConfig::meetup_california_scaled(users);
@@ -247,37 +282,7 @@ fn build_cells(users: usize, seed: u64, k_values: &[usize]) -> Result<Vec<Engine
             // for its own.
             let built = build_instance(&dataset, &cell.config)
                 .map_err(|e| format!("cell k={} failed to build: {e}", cell.value))?;
-            let scheduler = registry::build(spec);
-            let outcome = scheduler
-                .run(&built.instance, cell.config.k)
-                .expect("k ≤ |E| by construction");
-            let oracle = evaluate_schedule(&built.instance, &outcome.schedule);
-            let drift = (outcome.total_utility - oracle.total_utility).abs()
-                / oracle.total_utility.abs().max(1.0);
-            if drift > 1e-9 {
-                return Err(format!(
-                    "{} Ω {} drifted from oracle {} at k={} (rel {drift:.2e})",
-                    spec.name(),
-                    outcome.total_utility,
-                    oracle.total_utility,
-                    cell.value
-                ));
-            }
-            let row = EngineCell {
-                axis: cell.axis.clone(),
-                value: cell.value,
-                algorithm: spec.name().to_owned(),
-                utility: outcome.total_utility,
-                oracle_utility: oracle.total_utility,
-                millis: outcome.stats.elapsed.as_secs_f64() * 1e3,
-                score_evaluations: outcome.stats.engine.score_evaluations,
-                posting_visits: outcome.stats.engine.posting_visits,
-                scheduled: outcome.len(),
-                column_slots: outcome.stats.memory.column_slots,
-                dense_slots: outcome.stats.memory.dense_slots,
-                resident_bytes: outcome.stats.memory.total_resident_bytes(),
-                build_millis: outcome.stats.memory.build_millis,
-            };
+            let row = solve_cell(&cell.axis, cell.value, &built.instance, spec, cell.config.k)?;
             eprintln!(
                 "[bench_engine] k={:>3} {:>6}: {:>9.2} ms, Ω = {:.3}, {} score evals, \
                  {} posting visits",
@@ -318,35 +323,7 @@ fn build_users_cells(
                 USERS_AXIS_ACTIVE,
                 seed,
             );
-            let scheduler = registry::build(spec);
-            let outcome = scheduler.run(&inst, k).expect("k ≤ |E| by construction");
-            let oracle = evaluate_schedule(&inst, &outcome.schedule);
-            let drift = (outcome.total_utility - oracle.total_utility).abs()
-                / oracle.total_utility.abs().max(1.0);
-            if drift > 1e-9 {
-                return Err(format!(
-                    "{} Ω {} drifted from oracle {} at users={users} (rel {drift:.2e})",
-                    spec.name(),
-                    outcome.total_utility,
-                    oracle.total_utility,
-                ));
-            }
-            let mem = outcome.stats.memory;
-            let row = EngineCell {
-                axis: "users".to_owned(),
-                value: users as f64,
-                algorithm: spec.name().to_owned(),
-                utility: outcome.total_utility,
-                oracle_utility: oracle.total_utility,
-                millis: outcome.stats.elapsed.as_secs_f64() * 1e3,
-                score_evaluations: outcome.stats.engine.score_evaluations,
-                posting_visits: outcome.stats.engine.posting_visits,
-                scheduled: outcome.len(),
-                column_slots: mem.column_slots,
-                dense_slots: mem.dense_slots,
-                resident_bytes: mem.total_resident_bytes(),
-                build_millis: mem.build_millis,
-            };
+            let row = solve_cell("users", users as f64, &inst, spec, k)?;
             eprintln!(
                 "[bench_engine] users={users:>9} {:>6}: {:>9.2} ms (build {:>7.2} ms), \
                  Ω = {:.3}, {} slots of {} dense ({:.1}%), {:.1} MiB resident",
@@ -366,8 +343,8 @@ fn build_users_cells(
 }
 
 /// The `--check` gate: every fresh smoke cell must stay within
-/// [`CHECK_HEADROOM`] of the committed reference counters and within
-/// [`CHECK_UTILITY_TOL`] of the committed utility — and every *committed*
+/// [`CHECK_HEADROOM`] of the committed reference counters and report the
+/// committed utility's bits — and every *committed*
 /// cell must have been re-measured, so a sweep that silently stops
 /// producing rows (an algorithm dropped from the loop) cannot pass
 /// vacuously. Returns the violations.
@@ -421,10 +398,9 @@ fn check_against_reference(fresh: &[EngineCell], reference: &SmokeReference) -> 
                 visit_limit
             ));
         }
-        let drift = (cell.utility - committed.utility).abs() / committed.utility.abs().max(1.0);
-        if drift > CHECK_UTILITY_TOL {
+        if cell.utility.to_bits() != committed.utility.to_bits() {
             violations.push(format!(
-                "{} {}={}: utility {} drifted from committed {} (rel {drift:.2e})",
+                "{} {}={}: utility {} differs in bits from committed {}",
                 cell.algorithm, cell.axis, cell.value, cell.utility, committed.utility
             ));
         }
@@ -452,10 +428,10 @@ fn check_against_reference(fresh: &[EngineCell], reference: &SmokeReference) -> 
 }
 
 /// The `--check --spans` tightening: with a trace scope active the engine
-/// must do *exactly* the committed work — identical counters and identical
-/// utility bits. Any drift means span recording leaked into the computation
-/// (an allocation, a reordered float sum, a skipped candidate) rather than
-/// merely observing it.
+/// must do *exactly* the committed work — identical counters (the utility
+/// bits are pinned by every `--check`). Any drift means span recording
+/// leaked into the computation (an allocation, a reordered float sum, a
+/// skipped candidate) rather than merely observing it.
 fn check_bit_identical(fresh: &[EngineCell], reference: &SmokeReference) -> Vec<String> {
     let mut violations = Vec::new();
     for cell in fresh {
@@ -480,12 +456,6 @@ fn check_bit_identical(fresh: &[EngineCell], reference: &SmokeReference) -> Vec<
                 cell.posting_visits,
                 committed.score_evaluations,
                 committed.posting_visits
-            ));
-        }
-        if cell.utility.to_bits() != committed.utility.to_bits() {
-            violations.push(format!(
-                "{} k={}: utility {} with spans enabled differs in bits from committed {}",
-                cell.algorithm, cell.value, cell.utility, committed.utility
             ));
         }
     }
@@ -562,8 +532,8 @@ fn measure_store_profile(
 fn run(args: &ParsedArgs) -> Result<(), String> {
     let check = args.given("check");
     let smoke = check || args.given("smoke");
-    // Under `--check`, `--spans` also demands *bit-identical* counters and
-    // utility against the committed reference — the tracing-overhead gate:
+    // Under `--check`, `--spans` also demands *bit-identical* counters
+    // against the committed reference — the tracing-overhead gate:
     // span recording must never change what the engine computes.
     let spans = args.given("spans");
     let users: usize = args.get("users")?;

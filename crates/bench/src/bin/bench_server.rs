@@ -18,7 +18,7 @@ use ses_server::{
     serve, verify_replay, DurabilityRow, EngineIndexRow, FsyncPolicy, HttpClient, LoadgenConfig,
     ReplayConfig, ServerBenchReport, ServerConfig, Spread,
 };
-use ses_service::SessionReport;
+use ses_service::{EvalRequest, SessionReport, SolveResponse};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -263,16 +263,16 @@ fn durability_sweep(smoke: bool, shards: usize, seed: u64) -> Result<Vec<Durabil
 /// and the packed tenant): on each of [`INDEX_REPEATS`] fresh servers, an
 /// empty `/eval` loads the instance without building an engine, then the
 /// first `/solve` (which builds the index and its opening sweep),
-/// [`INDEX_LATER`] more of the same `/solve`, and as many session opens are
-/// timed at the client. The byte columns come from the last open session's
-/// report.
+/// [`INDEX_LATER`] more of the same `/solve`, as many `/eval`s of its
+/// answer and as many session opens are timed at the client. The byte
+/// columns come from the last open session's report.
 fn engine_index_rows(
     shards: usize,
     seed: u64,
     tenant: &Path,
 ) -> Result<Vec<EngineIndexRow>, String> {
     let instances = ["default", "tenant-b"];
-    let mut samples = vec![[Vec::new(), Vec::new(), Vec::new()]; instances.len()];
+    let mut samples = vec![[Vec::new(), Vec::new(), Vec::new(), Vec::new()]; instances.len()];
     let mut memory = vec![ses_core::EngineMemoryStats::default(); instances.len()];
     for repeat in 0..INDEX_REPEATS {
         let handle = serve(&ServerConfig {
@@ -296,15 +296,28 @@ fn engine_index_rows(
             Ok((micros, answer))
         };
         for (i, instance) in instances.iter().enumerate() {
-            let [first, later, open] = &mut samples[i];
+            let [first, later, eval, open] = &mut samples[i];
             timed(
                 "/eval",
                 &format!(r#"{{"assignments":[],"instance":"{instance}"}}"#),
             )?;
             let solve = format!(r#"{{"spec":"Greedy","k":{INDEX_K},"instance":"{instance}"}}"#);
             first.push(timed("/solve", &solve)?.0);
+            let mut answer = String::new();
             for _ in 0..INDEX_LATER {
-                later.push(timed("/solve", &solve)?.0);
+                let (micros, body) = timed("/solve", &solve)?;
+                later.push(micros);
+                answer = body;
+            }
+            let solved: SolveResponse =
+                serde_json::from_str(&answer).map_err(|e| format!("bad solve: {e}"))?;
+            let body = serde_json::to_string(&EvalRequest {
+                assignments: solved.assignments,
+                instance: (*instance).into(),
+            })
+            .map_err(|e| e.to_string())?;
+            for _ in 0..INDEX_LATER {
+                eval.push(timed("/eval", &body)?.0);
             }
             for j in 0..INDEX_LATER {
                 let name = format!("index-{repeat}-{i}-{j}");
@@ -325,11 +338,12 @@ fn engine_index_rows(
         .zip(samples)
         .zip(memory)
         .map(
-            |((instance, [first, later, open]), memory)| EngineIndexRow {
+            |((instance, [first, later, eval, open]), memory)| EngineIndexRow {
                 instance: (*instance).to_owned(),
                 first_solve: Spread::of(&first),
                 later_solve: Spread::of(&later),
                 open: Spread::of(&open),
+                eval: Spread::of(&eval),
                 bytes_per_session: memory.state_bytes,
                 index_bytes: memory.index_bytes,
             },
@@ -343,11 +357,12 @@ fn engine_index_rows(
             )
         };
         println!(
-            "  engine index [{}] first solve {}, later solve {}, open {}; \
+            "  engine index [{}] first solve {}, later solve {}, eval {}, open {}; \
              {} B per session, {} B index",
             row.instance,
             show(&row.first_solve),
             show(&row.later_solve),
+            show(&row.eval),
             show(&row.open),
             row.bytes_per_session,
             row.index_bytes

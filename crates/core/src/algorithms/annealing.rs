@@ -65,15 +65,17 @@ impl<S: Scheduler> AnnealingScheduler<S> {
     }
 
     /// The walk from `engine`'s schedule; `observe` sees the engine after
-    /// every tentative move and every revert. Returns the best schedule
-    /// seen, its utility, and the moves tried and accepted.
+    /// every tentative move and every revert. Moves are judged on the
+    /// engine's running [`AttendanceEngine::gain_sum`]. Returns the best
+    /// schedule seen, its Ω, and the moves tried and accepted.
     fn anneal(
         &self,
         engine: &mut AttendanceEngine,
         observe: &mut impl FnMut(&AttendanceEngine),
     ) -> (Schedule, f64, u64, u64) {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut best_utility = engine.total_utility();
+        let mut best_utility = engine.gain_sum();
+        let mut best_omega = engine.total_utility();
         let mut best_schedule: Schedule = engine.schedule().clone();
         let mut temperature = self.config.initial_temperature * best_utility.max(1.0);
         let mut moves_tried = 0u64;
@@ -115,7 +117,7 @@ impl<S: Scheduler> AnnealingScheduler<S> {
             moves_tried += 1;
 
             // Apply tentatively, measuring the exact Δ from the engine.
-            let before = engine.total_utility();
+            let before = engine.gain_sum();
             let applied = match proposal {
                 Move::Relocate { event, from, to } => {
                     engine.unassign(event).expect("scheduled");
@@ -150,13 +152,14 @@ impl<S: Scheduler> AnnealingScheduler<S> {
             };
             observe(engine);
             let Some(applied) = applied else { continue };
-            let delta = engine.total_utility() - before;
+            let delta = engine.gain_sum() - before;
             let accept = delta >= 0.0
                 || (temperature > 0.0 && rng.gen_bool((delta / temperature).exp().clamp(0.0, 1.0)));
             if accept {
                 moves_accepted += 1;
-                if engine.total_utility() > best_utility {
-                    best_utility = engine.total_utility();
+                if engine.gain_sum() > best_utility {
+                    best_utility = engine.gain_sum();
+                    best_omega = engine.total_utility();
                     best_schedule = engine.schedule().clone();
                 }
             } else {
@@ -181,7 +184,7 @@ impl<S: Scheduler> AnnealingScheduler<S> {
                 observe(engine);
             }
         }
-        (best_schedule, best_utility, moves_tried, moves_accepted)
+        (best_schedule, best_omega, moves_tried, moves_accepted)
     }
 }
 
@@ -238,9 +241,10 @@ impl<S: Scheduler> Scheduler for AnnealingScheduler<S> {
 mod tests {
     use super::*;
     use crate::algorithms::{ExactScheduler, GreedyScheduler, RandomScheduler};
-    use crate::engine::{evaluate_schedule, oracle::assert_exact_state};
+    use crate::engine::oracle::assert_exact_state;
     use crate::testkit;
-    use crate::util::float::{approx_eq_tol, approx_ge};
+    use crate::testkit::evaluate_schedule;
+    use crate::util::float::approx_ge;
 
     #[test]
     fn never_worse_than_base_and_stays_feasible() {
@@ -275,8 +279,9 @@ mod tests {
             .run(&inst, 5)
             .unwrap();
         let eval = evaluate_schedule(&inst, &sa.schedule);
-        assert!(
-            approx_eq_tol(sa.total_utility, eval.total_utility, 1e-6),
+        assert_eq!(
+            sa.total_utility.to_bits(),
+            eval.total_utility.to_bits(),
             "{} vs {}",
             sa.total_utility,
             eval.total_utility

@@ -53,7 +53,11 @@ struct Search<'e> {
     /// `cum[i]` = sum of the first `i` solo bounds in `order`.
     cum: Vec<f64>,
     intervals: Vec<IntervalId>,
+    /// The incumbent's running [`AttendanceEngine::gain_sum`], which the
+    /// search compares and prunes against.
     best_utility: f64,
+    /// The incumbent's Ω, which the solver reports.
+    best_omega: f64,
     best_schedule: Schedule,
     nodes: u64,
     max_nodes: u64,
@@ -74,9 +78,10 @@ impl Search<'_> {
                 budget: self.max_nodes,
             });
         }
-        let current = self.engine.total_utility();
+        let current = self.engine.gain_sum();
         if current > self.best_utility {
             self.best_utility = current;
+            self.best_omega = self.engine.total_utility();
             self.best_schedule = self.engine.schedule().clone();
         }
         if remaining == 0 || i == self.order.len() {
@@ -142,19 +147,20 @@ impl Scheduler for ExactScheduler {
             cum,
             intervals,
             best_utility: 0.0,
+            best_omega: 0.0,
             nodes: 0,
             max_nodes: self.max_nodes,
         };
         search.dfs(0, k)?;
 
         let best_schedule = search.best_schedule;
-        let best_utility = search.best_utility;
+        let best_omega = search.best_omega;
         let nodes = search.nodes;
         let placed = best_schedule.len();
         Ok(ScheduleOutcome {
             algorithm: self.name(),
             schedule: best_schedule,
-            total_utility: best_utility,
+            total_utility: best_omega,
             complete: placed == k,
             stats: RunStats {
                 elapsed: start.elapsed(),
@@ -171,8 +177,8 @@ impl Scheduler for ExactScheduler {
 mod tests {
     use super::*;
     use crate::algorithms::{GreedyHeapScheduler, GreedyScheduler, RandomScheduler, TopScheduler};
-    use crate::engine::evaluate_schedule;
     use crate::testkit;
+    use crate::testkit::evaluate_schedule;
     use crate::util::float::{approx_eq, approx_ge};
 
     #[test]
@@ -182,7 +188,7 @@ mod tests {
         assert_eq!(out.len(), 3);
         inst.check_schedule(&out.schedule).unwrap();
         let eval = evaluate_schedule(&inst, &out.schedule);
-        assert!(approx_eq(out.total_utility, eval.total_utility));
+        assert_eq!(out.total_utility.to_bits(), eval.total_utility.to_bits());
     }
 
     #[test]

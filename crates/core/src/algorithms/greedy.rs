@@ -169,8 +169,8 @@ impl Scheduler for GreedyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::evaluate_schedule;
     use crate::testkit;
+    use crate::testkit::evaluate_schedule;
     use crate::util::float::approx_eq;
 
     #[test]
@@ -187,8 +187,9 @@ mod tests {
         let inst = testkit::medium_instance(7);
         let out = GreedyScheduler::new().run(&inst, 6).unwrap();
         let eval = evaluate_schedule(&inst, &out.schedule);
-        assert!(
-            approx_eq(out.total_utility, eval.total_utility),
+        assert_eq!(
+            out.total_utility.to_bits(),
+            eval.total_utility.to_bits(),
             "{} vs {}",
             out.total_utility,
             eval.total_utility

@@ -170,7 +170,6 @@ mod tests {
     use super::*;
     use crate::algorithms::GreedyScheduler;
     use crate::testkit;
-    use crate::util::float::approx_eq;
 
     #[test]
     fn matches_list_greedy_utility() {
@@ -178,8 +177,9 @@ mod tests {
             let inst = testkit::medium_instance(seed);
             let a = GreedyScheduler::new().run(&inst, 6).unwrap();
             let b = GreedyHeapScheduler::new().run(&inst, 6).unwrap();
-            assert!(
-                approx_eq(a.total_utility, b.total_utility),
+            assert_eq!(
+                a.total_utility.to_bits(),
+                b.total_utility.to_bits(),
                 "seed {seed}: GRD {} vs GRD-PQ {}",
                 a.total_utility,
                 b.total_utility

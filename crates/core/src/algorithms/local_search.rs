@@ -214,9 +214,10 @@ impl<S: Scheduler> Scheduler for LocalSearchScheduler<S> {
 mod tests {
     use super::*;
     use crate::algorithms::{ExactScheduler, GreedyScheduler, RandomScheduler, TopScheduler};
-    use crate::engine::{evaluate_schedule, oracle::assert_exact_state};
+    use crate::engine::oracle::assert_exact_state;
     use crate::testkit;
-    use crate::util::float::{approx_eq, approx_ge};
+    use crate::testkit::evaluate_schedule;
+    use crate::util::float::approx_ge;
 
     #[test]
     fn never_worse_than_base() {
@@ -282,8 +283,9 @@ mod tests {
             .run(&inst, 6)
             .unwrap();
         let eval = evaluate_schedule(&inst, &out.schedule);
-        assert!(
-            approx_eq(out.total_utility, eval.total_utility),
+        assert_eq!(
+            out.total_utility.to_bits(),
+            eval.total_utility.to_bits(),
             "incremental {} vs reference {}",
             out.total_utility,
             eval.total_utility

@@ -88,9 +88,8 @@ impl Scheduler for RandomScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::evaluate_schedule;
     use crate::testkit;
-    use crate::util::float::approx_eq;
+    use crate::testkit::evaluate_schedule;
 
     #[test]
     fn schedules_k_feasibly() {
@@ -116,7 +115,7 @@ mod tests {
         let inst = testkit::medium_instance(2);
         let out = RandomScheduler::new(9).run(&inst, 5).unwrap();
         let eval = evaluate_schedule(&inst, &out.schedule);
-        assert!(approx_eq(out.total_utility, eval.total_utility));
+        assert_eq!(out.total_utility.to_bits(), eval.total_utility.to_bits());
     }
 
     #[test]

@@ -87,9 +87,8 @@ impl Scheduler for TopScheduler {
 mod tests {
     use super::*;
     use crate::algorithms::GreedyScheduler;
-    use crate::engine::evaluate_schedule;
     use crate::testkit;
-    use crate::util::float::approx_eq;
+    use crate::testkit::evaluate_schedule;
 
     #[test]
     fn schedules_k_and_is_feasible() {
@@ -104,7 +103,7 @@ mod tests {
         let inst = testkit::medium_instance(8);
         let out = TopScheduler::new().run(&inst, 5).unwrap();
         let eval = evaluate_schedule(&inst, &out.schedule);
-        assert!(approx_eq(out.total_utility, eval.total_utility));
+        assert_eq!(out.total_utility.to_bits(), eval.total_utility.to_bits());
     }
 
     #[test]

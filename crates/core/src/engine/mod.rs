@@ -52,10 +52,11 @@
 //! interval) and [`AttendanceEngine::score_frontier`] (many events against
 //! one interval) — which the greedy sweeps drive (see `algorithms`).
 //!
-//! The engine keeps the running total utility in sync with every
-//! `assign`/`unassign`, so `ΔΩ` equals the assignment score by construction;
-//! [`evaluate_schedule`] recomputes Ω from scratch over hash maps and is the
-//! testing oracle for both the bookkeeping and the blocked layout.
+//! ω and Ω have one definition, `EngineIndex::omega_at` (DESIGN.md §15):
+//! [`evaluate`] runs it from the shared index alone, and an engine keeps ω
+//! per scheduled event, refreshed whenever an interval's column mutates.
+//! Without rivals it is the hash-map oracle (`testkit::evaluate_schedule`)
+//! bit for bit.
 //!
 //! # One index per instance
 //!
@@ -75,10 +76,11 @@
 //!
 //! # Exact state
 //!
-//! Apart from the running Ω, the state is a function of the schedule, the
-//! competing mass and the budget (DESIGN.md §15): `M_t` is the left fold
-//! from 0.0 of `events_at(t)`'s runs in assignment order, and feasibility
-//! keeps no trackers — every check asks [`SesInstance::check_join`].
+//! Apart from [`AttendanceEngine::gain_sum`], the state is a function of
+//! the schedule, the competing mass and the budget (DESIGN.md §15): `M_t`
+//! is the left fold from 0.0 of `events_at(t)`'s runs in assignment order,
+//! and feasibility keeps no trackers — every check asks
+//! [`SesInstance::check_join`].
 //!
 //! # Dirty-interval generations
 //!
@@ -103,7 +105,6 @@ use crate::ids::{EventId, IntervalId, UserId};
 use crate::instance::{FeasibilityViolation, SesInstance};
 use crate::schedule::{Schedule, ScheduleError};
 use crate::util::float::luce_ratio;
-use crate::util::fxhash::FxHashMap;
 use columns::{IntervalColumns, Postings, ResolvedRuns};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -195,8 +196,9 @@ pub struct EngineMemoryStats {
     /// the runs and, once filled, the opening scores.
     #[serde(default)]
     pub index_bytes: u64,
-    /// Bytes this engine owns alone: `M`, its generations and, once
-    /// competing mass has landed, its own copy of `B`.
+    /// Bytes this engine owns alone: `M`, its generations, its ω and their
+    /// scratch column and, once competing mass has landed, its own copy of
+    /// `B`.
     #[serde(default)]
     pub state_bytes: u64,
     /// Wall-clock milliseconds this engine's construction took: its state,
@@ -341,6 +343,48 @@ impl EngineIndex {
         (start, slots, mus)
     }
 
+    /// The definition of ω (Eq. 2): hands `(e, ω(e))` to `out` for every
+    /// event of `events`, all scheduled at interval `t`. Each run slot's
+    /// denominator starts from `b` (this index's `B`, or an engine's copy
+    /// carrying its rivals) and adds the events' µ in event-id order in
+    /// that one accumulator; ω(e) sums `σ·luce_ratio(µ, D)` along e's run
+    /// from 0.0. `denom` is scratch, grown to the column once. Cost: three
+    /// passes over the events' runs at `t`.
+    fn omega_at(
+        &self,
+        b: &[f64],
+        t: usize,
+        events: &[EventId],
+        denom: &mut Vec<f64>,
+        mut out: impl FnMut(EventId, f64),
+    ) {
+        let start = self.cols.offsets[t];
+        denom.resize(denom.len().max(self.cols.offsets[t + 1] - start), 0.0);
+        let mut events = events.to_vec();
+        events.sort_unstable();
+        for &e in &events {
+            for &slot in self.run(e.index(), t).1 {
+                denom[slot as usize] = b[start + slot as usize];
+            }
+        }
+        for &e in &events {
+            let (_, slots, mus) = self.run(e.index(), t);
+            for (&slot, &mu) in slots.iter().zip(mus) {
+                denom[slot as usize] += mu;
+            }
+        }
+        for &e in &events {
+            let (_, slots, mus) = self.run(e.index(), t);
+            let sigma = &self.cols.sigma[start..];
+            out(
+                e,
+                slots.iter().zip(mus).fold(0.0, |omega, (&slot, &mu)| {
+                    omega + sigma[slot as usize] * luce_ratio(mu, denom[slot as usize])
+                }),
+            );
+        }
+    }
+
     /// Bytes resident in the index (see [`EngineMemoryStats::index_bytes`]).
     fn resident_bytes(&self) -> u64 {
         let opening = self.opening.get().map_or(0, |(scores, _)| scores.len());
@@ -361,8 +405,8 @@ impl EngineIndex {
 /// [`Arc`] once and hand out clones; `SesInstance::builder().build_shared()`
 /// does this for you.)
 ///
-/// All mutating operations keep the aggregate columns and the running
-/// utility consistent; feasibility is read off the schedule itself.
+/// All mutating operations keep the aggregate columns and every scheduled
+/// event's ω consistent; feasibility is read off the schedule itself.
 pub struct AttendanceEngine {
     inst: Arc<SesInstance>,
     /// The instance's shared index: slot ranks, postings, column layout,
@@ -388,7 +432,13 @@ pub struct AttendanceEngine {
     /// mutation (its *generation*). Scores tagged with an older generation
     /// are stale; scores tagged with the current one are bit-exact.
     gen: Vec<u64>,
-    total_utility: f64,
+    /// `omega[e]` — ω(e) of a scheduled event, `0.0` for the others.
+    /// Refreshed for an interval's events whenever its column mutates.
+    omega: Vec<f64>,
+    /// Scratch denominators of `EngineIndex::omega_at`.
+    denom: Vec<f64>,
+    /// See [`Self::gain_sum`].
+    gain_sum: f64,
     counters: EngineCounters,
 }
 
@@ -419,7 +469,9 @@ impl AttendanceEngine {
             budget: inst.budget(),
             clock: 0,
             gen: vec![0; inst.num_intervals()],
-            total_utility: 0.0,
+            omega: vec![0.0; inst.num_events()],
+            denom: Vec::new(),
+            gain_sum: 0.0,
             counters: EngineCounters::default(),
             index,
         }
@@ -461,10 +513,23 @@ impl AttendanceEngine {
         self.schedule
     }
 
-    /// The running total utility `Ω(S)` (Eq. 3), maintained incrementally.
-    #[inline]
+    /// The total utility `Ω(S)` (Eq. 3): the cached ω of the scheduled
+    /// events summed in event-id order from 0.0 — bit for bit what
+    /// [`evaluate`] reports for this schedule when the engine has no
+    /// rivals. `O(|E|)`.
     pub fn total_utility(&self) -> f64 {
-        self.total_utility
+        self.schedule
+            .iter()
+            .fold(0.0, |sum, a| sum + self.omega[a.event.index()])
+    }
+
+    /// The running sum of every assign's gain less every unassign's loss:
+    /// without rivals, Ω up to the association order of those terms. SA's
+    /// acceptance and EXACT's bound read it, so their decisions do not
+    /// depend on the ω refresh; nothing reports it.
+    #[inline]
+    pub fn gain_sum(&self) -> f64 {
+        self.gain_sum
     }
 
     /// Operation counters accumulated so far.
@@ -485,7 +550,10 @@ impl AttendanceEngine {
     /// the opening scores are filled.
     pub fn memory_stats(&self) -> EngineMemoryStats {
         let cols = &self.index.cols;
-        let f64s = self.m.len() + self.b.as_ref().map_or(0, Vec::len);
+        let f64s = self.m.len()
+            + self.b.as_ref().map_or(0, Vec::len)
+            + self.omega.len()
+            + self.denom.len();
         let m_bytes = (self.m.len() * size_of::<f64>()) as u64;
         EngineMemoryStats {
             column_slots: cols.nnz() as u64,
@@ -522,12 +590,21 @@ impl AttendanceEngine {
         self.gen[interval.index()]
     }
 
-    /// Advances the clock and stamps `interval`'s generation — every column
-    /// mutation funnels through here.
-    #[inline]
+    /// Advances the clock, stamps `interval`'s generation and refreshes the
+    /// ω of the events there — every column mutation funnels through here,
+    /// so no cached ω is ever stale. Cost: the runs at the interval.
     fn touch(&mut self, interval: IntervalId) {
         self.clock += 1;
         self.gen[interval.index()] = self.clock;
+        let b = self.b.as_deref().unwrap_or(&self.index.cols.b);
+        let omega = &mut self.omega;
+        self.index.omega_at(
+            b,
+            interval.index(),
+            self.schedule.events_at(interval),
+            &mut self.denom,
+            |e, w| omega[e.index()] = w,
+        );
     }
 
     /// The intervals whose columns mutated *after* the clock snapshot
@@ -681,13 +758,13 @@ impl AttendanceEngine {
         if !slots.is_empty() {
             self.touch(interval);
         }
-        self.total_utility += gain;
+        self.gain_sum += gain;
         self.counters.assigns += 1;
         Ok(gain)
     }
 
     /// Removes `event` from the schedule; returns the utility *loss* (the
-    /// positive amount by which Ω decreased). Used by local search.
+    /// amount by which [`Self::gain_sum`] decreased). Used by local search.
     ///
     /// M at the vacated interval is re-folded from 0.0 over the runs of the
     /// events still there, in assignment order — the sums assigning them
@@ -724,10 +801,11 @@ impl AttendanceEngine {
             loss +=
                 index.cols.sigma[i] * (luce_ratio(m, b[i] + m) - luce_ratio(m_new, b[i] + m_new));
         }
+        self.omega[event.index()] = 0.0;
         if !slots.is_empty() {
             self.touch(interval);
         }
-        self.total_utility -= loss;
+        self.gain_sum -= loss;
         self.counters.unassigns += 1;
         Ok(loss)
     }
@@ -751,28 +829,13 @@ impl AttendanceEngine {
         Some(self.inst.sigma(user, interval) * luce_ratio(mu, b + m))
     }
 
-    /// The expected attendance `ω(e, t_e(S))` (Eq. 2) of a *scheduled* event;
-    /// `None` if `e` is not scheduled.
+    /// The expected attendance `ω(e, t_e(S))` (Eq. 2) of a *scheduled* event,
+    /// as cached by the last refresh of its interval; `None` if `e` is not
+    /// scheduled.
     pub fn expected_attendance(&self, event: EventId) -> Option<f64> {
-        self.walk_attendance(event, |_, _| {})
-    }
-
-    /// Walks a *scheduled* event's run at its interval, handing every
-    /// `(column-local slot, ρ(u,e,t))` to `visit` in run order, and returns
-    /// their sum `ω(e,t)`; `None` if `e` is not scheduled. The one place the
-    /// run-side ρ expression is written.
-    fn walk_attendance(&self, event: EventId, mut visit: impl FnMut(usize, f64)) -> Option<f64> {
-        let interval = self.schedule.interval_of(event)?;
-        let (start, slots, mus) = self.index.run(event.index(), interval.index());
-        let (b, sigma) = (self.b(), &self.index.cols.sigma);
-        let mut sum = 0.0;
-        for (&slot, &mu) in slots.iter().zip(mus) {
-            let i = start + slot as usize;
-            let rho = sigma[i] * luce_ratio(mu, b[i] + self.m[i]);
-            visit(slot as usize, rho);
-            sum += rho;
-        }
-        Some(sum)
+        self.schedule
+            .contains(event)
+            .then(|| self.omega[event.index()])
     }
 
     /// Expected number of *distinct* users attending at least one scheduled
@@ -787,7 +850,7 @@ impl AttendanceEngine {
     /// probe over [`Self::attendance_probability`]. Cost: one pass over the
     /// occupied columns and their runs.
     pub fn expected_reach(&self) -> f64 {
-        let cols = &self.index.cols;
+        let (cols, b) = (&self.index.cols, self.b());
         let mut p_none = vec![1.0f64; cols.stride];
         let mut p: Vec<f64> = Vec::new();
         for interval in self.schedule.occupied_intervals() {
@@ -796,7 +859,11 @@ impl AttendanceEngine {
             p.clear();
             p.resize(end - start, 0.0);
             for &e in self.schedule.events_at(interval) {
-                self.walk_attendance(e, |slot, rho| p[slot] += rho);
+                let (_, slots, mus) = self.index.run(e.index(), t);
+                for (&slot, &mu) in slots.iter().zip(mus) {
+                    let i = start + slot as usize;
+                    p[slot as usize] += cols.sigma[i] * luce_ratio(mu, b[i] + self.m[i]);
+                }
             }
             for (&r, &q) in cols.ranks[start..end].iter().zip(&p) {
                 p_none[r as usize] *= (1.0 - q).max(0.0);
@@ -854,8 +921,8 @@ impl AttendanceEngine {
     /// [`crate::online`]). `postings` lists the interested users with their
     /// `µ(u, c) ∈ [0,1]`, like an inverted-index row.
     ///
-    /// Returns the (non-positive) change in total utility: every scheduled
-    /// event at the interval loses attendance to the newcomer. The engine's
+    /// Every scheduled event at the interval loses attendance to the
+    /// newcomer, and their ω are refreshed against the new `B`. The engine's
     /// aggregates stay authoritative; the underlying instance is unchanged.
     ///
     /// Users outside the slot index are skipped (no interest in any
@@ -866,10 +933,9 @@ impl AttendanceEngine {
     ///
     /// The first posting that lands copies `B` out of the shared index into
     /// this engine, so no other engine of the instance ever sees it.
-    pub fn add_competing_mass(&mut self, interval: IntervalId, postings: &[(UserId, f64)]) -> f64 {
+    pub fn add_competing_mass(&mut self, interval: IntervalId, postings: &[(UserId, f64)]) {
         let t = interval.index();
         let index = &*self.index;
-        let mut delta = 0.0;
         let mut touched = false;
         for &(u, mu_c) in postings {
             debug_assert!((0.0..=1.0).contains(&mu_c), "competing µ out of range");
@@ -882,16 +948,8 @@ impl AttendanceEngine {
             let Some(i) = index.cols.slot_of(t, r) else {
                 continue;
             };
-            let b = self.b.get_or_insert_with(|| index.cols.b.clone());
-            let b_old = b[i];
-            b[i] = b_old + mu_c;
+            self.b.get_or_insert_with(|| index.cols.b.clone())[i] += mu_c;
             touched = true;
-            let m = self.m[i];
-            if m > 0.0 {
-                let before = luce_ratio(m, b_old + m);
-                let after = luce_ratio(m, b_old + mu_c + m);
-                delta += index.cols.sigma[i] * (after - before);
-            }
         }
         // Only a landed posting dirties the interval: mass aimed entirely at
         // absent slots leaves the column bit-identical, so cached scores for
@@ -899,8 +957,6 @@ impl AttendanceEngine {
         if touched {
             self.touch(interval);
         }
-        self.total_utility += delta;
-        delta
     }
 }
 
@@ -913,40 +969,32 @@ pub struct Evaluation {
     pub per_event: Vec<(EventId, IntervalId, f64)>,
 }
 
-/// From-scratch reference evaluation of a schedule (independent of the
-/// incremental engine *and* of its blocked column layout — this path
-/// deliberately keeps the original per-interval hash-map aggregation, so it
-/// doubles as the oracle for the slot index and the sparse columns).
-///
-/// Cost: `O(Σ_{h ∈ C ∪ E(S)} |postings(h)|)`.
-pub fn evaluate_schedule(inst: &SesInstance, schedule: &Schedule) -> Evaluation {
-    let nt = inst.num_intervals();
-    // Denominator per (interval, user): competing mass + scheduled mass.
-    let mut denom: Vec<FxHashMap<UserId, f64>> = vec![FxHashMap::default(); nt];
-    for c in inst.competing() {
-        for &(u, mu) in inst.interest().interested_users(c.id.into()) {
-            *denom[c.interval.index()].entry(u).or_insert(0.0) += mu;
-        }
+/// Ω and every ω of `schedule` (Eq. 2–3) by their one definition, straight
+/// from the instance's shared [`EngineIndex`] (built first if no engine of
+/// the instance has yet): no engine, no hashing. Cost: `O(Σ runs of the
+/// scheduled events)` plus one scratch column.
+pub fn evaluate(inst: &SesInstance, schedule: &Schedule) -> Evaluation {
+    let index = inst.engine_index();
+    let mut omega = vec![0.0; schedule.num_events()];
+    let mut denom = Vec::new();
+    for interval in schedule.occupied_intervals() {
+        let events = schedule.events_at(interval);
+        index.omega_at(
+            &index.cols.b,
+            interval.index(),
+            events,
+            &mut denom,
+            |e, w| {
+                omega[e.index()] = w;
+            },
+        );
     }
-    for a in schedule.iter() {
-        for &(u, mu) in inst.interest().interested_users(a.event.into()) {
-            *denom[a.interval.index()].entry(u).or_insert(0.0) += mu;
-        }
-    }
-    let mut per_event = Vec::with_capacity(schedule.len());
-    let mut total = 0.0;
-    for a in schedule.iter() {
-        let ti = a.interval.index();
-        let mut omega = 0.0;
-        for &(u, mu) in inst.interest().interested_users(a.event.into()) {
-            let d = denom[ti].get(&u).copied().unwrap_or(0.0);
-            omega += inst.sigma(u, a.interval) * luce_ratio(mu, d);
-        }
-        per_event.push((a.event, a.interval, omega));
-        total += omega;
-    }
+    let per_event: Vec<_> = schedule
+        .iter()
+        .map(|a| (a.event, a.interval, omega[a.event.index()]))
+        .collect();
     Evaluation {
-        total_utility: total,
+        total_utility: per_event.iter().fold(0.0, |sum, &(_, _, w)| sum + w),
         per_event,
     }
 }
@@ -960,10 +1008,20 @@ pub(crate) mod oracle {
 
     /// Panics unless an engine rebuilt over `live`'s instance and budget,
     /// assigning each interval's `events_at(t)` in order, matches `live`
-    /// bit for bit on every interval's utility and resources. Ω is left
-    /// out: it is a running sum of each step's gain or loss, so an engine
-    /// that reached the same schedule by another path added other terms.
+    /// bit for bit on every interval's utility and resources, and unless
+    /// `live`'s Ω and every ω are the hash-map oracle's bits.
     pub(crate) fn assert_exact_state(live: &AttendanceEngine) {
+        let oracle = crate::testkit::evaluate_schedule(live.instance(), live.schedule());
+        assert_eq!(
+            live.total_utility().to_bits(),
+            oracle.total_utility.to_bits()
+        );
+        for &(e, _, omega) in &oracle.per_event {
+            assert_eq!(
+                live.expected_attendance(e).map(f64::to_bits),
+                Some(omega.to_bits())
+            );
+        }
         let mut fresh = AttendanceEngine::new(live.instance_arc());
         fresh.set_budget(live.budget());
         for t in (0..live.schedule().num_intervals()).map(|t| IntervalId::new(t as u32)) {
@@ -994,6 +1052,7 @@ mod tests {
     use crate::ids::LocationId;
     use crate::interest::InterestBuilder;
     use crate::model::{uniform_grid, CandidateEvent, Organizer};
+    use crate::testkit::evaluate_schedule;
     use crate::util::float::{approx_eq, approx_ge};
 
     /// The hand-verifiable instance shared with the rest of the test suite
@@ -1097,7 +1156,10 @@ mod tests {
         assert!(approx_eq(predicted, gain));
         assert!(approx_eq(engine.total_utility(), gain));
         let eval = evaluate_schedule(&inst, engine.schedule());
-        assert!(approx_eq(eval.total_utility, engine.total_utility()));
+        assert_eq!(
+            eval.total_utility.to_bits(),
+            engine.total_utility().to_bits()
+        );
     }
 
     #[test]
@@ -1145,8 +1207,9 @@ mod tests {
         engine.unassign(e(0)).unwrap();
         engine.assign(e(0), t(1)).unwrap();
         let eval = evaluate_schedule(&inst, engine.schedule());
-        assert!(
-            approx_eq(eval.total_utility, engine.total_utility()),
+        assert_eq!(
+            eval.total_utility.to_bits(),
+            engine.total_utility().to_bits(),
             "incremental {} vs reference {}",
             engine.total_utility(),
             eval.total_utility
@@ -1290,7 +1353,10 @@ mod tests {
         s.assign(e(2), t(1)).unwrap();
         let engine = AttendanceEngine::with_schedule(&inst, &s).unwrap();
         let eval = evaluate_schedule(&inst, &s);
-        assert!(approx_eq(engine.total_utility(), eval.total_utility));
+        assert_eq!(
+            engine.total_utility().to_bits(),
+            eval.total_utility.to_bits()
+        );
         assert_eq!(engine.schedule().len(), 2);
     }
 
@@ -1315,8 +1381,8 @@ mod tests {
         let before = engine.total_utility();
         assert!(approx_eq(before, 1.0));
         // A rival show at t1 that u0 likes with µ = 0.8.
-        let delta = engine.add_competing_mass(t(1), &[(u(0), 0.8)]);
-        assert!(delta < 0.0);
+        engine.add_competing_mass(t(1), &[(u(0), 0.8)]);
+        assert!(engine.total_utility() < before);
         // New ρ(u0, e0) = 0.8 / (0.8 + 0.8) = 0.5.
         assert!(approx_eq(engine.total_utility(), 0.5));
         assert!(approx_eq(
@@ -1326,10 +1392,35 @@ mod tests {
         // Scores seen by future assignments account for the new mass.
         let s = engine.score(e(1), t(1));
         let eval = evaluate_schedule(&inst, engine.schedule());
-        // The reference evaluator knows nothing of the dynamic event, so it
-        // must now *disagree* — the engine is authoritative online.
+        // The instance-only oracle knows nothing of the dynamic event, so it
+        // must now *disagree*; the rival-aware one agrees bit for bit.
         assert!(eval.total_utility > engine.total_utility());
+        let rivals = [(t(1), vec![(u(0), 0.8)])];
+        let aware = crate::testkit::evaluate_with_rivals(&inst, &rivals, engine.schedule());
+        assert_eq!(
+            aware.total_utility.to_bits(),
+            engine.total_utility().to_bits()
+        );
         assert!(s >= 0.0);
+    }
+
+    #[test]
+    fn evaluate_from_the_index_is_the_oracle_bit_for_bit() {
+        for inst in [inst(), sparse_inst(), crate::testkit::medium_instance(4)] {
+            let mut engine = AttendanceEngine::new(&inst);
+            for ev in (0..inst.num_events() as u32).map(e) {
+                let ti = t(ev.raw() % inst.num_intervals() as u32);
+                if engine.is_valid(ev, ti) {
+                    engine.assign(ev, ti).unwrap();
+                }
+                let oracle = evaluate_schedule(&inst, engine.schedule());
+                assert_eq!(evaluate(&inst, engine.schedule()), oracle);
+                assert_eq!(
+                    engine.total_utility().to_bits(),
+                    oracle.total_utility.to_bits()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1339,8 +1430,7 @@ mod tests {
         engine.assign(e(0), t(0)).unwrap();
         let before = engine.total_utility();
         // u1 has no interest in e0; extra competition for u1 changes nothing.
-        let delta = engine.add_competing_mass(t(0), &[(u(1), 0.9)]);
-        assert_eq!(delta, 0.0);
+        engine.add_competing_mass(t(0), &[(u(1), 0.9)]);
         assert_eq!(engine.total_utility(), before);
     }
 
@@ -1370,12 +1460,11 @@ mod tests {
         let mut engine = AttendanceEngine::new(&inst);
         engine.assign(e(0), t(0)).unwrap();
         let before = engine.total_utility();
-        let delta = engine.add_competing_mass(t(0), &[(u(1), 0.7), (u(2), 0.3)]);
-        assert_eq!(delta, 0.0);
+        engine.add_competing_mass(t(0), &[(u(1), 0.7), (u(2), 0.3)]);
         assert_eq!(engine.total_utility(), before);
         // Mixed postings still apply the indexed user's share.
-        let delta = engine.add_competing_mass(t(0), &[(u(1), 0.7), (u(0), 0.5)]);
-        assert!(delta < 0.0);
+        engine.add_competing_mass(t(0), &[(u(1), 0.7), (u(0), 0.5)]);
+        assert!(engine.total_utility() < before);
     }
 
     #[test]
@@ -1472,12 +1561,18 @@ mod tests {
             let engine_omega = engine.expected_attendance(ev).unwrap();
             assert_eq!(engine_omega.to_bits(), omega.to_bits(), "event {ev}");
         }
-        assert!(approx_eq(engine.total_utility(), eval.total_utility));
+        assert_eq!(
+            engine.total_utility().to_bits(),
+            eval.total_utility.to_bits()
+        );
         // Move an event across intervals; agreement must survive mutation.
         engine.unassign(e(1)).unwrap();
         engine.assign(e(1), t(1)).unwrap();
         let eval = evaluate_schedule(&inst, engine.schedule());
-        assert!(approx_eq(engine.total_utility(), eval.total_utility));
+        assert_eq!(
+            engine.total_utility().to_bits(),
+            eval.total_utility.to_bits()
+        );
         // Round-trip back to empty is an exact zero (the re-fold).
         engine.unassign(e(0)).unwrap();
         engine.unassign(e(1)).unwrap();

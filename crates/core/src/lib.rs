@@ -106,7 +106,7 @@ pub use algorithms::{
     SesError, TopScheduler,
 };
 pub use engine::{
-    evaluate_schedule, AttendanceEngine, EngineCounters, EngineIndex, EngineMemoryStats, Evaluation,
+    evaluate, AttendanceEngine, EngineCounters, EngineIndex, EngineMemoryStats, Evaluation,
 };
 pub use error::Error;
 pub use ids::{CompetingEventId, EventId, EventRef, IntervalId, LocationId, UserId};
@@ -129,7 +129,7 @@ pub mod prelude {
         LocalSearchScheduler, RandomScheduler, RunStats, ScheduleOutcome, Scheduler, SesError,
         TopScheduler,
     };
-    pub use crate::engine::{evaluate_schedule, AttendanceEngine, EngineMemoryStats, Evaluation};
+    pub use crate::engine::{evaluate, AttendanceEngine, EngineMemoryStats, Evaluation};
     pub use crate::error::Error;
     pub use crate::ids::{CompetingEventId, EventId, EventRef, IntervalId, LocationId, UserId};
     pub use crate::instance::{FeasibilityViolation, InstanceBuilder, SesInstance};

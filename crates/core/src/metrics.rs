@@ -122,15 +122,9 @@ pub fn schedule_metrics(
         .iter()
         .filter_map(|a| engine.expected_attendance(a.event))
         .collect();
-    let (mut max_a, mut min_a, mut sum_a) = (0.0f64, f64::INFINITY, 0.0f64);
-    for &a in &attendances {
-        max_a = max_a.max(a);
-        min_a = min_a.min(a);
-        sum_a += a;
-    }
-    if attendances.is_empty() {
-        min_a = 0.0;
-    }
+    let max_a = attendances.iter().fold(0.0f64, |max, &a| max.max(a));
+    let min_a = attendances.iter().copied().reduce(f64::min).unwrap_or(0.0);
+    let total_utility = engine.total_utility();
 
     let mut intervals = Vec::new();
     let mut max_per_interval = 0usize;
@@ -151,10 +145,14 @@ pub fn schedule_metrics(
 
     let n = attendances.len();
     Ok(ScheduleMetrics {
-        total_utility: sum_a,
+        total_utility,
         max_event_attendance: max_a,
         min_event_attendance: min_a,
-        mean_event_attendance: if n == 0 { 0.0 } else { sum_a / n as f64 },
+        mean_event_attendance: if n == 0 {
+            0.0
+        } else {
+            total_utility / n as f64
+        },
         attendance_gini: gini(&attendances),
         occupied_intervals: intervals.len(),
         max_events_per_interval: max_per_interval,
@@ -174,9 +172,8 @@ mod tests {
     use super::*;
     use crate::activity::Activity;
     use crate::algorithms::{GreedyScheduler, RandomScheduler, Scheduler};
-    use crate::engine::evaluate_schedule;
     use crate::ids::{EventId, IntervalId, UserId};
-    use crate::testkit;
+    use crate::testkit::{self, evaluate_schedule};
     use crate::util::float::approx_eq;
 
     /// Reference bound: every event's solo scores from `score_all` on a
@@ -263,7 +260,7 @@ mod tests {
         let mut attendances = Vec::new();
         for &(event, _, w) in &oracle.per_event {
             let a = engine.expected_attendance(event).unwrap();
-            assert!((a - w).abs() <= 1e-12 * w.abs(), "{a} vs oracle {w}");
+            assert_eq!(a.to_bits(), w.to_bits(), "{a} vs oracle {w}");
             attendances.push(a);
         }
         let (max_a, min_a) = attendances
@@ -276,8 +273,7 @@ mod tests {
             assert_eq!(m.min_event_attendance.to_bits(), min_a.to_bits());
         }
         assert_eq!(m.attendance_gini.to_bits(), gini(&attendances).to_bits());
-        let total = attendances.iter().fold(0.0, |sum, &a| sum + a);
-        assert_eq!(m.total_utility.to_bits(), total.to_bits());
+        assert_eq!(m.total_utility.to_bits(), oracle.total_utility.to_bits());
     }
 
     #[test]
@@ -350,7 +346,7 @@ mod tests {
         let inst = testkit::medium_instance(3);
         let out = GreedyScheduler::new().run(&inst, 6).unwrap();
         let m = schedule_metrics(&inst, &out.schedule, 6).unwrap();
-        assert!(approx_eq(m.total_utility, out.total_utility));
+        assert_eq!(m.total_utility.to_bits(), out.total_utility.to_bits());
         let interval_sum: f64 = m.intervals.iter().map(|r| r.utility).sum();
         assert!(approx_eq(interval_sum, m.total_utility));
         assert!(m.max_event_attendance >= m.mean_event_attendance);

@@ -654,19 +654,14 @@ mod tests {
 
     #[test]
     fn capacity_cut_keeps_utility_consistent_with_reference() {
-        use crate::engine::evaluate_schedule;
+        use crate::testkit::evaluate_schedule;
         let (inst, schedule) = session(19, 6);
         let mut s = OnlineSession::new(&inst, &schedule).unwrap();
         s.change_capacity(inst.budget() * 0.4);
-        // No dynamic competing mass was injected, so the from-scratch
-        // reference must agree with the engine's running utility.
+        // No dynamic competing mass was injected, so the session's Ω is
+        // the from-scratch reference's, bit for bit.
         let eval = evaluate_schedule(&inst, s.schedule());
-        assert!(
-            (eval.total_utility - s.utility()).abs() < 1e-7,
-            "engine {} vs reference {}",
-            s.utility(),
-            eval.total_utility
-        );
+        assert_eq!(s.utility().to_bits(), eval.total_utility.to_bits());
     }
 
     #[test]

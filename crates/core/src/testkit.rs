@@ -7,10 +7,14 @@
 //! exercising engine and algorithm behaviour.
 
 use crate::activity::Activity;
+use crate::engine::Evaluation;
 use crate::ids::{CompetingEventId, EventId, IntervalId, LocationId, UserId};
 use crate::instance::SesInstance;
 use crate::interest::InterestBuilder;
 use crate::model::{uniform_grid, CandidateEvent, CompetingEvent, Organizer};
+use crate::schedule::Schedule;
+use crate::util::float::luce_ratio;
+use crate::util::fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -225,6 +229,54 @@ pub fn hand_instance() -> Arc<SesInstance> {
         .activity(Activity::constant(2, 2, 1.0).unwrap())
         .build_shared()
         .unwrap()
+}
+
+/// The hash-map oracle of Ω and ω (Eq. 2–3), for tests and benches: a
+/// from-scratch evaluation that knows neither the engine nor its column
+/// layout. Per interval and user, the denominator folds the competing µ in
+/// [`SesInstance::competing`] order, then the scheduled events' µ in
+/// event-id order; ω sums `σ·µ/D` over each event's posting list, and Ω
+/// sums ω in event-id order. Production computes the same bits from the
+/// shared index ([`crate::engine::evaluate`]).
+pub fn evaluate_schedule(inst: &SesInstance, schedule: &Schedule) -> Evaluation {
+    evaluate_with_rivals(inst, &[], schedule)
+}
+
+/// [`evaluate_schedule`] for a session that absorbed `rivals` (competing
+/// postings announced after the build, in arrival order): their µ join each
+/// denominator after the instance's competing events, as in a live engine.
+pub fn evaluate_with_rivals(
+    inst: &SesInstance,
+    rivals: &[(IntervalId, Vec<(UserId, f64)>)],
+    schedule: &Schedule,
+) -> Evaluation {
+    let interest = inst.interest();
+    let mut denom = vec![FxHashMap::<UserId, f64>::default(); inst.num_intervals()];
+    let competing =
+        (inst.competing().iter()).map(|c| (c.interval, interest.interested_users(c.id.into())));
+    let rivals = rivals.iter().map(|(t, postings)| (*t, postings.as_slice()));
+    let scheduled =
+        (schedule.iter()).map(|a| (a.interval, interest.interested_users(a.event.into())));
+    for (t, postings) in competing.chain(rivals).chain(scheduled) {
+        for &(u, mu) in postings {
+            *denom[t.index()].entry(u).or_insert(0.0) += mu;
+        }
+    }
+    let per_event: Vec<_> = (schedule.iter())
+        .map(|a| {
+            let d = &denom[a.interval.index()];
+            let omega =
+                (interest.interested_users(a.event.into()).iter()).fold(0.0, |w, &(u, mu)| {
+                    w + inst.sigma(u, a.interval)
+                        * luce_ratio(mu, d.get(&u).copied().unwrap_or(0.0))
+                });
+            (a.event, a.interval, omega)
+        })
+        .collect();
+    Evaluation {
+        total_utility: per_event.iter().fold(0.0, |sum, &(_, _, w)| sum + w),
+        per_event,
+    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //! other and against the exact oracle on a seed grid (complementing the
 //! randomized `properties.rs`).
 
+use ses_core::testkit::evaluate_schedule;
 use ses_core::testkit::{hand_instance, random_instance, small_instance, TestInstanceConfig};
 use ses_core::util::float::{approx_eq, approx_ge};
 use ses_core::{
-    evaluate_schedule, EventId, ExactScheduler, GreedyHeapScheduler, GreedyScheduler, IntervalId,
+    EventId, ExactScheduler, GreedyHeapScheduler, GreedyScheduler, IntervalId,
     LocalSearchScheduler, RandomScheduler, Scheduler, TopScheduler,
 };
 
@@ -133,8 +134,9 @@ fn all_algorithms_handle_every_k_from_zero_to_max() {
             assert!(out.len() <= k);
             inst.check_schedule(&out.schedule).unwrap();
             let eval = evaluate_schedule(&inst, &out.schedule);
-            assert!(
-                (out.total_utility - eval.total_utility).abs() < 1e-7,
+            assert_eq!(
+                out.total_utility.to_bits(),
+                eval.total_utility.to_bits(),
                 "{} at k={k}",
                 s.name()
             );

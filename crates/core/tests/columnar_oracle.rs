@@ -3,9 +3,10 @@
 //! (`evaluate_schedule`) and the analytic operation counts.
 
 use proptest::prelude::*;
+use ses_core::testkit::evaluate_schedule;
 use ses_core::testkit::{random_instance, TestInstanceConfig};
 use ses_core::util::float::approx_eq_tol;
-use ses_core::{evaluate_schedule, AttendanceEngine, EventId, IntervalId};
+use ses_core::{AttendanceEngine, EventId, IntervalId};
 
 /// Strategy over modest random instances (mirrors `properties.rs`).
 fn instance_config() -> impl Strategy<Value = TestInstanceConfig> {
@@ -73,8 +74,9 @@ proptest! {
             }
         }
         let oracle = evaluate_schedule(&inst, engine.schedule());
-        prop_assert!(
-            approx_eq_tol(engine.total_utility(), oracle.total_utility, 1e-7),
+        prop_assert_eq!(
+            engine.total_utility().to_bits(),
+            oracle.total_utility.to_bits(),
             "columnar Ω {} vs oracle {}", engine.total_utility(), oracle.total_utility
         );
         for &(event, _, omega) in &oracle.per_event {

@@ -2,13 +2,12 @@
 //! (DESIGN.md §6).
 
 use proptest::prelude::*;
-use ses_core::testkit::{random_instance, TestInstanceConfig};
-use ses_core::util::float::{approx_eq_tol, approx_ge};
+use ses_core::testkit::{evaluate_schedule, random_instance, TestInstanceConfig};
+use ses_core::util::float::approx_ge;
 use ses_core::{
-    evaluate_schedule, uniform_grid, Activity, AttendanceEngine, CandidateEvent, EventId,
-    ExactScheduler, GreedyHeapScheduler, GreedyScheduler, InterestBuilder, IntervalId,
-    LocalSearchScheduler, LocationId, Organizer, RandomScheduler, Scheduler, SesInstance,
-    TopScheduler, UserId,
+    uniform_grid, Activity, AttendanceEngine, CandidateEvent, EventId, ExactScheduler,
+    GreedyHeapScheduler, GreedyScheduler, InterestBuilder, IntervalId, LocalSearchScheduler,
+    LocationId, Organizer, RandomScheduler, Scheduler, SesInstance, TopScheduler, UserId,
 };
 
 /// Strategy over modest random instances.
@@ -70,7 +69,7 @@ proptest! {
                 "{} produced an infeasible schedule", s.name());
             prop_assert!(out.len() <= k);
             let eval = evaluate_schedule(&inst, &out.schedule);
-            prop_assert!(approx_eq_tol(out.total_utility, eval.total_utility, 1e-7),
+            prop_assert_eq!(out.total_utility.to_bits(), eval.total_utility.to_bits(),
                 "{}: incremental {} vs reference {}", s.name(), out.total_utility, eval.total_utility);
         }
     }
@@ -130,7 +129,7 @@ proptest! {
         let a = GreedyScheduler::new().run(&inst, k).unwrap();
         let b = GreedyHeapScheduler::new().run(&inst, k).unwrap();
         prop_assert_eq!(a.len(), b.len());
-        prop_assert!(approx_eq_tol(a.total_utility, b.total_utility, 1e-7),
+        prop_assert_eq!(a.total_utility.to_bits(), b.total_utility.to_bits(),
             "GRD {} vs GRD-PQ {}", a.total_utility, b.total_utility);
     }
 
@@ -153,18 +152,17 @@ proptest! {
                 assigned.push(e);
             }
             let reference = evaluate_schedule(&inst, engine.schedule()).total_utility;
-            prop_assert!(approx_eq_tol(engine.total_utility(), reference, 1e-7),
+            prop_assert_eq!(engine.total_utility().to_bits(), reference.to_bits(),
                 "incremental {} vs reference {}", engine.total_utility(), reference);
         }
-        // Roll everything back. The masses re-fold to exactly zero (no
-        // phantom Luce ratios — see `AttendanceEngine::unassign`), but the
-        // running Ω is a float sum over the whole op sequence, so it lands
-        // within rounding of zero rather than exactly on it.
+        // Roll everything back: Ω of the empty schedule is exactly zero,
+        // and the masses re-fold to exactly zero (no phantom Luce ratios —
+        // see `AttendanceEngine::unassign`).
         for e in assigned {
             engine.unassign(e).unwrap();
         }
-        prop_assert!(engine.total_utility().abs() < 1e-9,
-            "rolled-back utility {} not ~0", engine.total_utility());
+        prop_assert_eq!(engine.total_utility().to_bits(), 0.0f64.to_bits(),
+            "rolled-back utility {} not 0", engine.total_utility());
         // And the *next* score is computed from pristine state.
         let mut fresh = AttendanceEngine::new(&inst);
         let e0 = EventId::new(0);

@@ -6,9 +6,10 @@
 //! solves build the index once.
 
 use ses_core::registry::{self, SchedulerSpec};
+use ses_core::testkit::evaluate_schedule;
 use ses_core::{
     Activity, CandidateEvent, CompetingEvent, CompetingEventId, EventId, InterestBuilder,
-    IntervalId, LocationId, Organizer, ScheduleOutcome, SesInstance, UserId,
+    IntervalId, LocationId, OnlineSession, Organizer, ScheduleOutcome, SesInstance, UserId,
 };
 use std::sync::Arc;
 
@@ -125,6 +126,47 @@ fn repeated_solves_on_one_instance_equal_a_fresh_instance_solve() {
                         "{shape} {spec:?} k={k}: solve {round} on the shared instance"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `/eval` of a solve's own answer reports the solve's Ω bit for bit, for
+/// every scheduler and shape: both are the one ω definition, and both equal
+/// the hash-map oracle. So does a session opened over the answer.
+#[test]
+fn eval_of_a_solve_reports_its_omega_bit_for_bit() {
+    for (shape, make) in [
+        ("dense", dense as fn() -> Arc<SesInstance>),
+        ("masked", masked),
+        ("mixed", mixed),
+    ] {
+        let inst = make();
+        for spec in SPECS {
+            for k in [2, 4, EVENTS] {
+                let out = registry::build(spec).run(&inst, k).unwrap();
+                let served = ses_core::evaluate(&inst, &out.schedule);
+                let oracle = evaluate_schedule(&inst, &out.schedule);
+                let at = format!("{shape} {spec:?} k={k}");
+                assert_eq!(
+                    served.total_utility.to_bits(),
+                    out.total_utility.to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    oracle.total_utility.to_bits(),
+                    out.total_utility.to_bits(),
+                    "{at}"
+                );
+                for (a, b) in served.per_event.iter().zip(&oracle.per_event) {
+                    assert_eq!((a.0, a.1, a.2.to_bits()), (b.0, b.1, b.2.to_bits()), "{at}");
+                }
+                let session = OnlineSession::new(&inst, &out.schedule).unwrap();
+                assert_eq!(
+                    session.utility().to_bits(),
+                    out.total_utility.to_bits(),
+                    "{at}"
+                );
             }
         }
     }

@@ -16,10 +16,10 @@
 //!   build and score without special-casing.
 
 use proptest::prelude::*;
-use ses_core::util::float::approx_eq_tol;
+use ses_core::testkit::evaluate_schedule;
 use ses_core::{
-    evaluate_schedule, Activity, AttendanceEngine, CandidateEvent, EventId, InterestBuilder,
-    IntervalId, LocationId, Organizer, SesInstance, UserId,
+    Activity, AttendanceEngine, CandidateEvent, EventId, InterestBuilder, IntervalId, LocationId,
+    Organizer, SesInstance, UserId,
 };
 use std::sync::Arc;
 
@@ -159,8 +159,9 @@ proptest! {
                 event, engine_omega, omega
             );
         }
-        prop_assert!(
-            approx_eq_tol(engine.total_utility(), oracle.total_utility, 1e-9),
+        prop_assert_eq!(
+            engine.total_utility().to_bits(),
+            oracle.total_utility.to_bits(),
             "Ω: blocked {} vs oracle {}", engine.total_utility(), oracle.total_utility
         );
     }
@@ -187,8 +188,9 @@ proptest! {
             }
         }
         let oracle = evaluate_schedule(&inst, engine.schedule());
-        prop_assert!(
-            approx_eq_tol(engine.total_utility(), oracle.total_utility, 1e-7),
+        prop_assert_eq!(
+            engine.total_utility().to_bits(),
+            oracle.total_utility.to_bits(),
             "Ω after churn: blocked {} vs oracle {}",
             engine.total_utility(), oracle.total_utility
         );
@@ -258,7 +260,10 @@ fn degenerate_shapes_build_and_score() {
     engine.assign(EventId::new(0), IntervalId::new(0)).unwrap();
     let oracle = evaluate_schedule(&solo, engine.schedule());
     assert_eq!(engine.total_utility().to_bits(), s.to_bits());
-    assert!((oracle.total_utility - engine.total_utility()).abs() < 1e-12);
+    assert_eq!(
+        oracle.total_utility.to_bits(),
+        engine.total_utility().to_bits()
+    );
 
     // One interval holds every posting: users active only at t0.
     let mut interest = InterestBuilder::new(4, 2, 0);

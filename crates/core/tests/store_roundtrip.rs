@@ -22,10 +22,9 @@ use proptest::prelude::*;
 use ses_core::store::{
     open_path, read_instance, write_instance, FoldState, StoreError, FORMAT_VERSION, MAGIC,
 };
+use ses_core::testkit::evaluate_schedule;
 use ses_core::testkit::{random_instance, TestInstanceConfig};
-use ses_core::{
-    evaluate_schedule, registry, AttendanceEngine, EventId, IntervalId, SchedulerSpec, SesInstance,
-};
+use ses_core::{registry, AttendanceEngine, EventId, IntervalId, SchedulerSpec, SesInstance};
 use std::sync::Arc;
 
 fn config() -> impl Strategy<Value = TestInstanceConfig> {

@@ -321,8 +321,8 @@ mod tests {
         );
         // And the blocked engine still agrees with the oracle end to end.
         let grd = GreedyScheduler::new().run(&inst, 6).unwrap();
-        let eval = ses_core::evaluate_schedule(&inst, &grd.schedule);
-        assert!((eval.total_utility - grd.total_utility).abs() < 1e-9);
+        let eval = ses_core::testkit::evaluate_schedule(&inst, &grd.schedule);
+        assert_eq!(eval.total_utility.to_bits(), grd.total_utility.to_bits());
         assert!(grd.stats.memory.column_slots > 0);
     }
 

@@ -132,7 +132,7 @@ fn inspect_shard_dir(dir: &Path, with_records: bool) -> Result<ShardInspection, 
             torn: None,
         };
         match check_header(&bytes, path) {
-            Ok(records) => {
+            Ok((_, records)) => {
                 let mut reader = RecordReader::new(records, HEADER_LEN, path.display().to_string());
                 loop {
                     match reader.next() {

@@ -104,17 +104,17 @@ fn replay_session(
         report.snapshot_checks += 1;
         match service.report(&session.name) {
             Ok(state) => {
-                if state.utility.to_bits() != check.utility_bits
+                let bits = state.utility.to_bits();
+                if check.utility_bits.is_some_and(|b| b != bits)
                     || state.scheduled != check.scheduled
                 {
                     report.check_failures.push(format!(
                         "session '{}': snapshot check mismatch at lsn {} \
-                         (scheduled {} vs {}, utility bits {:#018x} vs {:#018x})",
+                         (scheduled {} vs {}, utility bits {bits:#018x} vs {:#018x?})",
                         session.name,
                         session.snapshot_lsn,
                         state.scheduled,
                         check.scheduled,
-                        state.utility.to_bits(),
                         check.utility_bits,
                     ));
                 }

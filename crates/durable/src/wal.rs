@@ -46,8 +46,11 @@ use std::time::Duration;
 pub const SEGMENT_MAGIC: [u8; 8] = *b"SESWALOG";
 /// On-disk format version (bumped on incompatible layout changes). Version
 /// 2 writes snapshots as records inside segments, which version-1 builds
-/// refuse by this number instead of misreading.
-pub const FORMAT_VERSION: u32 = 2;
+/// refuse by this number instead of misreading. Version 3 changes what a
+/// snapshot's `utility_bits` mean: Ω by its one definition (the ω fold in
+/// event-id order) instead of the engine's running sum of gains, so the Ω
+/// half of a snapshot check runs only on version-3 segments.
+pub const FORMAT_VERSION: u32 = 3;
 /// Bytes of segment header: magic + version.
 pub const HEADER_LEN: u64 = 12;
 
@@ -395,8 +398,9 @@ impl<'a> RecordReader<'a> {
     }
 }
 
-/// Reads and validates a segment header, returning the record bytes.
-pub fn check_header<'a>(bytes: &'a [u8], path: &Path) -> Result<&'a [u8], WalError> {
+/// Reads and validates a segment header, returning the segment's format
+/// version and its record bytes.
+pub fn check_header<'a>(bytes: &'a [u8], path: &Path) -> Result<(u32, &'a [u8]), WalError> {
     if bytes.len() < HEADER_LEN as usize || bytes[..8] != SEGMENT_MAGIC {
         return Err(WalError::BadMagic {
             path: path.display().to_string(),
@@ -412,7 +416,7 @@ pub fn check_header<'a>(bytes: &'a [u8], path: &Path) -> Result<&'a [u8], WalErr
             supported: FORMAT_VERSION,
         });
     }
-    Ok(&bytes[HEADER_LEN as usize..])
+    Ok((found, &bytes[HEADER_LEN as usize..]))
 }
 
 /// How the WAL behaves: where it lives, when it syncs, when it compacts.
@@ -507,8 +511,9 @@ pub struct RecoveredSession {
 pub struct SnapshotCheck {
     /// Expected schedule size.
     pub scheduled: usize,
-    /// Expected utility Ω bit pattern.
-    pub utility_bits: u64,
+    /// Expected utility Ω bit pattern; `None` for a snapshot from a
+    /// version-2 segment, whose bits are the old running sum's.
+    pub utility_bits: Option<u64>,
 }
 
 /// Everything [`ShardWal::open`] reconstructed from disk, ready to replay
@@ -638,8 +643,8 @@ impl ShardWal {
             }
             let last_segment = i + 1 == segment_files.len();
             let bytes = read_synced(path)?;
-            let records = match check_header(&bytes, path) {
-                Ok(r) => r,
+            let (version, records) = match check_header(&bytes, path) {
+                Ok(header) => header,
                 Err(e) => {
                     // Unreadable header: nothing in this segment is usable.
                     log.scan_errors.push(e.to_string());
@@ -661,7 +666,7 @@ impl ShardWal {
                 };
                 // A skipped record still took its LSN, which the next
                 // append must not hand out again.
-                let lsn = match decode_into(&rec, &mut building) {
+                let lsn = match decode_into(&rec, version, &mut building) {
                     Ok(lsn) | Err(Skip::Duplicate(lsn)) => lsn,
                     Err(Skip::UnknownSession(lsn)) => {
                         log.records_skipped += 1;
@@ -857,7 +862,7 @@ impl ShardWal {
         };
         s.check = Some(SnapshotCheck {
             scheduled,
-            utility_bits: utility.to_bits(),
+            utility_bits: Some(utility.to_bits()),
         });
         self.roll_if_full()?;
         let due = self.cfg.snapshot_every > 0
@@ -882,14 +887,18 @@ impl ShardWal {
         let Some(s) = self.sessions.get(name) else {
             return Ok(None);
         };
-        let Some(check) = s.check else {
+        let Some(SnapshotCheck {
+            scheduled,
+            utility_bits: Some(utility_bits),
+        }) = s.check
+        else {
             return Ok(None);
         };
         let payload = to_payload(&SessionSnapshot {
             lsn,
             journal: s.journal.clone(),
-            scheduled: check.scheduled,
-            utility_bits: check.utility_bits,
+            scheduled,
+            utility_bits,
         })?;
         self.append(REC_SNAPSHOT, &payload)?;
         if let Some(s) = self.sessions.get_mut(name) {
@@ -1176,6 +1185,7 @@ enum Skip {
 /// record's LSN, or why it changes nothing.
 fn decode_into(
     rec: &RawRecord<'_>,
+    version: u32,
     building: &mut BTreeMap<String, (u64, RecoveredSession)>,
 ) -> Result<u64, Skip> {
     match rec.kind {
@@ -1224,7 +1234,7 @@ fn decode_into(
                 snapshot_lsn: snap.lsn,
                 check: Some(SnapshotCheck {
                     scheduled: snap.scheduled,
-                    utility_bits: snap.utility_bits,
+                    utility_bits: (version >= 3).then_some(snap.utility_bits),
                 }),
             };
             building.insert(name, (snap.lsn, session));

@@ -361,6 +361,67 @@ fn tampered_snapshot_check_is_reported_not_fatal() {
     assert!(recovered.report("s").is_ok(), "session is still live");
 }
 
+/// A version-2 segment's snapshot holds the old running-sum Ω bits, which
+/// differ from Ω by its one definition: recovering it after the upgrade
+/// skips only the Ω half of the check (the `scheduled` half still runs),
+/// while the same bits in a version-3 segment are a check failure.
+#[test]
+fn a_version_2_snapshot_recovers_without_its_omega_check() {
+    let scratch = Scratch::new("v2-snap");
+    let reg = registry();
+    let inst = reg.get("default").expect("instance");
+    let cfg = WalConfig {
+        dir: scratch.path().to_path_buf(),
+        fsync: FsyncPolicy::Off,
+        snapshot_every: 4,
+        segment_bytes: 4 << 20,
+    };
+    let recover = |version: u32, scheduled_lie: usize| {
+        let _ = std::fs::remove_dir_all(scratch.path());
+        let mut live = SchedulerService::new();
+        let (mut wal, _) = ShardWal::open(cfg.clone()).expect("fresh open");
+        wal.append_open(&open_request("s")).expect("log open");
+        live.open_session(&inst, &open_request("s")).expect("open");
+        for e in event_stream(6) {
+            wal.append_event("s", &e).expect("log event");
+            let _ = live.apply("s", &e);
+            let report = live.report("s").expect("report");
+            // Bits another Ω definition could have written.
+            let other = f64::from_bits(report.utility.to_bits() ^ 1);
+            wal.maybe_snapshot("s", report.scheduled + scheduled_lie, other)
+                .expect("maybe snapshot");
+        }
+        wal.flush().expect("flush");
+        drop(wal);
+        let seg = scratch.path().join("seg-00000000.wal");
+        let mut bytes = std::fs::read(&seg).expect("read seg");
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&seg, &bytes).expect("write seg");
+        let (_wal, log) = ShardWal::open(cfg.clone()).expect("reopen");
+        assert!(
+            log.sessions[0].snapshot_lsn > 0,
+            "recovery starts from the snapshot"
+        );
+        let mut recovered = SchedulerService::new();
+        let report = recover_sessions(&mut recovered, &reg, &log);
+        assert_eq!(report.sessions_recovered, 1);
+        assert_eq!(report.snapshot_checks, 1);
+        let state = recovered.report("s").expect("recovered report");
+        assert_eq!(
+            state.utility.to_bits(),
+            live.report("s").unwrap().utility.to_bits()
+        );
+        report.check_failures
+    };
+    assert_eq!(recover(2, 0), Vec::<String>::new());
+    assert_eq!(recover(3, 0).len(), 1, "a version-3 snapshot checks Ω");
+    assert_eq!(
+        recover(2, 1).len(),
+        1,
+        "a version-2 snapshot checks `scheduled`"
+    );
+}
+
 /// Extract on one WAL + install on another moves the session: the source
 /// recovery no longer lists it, the target replays it to identical state.
 #[test]

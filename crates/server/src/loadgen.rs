@@ -258,6 +258,8 @@ pub struct EngineIndexRow {
     pub later_solve: Spread,
     /// Session opens after the first solve.
     pub open: Spread,
+    /// `/eval` of the solve's own answer, after the first solve.
+    pub eval: Spread,
     /// Engine bytes one open session holds alone (`state_bytes`).
     pub bytes_per_session: u64,
     /// Bytes of the instance's shared index, held once for all sessions.

@@ -65,7 +65,7 @@ fn solve_and_eval_round_trip_over_the_wire() {
     let (status, body) = client.post("/eval", &eval_req).unwrap();
     assert_eq!(status, 200, "{body}");
     let eval: ses_service::EvalResponse = serde_json::from_str(&body).unwrap();
-    assert!((eval.total_utility - solved.total_utility).abs() < 1e-7);
+    assert_eq!(eval.total_utility.to_bits(), solved.total_utility.to_bits());
     handle.shutdown();
 }
 

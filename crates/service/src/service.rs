@@ -11,8 +11,8 @@ use crate::types::{
     SessionOpen, SessionReport, SolveRequest, SolveResponse,
 };
 use ses_core::{
-    evaluate_schedule, registry, EventId, IntervalId, OnlineSession, RepairReport, ScheduleError,
-    ScheduleOutcome, SchedulerSpec, SesInstance,
+    registry, EventId, IntervalId, OnlineSession, RepairReport, ScheduleError, ScheduleOutcome,
+    SchedulerSpec, SesInstance,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,14 +38,15 @@ pub fn solve(inst: &Arc<SesInstance>, req: &SolveRequest) -> Result<SolveRespons
 }
 
 /// Evaluates an explicit schedule against an instance: feasibility is
-/// checked, then Ω and per-event attendance are computed from scratch.
+/// checked, then Ω and per-event attendance are computed from the
+/// instance's shared engine index ([`ses_core::evaluate`]).
 pub fn evaluate(inst: &Arc<SesInstance>, req: &EvalRequest) -> Result<EvalResponse, ServiceError> {
     let mut schedule = inst.empty_schedule();
     for a in &req.assignments {
         schedule.assign(a.event, a.interval)?;
     }
     inst.check_schedule(&schedule)?;
-    let eval = evaluate_schedule(inst, &schedule);
+    let eval = ses_core::evaluate(inst, &schedule);
     Ok(EvalResponse {
         total_utility: eval.total_utility,
         per_event: eval
@@ -346,7 +347,7 @@ mod tests {
             .unwrap();
         assert_eq!(resp.algorithm, "GRD");
         assert_eq!(resp.scheduled(), direct.schedule.len());
-        assert!((resp.total_utility - direct.total_utility).abs() < 1e-12);
+        assert_eq!(resp.total_utility.to_bits(), direct.total_utility.to_bits());
         assert!(resp.complete);
     }
 
@@ -388,7 +389,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!((eval.total_utility - solved.total_utility).abs() < 1e-7);
+        assert_eq!(eval.total_utility.to_bits(), solved.total_utility.to_bits());
         assert_eq!(eval.per_event.len(), solved.scheduled());
     }
 
@@ -412,6 +413,16 @@ mod tests {
             err,
             ServiceError::Core(ses_core::Error::Feasibility(_))
         ));
+    }
+
+    #[test]
+    fn a_session_reports_the_omega_it_opened_with() {
+        let mut service = SchedulerService::new();
+        for (name, seed, k) in [("a", 1, 4), ("b", 2, 6), ("c", 9, 8)] {
+            let opened = open(&mut service, name, seed, k);
+            let report = service.report(name).unwrap();
+            assert_eq!(report.utility.to_bits(), opened.total_utility.to_bits());
+        }
     }
 
     #[test]

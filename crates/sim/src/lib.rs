@@ -73,8 +73,8 @@ pub use trace::{Trace, TraceRecord};
 mod tests {
     use super::*;
     use ses_core::algorithms::{GreedyScheduler, Scheduler};
-    use ses_core::engine::evaluate_schedule;
     use ses_core::testkit;
+    use ses_core::testkit::evaluate_schedule;
     use ses_core::OnlineSession;
 
     fn simulator(
@@ -199,8 +199,9 @@ mod tests {
             sim.run(5);
             let eval = evaluate_schedule(&inst, sim.session().schedule());
             let live = sim.session().utility();
-            assert!(
-                (eval.total_utility - live).abs() < 1e-7,
+            assert_eq!(
+                live.to_bits(),
+                eval.total_utility.to_bits(),
                 "engine {live} vs reference {}",
                 eval.total_utility
             );

@@ -1,21 +1,32 @@
 //! The exact-state oracle over simulator streams: after every step of the
 //! `steady`, `flash-crowd` and `adversarial` workloads, the session's live
 //! engine agrees bit for bit with one rebuilt from the competing mass it
-//! absorbed and the schedule it now holds. Every repair unassigns and
+//! absorbed and the schedule it now holds, and its Ω and every ω are the
+//! rival-aware hash-map oracle's bits. Every repair unassigns and
 //! re-assigns, and cancellations and capacity cuts unassign for good, so
-//! each step exercises the M re-fold and the set-only resource rule.
+//! each step exercises the M re-fold, the ω refresh and the set-only
+//! resource rule.
 
-use ses_core::testkit::medium_instance;
+use ses_core::testkit::{evaluate_with_rivals, medium_instance};
 use ses_core::{AttendanceEngine, GreedyScheduler, IntervalId, OnlineSession, Scheduler, UserId};
 use ses_sim::{scenario_by_name, Disruption, Simulator};
 
 /// Panics unless a new engine over `live`'s instance — fed `competing` (the
 /// competing-mass injections `live` absorbed, in order), `live`'s budget,
 /// then each interval's `events_at(t)` in order — matches `live` bit for
-/// bit on every interval's utility and resources. Ω is left out: it is a
-/// running sum of each step's gain or loss, so an engine that reached the
-/// same schedule by another path added other terms in another order.
+/// bit on every interval's utility and resources, and unless `live`'s Ω
+/// and every ω are those of the hash-map oracle fed the same rivals.
 fn assert_exact_state(live: &AttendanceEngine, competing: &[(IntervalId, Vec<(UserId, f64)>)]) {
+    let oracle = evaluate_with_rivals(live.instance(), competing, live.schedule());
+    assert_eq!(
+        live.total_utility().to_bits(),
+        oracle.total_utility.to_bits(),
+        "Ω"
+    );
+    for &(e, _, omega) in &oracle.per_event {
+        let live_omega = live.expected_attendance(e).map(f64::to_bits);
+        assert_eq!(live_omega, Some(omega.to_bits()), "ω({e})");
+    }
     let mut fresh = AttendanceEngine::new(live.instance_arc());
     for (t, postings) in competing {
         fresh.add_competing_mass(*t, postings);

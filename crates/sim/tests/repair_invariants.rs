@@ -5,15 +5,14 @@
 //! * every repair recovers utility (`recovered() ≥ 0` up to float slack) —
 //!   a repair pass only ever applies strictly improving or score-positive
 //!   moves;
-//! * for streams that never inject dynamic competing mass, the engine's
-//!   running Ω stays in lockstep with `evaluate_schedule` recomputed from
-//!   scratch after every disruption;
+//! * for streams that never inject dynamic competing mass, the session's Ω
+//!   is `evaluate_schedule`'s, recomputed from scratch after every
+//!   disruption, bit for bit;
 //! * the schedule stays feasible (locations unique per interval, per-interval
 //!   resource usage within the *live* budget) at all times.
 
 use proptest::prelude::*;
-use ses_core::engine::evaluate_schedule;
-use ses_core::testkit::{random_instance, TestInstanceConfig};
+use ses_core::testkit::{evaluate_schedule, random_instance, TestInstanceConfig};
 use ses_core::{GreedyScheduler, IntervalId, OnlineSession, Scheduler};
 use ses_sim::{
     scenario_by_name, Disruption, Scenario, SimView, Simulator, TimedDisruption, SCENARIO_NAMES,
@@ -110,8 +109,8 @@ proptest! {
         }
     }
 
-    /// With no dynamic competing mass in the stream, the engine's running Ω
-    /// after every repair equals `evaluate_schedule` from scratch.
+    /// With no dynamic competing mass in the stream, the session's Ω after
+    /// every repair is `evaluate_schedule`'s from scratch, bit for bit.
     #[test]
     fn static_streams_match_reference_evaluation(cfg in instance_config(), churn_seed in any::<u64>()) {
         /// Cancels, extends, late arrivals and capacity swings — everything
@@ -156,9 +155,12 @@ proptest! {
             sim.run(1);
             let live = sim.session().utility();
             let reference = evaluate_schedule(&inst, sim.session().schedule()).total_utility;
-            prop_assert!(
-                (live - reference).abs() < 1e-7,
-                "engine {live} vs reference {reference} after {} steps",
+            prop_assert_eq!(
+                live.to_bits(),
+                reference.to_bits(),
+                "engine {} vs reference {} after {} steps",
+                live,
+                reference,
                 sim.trace().len()
             );
             check_feasible(&inst, sim.session());

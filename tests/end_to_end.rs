@@ -1,6 +1,7 @@
 //! End-to-end integration: EBSN generation → paper pipeline → scheduling →
 //! evaluation, across the crate boundaries of the workspace.
 
+use ses::core::testkit::evaluate_schedule;
 use ses::prelude::*;
 use ses_datagen::paper::SigmaMode;
 use ses_datagen::sweep::{k_sweep, t_sweep};
@@ -21,9 +22,9 @@ fn full_pipeline_generates_schedules_and_utilities() {
     assert_eq!(out.len(), cfg.k);
     built.instance.check_schedule(&out.schedule).unwrap();
     assert!(out.total_utility > 0.0);
-    // The reported utility matches a from-scratch evaluation.
+    // The reported utility is the from-scratch oracle's, bit for bit.
     let eval = evaluate_schedule(&built.instance, &out.schedule);
-    assert!((out.total_utility - eval.total_utility).abs() < 1e-7);
+    assert_eq!(out.total_utility.to_bits(), eval.total_utility.to_bits());
 }
 
 #[test]
@@ -94,7 +95,7 @@ fn dataset_roundtrip_preserves_built_instances() {
     let out_a = GreedyScheduler::new().run(&a.instance, 10).unwrap();
     let out_b = GreedyScheduler::new().run(&b.instance, 10).unwrap();
     assert_eq!(out_a.schedule, out_b.schedule);
-    assert!((out_a.total_utility - out_b.total_utility).abs() < 1e-12);
+    assert_eq!(out_a.total_utility.to_bits(), out_b.total_utility.to_bits());
 }
 
 #[test]

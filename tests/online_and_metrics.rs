@@ -26,7 +26,7 @@ fn metrics_describe_an_ebsn_schedule_coherently() {
     let out = GreedyScheduler::new().run(&built.instance, cfg.k).unwrap();
     let m = schedule_metrics(&built.instance, &out.schedule, cfg.k).unwrap();
 
-    assert!((m.total_utility - out.total_utility).abs() < 1e-7);
+    assert_eq!(m.total_utility.to_bits(), out.total_utility.to_bits());
     assert!(m.expected_reach > 0.0);
     assert!(m.expected_reach <= built.instance.num_users() as f64);
     assert!(m.occupied_intervals <= cfg.k);
